@@ -14,6 +14,9 @@ positive the dynamics converge; otherwise one player updates:
 * randomized selection: a uniformly random player updates iff her delta is
   positive, with the step budget inflated to N*T^2.
 
+The tolls of all players in one step come from one shared view of the
+resources' users (``PassView``), built once per step.
+
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.
 """
@@ -21,7 +24,7 @@ one ("last"), the full per-step trace, and the theoretical constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from typing import Callable, Optional, Union
 
 from . import analysis
 from .bounds import TheoreticalBounds, theoretical_bounds
@@ -84,7 +87,6 @@ class RunResult:
     t_star: int
     best_cost: float
     trace: tuple[StepRecord, ...]
-    profiles: tuple[StrategyProfile, ...]
     request_ids: tuple[int, ...]
     bounds: TheoreticalBounds
     converged_at: Optional[int]
@@ -120,49 +122,91 @@ def initial_profile(instance: Instance) -> StrategyProfile:
     return tuple(replies)
 
 
+class PassView:
+    """The users of every resource under one frozen profile, plus the shares
+    already computed against it.
+
+    A delta pass builds one view and hands it to every player's ABR, since
+    the profile does not change during the pass.  ``users`` maps a resource
+    id to its (request id, weight) pairs in id order.  ``shares`` memoizes
+    exact-mechanism shares by (resource, ``ON`` or the player's id if the
+    player is on the resource else None, the player's weight there).  Every
+    player off a resource sees the same other users, so they share one entry.
+    A player on a resource sees the others without itself: an exact Shapley
+    share follows their order in floating point, so it is keyed by the
+    player's id, while a proportional share depends on them only through
+    their load, so players of equal weight there share the ``ON`` entry.
+    Sampled shares draw a stream per player and are not memoized.
+    """
+
+    ON = "on"
+
+    def __init__(self, instance: Instance, profile: StrategyProfile):
+        grouped: dict[str, list[tuple[int, int]]] = {}
+        for req, reply in zip(instance.requests, profile):
+            for e in reply:
+                grouped.setdefault(e, []).append((req.id, req.weight(e)))
+        self.users: dict[str, tuple[tuple[int, int], ...]] = {
+            e: tuple(users) for e, users in grouped.items()}
+        self.shares: dict[tuple[str, Union[int, str, None], int], float] = {}
+
+
 def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
-                  position: int, step: int, planned_budget: int) -> dict[str, float]:
+                  position: int, step: int, planned_budget: int,
+                  view: Optional[PassView] = None) -> dict[str, float]:
     """Tolls for one player: her share on each resource if she joined the
     others there.  For resources in her own reply this is exactly her current
-    (estimated) share."""
+    (estimated) share.  Shares are computed in resource order, each only
+    when no earlier player of the pass already computed it."""
+    if view is None:
+        view = PassView(instance, profile)
     req = instance.requests[position]
-    users_by_resource: dict[str, list[tuple[int, int]]] = {}
-    for pos, (other, reply) in enumerate(zip(instance.requests, profile)):
-        if pos == position:
-            continue
-        for e in reply:
-            users_by_resource.setdefault(e, []).append((other.id, other.weight(e)))
-
-    n_res = len(instance.resources)
+    own = profile[position]
+    memo = view.shares
+    mine = PassView.ON if config.mechanism == "proportional" else req.id
+    sampled = config.mechanism == "shapley-sampled"
+    delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
     tolls = {}
     for res in instance.resources:
-        users = tuple(users_by_resource.get(res.id, ())) + ((req.id, req.weight(res.id)),)
-        query = ShareQuery(res, instance.exponents, users, target=req.id)
-        if config.mechanism == "shapley-sampled":
-            share = cost_share(
-                config.mechanism, query,
-                epsilon=config.epsilon,
-                delta=whp_delta(planned_budget, instance.n_requests, n_res),
-                rng=keyed_rng(config.seed, "share", step, req.id, res.id),
-                max_samples=config.max_samples)
-        else:
-            share = cost_share(config.mechanism, query,
-                               exact_threshold=config.exact_threshold)
-        tolls[res.id] = share
+        e = res.id
+        w = req.weight(e)
+        on = e in own
+        key = (e, mine if on else None, w)
+        share = None if sampled else memo.get(key)
+        if share is None:
+            users = view.users.get(e, ())
+            if on:
+                users = tuple([u for u in users if u[0] != req.id])
+            query = ShareQuery(res, instance.exponents, users + ((req.id, w),),
+                               target=req.id)
+            if sampled:
+                share = cost_share(
+                    config.mechanism, query,
+                    epsilon=config.epsilon, delta=delta,
+                    rng=keyed_rng(config.seed, "share", step, req.id, e),
+                    max_samples=config.max_samples)
+            else:
+                share = cost_share(config.mechanism, query,
+                                   exact_threshold=config.exact_threshold)
+                memo[key] = share
+        tolls[e] = share
     return clamp_tolls(tolls, config.toll_floor)
 
 
 def approximate_best_response(instance: Instance, config: AbrdConfig, position: int,
                               profile: StrategyProfile, step: int = 0,
-                              planned_budget: int = 1) -> tuple[OracleAnswer, float]:
+                              planned_budget: int = 1,
+                              view: Optional[PassView] = None) -> tuple[OracleAnswer, float]:
     """ABR of one player to everybody else's replies in ``profile``.
 
     Returns the oracle answer (whose toll_total is the player's estimated
     cost at the new reply) together with her estimated current cost.
+    ``view`` is the pass's shared view of ``profile``; without one the
+    player builds its own.
     """
-    tolls = _player_tolls(instance, config, profile, position, step, planned_budget)
+    tolls = _player_tolls(instance, config, profile, position, step, planned_budget, view)
     answer = reply_oracle(instance, instance.requests[position], tolls)
-    current = sum(tolls[e] for e in profile[position])
+    current = sum(tolls[e] for e in sorted(profile[position]))
     return answer, current
 
 
@@ -178,11 +222,12 @@ def delta_vector(instance: Instance, config: AbrdConfig, profile: StrategyProfil
     """Fresh ABRs and improvement estimates for every player against the
     profile."""
     eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
+    view = PassView(instance, profile)
     deltas = []
     proposals = []
     for pos in range(instance.n_requests):
         answer, current = approximate_best_response(
-            instance, config, pos, profile, step, planned_budget)
+            instance, config, pos, profile, step, planned_budget, view)
         deltas.append(current - eps1 * answer.toll_total)
         proposals.append(answer)
     return DeltaPass(deltas=tuple(deltas), total=sum(deltas), proposals=tuple(proposals))
@@ -212,11 +257,11 @@ def run_abrd(instance: Instance, config: AbrdConfig,
     budget = config.step_budget_override if overridden else planned
 
     profile = initial_profile(instance)
-    profiles = [profile]
     trace = [StepRecord(step=0, player=None, deltas=None, delta_total=None,
                         cost=total_cost(instance, profile),
                         potential=_maybe_potential(instance, config, profile),
                         converged=False)]
+    best_profile, best_cost, t_star = profile, trace[0].cost, 0   # the first least cost
     converged_at = None
 
     for t in range(1, budget + 1):
@@ -230,7 +275,6 @@ def run_abrd(instance: Instance, config: AbrdConfig,
             raise
         if all(d <= 0.0 for d in dpass.deltas):
             converged_at = t
-            profiles.append(profile)
             trace.append(StepRecord(
                 step=t, player=None, deltas=dpass.deltas, delta_total=dpass.total,
                 cost=trace[-1].cost, potential=trace[-1].potential, converged=True))
@@ -250,7 +294,6 @@ def run_abrd(instance: Instance, config: AbrdConfig,
 
         if chosen is None:
             # randomized selection drew a player with no improvement
-            profiles.append(profile)
             trace.append(StepRecord(
                 step=t, player=None, deltas=dpass.deltas, delta_total=dpass.total,
                 cost=trace[-1].cost, potential=trace[-1].potential, converged=False))
@@ -259,24 +302,23 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         profile = tuple(
             dpass.proposals[chosen].reply if i == chosen else r
             for i, r in enumerate(profile))
-        profiles.append(profile)
+        cost = total_cost(instance, profile)
+        if cost < best_cost:
+            best_profile, best_cost, t_star = profile, cost, t
         trace.append(StepRecord(
             step=t, player=instance.requests[chosen].id,
             deltas=dpass.deltas, delta_total=dpass.total,
-            cost=total_cost(instance, profile),
+            cost=cost,
             potential=_maybe_potential(instance, config, profile),
             converged=False))
 
-    t_star = min(range(len(trace)), key=lambda i: (trace[i].cost, i))
-    best_cost = trace[t_star].cost
-    out_idx = t_star if config.output == "best" else len(trace) - 1
+    best = config.output == "best"
     result = RunResult(
-        output_profile=profiles[out_idx],
-        output_cost=trace[out_idx].cost,
+        output_profile=best_profile if best else profile,
+        output_cost=best_cost if best else trace[-1].cost,
         t_star=t_star,
         best_cost=best_cost,
         trace=tuple(trace),
-        profiles=tuple(profiles),
         request_ids=tuple(req.id for req in instance.requests),
         bounds=bounds,
         converged_at=converged_at,

@@ -2,8 +2,9 @@
 
 Every oracle takes a strictly positive toll per resource and returns a
 feasible reply whose total toll is within its guaranteed factor rho of the
-minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) so runs
-are reproducible.
+minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) and toll
+totals over a reply are summed in sorted resource order, so runs are
+reproducible whatever the interpreter's hash seed.
 
 * routing: Dijkstra, exact (rho = 1).
 * machine choice / explicit lists: direct argmin, exact.
@@ -109,7 +110,7 @@ def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAn
         raise InstanceError("empty reply list")
     best_reply, best_total = None, None
     for rep in replies:
-        total = sum(_toll(tolls, e) for e in rep)
+        total = sum(_toll(tolls, e) for e in sorted(rep))
         if best_total is None or total < best_total:
             best_reply, best_total = rep, total
     return OracleAnswer(reply=frozenset(best_reply), toll_total=best_total, rho=1.0)
@@ -202,7 +203,7 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
             for eid in degree[v]:
                 tree.discard(eid)
 
-    total = sum(_toll(tolls, e) for e in tree)
+    total = sum(_toll(tolls, e) for e in sorted(tree))
     return OracleAnswer(reply=frozenset(tree), toll_total=total, rho=2.0)
 
 
@@ -308,7 +309,7 @@ def directed_multi_routing_oracle(graph: HostGraph, pairs: Sequence[tuple[str, s
     for s, t in pairs:
         _, edges, _ = shortest_path(graph, s, t, tolls)
         union.update(edges)
-    total = sum(_toll(tolls, e) for e in union)
+    total = sum(_toll(tolls, e) for e in sorted(union))
     return OracleAnswer(reply=frozenset(union), toll_total=total, rho=float(len(pairs)))
 
 
@@ -323,7 +324,7 @@ def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
     for s, t in cycle:
         _, edges, _ = shortest_path(graph, s, t, tolls)
         union.update(edges)
-    total = sum(_toll(tolls, e) for e in union)
+    total = sum(_toll(tolls, e) for e in sorted(union))
     return OracleAnswer(reply=frozenset(union), toll_total=total, rho=float(len(cycle)))
 
 

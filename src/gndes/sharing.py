@@ -301,17 +301,3 @@ def rep_expansion_check(mechanism: str, query: ShareQuery,
         bound += xi * sum(t.z * rest ** t.x * w ** t.y for t in terms_j)
     return ExpansionCheck(share=share, bound=bound)
 
-
-def budget_balance_gap(mechanism: str, query_users: tuple[tuple[int, int], ...],
-                       resource: ResourceParams, exponents: ExponentProfile,
-                       exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> float:
-    """Relative gap between the summed shares and the resource cost."""
-    total = 0.0
-    for i, _ in query_users:
-        q = ShareQuery(resource, exponents, query_users, target=i)
-        if mechanism == "proportional":
-            total += proportional_share(q)
-        else:
-            total += shapley_exact(q, exact_threshold)
-    full = rep_cost(resource, exponents, sum(w for _, w in query_users))
-    return abs(total - full) / max(abs(full), 1e-12)

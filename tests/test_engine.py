@@ -151,6 +151,22 @@ class TestRunAbrd:
             assert result.best_cost == pytest.approx(min(costs))
             assert result.trace[result.t_star].cost == pytest.approx(min(costs))
 
+    @pytest.mark.parametrize("output", ["best", "last"])
+    @pytest.mark.parametrize("selection", ["deterministic", "randomized"])
+    def test_output_profile_has_the_output_cost(self, output, selection):
+        # the first instance of seed 43 ends above its initial cost, so its
+        # best and last profiles differ
+        rng = rng_for(43)
+        for k in range(10):
+            inst = random_explicit_instance(rng, max_players=5, max_resources=5)
+            result = run_abrd(inst, AbrdConfig(seed=k, output=output, selection=selection,
+                                               step_budget_override=k % 4 or None))
+            if k == 0 and selection == "deterministic":
+                assert result.best_cost < result.trace[-1].cost
+            assert total_cost(inst, result.output_profile) == result.output_cost
+            expected = result.t_star if output == "best" else len(result.trace) - 1
+            assert result.output_cost == result.trace[expected].cost
+
     @pytest.mark.parametrize("selection", ["deterministic", "randomized"])
     def test_potential_strictly_decreases_on_updates(self, selection):
         rng = rng_for(19)

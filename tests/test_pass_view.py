@@ -1,0 +1,172 @@
+"""Differential tests for the shared resource view of a delta pass.
+
+``delta_vector`` builds the users of every resource once per pass and
+memoizes shares across players.  These tests compare it, with exact float
+equality, against per-player ABRs that share nothing: calls of
+``approximate_best_response`` without a view, and an independent
+regrouping of the others' users for every player.
+"""
+
+import pytest
+
+from gndes import (
+    AbrdConfig,
+    ExponentProfile,
+    Instance,
+    MachineChoice,
+    MultiRouting,
+    Request,
+    ResourceParams,
+    Routing,
+    SetConnectivity,
+    approximate_best_response,
+    delta_vector,
+)
+from gndes.engine import DeltaPass
+from gndes.errors import ExactShareLimitError
+from gndes.oracles import clamp_tolls, reply_oracle
+from gndes.rng import keyed_rng
+from gndes.sharing import MECHANISMS, ShareQuery, cost_share, whp_delta
+
+from helpers import (
+    random_connected_graph,
+    random_explicit_instance,
+    random_exponents,
+    random_resource,
+    rng_for,
+)
+
+
+def regrouped_abr(instance, config, position, profile, step, planned_budget):
+    """One player's ABR from the others' users regrouped for this player
+    alone, with a fresh share query on every resource."""
+    req = instance.requests[position]
+    users_by_resource = {}
+    for pos, (other, reply) in enumerate(zip(instance.requests, profile)):
+        if pos != position:
+            for e in reply:
+                users_by_resource.setdefault(e, []).append((other.id, other.weight(e)))
+    tolls = {}
+    for res in instance.resources:
+        users = tuple(users_by_resource.get(res.id, [])) + ((req.id, req.weight(res.id)),)
+        query = ShareQuery(res, instance.exponents, users, target=req.id)
+        if config.mechanism == "shapley-sampled":
+            tolls[res.id] = cost_share(
+                config.mechanism, query, epsilon=config.epsilon,
+                delta=whp_delta(planned_budget, instance.n_requests, len(instance.resources)),
+                rng=keyed_rng(config.seed, "share", step, req.id, res.id),
+                max_samples=config.max_samples)
+        else:
+            tolls[res.id] = cost_share(config.mechanism, query,
+                                       exact_threshold=config.exact_threshold)
+    tolls = clamp_tolls(tolls, config.toll_floor)
+    answer = reply_oracle(instance, req, tolls)
+    return answer, sum(tolls[e] for e in sorted(profile[position]))
+
+
+def unshared_pass(abr, instance, config, profile, step, planned_budget):
+    eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
+    deltas, proposals = [], []
+    for pos in range(instance.n_requests):
+        answer, current = abr(instance, config, pos, profile, step, planned_budget)
+        deltas.append(current - eps1 * answer.toll_total)
+        proposals.append(answer)
+    return DeltaPass(deltas=tuple(deltas), total=sum(deltas), proposals=tuple(proposals))
+
+
+def outcome(fn):
+    """What a pass returns, or the message of the share limit it hit."""
+    try:
+        return fn()
+    except ExactShareLimitError as exc:
+        return ("ExactShareLimitError", str(exc))
+
+
+def assert_pass_matches(instance, config, profile, step=3, planned_budget=7):
+    shared = outcome(lambda: delta_vector(instance, config, profile, step, planned_budget))
+    for abr in (approximate_best_response, regrouped_abr):
+        alone = outcome(lambda: unshared_pass(abr, instance, config, profile,
+                                              step, planned_budget))
+        # dataclasses of floats compare with ==, so this is exact equality
+        # of every delta, the total and every proposed reply and toll total
+        assert shared == alone
+
+
+def random_weights(rng, resource_ids):
+    return {e: int(rng.integers(1, 5)) for e in resource_ids if rng.random() < 0.5}
+
+
+def random_graph_instance(rng):
+    exp = random_exponents(rng)
+    graph = random_connected_graph(rng, n_vertices=6, n_extra_edges=5)
+    resources = tuple(random_resource(rng, e.id, exp.q) for e in graph.edges)
+    ids = [e.id for e in graph.edges]
+    requests = []
+    for i in range(1, int(rng.integers(2, 7)) + 1):
+        pick = rng.choice(6, size=4, replace=False)
+        v = [graph.vertices[k] for k in pick]
+        kind = [Routing(v[0], v[1]), SetConnectivity(tuple(v[:3])),
+                MultiRouting(((v[0], v[1]), (v[2], v[3])))][int(rng.integers(3))]
+        requests.append(Request(id=i, kind=kind, weights=random_weights(rng, ids),
+                                default_weight=int(rng.integers(1, 4))))
+    return Instance(exp, resources, tuple(requests), graph)
+
+
+def random_machine_instance(rng):
+    """Explicit-reply players plus machine-choice players on the same
+    resources."""
+    base = random_explicit_instance(rng, max_players=4, max_resources=5)
+    ids = [r.id for r in base.resources]
+    machines = [
+        Request(id=10 + k, kind=MachineChoice(tuple(
+            rng.choice(ids, size=min(2, len(ids)), replace=False).tolist())),
+            weights=random_weights(rng, ids), default_weight=int(rng.integers(1, 4)))
+        for k in range(int(rng.integers(1, 4)))]
+    return Instance(base.exponents, base.resources, base.requests + tuple(machines))
+
+
+def random_profile(rng, instance):
+    """Each player's oracle reply under random tolls: feasible, and spread
+    over the resources more than the dynamics' start."""
+    profile = []
+    for req in instance.requests:
+        tolls = {r.id: float(rng.uniform(0.2, 3.0)) for r in instance.resources}
+        profile.append(reply_oracle(instance, req, tolls).reply)
+    return tuple(profile)
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+@pytest.mark.parametrize("make", [random_graph_instance, random_machine_instance],
+                         ids=["graph", "machines"])
+def test_shared_view_matches_unshared_abrs(mechanism, make):
+    rng = rng_for(31)
+    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=5, max_samples=300)
+    for _ in range(12):
+        instance = make(rng)
+        for _ in range(2):
+            assert_pass_matches(instance, config, random_profile(rng, instance))
+
+
+def machines(n_players):
+    exp = ExponentProfile((2.0,))
+    res = (ResourceParams("m1", 1.0, (0.5,)), ResourceParams("m2", 2.0, (0.5,)))
+    reqs = tuple(Request(id=i, kind=MachineChoice(("m1", "m2")), default_weight=1 + i % 2)
+                 for i in range(1, n_players + 1))
+    return Instance(exp, res, reqs)
+
+
+@pytest.mark.parametrize("mechanism", ["shapley-exact", "proportional"])
+@pytest.mark.parametrize("on_m1, n_players, raises", [
+    (12, 12, False),      # every query on m1 has exactly 12 users
+    (12, 13, True),       # player 13 joining m1 makes 13 users
+    (11, 13, False),      # players 12 and 13 each join m1 as the 12th user
+    (13, 13, True),       # already 13 users on m1
+])
+def test_share_limit_raised_exactly_when_unshared_abrs_raise(mechanism, on_m1, n_players,
+                                                             raises):
+    instance = machines(n_players)
+    profile = tuple(frozenset({"m1" if pos < on_m1 else "m2"}) for pos in range(n_players))
+    config = AbrdConfig(mechanism=mechanism)
+    assert_pass_matches(instance, config, profile)
+    raised = isinstance(outcome(lambda: delta_vector(instance, config, profile)), tuple)
+    assert raised == (raises and mechanism == "shapley-exact")

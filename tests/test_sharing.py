@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, strategies as st
 
 from gndes import ExponentProfile, ResourceParams, rep_cost
+from gndes.analysis import budget_balance_check
 from gndes.errors import ExactShareLimitError, InstanceError
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     ShareQuery,
-    budget_balance_gap,
     h_value,
     hoeffding_sample_count,
     proportional_share,
@@ -125,10 +125,11 @@ class TestBudgetBalance:
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
     def test_random_sweep(self, mechanism):
         rng = rng_for(5)
-        for _ in range(150):
-            q = random_share_query(rng)
-            gap = budget_balance_gap(mechanism, q.users, q.resource, q.exponents)
-            assert gap <= 1e-9
+        queries = [random_share_query(rng) for _ in range(150)]
+        report = budget_balance_check(
+            mechanism, [(q.resource, q.exponents, q.users) for q in queries])
+        assert report.queries_tested == 150
+        assert report.max_rel_gap <= 1e-9
 
 
 class TestSeparability:

@@ -6,6 +6,12 @@ proportional-fair tolls: in every round she takes the cheapest path under
 simultaneously, and the output is the profile of a uniformly random round.
 Costs are pre-scaled so every per-edge share lies in [0, 1], which the
 regret bound needs.
+
+Regret is measured against the best fixed path in hindsight.  A fixed
+path's hindsight total is the sum of the player's cumulative per-edge tolls
+along it, so that minimum is one shortest-path query on the cumulative
+tolls (an offline linear optimizer suffices, as in Kalai & Vempala 2005).
+No path is enumerated, so there is no cap on the number of paths.
 """
 
 from __future__ import annotations
@@ -15,14 +21,15 @@ from typing import Optional
 
 import numpy as np
 
-from .analysis import EnumerationLimits, candidate_replies
 from .errors import ConfigError
 from .instance import (
     HostGraph,
     Instance,
+    Request,
     ResourceParams,
     Routing,
     StrategyProfile,
+    load_vector,
     rep_cost,
     total_cost,
 )
@@ -39,7 +46,6 @@ class FplConfig:
     rounds_cap: int = ROUNDS_CAP_DEFAULT
     eta: Optional[float] = None       # None: sqrt(rounds / |E|)
     lower_bound: Optional[float] = None   # known LB on the scaled optimum, report only
-    max_paths: int = 10_000
 
 
 @dataclass(frozen=True)
@@ -108,21 +114,22 @@ def fpl_step(graph: HostGraph, source: str, target: str,
     return routing_oracle(graph, source, target, tolls).reply
 
 
-def _proportional_toll_row(scaled: Instance, profile: StrategyProfile,
-                           position: int) -> dict[str, float]:
+def _proportional_toll_row(scaled: Instance, loads: dict[str, int],
+                           profile: StrategyProfile, position: int) -> dict[str, float]:
     """tau_i(e) = player i's proportional share on e with i joined to the
-    round's users of e."""
+    round's users of e, given the round's loads."""
     req = scaled.requests[position]
-    loads = {res.id: 0 for res in scaled.resources}
-    for pos, (other, reply) in enumerate(zip(scaled.requests, profile)):
-        for e in reply:
-            loads[e] += other.weight(e)
     row = {}
     for res in scaled.resources:
         w = req.weight(res.id)
         joined = loads[res.id] + (0 if res.id in profile[position] else w)
         row[res.id] = (w / joined) * rep_cost(res, scaled.exponents, joined)
     return row
+
+
+def _best_fixed_toll(graph: HostGraph, req: Request, cumulative: dict[str, float]) -> float:
+    """Hindsight total of the player's best fixed path."""
+    return routing_oracle(graph, req.kind.source, req.kind.target, cumulative).toll_total
 
 
 def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
@@ -139,13 +146,7 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
     if eta <= 0:
         raise ConfigError("perturbation scale must be positive")
 
-    limits = EnumerationLimits(max_paths=config.max_paths)
-    fixed_paths = [candidate_replies(scaled, req, limits) for req in scaled.requests]
-
     cumulative = [{res.id: 0.0 for res in scaled.resources} for _ in range(n)]
-    path_totals = [
-        {path: 0.0 for path in fixed_paths[pos]} for pos in range(n)
-    ]
     realized = [0.0] * n
     profiles: list[StrategyProfile] = []
     trace: list[RegretTraceRow] = []
@@ -158,21 +159,21 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
                                     cumulative[pos], eta, rng))
         profile = tuple(replies)
         profiles.append(profile)
+        loads = load_vector(scaled, profile)
         for pos, req in enumerate(scaled.requests):
-            row = _proportional_toll_row(scaled, profile, pos)
-            realized[pos] += sum(row[e] for e in profile[pos])
+            row = _proportional_toll_row(scaled, loads, profile, pos)
+            toll = sum(row[e] for e in sorted(profile[pos]))
+            realized[pos] += toll
             for e, tau in row.items():
                 cumulative[pos][e] += tau
-            for path in fixed_paths[pos]:
-                path_totals[pos][path] += sum(row[e] for e in path)
             if collect_trace:
                 trace.append(RegretTraceRow(
-                    round=t, player=req.id,
-                    realized_toll=sum(row[e] for e in profile[pos]),
-                    best_fixed_toll=min(path_totals[pos].values())))
+                    round=t, player=req.id, realized_toll=toll,
+                    best_fixed_toll=_best_fixed_toll(graph, req, cumulative[pos])))
 
     regrets = tuple(
-        realized[pos] - min(path_totals[pos].values()) for pos in range(n))
+        realized[pos] - _best_fixed_toll(graph, req, cumulative[pos])
+        for pos, req in enumerate(scaled.requests))
     chosen = int(keyed_rng(config.seed, "output").integers(1, rounds + 1))
     out_profile = profiles[chosen - 1]
     return LApxResult(

@@ -3,7 +3,8 @@
 Replies are frozensets, whose iteration order follows ``PYTHONHASHSEED``,
 and summing floats in a different order can change the last bits.  Each
 case solves one seeded instance in two fresh interpreters with different
-hash seeds and compares ``repr`` of every delta of every step.
+hash seeds and compares ``repr`` of every delta of every step, or of every
+regret of a perturbed-leader run.
 """
 
 import os
@@ -22,6 +23,7 @@ import sys
 import numpy as np
 from gndes import (AbrdConfig, Edge, ExplicitReplies, ExponentProfile, HostGraph,
                    Instance, Request, ResourceParams, Routing, SetConnectivity, run_abrd)
+from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
 
 def grid(k):
     v = lambda i, j: f"v{i}{j}"
@@ -41,7 +43,7 @@ def resources(rng, ids):
 rng = np.random.default_rng(0)
 exp = ExponentProfile((2.0,))
 case = sys.argv[1]
-if case == "routing":
+if case in ("routing", "fpl"):
     g = grid(5)
     reqs = [Request(i, Routing(f"v{int(rng.integers(5))}0", f"v{int(rng.integers(5))}4"),
                     default_weight=int(rng.integers(1, 3))) for i in range(1, 9)]
@@ -62,9 +64,14 @@ else:
             for i in range(1, 6)]
     inst, mechanism = Instance(exp, resources(rng, ids), tuple(reqs)), "shapley-exact"
 
-result = run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=4))
-for rec in result.trace[1:]:
-    print(repr(rec.deltas))
+if case == "fpl":
+    result = run_l_apx(inst, FplConfig(seed=1, rounds=3), collect_trace=True)
+    print(repr(result.regrets))
+    print(regret_trace_to_csv(result))
+else:
+    result = run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=4))
+    for rec in result.trace[1:]:
+        print(repr(rec.deltas))
 """
 
 
@@ -76,8 +83,8 @@ def solve_under_hash_seed(case: str, hash_seed: int) -> str:
     return done.stdout
 
 
-@pytest.mark.parametrize("case", ["routing", "steiner", "explicit"])
+@pytest.mark.parametrize("case", ["routing", "steiner", "explicit", "fpl"])
 def test_deltas_do_not_depend_on_hash_seed(case):
     first = solve_under_hash_seed(case, 0)
-    assert first                            # one line of deltas per step
+    assert first                            # deltas per step, or regrets and trace
     assert solve_under_hash_seed(case, 1) == first

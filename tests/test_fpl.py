@@ -14,13 +14,14 @@ from gndes import (
     Routing,
     rep_cost,
 )
-from gndes.analysis import brute_force_opt
+from gndes.analysis import brute_force_opt, candidate_replies
 from gndes.bounds import gamma_alpha, lambda_alpha
 from gndes.fpl import FplConfig, fpl_step, normalize_costs, run_l_apx, theoretical_round_count
+from gndes.instance import total_cost
 from gndes.rng import keyed_rng
 from gndes.sharing import rep_expansion_constants
 
-from helpers import rng_for
+from helpers import random_exponents, random_resource, rng_for
 
 
 def single_edge_instance():
@@ -41,6 +42,82 @@ def two_edge_instance(sigma2=5.0):
         (Request(id=1, kind=Routing("s", "t")),),
         g,
     )
+
+
+def grid_instance(rng, k, n_players):
+    """k x k undirected grid, one resource per edge, weighted random pairs."""
+    v = lambda i, j: f"v{i}_{j}"
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append(Edge(f"h{i}_{j}", v(i, j), v(i, j + 1)))
+            if i + 1 < k:
+                edges.append(Edge(f"d{i}_{j}", v(i, j), v(i + 1, j)))
+    graph = HostGraph(False, tuple(v(i, j) for i in range(k) for j in range(k)), tuple(edges))
+    return routing_instance(rng, graph, n_players)
+
+
+def parallel_edge_instance(rng, n_players):
+    """A chain of two or three hops, each a bundle of one to three parallel edges."""
+    hops = int(rng.integers(2, 4))
+    edges = [Edge(f"p{h}_{b}", f"u{h}", f"u{h + 1}")
+             for h in range(hops) for b in range(int(rng.integers(1, 4)))]
+    graph = HostGraph(False, tuple(f"u{h}" for h in range(hops + 1)), tuple(edges))
+    return routing_instance(rng, graph, n_players)
+
+
+def routing_instance(rng, graph, n_players):
+    exp = random_exponents(rng)
+    resources = tuple(random_resource(rng, e.id, exp.q) for e in graph.edges)
+    requests = []
+    for i in range(1, n_players + 1):
+        a, b = rng.choice(len(graph.vertices), size=2, replace=False)
+        weights = {e.id: int(rng.integers(1, 4)) for e in graph.edges if rng.random() < 0.3}
+        requests.append(Request(id=i, kind=Routing(graph.vertices[a], graph.vertices[b]),
+                                weights=weights, default_weight=int(rng.integers(1, 3))))
+    return Instance(exp, resources, tuple(requests), graph)
+
+
+def enumerated_run_l_apx(instance, seed, rounds):
+    """Reference: FPL with the best fixed path found by keeping a running
+    total for every enumerated simple path, and loads rebuilt per player.
+    Returns (output profile, cost, chosen round, regrets, trace rows,
+    each player's total realized toll)."""
+    scaled, _ = normalize_costs(instance)
+    n = scaled.n_requests
+    eta = (rounds / len(scaled.graph.edges)) ** 0.5
+    cumulative = [{r.id: 0.0 for r in scaled.resources} for _ in range(n)]
+    path_totals = [dict.fromkeys(candidate_replies(scaled, req), 0.0) for req in scaled.requests]
+    realized = [0.0] * n
+    profiles, trace = [], []
+    for t in range(1, rounds + 1):
+        profile = tuple(
+            fpl_step(scaled.graph, req.kind.source, req.kind.target, cumulative[pos], eta,
+                     keyed_rng(seed, "fpl", t, req.id))
+            for pos, req in enumerate(scaled.requests))
+        profiles.append(profile)
+        for pos, req in enumerate(scaled.requests):
+            loads = {r.id: 0 for r in scaled.resources}
+            for other, reply in zip(scaled.requests, profile):
+                for e in reply:
+                    loads[e] += other.weight(e)
+            row = {}
+            for res in scaled.resources:
+                w = req.weight(res.id)
+                joined = loads[res.id] + (0 if res.id in profile[pos] else w)
+                row[res.id] = (w / joined) * rep_cost(res, scaled.exponents, joined)
+            toll = sum(row[e] for e in profile[pos])
+            realized[pos] += toll
+            for e, tau in row.items():
+                cumulative[pos][e] += tau
+            for path in path_totals[pos]:
+                path_totals[pos][path] += sum(row[e] for e in path)
+            trace.append((t, req.id, toll, min(path_totals[pos].values())))
+    regrets = [realized[pos] - min(path_totals[pos].values()) for pos in range(n)]
+    chosen = int(keyed_rng(seed, "output").integers(1, rounds + 1))
+    out = profiles[chosen - 1]
+    return out, total_cost(instance, out), chosen, regrets, trace, realized
 
 
 class TestNormalization:
@@ -166,3 +243,39 @@ class TestRunLApx:
         costs = [run_l_apx(inst, FplConfig(seed=s, rounds=200)).cost / scale
                  for s in range(10)]
         assert sum(costs) / len(costs) <= bound * opt_scaled
+
+
+class TestHindsightByShortestPath:
+    def check_against_enumeration(self, inst, seed, rounds):
+        profile, cost, chosen, regrets, trace, realized = enumerated_run_l_apx(inst, seed, rounds)
+        result = run_l_apx(inst, FplConfig(seed=seed, rounds=rounds), collect_trace=True)
+        assert result.profile == profile
+        assert result.cost == cost
+        assert result.chosen_round == chosen
+        total = dict(zip((req.id for req in inst.requests), realized))
+        for pos, req in enumerate(inst.requests):
+            assert abs(result.regrets[pos] - regrets[pos]) <= 1e-12 * total[req.id]
+        assert len(result.trace) == len(trace)
+        for row, (t, player, toll, best) in zip(result.trace, trace):
+            assert (row.round, row.player) == (t, player)
+            assert abs(row.realized_toll - toll) <= 1e-12 * total[player]
+            assert abs(row.best_fixed_toll - best) <= 1e-12 * total[player]
+
+    def test_grids_match_enumeration(self):
+        rng = rng_for(72)
+        for case in range(10):
+            inst = grid_instance(rng, int(rng.integers(2, 5)), int(rng.integers(1, 5)))
+            self.check_against_enumeration(inst, seed=case, rounds=int(rng.integers(1, 25)))
+
+    def test_parallel_edges_match_enumeration(self):
+        rng = rng_for(73)
+        for case in range(10):
+            inst = parallel_edge_instance(rng, int(rng.integers(1, 5)))
+            self.check_against_enumeration(inst, seed=case, rounds=int(rng.integers(1, 25)))
+
+    def test_six_by_six_grid_needs_no_enumeration(self):
+        # many vertex pairs of a 6x6 grid have over 10,000 simple paths
+        inst = grid_instance(rng_for(74), 6, 4)
+        result = run_l_apx(inst, FplConfig(seed=3, rounds=5))
+        assert len(result.regrets) == 4
+        assert all(math.isfinite(r) for r in result.regrets)

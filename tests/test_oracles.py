@@ -23,6 +23,7 @@ from gndes.oracles import (
     machine_oracle,
     reply_oracle,
     routing_oracle,
+    shortest_path,
     steiner_forest_oracle,
     steiner_tree_oracle,
     strong_connectivity_oracle,
@@ -120,6 +121,45 @@ class TestRouting:
             scaled = {e: 7.5 * t for e, t in tolls.items()}
             b = routing_oracle(g, "v0", "v1", scaled)
             assert a.reply == b.reply
+
+
+class TestShortestPathAgainstNetworkx:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_networkx(self, directed):
+        nx = pytest.importorskip("networkx")
+        rng = rng_for(24 if directed else 23)
+        outcomes = {"path": 0, "infeasible": 0}
+        for _ in range(80):
+            n = int(rng.integers(2, 9))
+            vertices = [f"v{k}" for k in range(n)]
+            # random endpoints, so parallel edges, loops and unreachable pairs all occur
+            ends = rng.integers(n, size=(int(rng.integers(0, 2 * n)), 2))
+            edges = [Edge(f"e{k}", vertices[a], vertices[b]) for k, (a, b) in enumerate(ends)]
+            g = HostGraph(directed, tuple(vertices), tuple(edges))
+            tolls = {e: t * 10.0 ** float(rng.uniform(-3, 3))
+                     for e, t in random_tolls(rng, g).items()}
+            ref = nx.MultiDiGraph() if directed else nx.MultiGraph()
+            ref.add_nodes_from(vertices)
+            for e in g.edges:
+                ref.add_edge(e.tail, e.head, key=e.id, toll=tolls[e.id])
+            s, t = rng.choice(n, size=2, replace=False)
+            source, target = vertices[s], vertices[t]
+            if not nx.has_path(ref, source, target):
+                outcomes["infeasible"] += 1
+                with pytest.raises(InfeasibleError):
+                    shortest_path(g, source, target, tolls)
+                continue
+            outcomes["path"] += 1
+            path, edge_ids, dist = shortest_path(g, source, target, tolls)
+            expected = nx.shortest_path_length(ref, source, target, weight="toll")
+            assert dist == pytest.approx(expected, rel=1e-12)
+            assert path[0] == source and path[-1] == target
+            assert len(set(path)) == len(path) == len(edge_ids) + 1
+            for u, v, eid in zip(path, path[1:], edge_ids):
+                e = g.edge_by_id[eid]
+                assert (e.tail, e.head) == (u, v) or (not directed and (e.head, e.tail) == (u, v))
+            assert sum(tolls[e] for e in sorted(edge_ids)) == pytest.approx(dist, rel=1e-12)
+        assert outcomes["path"] > 10 and outcomes["infeasible"] > 10
 
 
 class TestMachine:

@@ -16,7 +16,6 @@ from .engine import (
 from .errors import (
     ConfigError,
     EnumerationLimitError,
-    ExactShareLimitError,
     GndesError,
     InfeasibleError,
     InstanceError,

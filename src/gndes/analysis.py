@@ -10,11 +10,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .bounds import harmonic
-from .errors import ConfigError, EnumerationLimitError, ExactShareLimitError, InstanceError
+from .errors import ConfigError, EnumerationLimitError, InstanceError
 from .instance import (
     Edge,
     ExplicitReplies,
@@ -31,13 +31,7 @@ from .instance import (
     validate_reply,
 )
 from .rng import keyed_rng
-from .sharing import (
-    EXACT_THRESHOLD_DEFAULT,
-    ShareQuery,
-    h_value,
-    proportional_share,
-    shapley_exact,
-)
+from .sharing import ShareQuery, cost_share, h_value, shapley_exact, subset_sums_by_size
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -57,19 +51,16 @@ def resource_users(instance: Instance, profile: StrategyProfile,
 
 
 def player_cost(instance: Instance, mechanism: str, profile: StrategyProfile,
-                position: int, exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> float:
+                position: int) -> float:
     """Individual cost of one player under an exact mechanism."""
+    if mechanism == "shapley-sampled":
+        raise ConfigError(f"exact analysis needs an exact mechanism, got {mechanism!r}")
     req = instance.requests[position]
     total = 0.0
     for e in sorted(profile[position]):
         query = ShareQuery(instance.resource_by_id[e], instance.exponents,
                            resource_users(instance, profile, e), target=req.id)
-        if mechanism == "proportional":
-            total += proportional_share(query)
-        elif mechanism == "shapley-exact":
-            total += shapley_exact(query, exact_threshold)
-        else:
-            raise ConfigError(f"exact analysis needs an exact mechanism, got {mechanism!r}")
+        total += cost_share(mechanism, query)
     return total
 
 
@@ -77,12 +68,14 @@ def player_cost(instance: Instance, mechanism: str, profile: StrategyProfile,
 # potential function
 # ---------------------------------------------------------------------------
 
-def potential(instance: Instance, profile: StrategyProfile,
-              exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> float:
+def potential(instance: Instance, profile: StrategyProfile) -> float:
     """Potential of the Shapley-sharing game, by the order-free subset form
 
         Phi = sum_e sum_{k=1}^{|S_e|} [ sigma_e/k
-              + sum_{T subset of S_e, |T|=k} h_e(T) / (C(|S_e|,k) k) ].
+              + sum_{T subset of S_e, |T|=k} h_e(T) / (C(|S_e|,k) k) ],
+
+    where the inner sum runs over the (size, weight sum) counts of
+    :func:`sharing.subset_sums_by_size`.
     """
     total = 0.0
     for res in instance.resources:
@@ -90,22 +83,17 @@ def potential(instance: Instance, profile: StrategyProfile,
         n = len(users)
         if n == 0:
             continue
-        if n > exact_threshold:
-            raise ExactShareLimitError(
-                f"resource {res.id!r} carries {n} users, above the exact threshold")
-        weights = [w for _, w in users]
+        table = subset_sums_by_size([w for _, w in users])
         total += res.sigma * harmonic(n)
         for k in range(1, n + 1):
             coeff = 1.0 / (math.comb(n, k) * k)
-            total += coeff * sum(
-                h_value(res, instance.exponents, sum(subset))
-                for subset in combinations(weights, k))
+            total += coeff * sum(count * h_value(res, instance.exponents, s)
+                                 for s, count in table[k].items())
     return total
 
 
 def potential_by_prefix(instance: Instance, profile: StrategyProfile,
-                        orders: Optional[dict[str, Sequence[int]]] = None,
-                        exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> float:
+                        orders: Optional[dict[str, Sequence[int]]] = None) -> float:
     """Potential by the prefix definition: for an arbitrary fixed order of
     each resource's users, sum each user's exact share within the prefix
     ending at her.  Agrees with :func:`potential` for every order."""
@@ -120,7 +108,7 @@ def potential_by_prefix(instance: Instance, profile: StrategyProfile,
         for m, rid in enumerate(order):
             prefix = tuple((j, users[j]) for j in order[:m + 1])
             query = ShareQuery(res, instance.exponents, prefix, target=rid)
-            total += shapley_exact(query, exact_threshold)
+            total += shapley_exact(query)
     return total
 
 
@@ -134,8 +122,8 @@ class PotentialBoundsReport:
         return self.violations == 0
 
 
-def potential_bounds_check(instance: Instance, profiles: Iterable[StrategyProfile],
-                           exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> PotentialBoundsReport:
+def potential_bounds_check(instance: Instance,
+                           profiles: Iterable[StrategyProfile]) -> PotentialBoundsReport:
     """Check C(p)/ceil(alpha_max) <= Phi(p) <= H_N * C(p) on each profile."""
     b = math.ceil(instance.exponents.alpha_max)
     a = harmonic(instance.n_requests)
@@ -143,7 +131,7 @@ def potential_bounds_check(instance: Instance, profiles: Iterable[StrategyProfil
     for p in profiles:
         tested += 1
         c = total_cost(instance, p)
-        phi = potential(instance, p, exact_threshold)
+        phi = potential(instance, p)
         slack = REL_TOL * max(c, phi, 1.0)
         if not (c / b <= phi + slack and phi <= a * c + slack):
             violations += 1
@@ -161,15 +149,13 @@ class ExactnessCheck:
 
 
 def potential_exactness_check(instance: Instance, profile: StrategyProfile,
-                              position: int, new_reply: frozenset[str],
-                              exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> ExactnessCheck:
+                              position: int, new_reply: frozenset[str]) -> ExactnessCheck:
     """Under exact Shapley shares a unilateral deviation changes the potential
     by exactly the deviator's cost change."""
     deviated = tuple(new_reply if i == position else r for i, r in enumerate(profile))
-    dphi = (potential(instance, deviated, exact_threshold)
-            - potential(instance, profile, exact_threshold))
-    dcost = (player_cost(instance, "shapley-exact", deviated, position, exact_threshold)
-             - player_cost(instance, "shapley-exact", profile, position, exact_threshold))
+    dphi = potential(instance, deviated) - potential(instance, profile)
+    dcost = (player_cost(instance, "shapley-exact", deviated, position)
+             - player_cost(instance, "shapley-exact", profile, position))
     return ExactnessCheck(delta_potential=dphi, delta_cost=dcost)
 
 
@@ -283,20 +269,19 @@ class PoaReport:
 
 
 def _iter_equilibrium_rows(instance: Instance, mechanism: str,
-                           limits: EnumerationLimits,
-                           exact_threshold: int):
+                           limits: EnumerationLimits):
     """Yield (profile, cost, is_nash) for every enumerable profile."""
     candidates, _ = enumerate_profiles(instance, limits)
     for combo in product(*candidates):
         profile = tuple(combo)
         is_nash = True
         for pos in range(instance.n_requests):
-            own = player_cost(instance, mechanism, profile, pos, exact_threshold)
+            own = player_cost(instance, mechanism, profile, pos)
             for alt in candidates[pos]:
                 if alt == profile[pos]:
                     continue
                 trial = tuple(alt if i == pos else r for i, r in enumerate(profile))
-                if player_cost(instance, mechanism, trial, pos, exact_threshold) < own - 1e-9:
+                if player_cost(instance, mechanism, trial, pos) < own - 1e-9:
                     is_nash = False
                     break
             if not is_nash:
@@ -305,14 +290,12 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str,
 
 
 def enumerate_nash(instance: Instance, mechanism: str,
-                   limits: EnumerationLimits = EnumerationLimits(),
-                   exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> PoaReport:
+                   limits: EnumerationLimits = EnumerationLimits()) -> PoaReport:
     """All pure equilibria under an exact mechanism, against the deviation
     space given by the enumerated reply collections."""
     nash: list[StrategyProfile] = []
     worst = None
-    for profile, cost, is_nash in _iter_equilibrium_rows(
-            instance, mechanism, limits, exact_threshold):
+    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism, limits):
         if is_nash:
             nash.append(profile)
             worst = cost if worst is None else max(worst, cost)
@@ -326,12 +309,10 @@ def _profile_label(profile: StrategyProfile) -> str:
 
 
 def nash_report_csv(instance: Instance, mechanism: str,
-                    limits: EnumerationLimits = EnumerationLimits(),
-                    exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> str:
+                    limits: EnumerationLimits = EnumerationLimits()) -> str:
     """One row per enumerated profile: its cost and whether it is a NE."""
     lines = ["profile,cost,is_nash"]
-    for profile, cost, is_nash in _iter_equilibrium_rows(
-            instance, mechanism, limits, exact_threshold):
+    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism, limits):
         lines.append(f"{_profile_label(profile)},{format(cost, '.9g')},"
                      f"{'true' if is_nash else 'false'}")
     return "\n".join(lines) + "\n"
@@ -364,8 +345,7 @@ def _profile_at(candidates: list[list[frozenset[str]]], index: int) -> StrategyP
 
 
 def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: float,
-                          limits: EnumerationLimits, max_pairs: int, seed: int,
-                          exact_threshold: int):
+                          limits: EnumerationLimits, max_pairs: int, seed: int):
     """Yield (p, p', lhs, C(p), C(p'), ok) over the checked pairs."""
     candidates, count = enumerate_profiles(instance, limits)
 
@@ -384,7 +364,7 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
         lhs = 0.0
         for pos in range(instance.n_requests):
             trial = tuple(p_prime[pos] if i == pos else r for i, r in enumerate(p))
-            lhs += player_cost(instance, mechanism, trial, pos, exact_threshold)
+            lhs += player_cost(instance, mechanism, trial, pos)
         c_p = total_cost(instance, p)
         c_prime = total_cost(instance, p_prime)
         slack = REL_TOL * max(lhs, lam * c_prime + mu * c_p, 1.0)
@@ -394,8 +374,7 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
 
 def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
                      limits: EnumerationLimits = EnumerationLimits(),
-                     max_pairs: int = 10_000, seed: int = 0,
-                     exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> SmoothnessReport:
+                     max_pairs: int = 10_000, seed: int = 0) -> SmoothnessReport:
     """Verify sum_i C_i(p'_i, p_{-i}) <= lam*C(p') + mu*C(p) over ordered
     profile pairs: exhaustively when the pair count fits max_pairs, otherwise
     on a seeded sample."""
@@ -404,7 +383,7 @@ def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
     tested = 0
     worst = None
     for p, p_prime, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, limits, max_pairs, seed, exact_threshold):
+            instance, mechanism, lam, mu, limits, max_pairs, seed):
         tested += 1
         ratio = (lhs - mu * c_p) / c_prime
         if ratio > max_ratio:
@@ -418,12 +397,11 @@ def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
 
 def smoothness_report_csv(instance: Instance, mechanism: str, lam: float, mu: float,
                           limits: EnumerationLimits = EnumerationLimits(),
-                          max_pairs: int = 10_000, seed: int = 0,
-                          exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> str:
+                          max_pairs: int = 10_000, seed: int = 0) -> str:
     """One row per checked pair: deviation sum, both costs, verdict."""
     lines = ["profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok"]
     for p, p_prime, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, limits, max_pairs, seed, exact_threshold):
+            instance, mechanism, lam, mu, limits, max_pairs, seed):
         lines.append(
             f"{_profile_label(p)},{_profile_label(p_prime)},"
             f"{format(lhs, '.9g')},{format(c_p, '.9g')},{format(c_prime, '.9g')},"
@@ -447,8 +425,8 @@ class BudgetBalanceReport:
 
 def budget_balance_check(mechanism: str,
                          queries: Iterable[tuple[ResourceParams, ExponentProfile,
-                                                 tuple[tuple[int, int], ...]]],
-                         exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> BudgetBalanceReport:
+                                                 tuple[tuple[int, int], ...]]]
+                         ) -> BudgetBalanceReport:
     """Shares on each queried resource must sum to its cost exactly."""
     tested = 0
     worst = 0.0
@@ -456,11 +434,7 @@ def budget_balance_check(mechanism: str,
         tested += 1
         total = 0.0
         for rid, _ in users:
-            q = ShareQuery(res, exp, users, target=rid)
-            if mechanism == "proportional":
-                total += proportional_share(q)
-            else:
-                total += shapley_exact(q, exact_threshold)
+            total += cost_share(mechanism, ShareQuery(res, exp, users, target=rid))
         full = rep_cost(res, exp, sum(w for _, w in users))
         worst = max(worst, abs(total - full) / max(abs(full), ABS_TOL))
     return BudgetBalanceReport(queries_tested=tested, max_rel_gap=worst)

@@ -10,7 +10,8 @@ measures her scaled improvement, eps1 = (1+eps)/(1-eps).  If no delta is
 positive the dynamics converge; otherwise one player updates:
 
 * deterministic selection: the smallest index with delta_i > 0 and
-  delta_i >= Delta/N (such a player always exists by pigeonhole);
+  delta_i >= min(Delta/N, max_j delta_j) (such a player always exists by
+  pigeonhole);
 * randomized selection: a uniformly random player updates iff her delta is
   positive, with the step budget inflated to N*T^2.
 
@@ -24,16 +25,15 @@ one ("last"), the full per-step trace, and the theoretical constants.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from typing import Callable, Optional, Union
+from typing import Callable, Optional
 
 from . import analysis
 from .bounds import TheoreticalBounds, theoretical_bounds
-from .errors import ConfigError, ExactShareLimitError, InfeasibleError
+from .errors import ConfigError, InfeasibleError
 from .instance import Instance, StrategyProfile, rep_cost, total_cost
 from .oracles import OracleAnswer, clamp_tolls, oracle_rho, reply_oracle
 from .rng import keyed_rng
 from .sharing import (
-    EXACT_THRESHOLD_DEFAULT,
     MAX_SAMPLES_DEFAULT,
     MECHANISMS,
     ShareQuery,
@@ -52,7 +52,6 @@ class AbrdConfig:
     output: str = "best"                      # or "last"
     step_budget_override: Optional[int] = None
     rho: Optional[float] = None               # None: derived from the request kinds
-    exact_threshold: int = EXACT_THRESHOLD_DEFAULT
     toll_floor: float = 1e-12
     max_samples: int = MAX_SAMPLES_DEFAULT
 
@@ -129,14 +128,13 @@ class PassView:
     A delta pass builds one view and hands it to every player's ABR, since
     the profile does not change during the pass.  ``users`` maps a resource
     id to its (request id, weight) pairs in id order.  ``shares`` memoizes
-    exact-mechanism shares by (resource, ``ON`` or the player's id if the
-    player is on the resource else None, the player's weight there).  Every
-    player off a resource sees the same other users, so they share one entry.
-    A player on a resource sees the others without itself: an exact Shapley
-    share follows their order in floating point, so it is keyed by the
-    player's id, while a proportional share depends on them only through
-    their load, so players of equal weight there share the ``ON`` entry.
-    Sampled shares draw a stream per player and are not memoized.
+    exact-mechanism shares by (resource, ``ON`` if the player is on the
+    resource else None, the player's weight there).  An exact share depends
+    on the other users only through their weight multiset, bit for bit.
+    Every player off a resource sees all of its users as the others, and
+    every player of one weight on it sees the same multiset without one user
+    of that weight, so each group shares one entry.  Sampled shares draw a
+    stream per player and are not memoized.
     """
 
     ON = "on"
@@ -148,7 +146,7 @@ class PassView:
                 grouped.setdefault(e, []).append((req.id, req.weight(e)))
         self.users: dict[str, tuple[tuple[int, int], ...]] = {
             e: tuple(users) for e, users in grouped.items()}
-        self.shares: dict[tuple[str, Union[int, str, None], int], float] = {}
+        self.shares: dict[tuple[str, Optional[str], int], float] = {}
 
 
 def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
@@ -163,7 +161,6 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
     req = instance.requests[position]
     own = profile[position]
     memo = view.shares
-    mine = PassView.ON if config.mechanism == "proportional" else req.id
     sampled = config.mechanism == "shapley-sampled"
     delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
     tolls = {}
@@ -171,7 +168,7 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
         e = res.id
         w = req.weight(e)
         on = e in own
-        key = (e, mine if on else None, w)
+        key = (e, PassView.ON if on else None, w)
         share = None if sampled else memo.get(key)
         if share is None:
             users = view.users.get(e, ())
@@ -186,8 +183,7 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
                     rng=keyed_rng(config.seed, "share", step, req.id, e),
                     max_samples=config.max_samples)
             else:
-                share = cost_share(config.mechanism, query,
-                                   exact_threshold=config.exact_threshold)
+                share = cost_share(config.mechanism, query)
                 memo[key] = share
         tolls[e] = share
     return clamp_tolls(tolls, config.toll_floor)
@@ -237,10 +233,7 @@ def _maybe_potential(instance: Instance, config: AbrdConfig,
                      profile: StrategyProfile) -> Optional[float]:
     if config.mechanism == "proportional":
         return None
-    try:
-        return analysis.potential(instance, profile, config.exact_threshold)
-    except ExactShareLimitError:
-        return None
+    return analysis.potential(instance, profile)
 
 
 def run_abrd(instance: Instance, config: AbrdConfig,
@@ -282,7 +275,8 @@ def run_abrd(instance: Instance, config: AbrdConfig,
 
         chosen = None
         if config.selection == "deterministic":
-            threshold = dpass.total / instance.n_requests
+            # the mean can round above every delta when all of them tie
+            threshold = min(dpass.total / instance.n_requests, max(dpass.deltas))
             for pos, d in enumerate(dpass.deltas):
                 if d > 0.0 and d >= threshold:
                     chosen = pos

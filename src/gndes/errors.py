@@ -23,7 +23,3 @@ class InfeasibleError(GndesError):
 
 class EnumerationLimitError(GndesError):
     """Exhaustive enumeration would exceed the configured limits; refused, never truncated."""
-
-
-class ExactShareLimitError(GndesError):
-    """Exact Shapley computation refused: user set larger than the exact threshold."""

@@ -6,14 +6,17 @@ here:
 
 * proportional: a user pays (w_i / l_e) * F_e(l_e), exactly.
 * Shapley, exact: expected marginal contribution over a uniformly random
-  arrival order, computed by the subset-coefficient formula.
+  arrival order, computed by the subset-coefficient formula over a table
+  that counts the other users' subsets by (size, weight sum).
 * Shapley, sampled: the startup part sigma_e/|S_e| is exact; the power part
   is estimated by averaging marginal contributions over sampled uniform
   permutations, with a Hoeffding sample count giving a multiplicative
   (1 +- epsilon) guarantee at a configured confidence.
 
 Both exact mechanisms are budget balanced: the shares on a resource sum to
-its cost.
+its cost.  Both depend on the other users only through their weight
+multiset, never through their ids or order.  The same counting table gives
+the exact potential (``analysis.potential``).
 """
 
 from __future__ import annotations
@@ -21,16 +24,15 @@ from __future__ import annotations
 import logging
 import math
 from dataclasses import dataclass
-from typing import Optional
+from typing import Optional, Sequence
 
 import numpy as np
 
-from .errors import ConfigError, ExactShareLimitError, InstanceError
+from .errors import ConfigError, InstanceError
 from .instance import ExponentProfile, ResourceParams, rep_cost
 
 logger = logging.getLogger(__name__)
 
-EXACT_THRESHOLD_DEFAULT = 12
 MAX_SAMPLES_DEFAULT = 200_000
 
 MECHANISMS = ("proportional", "shapley-exact", "shapley-sampled")
@@ -90,43 +92,45 @@ def proportional_share(query: ShareQuery) -> float:
     return (query.target_weight / load) * full
 
 
-def shapley_exact(query: ShareQuery, exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> float:
+def subset_sums_by_size(weights: Sequence[int]) -> list[dict[int, int]]:
+    """Count the subsets of ``weights`` by size and weight sum.
+
+    Entry k maps each weight sum of a k-subset to the number of k-subsets
+    with that sum, in increasing order of the sum.  Built by 0/1-knapsack
+    counting in O(n^2 * L) dictionary updates for n weights summing to L;
+    the counts are exact integers, so the table does not depend on the
+    order of ``weights``.
+    """
+    table: list[dict[int, int]] = [{0: 1}]
+    for w in weights:
+        table.append({})
+        # larger sizes first, so each weight joins a subset at most once
+        for k in range(len(table) - 2, -1, -1):
+            larger = table[k + 1]
+            for total, count in table[k].items():
+                larger[total + w] = larger.get(total + w, 0) + count
+    return [dict(sorted(sums.items())) for sums in table]
+
+
+def shapley_exact(query: ShareQuery) -> float:
     """Exact Shapley share via the subset-coefficient formula.
 
-    O(2^{n-1}) over the other users' subsets; refused above the threshold,
-    where the sampled variant must be used instead.
+    A subset of k of the other users precedes the target in a uniform
+    arrival order with probability 1/(n * C(n-1, k)), and the marginal
+    depends only on its weight sum, so the formula runs over the table of
+    :func:`subset_sums_by_size`: O(n^2 * L) for n users of load L.
     """
     n = len(query.users)
-    if n > exact_threshold:
-        raise ExactShareLimitError(
-            f"{n} users exceed the exact threshold {exact_threshold}; use shapley_sampled")
     res, exp = query.resource, query.exponents
     w_target = query.target_weight
     others = [w for i, w in query.users if i != query.target]
-    m = len(others)
-    fact = [math.factorial(k) for k in range(n + 1)]
-    inv_nfact = 1.0 / fact[n]
-
-    # group subsets of the others by (size, weight sum); coefficients depend
-    # only on the size, marginals only on the sum
-    sums_by_size: list[dict[int, int]] = [dict() for _ in range(m + 1)]
-    sums_by_size[0][0] = 1
-    for mask in range(1, 1 << m):
-        size = mask.bit_count()
-        total = 0
-        mm = mask
-        while mm:
-            bit = mm & -mm
-            total += others[bit.bit_length() - 1]
-            mm ^= bit
-        sums_by_size[size][total] = sums_by_size[size].get(total, 0) + 1
 
     shapley_h = 0.0
-    for size, sums in enumerate(sums_by_size):
-        coeff = fact[size] * fact[n - 1 - size] * inv_nfact
+    for size, sums in enumerate(subset_sums_by_size(others)):
+        orders = n * math.comb(n - 1, size)
         for total, count in sums.items():
             marginal = (h_value(res, exp, total + w_target) - h_value(res, exp, total))
-            shapley_h += coeff * count * marginal
+            shapley_h += count / orders * marginal
     return res.sigma / n + shapley_h
 
 
@@ -199,14 +203,13 @@ def cost_share(mechanism: str, query: ShareQuery, *,
                epsilon: Optional[float] = None,
                delta: Optional[float] = None,
                rng: Optional[np.random.Generator] = None,
-               exact_threshold: int = EXACT_THRESHOLD_DEFAULT,
                max_samples: int = MAX_SAMPLES_DEFAULT) -> float:
     """Dispatch on the mechanism name ("proportional", "shapley-exact",
     "shapley-sampled")."""
     if mechanism == "proportional":
         return proportional_share(query)
     if mechanism == "shapley-exact":
-        return shapley_exact(query, exact_threshold)
+        return shapley_exact(query)
     if mechanism == "shapley-sampled":
         if epsilon is None or delta is None or rng is None:
             raise ConfigError("shapley-sampled needs epsilon, delta and an rng stream")
@@ -283,14 +286,12 @@ class ExpansionCheck:
         return self.share <= self.bound * (1.0 + 1e-9) + 1e-12
 
 
-def rep_expansion_check(mechanism: str, query: ShareQuery,
-                        exact_threshold: int = EXACT_THRESHOLD_DEFAULT) -> ExpansionCheck:
-    """Evaluate both sides of the expansion inequality on one query."""
+def rep_expansion_check(mechanism: str, query: ShareQuery) -> ExpansionCheck:
+    """Evaluate both sides of the expansion inequality on one query; any
+    Shapley mechanism is checked with its exact share."""
     constants = rep_expansion_constants(mechanism, query.exponents)
-    if constants.mechanism == "proportional":
-        share = proportional_share(query)
-    else:
-        share = shapley_exact(query, exact_threshold)
+    exact = "shapley-exact" if constants.mechanism == "shapley" else "proportional"
+    share = cost_share(exact, query)
     res = query.resource
     w = float(query.target_weight)
     rest = float(query.load - query.target_weight)

@@ -1,4 +1,5 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gndes import (
     ConfigError,
@@ -95,6 +96,57 @@ class TestPotential:
                     order_map[res.id] = tuple(perm)
                 assert potential_by_prefix(inst, profile, order_map) == pytest.approx(
                     reference, rel=1e-9)
+
+
+def machines_instance(sigmas, xis, alpha, weights):
+    """Unit-free machine choice: every player may use any one machine."""
+    exp = ExponentProfile((alpha,))
+    res = tuple(ResourceParams(f"m{k}", sigma, (xi,))
+                for k, (sigma, xi) in enumerate(zip(sigmas, xis)))
+    ids = tuple(r.id for r in res)
+    reqs = tuple(Request(id=i + 1, kind=MachineChoice(ids), default_weight=w)
+                 for i, w in enumerate(weights))
+    return Instance(exp, res, reqs)
+
+
+class TestPotentialManyUsers:
+    def test_matches_prefix_form_up_to_25_users(self):
+        rng = rng_for(71)
+        for n in (13, 18, 25):
+            inst = machines_instance([float(rng.uniform(0, 5)) for _ in range(2)],
+                                     [float(rng.uniform(0.1, 2)) for _ in range(2)],
+                                     float(rng.uniform(1.05, 3.5)),
+                                     [int(w) for w in rng.integers(1, 6, size=n)])
+            for on_m0 in (n, n - 4):
+                profile = tuple(frozenset({"m0" if pos < on_m0 else "m1"})
+                                for pos in range(n))
+                orders = {"m0": tuple(int(i) + 1 for i in rng.permutation(on_m0))}
+                reference = potential(inst, profile)
+                assert potential_by_prefix(inst, profile) == pytest.approx(
+                    reference, rel=1e-12)
+                assert potential_by_prefix(inst, profile, orders) == pytest.approx(
+                    reference, rel=1e-12)
+
+    @settings(max_examples=30, deadline=None)
+    @given(data=st.data(),
+           n=st.integers(min_value=2, max_value=40),
+           n_machines=st.integers(min_value=2, max_value=4),
+           alpha=st.floats(min_value=1.05, max_value=3.0))
+    def test_exactness_up_to_40_players(self, data, n, n_machines, alpha):
+        sigmas = data.draw(st.lists(st.floats(min_value=0.0, max_value=5.0),
+                                    min_size=n_machines, max_size=n_machines))
+        xis = data.draw(st.lists(st.floats(min_value=0.1, max_value=2.0),
+                                 min_size=n_machines, max_size=n_machines))
+        weights = data.draw(st.lists(st.integers(min_value=1, max_value=3),
+                                     min_size=n, max_size=n))
+        picks = data.draw(st.lists(st.integers(min_value=0, max_value=n_machines - 1),
+                                   min_size=n, max_size=n))
+        position = data.draw(st.integers(min_value=0, max_value=n - 1))
+        target = data.draw(st.integers(min_value=0, max_value=n_machines - 1))
+        inst = machines_instance(sigmas, xis, alpha, weights)
+        profile = tuple(frozenset({f"m{k}"}) for k in picks)
+        check = potential_exactness_check(inst, profile, position, frozenset({f"m{target}"}))
+        assert check.ok, check
 
 
 class TestPotentialBounds:

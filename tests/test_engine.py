@@ -40,6 +40,16 @@ def parallel_edges_instance(kind="explicit"):
     return Instance(exp, res, reqs, g)
 
 
+def unit_players_on_parallel_edges(n_players):
+    """n unit routing players on two parallel s-t edges (sigma 1, xi 1,
+    alpha 2); all start on e1, and the optimum splits them evenly."""
+    exp = ExponentProfile((2.0,))
+    res = (ResourceParams("e1", 1.0, (1.0,)), ResourceParams("e2", 1.0, (1.0,)))
+    g = HostGraph(False, ("s", "t"), (Edge("e1", "s", "t"), Edge("e2", "s", "t")))
+    reqs = tuple(Request(id=i, kind=Routing("s", "t")) for i in range(1, n_players + 1))
+    return Instance(exp, res, reqs, g)
+
+
 class TestInitialProfile:
     def test_machine_standalone_tolls(self):
         exp = ExponentProfile((2.0,))
@@ -118,6 +128,27 @@ class TestRunAbrd:
         assert result.opt_cost == pytest.approx(4.0)
         assert result.ratio == pytest.approx(1.0)
         assert result.converged_at == 2
+
+    @pytest.mark.parametrize("n_players, mechanism, optimum", [
+        (7, "proportional", 27.0),
+        (7, "shapley-exact", 27.0),
+        (12, "shapley-exact", 74.0),
+    ])
+    def test_tied_deltas_still_select_a_player(self, n_players, mechanism, optimum):
+        # every player on e1 has the same delta, and their mean can round
+        # above each of them
+        result = run_abrd(unit_players_on_parallel_edges(n_players),
+                          AbrdConfig(mechanism=mechanism))
+        assert result.converged_at is not None
+        assert result.output_cost == pytest.approx(optimum)
+
+    def test_fourteen_players_on_one_edge_under_exact_shapley(self):
+        result = run_abrd(unit_players_on_parallel_edges(14),
+                          AbrdConfig(mechanism="shapley-exact"))
+        assert result.trace[0].cost == pytest.approx(197.0)
+        assert result.converged_at is not None
+        assert result.output_cost == pytest.approx(100.0)
+        assert all(rec.potential is not None for rec in result.trace)
 
     def test_single_player_converges_immediately(self):
         exp = ExponentProfile((2.0,))

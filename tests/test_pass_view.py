@@ -23,7 +23,6 @@ from gndes import (
     delta_vector,
 )
 from gndes.engine import DeltaPass
-from gndes.errors import ExactShareLimitError
 from gndes.oracles import clamp_tolls, reply_oracle
 from gndes.rng import keyed_rng
 from gndes.sharing import MECHANISMS, ShareQuery, cost_share, whp_delta
@@ -57,8 +56,7 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
                 rng=keyed_rng(config.seed, "share", step, req.id, res.id),
                 max_samples=config.max_samples)
         else:
-            tolls[res.id] = cost_share(config.mechanism, query,
-                                       exact_threshold=config.exact_threshold)
+            tolls[res.id] = cost_share(config.mechanism, query)
     tolls = clamp_tolls(tolls, config.toll_floor)
     answer = reply_oracle(instance, req, tolls)
     return answer, sum(tolls[e] for e in sorted(profile[position]))
@@ -74,19 +72,10 @@ def unshared_pass(abr, instance, config, profile, step, planned_budget):
     return DeltaPass(deltas=tuple(deltas), total=sum(deltas), proposals=tuple(proposals))
 
 
-def outcome(fn):
-    """What a pass returns, or the message of the share limit it hit."""
-    try:
-        return fn()
-    except ExactShareLimitError as exc:
-        return ("ExactShareLimitError", str(exc))
-
-
 def assert_pass_matches(instance, config, profile, step=3, planned_budget=7):
-    shared = outcome(lambda: delta_vector(instance, config, profile, step, planned_budget))
+    shared = delta_vector(instance, config, profile, step, planned_budget)
     for abr in (approximate_best_response, regrouped_abr):
-        alone = outcome(lambda: unshared_pass(abr, instance, config, profile,
-                                              step, planned_budget))
+        alone = unshared_pass(abr, instance, config, profile, step, planned_budget)
         # dataclasses of floats compare with ==, so this is exact equality
         # of every delta, the total and every proposed reply and toll total
         assert shared == alone
@@ -156,17 +145,14 @@ def machines(n_players):
 
 
 @pytest.mark.parametrize("mechanism", ["shapley-exact", "proportional"])
-@pytest.mark.parametrize("on_m1, n_players, raises", [
-    (12, 12, False),      # every query on m1 has exactly 12 users
-    (12, 13, True),       # player 13 joining m1 makes 13 users
-    (11, 13, False),      # players 12 and 13 each join m1 as the 12th user
-    (13, 13, True),       # already 13 users on m1
+@pytest.mark.parametrize("on_m1, n_players", [
+    (12, 12),      # every query on m1 has exactly 12 users
+    (12, 13),      # player 13 joining m1 makes 13 users
+    (11, 13),      # players 12 and 13 each join m1 as the 12th user
+    (13, 13),      # 13 users on m1
+    (14, 14),      # 14 users on m1
 ])
-def test_share_limit_raised_exactly_when_unshared_abrs_raise(mechanism, on_m1, n_players,
-                                                             raises):
+def test_many_users_on_one_machine(mechanism, on_m1, n_players):
     instance = machines(n_players)
     profile = tuple(frozenset({"m1" if pos < on_m1 else "m2"}) for pos in range(n_players))
-    config = AbrdConfig(mechanism=mechanism)
-    assert_pass_matches(instance, config, profile)
-    raised = isinstance(outcome(lambda: delta_vector(instance, config, profile)), tuple)
-    assert raised == (raises and mechanism == "shapley-exact")
+    assert_pass_matches(instance, AbrdConfig(mechanism=mechanism), profile)

@@ -1,12 +1,14 @@
 import math
-from itertools import permutations, product
+from collections import Counter
+from fractions import Fraction
+from itertools import combinations, permutations, product
 
 import pytest
 from hypothesis import given, strategies as st
 
 from gndes import ExponentProfile, ResourceParams, rep_cost
 from gndes.analysis import budget_balance_check
-from gndes.errors import ExactShareLimitError, InstanceError
+from gndes.errors import InstanceError
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     ShareQuery,
@@ -17,6 +19,7 @@ from gndes.sharing import (
     rep_expansion_constants,
     shapley_exact,
     shapley_sampled,
+    subset_sums_by_size,
 )
 
 from helpers import random_share_query, rng_for
@@ -45,6 +48,27 @@ def shapley_by_permutations(q: ShareQuery) -> float:
         total += (rep_cost(q.resource, q.exponents, after)
                   - rep_cost(q.resource, q.exponents, before))
     return total / math.factorial(len(ids))
+
+
+def shapley_by_masks(q: ShareQuery) -> float:
+    """Independent oracle in exact arithmetic: the subset-coefficient
+    formula over every subset of the other users, with each h value taken
+    exactly as a Fraction of its float."""
+    others = [w for i, w in q.users if i != q.target]
+    n = len(q.users)
+    w_target = q.target_weight
+
+    def h(x):
+        return Fraction(h_value(q.resource, q.exponents, x))
+
+    total = Fraction(0)
+    for mask in range(1 << len(others)):
+        size = bin(mask).count("1")
+        before = sum(w for k, w in enumerate(others) if mask >> k & 1)
+        coeff = Fraction(math.factorial(size) * math.factorial(n - 1 - size),
+                         math.factorial(n))
+        total += coeff * (h(before + w_target) - h(before))
+    return float(Fraction(q.resource.sigma) / n + total)
 
 
 class TestHValue:
@@ -109,16 +133,43 @@ class TestShapleyExact:
             q = random_share_query(rng, max_users=5)
             assert shapley_exact(q) == pytest.approx(shapley_by_permutations(q), rel=1e-9)
 
-    def test_threshold_refusal(self):
-        q = query(1.0, [1.0], [2.0], [1] * 6, target=1)
-        with pytest.raises(ExactShareLimitError):
-            shapley_exact(q, exact_threshold=5)
+    def test_matches_exact_mask_enumeration(self):
+        rng = rng_for(13)
+        for _ in range(60):
+            q = random_share_query(rng, max_users=10, max_weight=5)
+            reference = shapley_by_masks(q)
+            assert abs(shapley_exact(q) - reference) <= 1e-12 * abs(reference)
+
+    def test_beyond_twelve_users(self):
+        # 40 unit users split the power part evenly
+        q = query(4.0, [1.0], [2.0], [1] * 40, target=7)
+        assert shapley_exact(q) == pytest.approx(4.0 / 40 + 1600.0 / 40, rel=1e-12)
 
     def test_target_must_use_resource(self):
         exp = ExponentProfile((2.0,))
         res = ResourceParams("r", 1.0, (1.0,))
         with pytest.raises(InstanceError):
             ShareQuery(res, exp, ((1, 1),), target=2)
+
+
+class TestSubsetSumsBySize:
+    def test_small_example(self):
+        assert subset_sums_by_size([1, 2, 2]) == [
+            {0: 1}, {1: 1, 2: 2}, {3: 2, 4: 1}, {5: 1}]
+
+    def test_empty(self):
+        assert subset_sums_by_size([]) == [{0: 1}]
+
+    def test_matches_enumeration(self):
+        rng = rng_for(19)
+        for _ in range(40):
+            weights = [int(w) for w in rng.integers(1, 6, size=int(rng.integers(1, 11)))]
+            table = subset_sums_by_size(weights)
+            assert len(table) == len(weights) + 1
+            for k, sums in enumerate(table):
+                expected = Counter(sum(c) for c in combinations(weights, k))
+                assert sums == expected
+                assert list(sums) == sorted(sums)
 
 
 class TestBudgetBalance:
@@ -129,6 +180,15 @@ class TestBudgetBalance:
         report = budget_balance_check(
             mechanism, [(q.resource, q.exponents, q.users) for q in queries])
         assert report.queries_tested == 150
+        assert report.max_rel_gap <= 1e-9
+
+    def test_forty_users(self):
+        rng = rng_for(23)
+        queries = [query(1.5, [0.7, 0.2], [2.0, 3.5],
+                         [int(w) for w in rng.integers(1, 6, size=40)], target=1)
+                   for _ in range(3)]
+        report = budget_balance_check(
+            "shapley-exact", [(q.resource, q.exponents, q.users) for q in queries])
         assert report.max_rel_gap <= 1e-9
 
 
@@ -143,6 +203,21 @@ class TestSeparability:
             q2 = ShareQuery(q.resource, q.exponents, relabeled, target=q.target + 100)
             assert shapley_exact(q) == pytest.approx(shapley_exact(q2), rel=1e-12)
             assert proportional_share(q) == pytest.approx(proportional_share(q2), rel=1e-12)
+
+    def test_bit_identical_under_permuted_ids(self):
+        # the pass view memoizes a share by the others' weight multiset
+        # alone, which needs every relabelling to give the same float
+        rng = rng_for(17)
+        for _ in range(30):
+            q = random_share_query(rng, max_users=14, max_weight=5)
+            share = shapley_exact(q)
+            target_weight = q.target_weight
+            for _ in range(3):
+                ids = [int(i) for i in rng.permutation(len(q.users)) + 1]
+                users = tuple(zip(ids, (w for _, w in q.users)))
+                target = next(i for i, w in users if w == target_weight)
+                permuted = ShareQuery(q.resource, q.exponents, users, target=target)
+                assert shapley_exact(permuted) == share
 
 
 class TestShapleySampled:

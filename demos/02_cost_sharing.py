@@ -3,7 +3,12 @@
 Proportional sharing splits the full cost by weight; Shapley sharing pays
 each user her expected marginal contribution over a random arrival order.
 Both are budget balanced.  The sampled Shapley variant trades exactness for
-speed with an explicit (1 +- epsilon) guarantee.
+speed with an explicit (1 +- epsilon) guarantee; its Hoeffding sample count
+uses the range every marginal lies in, [h(w), h(L) - h(L - w)].  The demo
+calls the estimator directly, so it samples even on this two-user resource;
+``cost_share``, which the dynamics call, returns the exact share for this
+query at every epsilon shown, because counting its subsets is less work
+than the sample count.
 """
 
 from gndes import ExponentProfile, ResourceParams, rep_cost

@@ -39,6 +39,7 @@ from .sharing import (
     ShareQuery,
     cost_share,
     rep_expansion_constants,
+    samples_needed,
     whp_delta,
 )
 
@@ -97,6 +98,8 @@ class RunResult:
     seed: int
     opt_profile: Optional[StrategyProfile] = None
     opt_cost: Optional[float] = None
+    sampled_shares: int = 0                   # shares estimated by sampling
+    sample_cap_hits: int = 0                  # of those, shares whose count was capped
 
     @property
     def ratio(self) -> Optional[float]:
@@ -128,13 +131,16 @@ class PassView:
     A delta pass builds one view and hands it to every player's ABR, since
     the profile does not change during the pass.  ``users`` maps a resource
     id to its (request id, weight) pairs in id order.  ``shares`` memoizes
-    exact-mechanism shares by (resource, ``ON`` if the player is on the
-    resource else None, the player's weight there).  An exact share depends
-    on the other users only through their weight multiset, bit for bit.
-    Every player off a resource sees all of its users as the others, and
-    every player of one weight on it sees the same multiset without one user
-    of that weight, so each group shares one entry.  Sampled shares draw a
-    stream per player and are not memoized.
+    exact shares by (resource, ``ON`` if the player is on the resource else
+    None, the player's weight there).  An exact share depends on the other
+    users only through their weight multiset, bit for bit.  Every player off
+    a resource sees all of its users as the others, and every player of one
+    weight on it sees the same multiset without one user of that weight, so
+    each group shares one entry.  Under ``shapley-sampled`` the same holds
+    for the shares that need no samples (``sharing.samples_needed`` reads
+    only the multiset); shares that do sample draw a stream per player, are
+    not memoized, and are counted in ``sampled_shares``, and those whose
+    sample count was capped also in ``sample_cap_hits``.
     """
 
     ON = "on"
@@ -147,6 +153,8 @@ class PassView:
         self.users: dict[str, tuple[tuple[int, int], ...]] = {
             e: tuple(users) for e, users in grouped.items()}
         self.shares: dict[tuple[str, Optional[str], int], float] = {}
+        self.sampled_shares = 0
+        self.sample_cap_hits = 0
 
 
 def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
@@ -162,6 +170,7 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
     own = profile[position]
     memo = view.shares
     sampled = config.mechanism == "shapley-sampled"
+    exact_mechanism = "shapley-exact" if sampled else config.mechanism
     delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
     tolls = {}
     for res in instance.resources:
@@ -169,22 +178,26 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
         w = req.weight(e)
         on = e in own
         key = (e, PassView.ON if on else None, w)
-        share = None if sampled else memo.get(key)
+        share = memo.get(key)
         if share is None:
             users = view.users.get(e, ())
             if on:
                 users = tuple([u for u in users if u[0] != req.id])
             query = ShareQuery(res, instance.exponents, users + ((req.id, w),),
                                target=req.id)
-            if sampled:
+            needed = samples_needed(query, config.epsilon, delta) if sampled else 0
+            if needed:
+                view.sampled_shares += 1
+                view.sample_cap_hits += needed > config.max_samples
                 share = cost_share(
                     config.mechanism, query,
                     epsilon=config.epsilon, delta=delta,
                     rng=keyed_rng(config.seed, "share", step, req.id, e),
                     max_samples=config.max_samples)
             else:
-                share = cost_share(config.mechanism, query)
-                memo[key] = share
+                # exactly what cost_share returns for a sampled share that
+                # needs no samples, so it is memoized like any exact share
+                share = memo[key] = cost_share(exact_mechanism, query)
         tolls[e] = share
     return clamp_tolls(tolls, config.toll_floor)
 
@@ -214,11 +227,13 @@ class DeltaPass:
 
 
 def delta_vector(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
-                 step: int = 1, planned_budget: int = 1) -> DeltaPass:
+                 step: int = 1, planned_budget: int = 1,
+                 view: Optional[PassView] = None) -> DeltaPass:
     """Fresh ABRs and improvement estimates for every player against the
-    profile."""
+    profile, all from one view of it (built here unless given)."""
     eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
-    view = PassView(instance, profile)
+    if view is None:
+        view = PassView(instance, profile)
     deltas = []
     proposals = []
     for pos in range(instance.n_requests):
@@ -256,16 +271,20 @@ def run_abrd(instance: Instance, config: AbrdConfig,
                         converged=False)]
     best_profile, best_cost, t_star = profile, trace[0].cost, 0   # the first least cost
     converged_at = None
+    sampled_shares = sample_cap_hits = 0
 
     for t in range(1, budget + 1):
+        view = PassView(instance, profile)
         try:
             dpass = delta_vector(instance, config, profile, step=t,
-                                 planned_budget=max(1, budget))
+                                 planned_budget=max(1, budget), view=view)
         except InfeasibleError as exc:
             # cannot happen for well-formed instances (feasibility does not
             # depend on tolls), but the partial trace is attached for callers
             exc.partial_trace = tuple(trace)
             raise
+        sampled_shares += view.sampled_shares
+        sample_cap_hits += view.sample_cap_hits
         if all(d <= 0.0 for d in dpass.deltas):
             converged_at = t
             trace.append(StepRecord(
@@ -322,6 +341,8 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         selection=config.selection,
         output_mode=config.output,
         seed=config.seed,
+        sampled_shares=sampled_shares,
+        sample_cap_hits=sample_cap_hits,
     )
     if brute_force is not None:
         opt_profile, opt_cost = brute_force(instance)
@@ -385,6 +406,9 @@ def run_report(instance: Instance, result: RunResult) -> str:
         fail = 1.0 / (2.0 * max(1, result.step_budget)
                       * instance.n_requests * len(instance.resources))
         lines.append(f"  sampling failure probability <= {_fmt(fail)}")
+        if result.sample_cap_hits:
+            lines.append(f"  epsilon guarantee void on {result.sample_cap_hits}"
+                         f" of {result.sampled_shares} sampled shares")
     lines.append(f"  steps recorded   {len(result.trace) - 1}")
     lines.append("  converged        "
                  + (f"at step {result.converged_at}" if result.converged_at else "no"))
@@ -423,6 +447,9 @@ def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
         "output_cost": result.output_cost,
         "output_profile": [sorted(r) for r in result.output_profile],
     }
+    if result.mechanism == "shapley-sampled":
+        out["sampled_shares"] = result.sampled_shares
+        out["sample_cap_hits"] = result.sample_cap_hits
     if result.opt_cost is not None:
         out["opt_cost"] = result.opt_cost
         out["ratio"] = result.ratio

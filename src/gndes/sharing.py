@@ -11,7 +11,10 @@ here:
 * Shapley, sampled: the startup part sigma_e/|S_e| is exact; the power part
   is estimated by averaging marginal contributions over sampled uniform
   permutations, with a Hoeffding sample count giving a multiplicative
-  (1 +- epsilon) guarantee at a configured confidence.
+  (1 +- epsilon) guarantee at a configured confidence.  ``cost_share``
+  samples only when the counting table would cost more work than that
+  count; otherwise it returns the exact share, which meets the band with
+  probability 1.
 
 Both exact mechanisms are budget balanced: the shares on a resource sum to
 its cost.  Both depend on the other users only through their weight
@@ -125,53 +128,75 @@ def shapley_exact(query: ShareQuery) -> float:
     w_target = query.target_weight
     others = [w for i, w in query.users if i != query.target]
 
+    table = subset_sums_by_size(others)
+    # the marginal depends on the sum alone, so it is shared across sizes
+    sums = set().union(*table)
+    h = {s: h_value(res, exp, s) for s in sums | {s + w_target for s in sums}}
+    marginals = {s: h[s + w_target] - h[s] for s in sums}
+
     shapley_h = 0.0
-    for size, sums in enumerate(subset_sums_by_size(others)):
+    for size, sums_of_size in enumerate(table):
         orders = n * math.comb(n - 1, size)
-        for total, count in sums.items():
-            marginal = (h_value(res, exp, total + w_target) - h_value(res, exp, total))
-            shapley_h += count / orders * marginal
+        for total, count in sums_of_size.items():
+            shapley_h += count / orders * marginals[total]
     return res.sigma / n + shapley_h
 
 
-def hoeffding_sample_count(query: ShareQuery, epsilon: float, delta: float,
-                           max_samples: int = MAX_SAMPLES_DEFAULT) -> int:
+def hoeffding_sample_count(query: ShareQuery, epsilon: float, delta: float) -> int:
     """Permutations needed so the estimate is within (1 +- epsilon) of the
-    true share with probability >= 1 - delta.
+    true share with probability >= 1 - delta, before any cap.
 
-    Each sampled marginal lies in [0, h(S_e)] and the true share is at least
-    sigma/|S_e| + h({target}), so an additive error of epsilon times that
-    lower bound suffices.  Capped at max_samples with a logged warning.
+    h is convex with h(0) = 0, so the target's marginal h(s + w) - h(s)
+    grows with the weight s of the users before it: each sampled marginal
+    lies in [h(w), h(L) - h(L - w)] for target weight w and load L.  The
+    true share is at least sigma/|S_e| + h(w), so an additive error of
+    epsilon times that lower bound suffices.
     """
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
     if not 0 < delta < 1:
         raise ConfigError("confidence delta must lie in (0, 1)")
     res, exp = query.resource, query.exponents
-    n = len(query.users)
-    spread = h_value(res, exp, query.load)
-    lower = res.sigma / n + h_value(res, exp, query.target_weight)
+    load, w = query.load, query.target_weight
+    least = h_value(res, exp, w)
+    spread = (h_value(res, exp, load) - h_value(res, exp, load - w)) - least
+    lower = res.sigma / len(query.users) + least
     m = math.ceil(spread * spread * math.log(2.0 / delta) / (2.0 * (epsilon * lower) ** 2))
-    m = max(1, m)
-    if m > max_samples:
-        logger.warning(
-            "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
-            m, res.id, max_samples)
-        m = max_samples
-    return m
+    return max(1, m)
+
+
+def samples_needed(query: ShareQuery, epsilon: float, delta: float) -> int:
+    """Permutations a ``shapley-sampled`` share draws before the cap: 0 when
+    the counting table of :func:`shapley_exact` is no more work than
+    :func:`hoeffding_sample_count`, so the share is exact, and that count
+    otherwise.
+
+    For n users of load L the table has at most min(2^(n-1), n * L)
+    (size, sum) cells, each touched about n times.
+    """
+    n = len(query.users)
+    m = hoeffding_sample_count(query, epsilon, delta)
+    return 0 if n * min(2 ** (n - 1), n * query.load) <= m else m
 
 
 def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
                     rng: np.random.Generator,
                     max_samples: int = MAX_SAMPLES_DEFAULT) -> float:
     """Sampled Shapley share: sigma/|S_e| plus the mean marginal of the power
-    part over Hoeffding-many uniform random permutations."""
+    part over Hoeffding-many uniform random permutations, at most
+    ``max_samples`` of them; a capped count voids the epsilon guarantee and
+    is logged."""
     n = len(query.users)
     res, exp = query.resource, query.exponents
     if n == 1:
         # sole user: every permutation yields the same marginal
         return res.sigma + h_value(res, exp, query.target_weight)
-    m = hoeffding_sample_count(query, epsilon, delta, max_samples)
+    m = hoeffding_sample_count(query, epsilon, delta)
+    if m > max_samples:
+        logger.warning(
+            "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
+            m, res.id, max_samples)
+        m = max_samples
 
     weights = np.array([w for _, w in query.users], dtype=np.float64)
     target_index = next(k for k, (i, _) in enumerate(query.users) if i == query.target)
@@ -205,7 +230,8 @@ def cost_share(mechanism: str, query: ShareQuery, *,
                rng: Optional[np.random.Generator] = None,
                max_samples: int = MAX_SAMPLES_DEFAULT) -> float:
     """Dispatch on the mechanism name ("proportional", "shapley-exact",
-    "shapley-sampled")."""
+    "shapley-sampled").  A sampled share is exact, and draws nothing from
+    ``rng``, whenever :func:`samples_needed` is 0."""
     if mechanism == "proportional":
         return proportional_share(query)
     if mechanism == "shapley-exact":
@@ -213,6 +239,8 @@ def cost_share(mechanism: str, query: ShareQuery, *,
     if mechanism == "shapley-sampled":
         if epsilon is None or delta is None or rng is None:
             raise ConfigError("shapley-sampled needs epsilon, delta and an rng stream")
+        if samples_needed(query, epsilon, delta) == 0:
+            return shapley_exact(query)
         return shapley_sampled(query, epsilon, delta, rng, max_samples)
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 

@@ -21,7 +21,7 @@ from gndes import (
 )
 from gndes.analysis import brute_force_opt
 from gndes.bounds import harmonic
-from gndes.engine import run_report, trace_to_csv
+from gndes.engine import result_to_json_dict, run_report, trace_to_csv
 from gndes.errors import ConfigError
 
 from helpers import random_explicit_instance, rng_for
@@ -322,6 +322,70 @@ class TestRunAbrd:
             run_abrd(inst, AbrdConfig())
         trace = excinfo.value.partial_trace
         assert len(trace) == 1 and trace[0].step == 0
+
+
+def small_machines_instance():
+    """Machine-choice and explicit-reply players of weights 1-4 on three
+    machines."""
+    exp = ExponentProfile((2.0,))
+    res = (ResourceParams("m0", 5.0, (0.3,)), ResourceParams("m1", 8.0, (0.2,)),
+           ResourceParams("m2", 12.0, (0.4,)))
+    both = ExplicitReplies((frozenset({"m0", "m1"}), frozenset({"m2"})))
+    reqs = (Request(id=1, kind=MachineChoice(("m0", "m1", "m2")), default_weight=3),
+            Request(id=2, kind=both, default_weight=2),
+            Request(id=3, kind=MachineChoice(("m0", "m2")), default_weight=4),
+            Request(id=4, kind=both, weights={"m2": 3}, default_weight=1))
+    return Instance(exp, res, reqs)
+
+
+def heavy_players_on_parallel_edges(n_players, weight):
+    exp = ExponentProfile((2.0,))
+    res = (ResourceParams("e1", 1.0, (1.0,)), ResourceParams("e2", 1.0, (1.0,)))
+    edges = ExplicitReplies((frozenset({"e1"}), frozenset({"e2"})))
+    reqs = tuple(Request(id=i, kind=edges, default_weight=weight)
+                 for i in range(1, n_players + 1))
+    return Instance(exp, res, reqs)
+
+
+class TestSampledRuns:
+    @pytest.mark.parametrize("make", [
+        parallel_edges_instance,
+        lambda: parallel_edges_instance("routing"),
+        small_machines_instance,
+    ], ids=["explicit", "routing", "machines"])
+    def test_trace_equals_exact_when_counting_is_cheaper(self, make):
+        inst = make()
+        exact = run_abrd(inst, AbrdConfig(mechanism="shapley-exact", seed=3))
+        sampled = run_abrd(inst, AbrdConfig(mechanism="shapley-sampled", seed=3))
+        assert len(exact.trace) > 2
+        assert trace_to_csv(sampled) == trace_to_csv(exact)
+        assert sampled.output_profile == exact.output_profile
+        assert (sampled.sampled_shares, sampled.sample_cap_hits) == (0, 0)
+        assert "epsilon guarantee void" not in run_report(inst, sampled)
+        doc = result_to_json_dict(inst, sampled)
+        assert (doc["sampled_shares"], doc["sample_cap_hits"]) == (0, 0)
+
+    def test_capped_run_reports_the_void_guarantee(self):
+        # 16 players of weight 10^5 start on e1.  Each step, every player's
+        # share on the resource with 15 or 16 users needs fewer samples than
+        # the counting table's n * 2^(n-1) bound but more than 10, so it is
+        # sampled and capped; the share on the resource with one or two
+        # users is exact and counts as neither
+        inst = heavy_players_on_parallel_edges(16, 100_000)
+        config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.15, seed=2,
+                            max_samples=10, step_budget_override=2)
+        result = run_abrd(inst, config)
+        assert result.sampled_shares == result.sample_cap_hits == 2 * 16
+        assert (f"  epsilon guarantee void on {result.sample_cap_hits} of "
+                f"{result.sampled_shares} sampled shares\n") in run_report(inst, result)
+        doc = result_to_json_dict(inst, result)
+        assert doc["sampled_shares"] == result.sampled_shares
+        assert doc["sample_cap_hits"] == result.sample_cap_hits
+        assert run_abrd(inst, config) == result
+
+        exact = run_abrd(inst, AbrdConfig(epsilon=0.15, step_budget_override=2))
+        assert "sampled_shares" not in result_to_json_dict(inst, exact)
+        assert "epsilon guarantee void" not in run_report(inst, exact)
 
 
 class TestTraceCsv:

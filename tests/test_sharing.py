@@ -4,7 +4,7 @@ from fractions import Fraction
 from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
 from gndes import ExponentProfile, ResourceParams, rep_cost
 from gndes.analysis import budget_balance_check
@@ -12,11 +12,13 @@ from gndes.errors import InstanceError
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     ShareQuery,
+    cost_share,
     h_value,
     hoeffding_sample_count,
     proportional_share,
     rep_expansion_check,
     rep_expansion_constants,
+    samples_needed,
     shapley_exact,
     shapley_sampled,
     subset_sums_by_size,
@@ -263,11 +265,78 @@ class TestShapleySampled:
         assert a == b
 
     def test_sample_cap_binds_with_warning(self, caplog):
+        # the count itself is uncapped and silent; the estimator applies
+        # the cap and logs that the guarantee is void
         q = query(6.0, [1.0], [2.0], [1, 2, 2], target=1)
         with caplog.at_level("WARNING"):
-            m = hoeffding_sample_count(q, 0.01, 1e-9, max_samples=50)
-        assert m == 50
-        assert any("capped" in r.message for r in caplog.records)
+            m = hoeffding_sample_count(q, 0.01, 1e-9)
+        assert m > 50 and not caplog.records
+        with caplog.at_level("WARNING"):
+            shapley_sampled(q, 0.01, 1e-9, keyed_rng(3, "cap"), max_samples=50)
+        assert [r.getMessage() for r in caplog.records] == [
+            f"sample count {m} for resource 'r' capped at 50; the epsilon guarantee is void"]
+
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data(),
+           weights=st.lists(st.integers(min_value=1, max_value=6), min_size=1, max_size=6),
+           alphas=st.lists(st.floats(min_value=1.05, max_value=4.0), min_size=1, max_size=2))
+    def test_every_marginal_lies_in_the_hoeffding_range(self, data, weights, alphas):
+        xis = data.draw(st.lists(st.floats(min_value=0.1, max_value=2.0),
+                                 min_size=len(alphas), max_size=len(alphas)))
+        target = data.draw(st.integers(min_value=1, max_value=len(weights)))
+        q = query(1.0, xis, alphas, weights, target)
+        res, exp, w = q.resource, q.exponents, q.target_weight
+        least = h_value(res, exp, w)
+        most = h_value(res, exp, q.load) - h_value(res, exp, q.load - w)
+        slack = 1e-12 * most
+        users = dict(q.users)
+        for order in permutations(users):
+            before = sum(users[i] for i in order[:order.index(target)])
+            marginal = h_value(res, exp, before + w) - h_value(res, exp, before)
+            assert least - slack <= marginal <= most + slack
+
+    def test_cost_share_is_exact_when_counting_is_cheaper(self, caplog):
+        rng = rng_for(41)
+        for _ in range(60):
+            q = random_share_query(rng, max_users=8, max_weight=5)
+            assert samples_needed(q, 0.01, 1e-6) == 0
+            stream = keyed_rng(9, "fallback")
+            state = stream.bit_generator.state
+            with caplog.at_level("WARNING"):
+                share = cost_share("shapley-sampled", q, epsilon=0.01, delta=1e-6,
+                                   rng=stream, max_samples=1)
+            assert share == shapley_exact(q)
+            assert stream.bit_generator.state == state
+        assert not caplog.records
+
+    def test_count_spans_the_range_of_the_marginals(self):
+        # h(x) = x^2, weights 1 and 2, target 1: the marginal is 1 or 5, a
+        # width of 4, and the share is at least sigma/2 + h(1) = 4
+        q = query(6.0, [1.0], [2.0], [1, 2], target=1)
+        assert hoeffding_sample_count(q, 0.05, 0.05) == math.ceil(
+            4.0 ** 2 * math.log(2.0 / 0.05) / (2.0 * (0.05 * 4.0) ** 2))
+
+    def test_few_heavy_users_take_the_counting_table(self):
+        # 2^(n-1) subsets bound the table however large the weights are
+        weights = [10_000 + 7 * k for k in range(7)]
+        q = query(1.0, [1.0], [2.0], weights, target=1)
+        assert 7 * 2 ** 6 <= hoeffding_sample_count(q, 0.3, 0.05) < 7 * 7 * q.load
+        assert samples_needed(q, 0.3, 0.05) == 0
+
+    def test_heavy_weights_still_sample(self):
+        # 12 users bound the counting table by 12 * 2^11 cells, more than
+        # the Hoeffding count, so the share is estimated
+        weights = [100_000 + 7 * k for k in range(12)]
+        q = query(1.0, [1.0], [2.0], weights, target=1)
+        m = samples_needed(q, 0.3, 0.05)
+        assert m == hoeffding_sample_count(q, 0.3, 0.05) < 12 * 2 ** 11
+        est = cost_share("shapley-sampled", q, epsilon=0.3, delta=0.05,
+                         rng=keyed_rng(4, "heavy"))
+        assert est == shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"))
+        exact = shapley_exact(q)
+        assert est != exact
+        assert 0.7 * exact <= est <= 1.3 * exact
 
 
 class TestExpansion:

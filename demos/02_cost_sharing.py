@@ -7,8 +7,8 @@ speed with an explicit (1 +- epsilon) guarantee; its Hoeffding sample count
 uses the range every marginal lies in, [h(w), h(L) - h(L - w)].  The demo
 calls the estimator directly, so it samples even on this two-user resource;
 ``cost_share``, which the dynamics call, returns the exact share for this
-query at every epsilon shown, because counting its subsets is less work
-than the sample count.
+query at every epsilon shown, because counting its subsets is expected to
+take less time than drawing that many permutations.
 """
 
 from gndes import ExponentProfile, ResourceParams, rep_cost

@@ -27,7 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
-from . import analysis
+from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError, InfeasibleError
 from .instance import Instance, StrategyProfile, rep_cost, total_cost
@@ -189,11 +189,13 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
             if needed:
                 view.sampled_shares += 1
                 view.sample_cap_hits += needed > config.max_samples
-                share = cost_share(
-                    config.mechanism, query,
-                    epsilon=config.epsilon, delta=delta,
-                    rng=keyed_rng(config.seed, "share", step, req.id, e),
-                    max_samples=config.max_samples)
+                # what cost_share returns for this query, without deciding
+                # again; called through the module so that wrappers on
+                # sharing.shapley_sampled (the benchmark's tracer) see it
+                share = sharing.shapley_sampled(
+                    query, config.epsilon, delta,
+                    keyed_rng(config.seed, "share", step, req.id, e),
+                    config.max_samples, samples=needed)
             else:
                 # exactly what cost_share returns for a sampled share that
                 # needs no samples, so it is memoized like any exact share

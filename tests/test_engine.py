@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,8 +22,16 @@ from gndes import (
 )
 from gndes.analysis import brute_force_opt
 from gndes.bounds import harmonic
-from gndes.engine import result_to_json_dict, run_report, trace_to_csv
+from gndes.engine import (
+    PassView,
+    _player_tolls,
+    result_to_json_dict,
+    run_report,
+    trace_to_csv,
+)
 from gndes.errors import ConfigError
+from gndes.rng import keyed_rng
+from gndes.sharing import MAX_SAMPLES_DEFAULT, ShareQuery, cost_share, whp_delta
 
 from helpers import random_explicit_instance, rng_for
 
@@ -338,12 +347,12 @@ def small_machines_instance():
     return Instance(exp, res, reqs)
 
 
-def heavy_players_on_parallel_edges(n_players, weight):
-    exp = ExponentProfile((2.0,))
+def heavy_players_on_parallel_edges(weights):
+    exp = ExponentProfile((1.5,))
     res = (ResourceParams("e1", 1.0, (1.0,)), ResourceParams("e2", 1.0, (1.0,)))
     edges = ExplicitReplies((frozenset({"e1"}), frozenset({"e2"})))
-    reqs = tuple(Request(id=i, kind=edges, default_weight=weight)
-                 for i in range(1, n_players + 1))
+    reqs = tuple(Request(id=i, kind=edges, default_weight=w)
+                 for i, w in enumerate(weights, start=1))
     return Instance(exp, res, reqs)
 
 
@@ -366,16 +375,17 @@ class TestSampledRuns:
         assert (doc["sampled_shares"], doc["sample_cap_hits"]) == (0, 0)
 
     def test_capped_run_reports_the_void_guarantee(self):
-        # 16 players of weight 10^5 start on e1.  Each step, every player's
-        # share on the resource with 15 or 16 users needs fewer samples than
-        # the counting table's n * 2^(n-1) bound but more than 10, so it is
-        # sampled and capped; the share on the resource with one or two
-        # users is exact and counts as neither
-        inst = heavy_players_on_parallel_edges(16, 100_000)
+        # 12 players of weights 10^5 + 7 * 2^k, whose subset sums all differ,
+        # start on e1.  Each step, every player's share on the resource with
+        # 11 or 12 users would fill a counting table of 2^10 or 2^11 cells,
+        # which takes longer than the about 3,000 permutations Hoeffding
+        # asks for, so it is sampled and capped at 10; the share on the
+        # resource with one or two users is exact and counts as neither
+        inst = heavy_players_on_parallel_edges([100_000 + 7 * 2 ** k for k in range(12)])
         config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.15, seed=2,
                             max_samples=10, step_budget_override=2)
         result = run_abrd(inst, config)
-        assert result.sampled_shares == result.sample_cap_hits == 2 * 16
+        assert result.sampled_shares == result.sample_cap_hits == 2 * 12
         assert (f"  epsilon guarantee void on {result.sample_cap_hits} of "
                 f"{result.sampled_shares} sampled shares\n") in run_report(inst, result)
         doc = result_to_json_dict(inst, result)
@@ -383,9 +393,22 @@ class TestSampledRuns:
         assert doc["sample_cap_hits"] == result.sample_cap_hits
         assert run_abrd(inst, config) == result
 
-        exact = run_abrd(inst, AbrdConfig(epsilon=0.15, step_budget_override=2))
-        assert "sampled_shares" not in result_to_json_dict(inst, exact)
-        assert "epsilon guarantee void" not in run_report(inst, exact)
+        # uncapped, the engine's sampled share is the one cost_share returns
+        uncapped = replace(config, max_samples=MAX_SAMPLES_DEFAULT)
+        profile = initial_profile(inst)
+        view = PassView(inst, profile)
+        tolls = _player_tolls(inst, uncapped, profile, 0, 1, 2, view)
+        assert view.sampled_shares == 1 and view.sample_cap_hits == 0
+        share = cost_share(
+            "shapley-sampled", ShareQuery(inst.resources[0], inst.exponents,
+                                          view.users["e1"], target=1),
+            epsilon=0.15, delta=whp_delta(2, 12, 2), rng=keyed_rng(2, "share", 1, 1, "e1"))
+        assert tolls["e1"] == share
+
+        small = parallel_edges_instance()
+        exact = run_abrd(small, AbrdConfig())
+        assert "sampled_shares" not in result_to_json_dict(small, exact)
+        assert "epsilon guarantee void" not in run_report(small, exact)
 
 
 class TestTraceCsv:

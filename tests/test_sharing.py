@@ -22,6 +22,7 @@ from gndes.sharing import (
     shapley_exact,
     shapley_sampled,
     subset_sums_by_size,
+    table_cells_bound,
 )
 
 from helpers import random_share_query, rng_for
@@ -324,19 +325,48 @@ class TestShapleySampled:
         assert 7 * 2 ** 6 <= hoeffding_sample_count(q, 0.3, 0.05) < 7 * 7 * q.load
         assert samples_needed(q, 0.3, 0.05) == 0
 
-    def test_heavy_weights_still_sample(self):
-        # 12 users bound the counting table by 12 * 2^11 cells, more than
-        # the Hoeffding count, so the share is estimated
-        weights = [100_000 + 7 * k for k in range(12)]
+    def test_spread_heavy_weights_still_sample(self):
+        # 14 users whose subset sums all differ: the counting table really
+        # has 2^13 cells, so drawing the Hoeffding count is cheaper
+        weights = [100_000 + 7 * 2 ** k for k in range(14)]
         q = query(1.0, [1.0], [2.0], weights, target=1)
+        others = [w for i, w in q.users if i != q.target]
+        assert sum(map(len, subset_sums_by_size(others))) == table_cells_bound(q) == 2 ** 13
         m = samples_needed(q, 0.3, 0.05)
-        assert m == hoeffding_sample_count(q, 0.3, 0.05) < 12 * 2 ** 11
-        est = cost_share("shapley-sampled", q, epsilon=0.3, delta=0.05,
-                         rng=keyed_rng(4, "heavy"))
+        assert m == hoeffding_sample_count(q, 0.3, 0.05) > 0
+        stream = keyed_rng(4, "heavy")
+        est = cost_share("shapley-sampled", q, epsilon=0.3, delta=0.05, rng=stream)
         assert est == shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"))
+        assert est == shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"), samples=m)
+        assert est != shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"), samples=m - 1)
         exact = shapley_exact(q)
         assert est != exact
         assert 0.7 * exact <= est <= 1.3 * exact
+
+    @pytest.mark.parametrize("weights, epsilon, delta, cells", [
+        # one cell per size, though the others have 2^15 subsets
+        ([100_000] * 16, 0.15, 1e-6, 16),
+        # the k-subsets of 10^5 + 1, ..., 10^5 + 13 sum to k(13 - k) + 1
+        # values, 378 in all, against 2^13 subsets
+        ([100_000 + k for k in range(14)], 0.3, 0.05, 378),
+    ], ids=["repeated", "close"])
+    def test_heavy_weights_with_few_sums_take_the_counting_table(
+            self, weights, epsilon, delta, cells):
+        q = query(1.0, [1.0], [2.0], weights, target=1)
+        others = [w for i, w in q.users if i != q.target]
+        assert sum(map(len, subset_sums_by_size(others))) == table_cells_bound(q) == cells
+        assert samples_needed(q, epsilon, delta) == 0
+
+    @settings(max_examples=80, deadline=None)
+    @given(weights=st.lists(st.sampled_from([1, 2, 3, 50, 99_991, 100_000, 100_003]),
+                            min_size=1, max_size=12),
+           target=st.integers(min_value=1, max_value=12))
+    def test_table_bound_covers_the_counting_table(self, weights, target):
+        q = query(1.0, [1.0], [2.0], weights, min(target, len(weights)))
+        others = [w for i, w in q.users if i != q.target]
+        cells = sum(map(len, subset_sums_by_size(others)))
+        multisets = math.prod(c + 1 for c in Counter(others).values())
+        assert cells <= table_cells_bound(q) <= min(multisets, len(weights) * q.load)
 
 
 class TestExpansion:

@@ -163,10 +163,13 @@ def potential_exactness_check(instance: Instance, profile: StrategyProfile,
 # strategy-space enumeration
 # ---------------------------------------------------------------------------
 
+# reply collections other than paths are enumerated as all 2^|E| edge subsets
+MAX_SUBSET_EDGES = 12
+
+
 @dataclass(frozen=True)
 class EnumerationLimits:
     max_paths: int = 10_000
-    max_subset_edges: int = 12
     max_profiles: int = 10_000_000
 
 
@@ -214,9 +217,9 @@ def candidate_replies(instance: Instance, request: Request,
     if isinstance(kind, Routing):
         return _simple_paths(graph, kind.source, kind.target, limits.max_paths)
     edge_ids = sorted(e.id for e in graph.edges)
-    if len(edge_ids) > limits.max_subset_edges:
+    if len(edge_ids) > MAX_SUBSET_EDGES:
         raise EnumerationLimitError(
-            f"{len(edge_ids)} edges exceed the subset-enumeration cap {limits.max_subset_edges}")
+            f"{len(edge_ids)} edges exceed the subset-enumeration cap {MAX_SUBSET_EDGES}")
     out = []
     for mask in range(1, 1 << len(edge_ids)):
         reply = frozenset(edge_ids[i] for i in range(len(edge_ids)) if mask >> i & 1)
@@ -444,9 +447,7 @@ def budget_balance_check(mechanism: str,
 # worst-case family
 # ---------------------------------------------------------------------------
 
-def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1,
-                             tail_alphas: Optional[Sequence[float]] = None,
-                             tail_xi_scale: float = 0.1) -> Instance:
+def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) -> Instance:
     """Hub-and-spoke family with a price of anarchy of at least N/3.
 
     N = (sigma/xi)^(1/alpha) unit-weight routing requests share a source s.
@@ -455,9 +456,11 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1,
     priced at sigma/(N+1) with factor 3 xi/(N+1)).  All going direct is an
     equilibrium; all going through the hub costs less than 3(sigma + xi).
 
-    For q >= 2 the extra exponents default to 1 + (alpha-1)/2 with factors at
-    tail_xi_scale of the strict admissibility bound xi_1/(q N^alpha_j (N+1)).
+    For q >= 2 the q-1 extra exponents are 1 + (alpha-1)/2, with factors at
+    0.1 of the strict admissibility bound xi_1/(q N^alpha_j (N+1)).
     """
+    if q < 1:
+        raise ConfigError(f"q must be >= 1, got {q}")
     if sigma <= 0 or xi <= 0:
         raise ConfigError("sigma and xi must be positive")
     if alpha <= 1:
@@ -470,21 +473,10 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1,
             f"(sigma/xi)^(1/alpha) = {n_real:.6g} is not an integer >= 2; "
             f"nearest valid sigma is {suggestion:.9g}")
 
-    if tail_alphas is None:
-        tail_alphas = [1.0 + (alpha - 1.0) / 2.0] * (q - 1)
-    tail_alphas = list(tail_alphas)
-    if len(tail_alphas) != q - 1:
-        raise ConfigError(f"expected {q - 1} tail exponents, got {len(tail_alphas)}")
-    for a in tail_alphas:
-        if not 1.0 < a < alpha:
-            raise ConfigError(f"tail exponents must lie strictly between 1 and {alpha}")
-    alphas = (alpha, *tail_alphas)
+    tail_alphas = [1.0 + (alpha - 1.0) / 2.0] * (q - 1)
 
     def xi_vector(xi1: float) -> tuple[float, ...]:
-        tails = tuple(
-            tail_xi_scale * xi1 / (q * float(n) ** a * (n + 1))
-            for a in tail_alphas
-        )
+        tails = tuple(0.1 * xi1 / (q * float(n) ** a * (n + 1)) for a in tail_alphas)
         return (xi1, *tails)
 
     frac = n / (n + 1.0)
@@ -501,5 +493,5 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1,
     graph = HostGraph(directed=True,
                       vertices=("s", "tstar", *(f"t{i}" for i in range(1, n + 1))),
                       edges=tuple(edges))
-    return Instance(exponents=ExponentProfile(alphas), resources=tuple(resources),
+    return Instance(exponents=ExponentProfile((alpha, *tail_alphas)), resources=tuple(resources),
                     requests=tuple(requests), graph=graph)

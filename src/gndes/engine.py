@@ -52,8 +52,6 @@ class AbrdConfig:
     selection: str = "deterministic"          # or "randomized"
     output: str = "best"                      # or "last"
     step_budget_override: Optional[int] = None
-    rho: Optional[float] = None               # None: derived from the request kinds
-    toll_floor: float = 1e-12
     max_samples: int = MAX_SAMPLES_DEFAULT
 
     def __post_init__(self):
@@ -201,7 +199,7 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
                 # needs no samples, so it is memoized like any exact share
                 share = memo[key] = cost_share(exact_mechanism, query)
         tolls[e] = share
-    return clamp_tolls(tolls, config.toll_floor)
+    return clamp_tolls(tolls)
 
 
 def approximate_best_response(instance: Instance, config: AbrdConfig, position: int,
@@ -257,8 +255,7 @@ def run_abrd(instance: Instance, config: AbrdConfig,
              brute_force: Optional[Callable[[Instance], tuple[StrategyProfile, float]]] = None,
              ) -> RunResult:
     constants = rep_expansion_constants(config.mechanism, instance.exponents)
-    rho = config.rho if config.rho is not None else derived_rho(instance)
-    bounds = theoretical_bounds(instance, rho, config.epsilon, constants)
+    bounds = theoretical_bounds(instance, derived_rho(instance), config.epsilon, constants)
 
     planned = bounds.T
     if config.selection == "randomized":

@@ -21,7 +21,7 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, InfeasibleError
 from .instance import (
     HostGraph,
     Instance,
@@ -36,16 +36,13 @@ from .instance import (
 from .oracles import TOLL_FLOOR, routing_oracle
 from .rng import keyed_rng
 
-ROUNDS_CAP_DEFAULT = 100_000
+ROUNDS_CAP = 100_000
 
 
 @dataclass(frozen=True)
 class FplConfig:
     seed: int = 0
-    rounds: Optional[int] = None      # None: min(4 N^2 |V|^2 |E|, rounds_cap)
-    rounds_cap: int = ROUNDS_CAP_DEFAULT
-    eta: Optional[float] = None       # None: sqrt(rounds / |E|)
-    lower_bound: Optional[float] = None   # known LB on the scaled optimum, report only
+    rounds: Optional[int] = None      # None: min(4 N^2 |V|^2 |E|, ROUNDS_CAP)
 
 
 @dataclass(frozen=True)
@@ -134,17 +131,20 @@ def _best_fixed_toll(graph: HostGraph, req: Request, cumulative: dict[str, float
 
 def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
               collect_trace: bool = False) -> LApxResult:
+    """Run follow-the-perturbed-leader with perturbation scale
+    eta = sqrt(rounds / |E|)."""
     scaled, scale = normalize_costs(instance)
     graph = scaled.graph
     n = scaled.n_requests
     m = len(graph.edges)
+    if m == 0:
+        kind = scaled.requests[0].kind
+        raise InfeasibleError(f"no path from {kind.source!r} to {kind.target!r}")
     theoretical = theoretical_round_count(scaled)
-    rounds = config.rounds if config.rounds is not None else min(theoretical, config.rounds_cap)
+    rounds = config.rounds if config.rounds is not None else min(theoretical, ROUNDS_CAP)
     if rounds < 1:
         raise ConfigError("round count must be >= 1")
-    eta = config.eta if config.eta is not None else (rounds / m) ** 0.5
-    if eta <= 0:
-        raise ConfigError("perturbation scale must be positive")
+    eta = (rounds / m) ** 0.5
 
     cumulative = [{res.id: 0.0 for res in scaled.resources} for _ in range(n)]
     realized = [0.0] * n

@@ -274,10 +274,6 @@ class Instance:
     def n_requests(self) -> int:
         return len(self.requests)
 
-    @cached_property
-    def request_position(self) -> dict[int, int]:
-        return {r.id: pos for pos, r in enumerate(self.requests)}
-
     # -- validation ---------------------------------------------------------
 
     def _validate(self):

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InfeasibleError, InstanceError
 from .instance import (
@@ -46,10 +46,10 @@ class OracleAnswer:
     rho: float
 
 
-def clamp_tolls(tolls: Tolls, floor: float = TOLL_FLOOR) -> dict[str, float]:
+def clamp_tolls(tolls: Tolls) -> dict[str, float]:
     """Tolls must be strictly positive; sampled shares can round to 0, so the
-    engine clamps to a small floor before oracle calls."""
-    return {e: (t if t > floor else floor) for e, t in tolls.items()}
+    engine clamps to TOLL_FLOOR before oracle calls."""
+    return {e: (t if t > TOLL_FLOOR else TOLL_FLOOR) for e, t in tolls.items()}
 
 
 def _toll(tolls: Tolls, edge_id: str) -> float:
@@ -142,8 +142,9 @@ class _UnionFind:
         return True
 
 
-def _mst_edges(vertices: set[str], edges: list[tuple[str, str, str, float]]) -> list[str]:
-    """Kruskal over (id, tail, head, weight) tuples; returns chosen edge ids."""
+def _mst_edges(vertices: set[str], edges: list[tuple[Hashable, str, str, float]]) -> list:
+    """Kruskal over (id, tail, head, weight) tuples, ties broken by id;
+    returns the chosen ids."""
     uf = _UnionFind(vertices)
     chosen = []
     for eid, u, v, _ in sorted(edges, key=lambda t: (t[3], t[0])):
@@ -163,7 +164,7 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
     if len(terms) < 2:
         raise InstanceError("need at least two terminals")
 
-    closure: list[tuple[tuple[str, str], float]] = []
+    closure: list[tuple[tuple[str, str], str, str, float]] = []
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
     for i, a in enumerate(terms):
         for b in terms[i + 1:]:
@@ -171,14 +172,10 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
                 _, edges, dist = shortest_path(graph, a, b, tolls)
             except InfeasibleError:
                 raise InfeasibleError(f"terminals {a!r} and {b!r} are not connected") from None
-            closure.append(((a, b), dist))
+            closure.append(((a, b), a, b, dist))
             paths[(a, b)] = edges
 
-    uf = _UnionFind(set(terms))
-    union_edges: set[str] = set()
-    for (a, b), _ in sorted(closure, key=lambda t: (t[1], t[0])):
-        if uf.union(a, b):
-            union_edges.update(paths[(a, b)])
+    union_edges = {eid for pair in _mst_edges(set(terms), closure) for eid in paths[pair]}
 
     # MST of the expanded subgraph, then prune dead leaves
     sub_vertices: set[str] = set()
@@ -268,28 +265,13 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
         del remaining[chosen]
 
     kept = list(forest)
-
-    def feasible(edge_ids: Iterable[str]) -> bool:
-        adj = graph.restricted_adjacency(edge_ids)
-        for s, t in pair_list:
-            stack, seen = [s], {s}
-            found = False
-            while stack:
-                u = stack.pop()
-                if u == t:
-                    found = True
-                    break
-                for v, _ in adj.get(u, ()):
-                    if v not in seen:
-                        seen.add(v)
-                        stack.append(v)
-            if not found:
-                return False
-        return True
-
     for eid in reversed(forest):
         trial = [x for x in kept if x != eid]
-        if feasible(trial):
+        uf = _UnionFind(vertices)
+        for x in trial:
+            e = graph.edge_by_id[x]
+            uf.union(e.tail, e.head)
+        if all(uf.find(s) == uf.find(t) for s, t in pair_list):
             kept = trial
 
     total = sum(_toll(tolls, e) for e in kept)
@@ -301,16 +283,21 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
 # bound given by the number of shortest paths in the union)
 # ---------------------------------------------------------------------------
 
-def directed_multi_routing_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
-                                  tolls: Tolls) -> OracleAnswer:
-    if not pairs:
-        raise InstanceError("need at least one terminal pair")
+def _union_of_shortest_paths(graph: HostGraph, pairs: Sequence[tuple[str, str]],
+                             tolls: Tolls) -> OracleAnswer:
     union: set[str] = set()
     for s, t in pairs:
         _, edges, _ = shortest_path(graph, s, t, tolls)
         union.update(edges)
     total = sum(_toll(tolls, e) for e in sorted(union))
     return OracleAnswer(reply=frozenset(union), toll_total=total, rho=float(len(pairs)))
+
+
+def directed_multi_routing_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
+                                  tolls: Tolls) -> OracleAnswer:
+    if not pairs:
+        raise InstanceError("need at least one terminal pair")
+    return _union_of_shortest_paths(graph, pairs, tolls)
 
 
 def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
@@ -320,12 +307,7 @@ def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
     if len(terms) < 2:
         raise InstanceError("need at least two terminals")
     cycle = [(terms[i], terms[(i + 1) % len(terms)]) for i in range(len(terms))]
-    union: set[str] = set()
-    for s, t in cycle:
-        _, edges, _ = shortest_path(graph, s, t, tolls)
-        union.update(edges)
-    total = sum(_toll(tolls, e) for e in sorted(union))
-    return OracleAnswer(reply=frozenset(union), toll_total=total, rho=float(len(cycle)))
+    return _union_of_shortest_paths(graph, cycle, tolls)
 
 
 # ---------------------------------------------------------------------------

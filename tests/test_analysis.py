@@ -317,6 +317,11 @@ class TestPoaFamily:
         with pytest.raises(ConfigError):
             poa_lower_bound_instance(1.0, 1.0, 2.0)   # N = 1
 
+    def test_rejects_q_below_one(self):
+        for q in (0, -1):
+            with pytest.raises(ConfigError, match="q must be >= 1"):
+                poa_lower_bound_instance(16.0, 1.0, 2.0, q=q)
+
     def test_n4_shape_and_costs(self):
         inst = poa_lower_bound_instance(16.0, 1.0, 2.0)
         assert len(inst.resources) == 9 and inst.n_requests == 4

@@ -18,6 +18,16 @@ PARALLEL = """{
 }
 """
 
+TWO_ROUTES = {
+    "alphas": [2.0],
+    "resources": [{"id": "e1", "sigma": 1.0, "xis": [1.0]},
+                  {"id": "e2", "sigma": 5.0, "xis": [1.0]}],
+    "graph": {"directed": False, "vertices": ["s", "t"],
+              "edges": [{"id": "e1", "tail": "s", "head": "t"},
+                        {"id": "e2", "tail": "s", "head": "t"}]},
+    "requests": [{"id": 1, "kind": {"type": "routing", "source": "s", "target": "t"}}],
+}
+
 
 @pytest.fixture
 def parallel_file(tmp_path):
@@ -168,18 +178,8 @@ class TestSmoothBoundsFpl:
         assert code == 2 and "epsilon" in err
 
     def test_fpl_runs_on_routing_instance(self, capsys, tmp_path):
-        doc = {
-            "alphas": [2.0],
-            "resources": [{"id": "e1", "sigma": 1.0, "xis": [1.0]},
-                          {"id": "e2", "sigma": 5.0, "xis": [1.0]}],
-            "graph": {"directed": False, "vertices": ["s", "t"],
-                      "edges": [{"id": "e1", "tail": "s", "head": "t"},
-                                {"id": "e2", "tail": "s", "head": "t"}]},
-            "requests": [{"id": 1,
-                          "kind": {"type": "routing", "source": "s", "target": "t"}}],
-        }
         path = tmp_path / "routing.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
+        path.write_text(json.dumps(TWO_ROUTES), encoding="utf-8")
         trace = tmp_path / "regret.csv"
         code, out, _ = run_cli(capsys, "fpl", "--instance", str(path),
                                "--rounds", "50", "--trace", str(trace))
@@ -190,6 +190,30 @@ class TestSmoothBoundsFpl:
     def test_fpl_rejects_non_routing(self, capsys, parallel_file):
         code, _, err = run_cli(capsys, "fpl", "--instance", parallel_file)
         assert code == 2
+
+    def test_fpl_reports_the_given_lower_bound(self, capsys, tmp_path):
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(TWO_ROUTES), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "fpl", "--instance", str(path),
+                               "--rounds", "5", "--lb", "2")
+        assert code == 0
+        assert "  guarantee conditional on scaled optimum >= 2\n" in out
+        assert "no optimum lower bound given" not in out
+
+    def test_fpl_on_graph_without_edges_exit_3(self, capsys, tmp_path):
+        doc = {
+            "alphas": [2.0],
+            "resources": [{"id": "e", "sigma": 1.0, "xis": [1.0]}],
+            "graph": {"directed": False, "vertices": ["a", "b"], "edges": []},
+            "requests": [{"id": 1,
+                          "kind": {"type": "routing", "source": "a", "target": "b"}}],
+        }
+        path = tmp_path / "edgeless.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        for command in ("solve", "fpl"):
+            code, _, err = run_cli(capsys, command, "--instance", str(path))
+            assert code == 3
+            assert "infeasible: no path from 'a' to 'b'" in err
 
 
 class TestPoaGen:
@@ -206,6 +230,11 @@ class TestPoaGen:
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "1", "--xi", "1",
                                "--alpha", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2
+
+    def test_rejects_q_below_one(self, capsys, tmp_path):
+        code, _, err = run_cli(capsys, "poa-gen", "--sigma", "16", "--xi", "1",
+                               "--alpha", "2", "--q", "0", "--out", str(tmp_path / "x.json"))
+        assert code == 2 and "q must be >= 1" in err
 
     def test_suggests_nearest_sigma(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "15", "--xi", "1",

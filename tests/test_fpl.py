@@ -5,6 +5,7 @@ import pytest
 from gndes import (
     ConfigError,
     Edge,
+    InfeasibleError,
     ExponentProfile,
     HostGraph,
     Instance,
@@ -16,7 +17,14 @@ from gndes import (
 )
 from gndes.analysis import brute_force_opt, candidate_replies
 from gndes.bounds import gamma_alpha, lambda_alpha
-from gndes.fpl import FplConfig, fpl_step, normalize_costs, run_l_apx, theoretical_round_count
+from gndes.fpl import (
+    ROUNDS_CAP,
+    FplConfig,
+    fpl_step,
+    normalize_costs,
+    run_l_apx,
+    theoretical_round_count,
+)
 from gndes.instance import total_cost
 from gndes.rng import keyed_rng
 from gndes.sharing import rep_expansion_constants
@@ -194,6 +202,14 @@ class TestRunLApx:
         assert result.regrets[0] == pytest.approx(0.0, abs=1e-12)
         assert result.cost == pytest.approx(15.0)
 
+    def test_graph_without_edges_is_infeasible(self):
+        inst = Instance(ExponentProfile((2.0,)), (ResourceParams("e", 1.0, (1.0,)),),
+                        (Request(id=1, kind=Routing("a", "b")),),
+                        HostGraph(False, ("a", "b"), ()))
+        for rounds in (None, 5):
+            with pytest.raises(InfeasibleError, match="no path from 'a' to 'b'"):
+                run_l_apx(inst, FplConfig(rounds=rounds))
+
     def test_regret_rate_decreases(self):
         inst = two_edge_instance()
         rates = []
@@ -223,7 +239,7 @@ class TestRunLApx:
         inst = two_edge_instance()
         assert theoretical_round_count(inst) == 4 * 1 * 4 * 2
         result = run_l_apx(inst, FplConfig(seed=0))
-        assert result.rounds == min(32, FplConfig().rounds_cap)
+        assert result.rounds == min(32, ROUNDS_CAP)
         assert result.theoretical_rounds == 32
 
     def test_two_player_cost_within_smooth_bound(self):

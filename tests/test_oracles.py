@@ -15,6 +15,7 @@ from gndes import (
     SetConnectivity,
     validate_reply,
 )
+from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
     clamp_tolls,
@@ -306,6 +307,80 @@ class TestSteinerForest:
                 g, tolls,
                 lambda reply: bool(validate_reply(inst, inst.requests[0], reply)))
             assert ans.toll_total <= 2.0 * opt + 1e-9
+
+
+def random_multigraph(rng):
+    """Connected undirected graph on 3 to 5 vertices, with parallel edges and
+    self-loops added at random."""
+    g = random_connected_graph(rng, int(rng.integers(3, 6)), int(rng.integers(0, 3)))
+    edges = list(g.edges)
+    for k in range(int(rng.integers(0, 3))):
+        e = edges[int(rng.integers(len(edges)))]
+        edges.append(Edge(f"p{k}", e.tail, e.head))
+    for k in range(int(rng.integers(0, 2))):
+        v = g.vertices[int(rng.integers(len(g.vertices)))]
+        edges.append(Edge(f"l{k}", v, v))
+    return HostGraph(False, g.vertices, tuple(edges))
+
+
+def random_terminals(rng, graph):
+    k = int(rng.integers(2, min(4, len(graph.vertices)) + 1))
+    return tuple(graph.vertices[i]
+                 for i in rng.choice(len(graph.vertices), size=k, replace=False))
+
+
+def enumerated_optimum(graph, kind, tolls):
+    """Least total toll over every feasible reply (all edge subsets)."""
+    inst = instance_for(graph, kind)
+    return min(sum(tolls[e] for e in sorted(reply))
+               for reply in candidate_replies(inst, inst.requests[0]))
+
+
+class TestSteinerOraclesAgainstReferences:
+    def test_tree_within_twice_the_optimum(self):
+        rng = rng_for(43)
+        for _ in range(40):
+            g = random_multigraph(rng)
+            tolls = random_tolls(rng, g)
+            terms = random_terminals(rng, g)
+            inst = instance_for(g, SetConnectivity(terms))
+            ans = steiner_tree_oracle(g, terms, tolls)
+            assert validate_reply(inst, inst.requests[0], ans.reply)
+            assert ans.toll_total <= 2.0 * enumerated_optimum(g, inst.requests[0].kind, tolls)
+
+    def test_forest_within_twice_the_optimum(self):
+        rng = rng_for(47)
+        for _ in range(40):
+            g = random_multigraph(rng)
+            tolls = random_tolls(rng, g)
+            pairs = []
+            for _ in range(int(rng.integers(1, 4))):
+                a, b = rng.choice(len(g.vertices), size=2, replace=False)
+                pairs.append((g.vertices[a], g.vertices[b]))
+            inst = instance_for(g, MultiRouting(tuple(pairs)))
+            ans = steiner_forest_oracle(g, pairs, tolls)
+            assert validate_reply(inst, inst.requests[0], ans.reply)
+            assert ans.toll_total <= 2.0 * enumerated_optimum(g, inst.requests[0].kind, tolls)
+
+    def test_tree_matches_networkx_kou(self):
+        """networkx's method="kou" is the same metric-closure construction
+        (Kou, Markowsky & Berman 1981); with continuous random tolls no two
+        candidate trees tie, so both must pick a tree of the same toll."""
+        nx = pytest.importorskip("networkx")
+        from networkx.algorithms.approximation import steiner_tree
+        rng = rng_for(53)
+        for _ in range(40):
+            g = random_multigraph(rng)
+            tolls = random_tolls(rng, g)
+            terms = random_terminals(rng, g)
+            multi = nx.MultiGraph()
+            multi.add_nodes_from(g.vertices)
+            for e in g.edges:
+                multi.add_edge(e.tail, e.head, key=e.id, weight=tolls[e.id])
+            reference = steiner_tree(multi, list(terms), method="kou")
+            expected = sum(w for _, _, w in reference.edges(data="weight"))
+            assert steiner_tree_oracle(g, terms, tolls).toll_total == pytest.approx(
+                expected, rel=1e-12)
 
 
 class TestDirectedHeuristics:

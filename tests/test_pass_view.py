@@ -57,7 +57,7 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
                 max_samples=config.max_samples)
         else:
             tolls[res.id] = cost_share(config.mechanism, query)
-    tolls = clamp_tolls(tolls, config.toll_floor)
+    tolls = clamp_tolls(tolls)
     answer = reply_oracle(instance, req, tolls)
     return answer, sum(tolls[e] for e in sorted(profile[position]))
 

@@ -65,7 +65,6 @@ from .sharing import (
     shapley_sampled,
 )
 from .analysis import (
-    EnumerationLimits,
     PoaReport,
     SmoothnessReport,
     brute_force_opt,

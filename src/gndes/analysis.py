@@ -2,7 +2,7 @@
 enumeration, smoothness checks and the worst-case instance family.
 
 Everything here is read-only over an instance and a mechanism with exact
-shares.  Enumerations refuse (never silently truncate) when the configured
+shares.  Enumerations refuse (never silently truncate) when the fixed
 limits would be exceeded, so derived expected values stay trustworthy.
 """
 
@@ -165,24 +165,19 @@ def potential_exactness_check(instance: Instance, profile: StrategyProfile,
 
 # reply collections other than paths are enumerated as all 2^|E| edge subsets
 MAX_SUBSET_EDGES = 12
+MAX_PATHS = 10_000
+MAX_PROFILES = 10_000_000
 
 
-@dataclass(frozen=True)
-class EnumerationLimits:
-    max_paths: int = 10_000
-    max_profiles: int = 10_000_000
-
-
-def _simple_paths(graph: HostGraph, source: str, target: str,
-                  max_paths: int) -> list[frozenset[str]]:
+def _simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[str]]:
     out: list[frozenset[str]] = []
 
     def dfs(u: str, visited: set[str], edges: tuple[str, ...]):
         if u == target:
             out.append(frozenset(edges))
-            if len(out) > max_paths:
+            if len(out) > MAX_PATHS:
                 raise EnumerationLimitError(
-                    f"more than {max_paths} simple paths from {source!r} to {target!r}")
+                    f"more than {MAX_PATHS} simple paths from {source!r} to {target!r}")
             return
         for v, eid in graph.adjacency[u]:
             if v in visited:
@@ -201,12 +196,11 @@ def _simple_paths(graph: HostGraph, source: str, target: str,
     return unique
 
 
-def candidate_replies(instance: Instance, request: Request,
-                      limits: EnumerationLimits = EnumerationLimits()) -> list[frozenset[str]]:
+def candidate_replies(instance: Instance, request: Request) -> list[frozenset[str]]:
     """The full reply collection of a request, enumerated deterministically.
 
-    Refuses with EnumerationLimitError when the configured caps would be
-    exceeded.
+    Refuses with EnumerationLimitError when MAX_PATHS or MAX_SUBSET_EDGES
+    would be exceeded.
     """
     kind = request.kind
     if isinstance(kind, ExplicitReplies):
@@ -215,7 +209,7 @@ def candidate_replies(instance: Instance, request: Request,
         return [frozenset({m}) for m in kind.machines]
     graph = instance.graph
     if isinstance(kind, Routing):
-        return _simple_paths(graph, kind.source, kind.target, limits.max_paths)
+        return _simple_paths(graph, kind.source, kind.target)
     edge_ids = sorted(e.id for e in graph.edges)
     if len(edge_ids) > MAX_SUBSET_EDGES:
         raise EnumerationLimitError(
@@ -228,23 +222,20 @@ def candidate_replies(instance: Instance, request: Request,
     return out
 
 
-def enumerate_profiles(instance: Instance,
-                       limits: EnumerationLimits = EnumerationLimits()) -> tuple[
-                           list[list[frozenset[str]]], int]:
-    candidates = [candidate_replies(instance, req, limits) for req in instance.requests]
+def enumerate_profiles(instance: Instance) -> tuple[list[list[frozenset[str]]], int]:
+    candidates = [candidate_replies(instance, req) for req in instance.requests]
     count = 1
     for c in candidates:
         count *= len(c)
-        if count > limits.max_profiles:
+        if count > MAX_PROFILES:
             raise EnumerationLimitError(
-                f"profile space exceeds {limits.max_profiles}; refusing to enumerate")
+                f"profile space exceeds {MAX_PROFILES}; refusing to enumerate")
     return candidates, count
 
 
-def brute_force_opt(instance: Instance,
-                    limits: EnumerationLimits = EnumerationLimits()) -> tuple[StrategyProfile, float]:
+def brute_force_opt(instance: Instance) -> tuple[StrategyProfile, float]:
     """Exact minimizer of the total cost over the full profile space."""
-    candidates, _ = enumerate_profiles(instance, limits)
+    candidates, _ = enumerate_profiles(instance)
     best_profile, best_cost = None, math.inf
     for combo in product(*candidates):
         cost = total_cost(instance, combo)
@@ -261,7 +252,6 @@ def brute_force_opt(instance: Instance,
 class PoaReport:
     nash_profiles: tuple[StrategyProfile, ...]
     worst_nash_cost: Optional[float]
-    opt_profile: StrategyProfile
     opt_cost: float
 
     @property
@@ -271,10 +261,10 @@ class PoaReport:
         return self.worst_nash_cost / self.opt_cost
 
 
-def _iter_equilibrium_rows(instance: Instance, mechanism: str,
-                           limits: EnumerationLimits):
-    """Yield (profile, cost, is_nash) for every enumerable profile."""
-    candidates, _ = enumerate_profiles(instance, limits)
+def _iter_equilibrium_rows(instance: Instance, mechanism: str):
+    """Yield (profile, cost, is_nash) for every enumerable profile, in the
+    product order of :func:`brute_force_opt`."""
+    candidates, _ = enumerate_profiles(instance)
     for combo in product(*candidates):
         profile = tuple(combo)
         is_nash = True
@@ -292,30 +282,29 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str,
         yield profile, total_cost(instance, profile), is_nash
 
 
-def enumerate_nash(instance: Instance, mechanism: str,
-                   limits: EnumerationLimits = EnumerationLimits()) -> PoaReport:
+def enumerate_nash(instance: Instance, mechanism: str) -> PoaReport:
     """All pure equilibria under an exact mechanism, against the deviation
-    space given by the enumerated reply collections."""
+    space given by the enumerated reply collections, and the optimum cost
+    from the same pass over the profiles."""
     nash: list[StrategyProfile] = []
     worst = None
-    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism, limits):
+    opt_cost = math.inf
+    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism):
+        opt_cost = min(opt_cost, cost)
         if is_nash:
             nash.append(profile)
             worst = cost if worst is None else max(worst, cost)
-    opt_profile, opt_cost = brute_force_opt(instance, limits)
-    return PoaReport(nash_profiles=tuple(nash), worst_nash_cost=worst,
-                     opt_profile=opt_profile, opt_cost=opt_cost)
+    return PoaReport(nash_profiles=tuple(nash), worst_nash_cost=worst, opt_cost=opt_cost)
 
 
 def _profile_label(profile: StrategyProfile) -> str:
     return ";".join("|".join(sorted(reply)) for reply in profile)
 
 
-def nash_report_csv(instance: Instance, mechanism: str,
-                    limits: EnumerationLimits = EnumerationLimits()) -> str:
+def nash_report_csv(instance: Instance, mechanism: str) -> str:
     """One row per enumerated profile: its cost and whether it is a NE."""
     lines = ["profile,cost,is_nash"]
-    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism, limits):
+    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism):
         lines.append(f"{_profile_label(profile)},{format(cost, '.9g')},"
                      f"{'true' if is_nash else 'false'}")
     return "\n".join(lines) + "\n"
@@ -332,7 +321,6 @@ class SmoothnessReport:
     pairs_tested: int
     max_ratio: float
     violations: int
-    worst_pair: Optional[tuple[StrategyProfile, StrategyProfile]] = None
 
     @property
     def ok(self) -> bool:
@@ -348,9 +336,9 @@ def _profile_at(candidates: list[list[frozenset[str]]], index: int) -> StrategyP
 
 
 def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: float,
-                          limits: EnumerationLimits, max_pairs: int, seed: int):
+                          max_pairs: int, seed: int):
     """Yield (p, p', lhs, C(p), C(p'), ok) over the checked pairs."""
-    candidates, count = enumerate_profiles(instance, limits)
+    candidates, count = enumerate_profiles(instance)
 
     if count * count <= max_pairs:
         profiles = [tuple(c) for c in product(*candidates)]
@@ -376,7 +364,6 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
 
 
 def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
-                     limits: EnumerationLimits = EnumerationLimits(),
                      max_pairs: int = 10_000, seed: int = 0) -> SmoothnessReport:
     """Verify sum_i C_i(p'_i, p_{-i}) <= lam*C(p') + mu*C(p) over ordered
     profile pairs: exhaustively when the pair count fits max_pairs, otherwise
@@ -384,27 +371,22 @@ def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
     max_ratio = -math.inf
     violations = 0
     tested = 0
-    worst = None
-    for p, p_prime, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, limits, max_pairs, seed):
+    for _, _, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
+            instance, mechanism, lam, mu, max_pairs, seed):
         tested += 1
-        ratio = (lhs - mu * c_p) / c_prime
-        if ratio > max_ratio:
-            max_ratio = ratio
-            worst = (p, p_prime)
+        max_ratio = max(max_ratio, (lhs - mu * c_p) / c_prime)
         if not ok:
             violations += 1
     return SmoothnessReport(lam=lam, mu=mu, pairs_tested=tested,
-                            max_ratio=max_ratio, violations=violations, worst_pair=worst)
+                            max_ratio=max_ratio, violations=violations)
 
 
 def smoothness_report_csv(instance: Instance, mechanism: str, lam: float, mu: float,
-                          limits: EnumerationLimits = EnumerationLimits(),
                           max_pairs: int = 10_000, seed: int = 0) -> str:
     """One row per checked pair: deviation sum, both costs, verdict."""
     lines = ["profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok"]
     for p, p_prime, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, limits, max_pairs, seed):
+            instance, mechanism, lam, mu, max_pairs, seed):
         lines.append(
             f"{_profile_label(p)},{_profile_label(p_prime)},"
             f"{format(lhs, '.9g')},{format(c_p, '.9g')},{format(c_prime, '.9g')},"

@@ -1,8 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 2 parse/configuration error, 3 infeasibility,
-4 enumeration refusal.  All reals are printed with 9 significant digits;
-CSV output uses '.' decimals and LF line endings regardless of locale.
+Exit codes: 0 success, 1 smoothness violation found by ``smooth``,
+2 parse/configuration error, 3 infeasibility, 4 enumeration refusal.  All
+reals are printed with 9 significant digits; CSV output uses '.' decimals
+and LF line endings regardless of locale.
 """
 
 from __future__ import annotations
@@ -12,7 +13,6 @@ import json
 import sys
 
 from .analysis import (
-    EnumerationLimits,
     brute_force_opt,
     enumerate_nash,
     nash_report_csv,
@@ -21,7 +21,8 @@ from .analysis import (
     smoothness_report_csv,
 )
 from .bounds import gamma_alpha, lambda_alpha, theoretical_bounds
-from .engine import AbrdConfig, run_abrd, run_report, result_to_json_dict, trace_to_csv
+from .engine import (AbrdConfig, derived_rho, result_to_json_dict, run_abrd, run_report,
+                     trace_to_csv)
 from .errors import (
     ConfigError,
     EnumerationLimitError,
@@ -80,7 +81,7 @@ def _cmd_solve(args) -> int:
 
 def _cmd_brute(args) -> int:
     instance = parse_instance(args.instance)
-    profile, cost = brute_force_opt(instance, EnumerationLimits())
+    profile, cost = brute_force_opt(instance)
     if args.json:
         print(json.dumps({
             "opt_cost": cost,
@@ -195,7 +196,7 @@ def _cmd_bounds(args) -> int:
     instance = parse_instance(args.instance)
     mechanism = _MECHANISM[args.csm]
     constants = rep_expansion_constants(mechanism, instance.exponents)
-    b = theoretical_bounds(instance, args.rho, args.epsilon, constants)
+    b = theoretical_bounds(instance, derived_rho(instance), args.epsilon, constants)
     if args.json:
         print(json.dumps({
             "epsilon1": b.epsilon1, "gamma_alpha": b.gamma_alpha,
@@ -279,11 +280,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_fpl)
 
-    p = sub.add_parser("bounds", help="print the theoretical constants")
+    p = sub.add_parser("bounds", help="print the theoretical constants that solve guarantees")
     p.add_argument("--instance", required=True)
     p.add_argument("--csm", choices=("proportional", "shapley"), default="shapley")
     p.add_argument("--epsilon", type=float, default=0.01)
-    p.add_argument("--rho", type=float, default=1.0)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_bounds)
 

@@ -34,7 +34,6 @@ from .instance import Instance, StrategyProfile, rep_cost, total_cost
 from .oracles import OracleAnswer, clamp_tolls, oracle_rho, reply_oracle
 from .rng import keyed_rng
 from .sharing import (
-    MAX_SAMPLES_DEFAULT,
     MECHANISMS,
     ShareQuery,
     cost_share,
@@ -52,7 +51,6 @@ class AbrdConfig:
     selection: str = "deterministic"          # or "randomized"
     output: str = "best"                      # or "last"
     step_budget_override: Optional[int] = None
-    max_samples: int = MAX_SAMPLES_DEFAULT
 
     def __post_init__(self):
         if self.mechanism not in MECHANISMS:
@@ -94,7 +92,6 @@ class RunResult:
     selection: str
     output_mode: str
     seed: int
-    opt_profile: Optional[StrategyProfile] = None
     opt_cost: Optional[float] = None
     sampled_shares: int = 0                   # shares estimated by sampling
     sample_cap_hits: int = 0                  # of those, shares whose count was capped
@@ -186,14 +183,13 @@ def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfi
             needed = samples_needed(query, config.epsilon, delta) if sampled else 0
             if needed:
                 view.sampled_shares += 1
-                view.sample_cap_hits += needed > config.max_samples
+                view.sample_cap_hits += needed > sharing.MAX_SAMPLES
                 # what cost_share returns for this query, without deciding
                 # again; called through the module so that wrappers on
                 # sharing.shapley_sampled (the benchmark's tracer) see it
                 share = sharing.shapley_sampled(
                     query, config.epsilon, delta,
-                    keyed_rng(config.seed, "share", step, req.id, e),
-                    config.max_samples, samples=needed)
+                    keyed_rng(config.seed, "share", step, req.id, e), samples=needed)
             else:
                 # exactly what cost_share returns for a sampled share that
                 # needs no samples, so it is memoized like any exact share
@@ -344,8 +340,7 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         sample_cap_hits=sample_cap_hits,
     )
     if brute_force is not None:
-        opt_profile, opt_cost = brute_force(instance)
-        result = replace(result, opt_profile=opt_profile, opt_cost=opt_cost)
+        result = replace(result, opt_cost=brute_force(instance)[1])
     return result
 
 

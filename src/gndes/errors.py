@@ -22,4 +22,4 @@ class InfeasibleError(GndesError):
 
 
 class EnumerationLimitError(GndesError):
-    """Exhaustive enumeration would exceed the configured limits; refused, never truncated."""
+    """Exhaustive enumeration would exceed the fixed limits; refused, never truncated."""

@@ -13,7 +13,7 @@ reproducible whatever the interpreter's hash seed.
   deletion, rho = 2.
 * directed multi-routing / set strong connectivity: union of pairwise
   shortest paths, a heuristic whose only guarantee is the trivial factor
-  equal to the number of pairs; the reported rho reflects that.
+  equal to the number of pairs, which :func:`oracle_rho` reports.
 """
 
 from __future__ import annotations
@@ -43,7 +43,6 @@ Tolls = Mapping[str, float]
 class OracleAnswer:
     reply: frozenset[str]
     toll_total: float
-    rho: float
 
 
 def clamp_tolls(tolls: Tolls) -> dict[str, float]:
@@ -95,14 +94,14 @@ def shortest_path(graph: HostGraph, source: str, target: str,
 
 def routing_oracle(graph: HostGraph, source: str, target: str, tolls: Tolls) -> OracleAnswer:
     _, edges, total = shortest_path(graph, source, target, tolls)
-    return OracleAnswer(reply=frozenset(edges), toll_total=total, rho=1.0)
+    return OracleAnswer(reply=frozenset(edges), toll_total=total)
 
 
 def machine_oracle(machines: Sequence[str], tolls: Tolls) -> OracleAnswer:
     if not machines:
         raise InstanceError("empty machine list")
     best = min(machines, key=lambda m: (_toll(tolls, m), m))
-    return OracleAnswer(reply=frozenset({best}), toll_total=_toll(tolls, best), rho=1.0)
+    return OracleAnswer(reply=frozenset({best}), toll_total=_toll(tolls, best))
 
 
 def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAnswer:
@@ -113,7 +112,7 @@ def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAn
         total = sum(_toll(tolls, e) for e in sorted(rep))
         if best_total is None or total < best_total:
             best_reply, best_total = rep, total
-    return OracleAnswer(reply=frozenset(best_reply), toll_total=best_total, rho=1.0)
+    return OracleAnswer(reply=frozenset(best_reply), toll_total=best_total)
 
 
 # ---------------------------------------------------------------------------
@@ -201,7 +200,7 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
                 tree.discard(eid)
 
     total = sum(_toll(tolls, e) for e in sorted(tree))
-    return OracleAnswer(reply=frozenset(tree), toll_total=total, rho=2.0)
+    return OracleAnswer(reply=frozenset(tree), toll_total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -275,7 +274,7 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
             kept = trial
 
     total = sum(_toll(tolls, e) for e in kept)
-    return OracleAnswer(reply=frozenset(kept), toll_total=total, rho=2.0)
+    return OracleAnswer(reply=frozenset(kept), toll_total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -290,7 +289,7 @@ def _union_of_shortest_paths(graph: HostGraph, pairs: Sequence[tuple[str, str]],
         _, edges, _ = shortest_path(graph, s, t, tolls)
         union.update(edges)
     total = sum(_toll(tolls, e) for e in sorted(union))
-    return OracleAnswer(reply=frozenset(union), toll_total=total, rho=float(len(pairs)))
+    return OracleAnswer(reply=frozenset(union), toll_total=total)
 
 
 def directed_multi_routing_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],

@@ -37,7 +37,7 @@ from .instance import ExponentProfile, ResourceParams, rep_cost
 
 logger = logging.getLogger(__name__)
 
-MAX_SAMPLES_DEFAULT = 200_000
+MAX_SAMPLES = 200_000
 
 MECHANISMS = ("proportional", "shapley-exact", "shapley-sampled")
 
@@ -214,11 +214,10 @@ def samples_needed(query: ShareQuery, epsilon: float, delta: float) -> int:
 
 def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
                     rng: np.random.Generator,
-                    max_samples: int = MAX_SAMPLES_DEFAULT,
                     samples: Optional[int] = None) -> float:
     """Sampled Shapley share: sigma/|S_e| plus the mean marginal of the power
     part over ``samples`` uniform random permutations (by default
-    :func:`hoeffding_sample_count`), at most ``max_samples`` of them; a
+    :func:`hoeffding_sample_count`), at most ``MAX_SAMPLES`` of them; a
     capped count voids the epsilon guarantee and is logged."""
     n = len(query.users)
     res, exp = query.resource, query.exponents
@@ -226,11 +225,11 @@ def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
         # sole user: every permutation yields the same marginal
         return res.sigma + h_value(res, exp, query.target_weight)
     m = hoeffding_sample_count(query, epsilon, delta) if samples is None else samples
-    if m > max_samples:
+    if m > MAX_SAMPLES:
         logger.warning(
             "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
-            m, res.id, max_samples)
-        m = max_samples
+            m, res.id, MAX_SAMPLES)
+        m = MAX_SAMPLES
 
     weights = np.array([w for _, w in query.users], dtype=np.float64)
     target_index = next(k for k, (i, _) in enumerate(query.users) if i == query.target)
@@ -261,8 +260,7 @@ def whp_delta(steps: int, n_requests: int, n_resources: int) -> float:
 def cost_share(mechanism: str, query: ShareQuery, *,
                epsilon: Optional[float] = None,
                delta: Optional[float] = None,
-               rng: Optional[np.random.Generator] = None,
-               max_samples: int = MAX_SAMPLES_DEFAULT) -> float:
+               rng: Optional[np.random.Generator] = None) -> float:
     """Dispatch on the mechanism name ("proportional", "shapley-exact",
     "shapley-sampled").  A sampled share is exact, and draws nothing from
     ``rng``, whenever :func:`samples_needed` is 0."""
@@ -276,7 +274,7 @@ def cost_share(mechanism: str, query: ShareQuery, *,
         m = samples_needed(query, epsilon, delta)
         if m == 0:
             return shapley_exact(query)
-        return shapley_sampled(query, epsilon, delta, rng, max_samples, samples=m)
+        return shapley_sampled(query, epsilon, delta, rng, samples=m)
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 
 

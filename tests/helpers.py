@@ -13,6 +13,7 @@ from gndes import (
     Request,
     ResourceParams,
     Routing,
+    SetConnectivity,
 )
 from gndes.sharing import ShareQuery
 
@@ -102,3 +103,45 @@ def random_routing_instance(rng, max_players: int = 3, n_vertices: int = 4,
 
 def random_tolls(rng, graph: HostGraph, low: float = 0.2, high: float = 3.0) -> dict[str, float]:
     return {e.id: float(rng.uniform(low, high)) for e in graph.edges}
+
+
+def grid_graph(k: int) -> HostGraph:
+    """The undirected k x k grid on vertices v00 .. v(k-1)(k-1)."""
+    v = lambda i, j: f"v{i}{j}"
+    edges = []
+    for i in range(k):
+        for j in range(k):
+            if j + 1 < k:
+                edges.append(Edge(f"h{i}{j}", v(i, j), v(i, j + 1)))
+            if i + 1 < k:
+                edges.append(Edge(f"d{i}{j}", v(i, j), v(i + 1, j)))
+    return HostGraph(False, tuple(v(i, j) for i in range(k) for j in range(k)), tuple(edges))
+
+
+def seeded_case(case: str) -> tuple[Instance, str]:
+    """One fixed seeded instance per case ("routing" and "fpl" share a 5x5
+    grid; "steiner"; "explicit"), with the mechanism it is solved under."""
+    rng = np.random.default_rng(0)
+    exp = ExponentProfile((2.0,))
+
+    def resources(ids):
+        return tuple(ResourceParams(e, float(rng.uniform(1, 9)), (float(rng.uniform(0.1, 0.9)),))
+                     for e in ids)
+
+    if case in ("routing", "fpl"):
+        g = grid_graph(5)
+        reqs = [Request(i, Routing(f"v{int(rng.integers(5))}0", f"v{int(rng.integers(5))}4"),
+                        default_weight=int(rng.integers(1, 3))) for i in range(1, 9)]
+        return Instance(exp, resources([e.id for e in g.edges]), tuple(reqs), g), "proportional"
+    if case == "steiner":
+        g = grid_graph(4)
+        reqs = [Request(i, SetConnectivity(tuple(
+                    g.vertices[t] for t in rng.choice(len(g.vertices), size=3, replace=False))))
+                for i in range(1, 6)]
+        return Instance(exp, resources([e.id for e in g.edges]), tuple(reqs), g), "shapley-exact"
+    ids = [f"r{k}" for k in range(10)]
+    reqs = [Request(i, ExplicitReplies(tuple(
+                frozenset(rng.choice(ids, size=5, replace=False).tolist()) for _ in range(3))),
+                default_weight=int(rng.integers(1, 3)))
+            for i in range(1, 6)]
+    return Instance(exp, resources(ids), tuple(reqs)), "shapley-exact"

@@ -240,8 +240,7 @@ def test_criterion_08_shapley_sampling():
         target = int(rng.integers(1, n + 1))
         q = ShareQuery(res, exp, users, target=target)
         exact = shapley_exact(q)
-        est = shapley_sampled(q, epsilon, delta, keyed_rng(k, "accept8"),
-                              max_samples=1_000_000)
+        est = shapley_sampled(q, epsilon, delta, keyed_rng(k, "accept8"))
         if (1 - epsilon) * exact <= est <= (1 + epsilon) * exact:
             in_band += 1
     assert in_band / trials >= 0.95

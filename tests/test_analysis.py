@@ -1,13 +1,14 @@
+from dataclasses import replace
+from itertools import product
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from gndes import (
     ConfigError,
-    Edge,
     EnumerationLimitError,
     ExplicitReplies,
     ExponentProfile,
-    HostGraph,
     Instance,
     MachineChoice,
     Request,
@@ -16,7 +17,8 @@ from gndes import (
     total_cost,
 )
 from gndes.analysis import (
-    EnumerationLimits,
+    MAX_PATHS,
+    MAX_PROFILES,
     brute_force_opt,
     budget_balance_check,
     candidate_replies,
@@ -32,7 +34,7 @@ from gndes.analysis import (
 from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
 from gndes.sharing import rep_expansion_constants
 
-from helpers import random_explicit_instance, rng_for
+from helpers import grid_graph, random_explicit_instance, rng_for
 
 
 def one_edge_instance(weights=(1, 2), sigma=6.0):
@@ -217,19 +219,25 @@ class TestBruteForce:
         assert cost == pytest.approx(2.0)
 
     def test_refusal_over_truncation(self):
-        inst = parallel_edges_instance()
-        with pytest.raises(EnumerationLimitError):
-            brute_force_opt(inst, EnumerationLimits(max_profiles=3))
+        # eight players on eight machines: 8^8 profiles, refused before any
+        machines = tuple(f"m{k}" for k in range(8))
+        inst = Instance(ExponentProfile((2.0,)),
+                        tuple(ResourceParams(m, 1.0, (1.0,)) for m in machines),
+                        tuple(Request(id=i, kind=MachineChoice(machines)) for i in range(1, 9)))
+        assert 8 ** 8 > MAX_PROFILES
+        with pytest.raises(EnumerationLimitError, match=f"exceeds {MAX_PROFILES}"):
+            brute_force_opt(inst)
 
     def test_path_cap_refusal(self):
-        g = HostGraph(False, ("s", "t"),
-                      tuple(Edge(f"p{k}", "s", "t") for k in range(5)))
+        # corner to corner of a 6x6 grid: over a million simple paths,
+        # refused at the first one past the cap
+        g = grid_graph(6)
         inst = Instance(
             ExponentProfile((2.0,)),
             tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges),
-            (Request(id=1, kind=Routing("s", "t")),), g)
-        with pytest.raises(EnumerationLimitError):
-            candidate_replies(inst, inst.requests[0], EnumerationLimits(max_paths=3))
+            (Request(id=1, kind=Routing("v00", "v55")),), g)
+        with pytest.raises(EnumerationLimitError, match=f"more than {MAX_PATHS} simple paths"):
+            candidate_replies(inst, inst.requests[0])
 
 
 class TestNash:
@@ -249,17 +257,29 @@ class TestNash:
 
     def test_robust_poa_consistency(self):
         # worst NE cost stays below (lambda/(1-mu)) * optimum with the
-        # certified smoothness constants, on every enumerable instance
+        # certified smoothness constants, on every enumerable instance, and
+        # the optimum is brute_force_opt's, also when several profiles tie
+        # for it (players copied from the first one swap replies at equal
+        # cost)
         rng = rng_for(63)
+        ties = 0
         for mechanism in ("proportional", "shapley-exact"):
             for _ in range(8):
                 inst = random_explicit_instance(rng, max_players=3, max_resources=4)
-                constants = rep_expansion_constants(mechanism, inst.exponents)
-                lam = gamma_alpha(inst) + lambda_alpha(constants,
-                                                       inst.exponents.alpha_max)
-                report = enumerate_nash(inst, mechanism)
-                if report.worst_nash_cost is not None:
-                    assert report.worst_nash_cost <= (lam / 0.5) * report.opt_cost
+                twins = replace(inst, requests=tuple(
+                    replace(inst.requests[0], id=req.id) for req in inst.requests))
+                for inst in (inst, twins):
+                    constants = rep_expansion_constants(mechanism, inst.exponents)
+                    lam = gamma_alpha(inst) + lambda_alpha(constants,
+                                                           inst.exponents.alpha_max)
+                    report = enumerate_nash(inst, mechanism)
+                    assert report.opt_cost == brute_force_opt(inst)[1]
+                    if report.worst_nash_cost is not None:
+                        assert report.worst_nash_cost <= (lam / 0.5) * report.opt_cost
+                    costs = [total_cost(inst, p) for p in product(
+                        *(candidate_replies(inst, req) for req in inst.requests))]
+                    ties += costs.count(min(costs)) > 1
+        assert ties > 0
 
     def test_sampled_mechanism_rejected(self):
         with pytest.raises(ConfigError):

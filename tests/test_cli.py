@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from gndes import cli
 from gndes.cli import main
 from gndes.io import instance_to_text, parse_instance
 
@@ -26,6 +27,18 @@ TWO_ROUTES = {
               "edges": [{"id": "e1", "tail": "s", "head": "t"},
                         {"id": "e2", "tail": "s", "head": "t"}]},
     "requests": [{"id": 1, "kind": {"type": "routing", "source": "s", "target": "t"}}],
+}
+
+# one Steiner request on the path a - b - c: its oracle has rho 2
+STEINER_PATH = {
+    "alphas": [2.0],
+    "resources": [{"id": "ab", "sigma": 1.0, "xis": [1.0]},
+                  {"id": "bc", "sigma": 1.0, "xis": [1.0]}],
+    "graph": {"directed": False, "vertices": ["a", "b", "c"],
+              "edges": [{"id": "ab", "tail": "a", "head": "b"},
+                        {"id": "bc", "tail": "b", "head": "c"}]},
+    "requests": [{"id": 1, "kind": {"type": "set_connectivity",
+                                    "terminals": ["a", "b", "c"]}}],
 }
 
 
@@ -157,6 +170,14 @@ class TestSmoothBoundsFpl:
                                "--csm", "shapley")
         assert code == 0 and "pass" in out
 
+    def test_smooth_violation_exit_1(self, capsys, monkeypatch, parallel_file):
+        # lambda = 0 fails every pair with a positive deviation sum
+        monkeypatch.setattr(cli, "gamma_alpha", lambda instance: 0.0)
+        monkeypatch.setattr(cli, "lambda_alpha", lambda constants, alpha_max: 0.0)
+        code, out, _ = run_cli(capsys, "smooth", "--instance", parallel_file)
+        assert code == 1
+        assert "  lambda        0\n" in out and "FAIL" in out
+
     def test_smooth_csv_rows(self, capsys, tmp_path, parallel_file):
         csv = tmp_path / "pairs.csv"
         code, _, _ = run_cli(capsys, "smooth", "--instance", parallel_file,
@@ -171,6 +192,18 @@ class TestSmoothBoundsFpl:
                                "--csm", "shapley", "--epsilon", "0.01")
         assert code == 0
         assert "T             32" in out
+
+    def test_bounds_report_the_guarantee_of_solve(self, capsys, tmp_path):
+        path = tmp_path / "steiner.json"
+        path.write_text(json.dumps(STEINER_PATH), encoding="utf-8")
+        code, out, _ = run_cli(capsys, "bounds", "--instance", str(path), "--json")
+        assert code == 0
+        bounds = json.loads(out)
+        code, out, _ = run_cli(capsys, "solve", "--instance", str(path), "--json")
+        assert code == 0
+        solved = json.loads(out)["bounds"]
+        assert bounds["rho"] == solved["rho"] == 2.0
+        assert bounds["ratio_bound"] == solved["ratio_bound"]
 
     def test_bounds_bad_epsilon_exit_2(self, capsys, parallel_file):
         code, _, err = run_cli(capsys, "bounds", "--instance", parallel_file,

@@ -1,5 +1,4 @@
 import math
-from dataclasses import replace
 
 import pytest
 
@@ -18,6 +17,7 @@ from gndes import (
     delta_vector,
     initial_profile,
     run_abrd,
+    sharing,
     total_cost,
 )
 from gndes.analysis import brute_force_opt
@@ -31,7 +31,7 @@ from gndes.engine import (
 )
 from gndes.errors import ConfigError
 from gndes.rng import keyed_rng
-from gndes.sharing import MAX_SAMPLES_DEFAULT, ShareQuery, cost_share, whp_delta
+from gndes.sharing import ShareQuery, cost_share, whp_delta
 
 from helpers import random_explicit_instance, rng_for
 
@@ -374,7 +374,7 @@ class TestSampledRuns:
         doc = result_to_json_dict(inst, sampled)
         assert (doc["sampled_shares"], doc["sample_cap_hits"]) == (0, 0)
 
-    def test_capped_run_reports_the_void_guarantee(self):
+    def test_capped_run_reports_the_void_guarantee(self, monkeypatch):
         # 12 players of weights 10^5 + 7 * 2^k, whose subset sums all differ,
         # start on e1.  Each step, every player's share on the resource with
         # 11 or 12 users would fill a counting table of 2^10 or 2^11 cells,
@@ -383,7 +383,8 @@ class TestSampledRuns:
         # resource with one or two users is exact and counts as neither
         inst = heavy_players_on_parallel_edges([100_000 + 7 * 2 ** k for k in range(12)])
         config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.15, seed=2,
-                            max_samples=10, step_budget_override=2)
+                            step_budget_override=2)
+        monkeypatch.setattr(sharing, "MAX_SAMPLES", 10)
         result = run_abrd(inst, config)
         assert result.sampled_shares == result.sample_cap_hits == 2 * 12
         assert (f"  epsilon guarantee void on {result.sample_cap_hits} of "
@@ -394,10 +395,10 @@ class TestSampledRuns:
         assert run_abrd(inst, config) == result
 
         # uncapped, the engine's sampled share is the one cost_share returns
-        uncapped = replace(config, max_samples=MAX_SAMPLES_DEFAULT)
+        monkeypatch.undo()
         profile = initial_profile(inst)
         view = PassView(inst, profile)
-        tolls = _player_tolls(inst, uncapped, profile, 0, 1, 2, view)
+        tolls = _player_tolls(inst, config, profile, 0, 1, 2, view)
         assert view.sampled_shares == 1 and view.sample_cap_hits == 0
         share = cost_share(
             "shapley-sampled", ShareQuery(inst.resources[0], inst.exponents,

@@ -22,6 +22,7 @@ from gndes.oracles import (
     directed_multi_routing_oracle,
     explicit_oracle,
     machine_oracle,
+    oracle_rho,
     reply_oracle,
     routing_oracle,
     shortest_path,
@@ -68,7 +69,8 @@ class TestRouting:
         ans = routing_oracle(triangle(), "s", "t", {"sa": 1.0, "at": 1.0, "st": 3.0})
         assert ans.reply == frozenset({"sa", "at"})
         assert ans.toll_total == pytest.approx(2.0)
-        assert ans.rho == 1.0
+        inst = instance_for(triangle(), Routing("s", "t"))
+        assert oracle_rho(inst, inst.requests[0]) == 1.0
 
     def test_single_edge(self):
         g = HostGraph(False, ("s", "t"), (Edge("e", "s", "t"),))
@@ -394,14 +396,15 @@ class TestDirectedHeuristics:
         ans = strong_connectivity_oracle(g, ("a", "b", "c"), tolls)
         inst = instance_for(g, SetConnectivity(("a", "b", "c")))
         assert validate_reply(inst, inst.requests[0], ans.reply)
-        assert ans.rho == 3.0
+        assert oracle_rho(inst, inst.requests[0]) == 3.0
 
     def test_directed_multi_routing_union(self):
         g = self.cycle_graph()
         tolls = {"ab": 1.0, "bc": 1.0, "ca": 1.0}
         ans = directed_multi_routing_oracle(g, (("a", "b"), ("b", "c")), tolls)
         assert ans.reply == frozenset({"ab", "bc"})
-        assert ans.rho == 2.0
+        inst = instance_for(g, MultiRouting((("a", "b"), ("b", "c"))))
+        assert oracle_rho(inst, inst.requests[0]) == 2.0
 
 
 class TestDispatchAndClamping:

@@ -21,6 +21,7 @@ from gndes import (
     SetConnectivity,
     approximate_best_response,
     delta_vector,
+    sharing,
 )
 from gndes.engine import DeltaPass
 from gndes.oracles import clamp_tolls, reply_oracle
@@ -53,8 +54,7 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
             tolls[res.id] = cost_share(
                 config.mechanism, query, epsilon=config.epsilon,
                 delta=whp_delta(planned_budget, instance.n_requests, len(instance.resources)),
-                rng=keyed_rng(config.seed, "share", step, req.id, res.id),
-                max_samples=config.max_samples)
+                rng=keyed_rng(config.seed, "share", step, req.id, res.id))
         else:
             tolls[res.id] = cost_share(config.mechanism, query)
     tolls = clamp_tolls(tolls)
@@ -127,9 +127,10 @@ def random_profile(rng, instance):
 @pytest.mark.parametrize("mechanism", MECHANISMS)
 @pytest.mark.parametrize("make", [random_graph_instance, random_machine_instance],
                          ids=["graph", "machines"])
-def test_shared_view_matches_unshared_abrs(mechanism, make):
+def test_shared_view_matches_unshared_abrs(mechanism, make, monkeypatch):
+    monkeypatch.setattr(sharing, "MAX_SAMPLES", 300)
     rng = rng_for(31)
-    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=5, max_samples=300)
+    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=5)
     for _ in range(12):
         instance = make(rng)
         for _ in range(2):

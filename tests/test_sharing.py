@@ -6,11 +6,12 @@ from itertools import combinations, permutations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gndes import ExponentProfile, ResourceParams, rep_cost
+from gndes import ExponentProfile, ResourceParams, rep_cost, sharing
 from gndes.analysis import budget_balance_check
 from gndes.errors import InstanceError
 from gndes.rng import keyed_rng
 from gndes.sharing import (
+    MAX_SAMPLES,
     ShareQuery,
     cost_share,
     h_value,
@@ -271,11 +272,12 @@ class TestShapleySampled:
         q = query(6.0, [1.0], [2.0], [1, 2, 2], target=1)
         with caplog.at_level("WARNING"):
             m = hoeffding_sample_count(q, 0.01, 1e-9)
-        assert m > 50 and not caplog.records
+        assert m > MAX_SAMPLES and not caplog.records
         with caplog.at_level("WARNING"):
-            shapley_sampled(q, 0.01, 1e-9, keyed_rng(3, "cap"), max_samples=50)
+            shapley_sampled(q, 0.01, 1e-9, keyed_rng(3, "cap"))
         assert [r.getMessage() for r in caplog.records] == [
-            f"sample count {m} for resource 'r' capped at 50; the epsilon guarantee is void"]
+            f"sample count {m} for resource 'r' capped at {MAX_SAMPLES};"
+            " the epsilon guarantee is void"]
 
 
     @settings(max_examples=60, deadline=None)
@@ -297,7 +299,9 @@ class TestShapleySampled:
             marginal = h_value(res, exp, before + w) - h_value(res, exp, before)
             assert least - slack <= marginal <= most + slack
 
-    def test_cost_share_is_exact_when_counting_is_cheaper(self, caplog):
+    def test_cost_share_is_exact_when_counting_is_cheaper(self, caplog, monkeypatch):
+        # with a cap of 1, any sampled share would log a capped count
+        monkeypatch.setattr(sharing, "MAX_SAMPLES", 1)
         rng = rng_for(41)
         for _ in range(60):
             q = random_share_query(rng, max_users=8, max_weight=5)
@@ -306,7 +310,7 @@ class TestShapleySampled:
             state = stream.bit_generator.state
             with caplog.at_level("WARNING"):
                 share = cost_share("shapley-sampled", q, epsilon=0.01, delta=1e-6,
-                                   rng=stream, max_samples=1)
+                                   rng=stream)
             assert share == shapley_exact(q)
             assert stream.bit_generator.state == state
         assert not caplog.records

@@ -4,6 +4,7 @@ approximate best-response dynamics and their verification toolkit."""
 from .bounds import TheoreticalBounds, gamma_alpha, harmonic, lambda_alpha, theoretical_bounds
 from .engine import (
     AbrdConfig,
+    PassView,
     RunResult,
     StepRecord,
     approximate_best_response,

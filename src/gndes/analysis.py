@@ -14,7 +14,7 @@ from itertools import product
 from typing import Iterable, Optional, Sequence
 
 from .bounds import harmonic
-from .errors import ConfigError, EnumerationLimitError, InstanceError
+from .errors import ConfigError, EnumerationLimitError, InfeasibleError, InstanceError
 from .instance import (
     Edge,
     ExplicitReplies,
@@ -223,9 +223,13 @@ def candidate_replies(instance: Instance, request: Request) -> list[frozenset[st
 
 
 def enumerate_profiles(instance: Instance) -> tuple[list[list[frozenset[str]]], int]:
+    """Every request's reply collection and the number of profiles; no
+    profile exists when a request has no feasible reply."""
     candidates = [candidate_replies(instance, req) for req in instance.requests]
     count = 1
-    for c in candidates:
+    for req, c in zip(instance.requests, candidates):
+        if not c:
+            raise InfeasibleError(f"request {req.id} has no feasible reply")
         count *= len(c)
         if count > MAX_PROFILES:
             raise EnumerationLimitError(
@@ -282,14 +286,11 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str):
         yield profile, total_cost(instance, profile), is_nash
 
 
-def enumerate_nash(instance: Instance, mechanism: str) -> PoaReport:
-    """All pure equilibria under an exact mechanism, against the deviation
-    space given by the enumerated reply collections, and the optimum cost
-    from the same pass over the profiles."""
+def _poa_report(rows) -> PoaReport:
     nash: list[StrategyProfile] = []
     worst = None
     opt_cost = math.inf
-    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism):
+    for profile, cost, is_nash in rows:
         opt_cost = min(opt_cost, cost)
         if is_nash:
             nash.append(profile)
@@ -297,17 +298,26 @@ def enumerate_nash(instance: Instance, mechanism: str) -> PoaReport:
     return PoaReport(nash_profiles=tuple(nash), worst_nash_cost=worst, opt_cost=opt_cost)
 
 
+def enumerate_nash(instance: Instance, mechanism: str) -> PoaReport:
+    """All pure equilibria under an exact mechanism, against the deviation
+    space given by the enumerated reply collections, and the optimum cost
+    from the same pass over the profiles."""
+    return _poa_report(_iter_equilibrium_rows(instance, mechanism))
+
+
 def _profile_label(profile: StrategyProfile) -> str:
     return ";".join("|".join(sorted(reply)) for reply in profile)
 
 
-def nash_report_csv(instance: Instance, mechanism: str) -> str:
-    """One row per enumerated profile: its cost and whether it is a NE."""
+def nash_report_csv(instance: Instance, mechanism: str) -> tuple[PoaReport, str]:
+    """One row per enumerated profile: its cost and whether it is a NE.
+    Returns the :func:`enumerate_nash` report of the same walk beside it."""
+    rows = list(_iter_equilibrium_rows(instance, mechanism))
     lines = ["profile,cost,is_nash"]
-    for profile, cost, is_nash in _iter_equilibrium_rows(instance, mechanism):
+    for profile, cost, is_nash in rows:
         lines.append(f"{_profile_label(profile)},{format(cost, '.9g')},"
                      f"{'true' if is_nash else 'false'}")
-    return "\n".join(lines) + "\n"
+    return _poa_report(rows), "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -338,6 +348,8 @@ def _profile_at(candidates: list[list[frozenset[str]]], index: int) -> StrategyP
 def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: float,
                           max_pairs: int, seed: int):
     """Yield (p, p', lhs, C(p), C(p'), ok) over the checked pairs."""
+    if max_pairs < 1:
+        raise ConfigError(f"the number of pairs must be >= 1, got {max_pairs}")
     candidates, count = enumerate_profiles(instance)
 
     if count * count <= max_pairs:
@@ -363,16 +375,11 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
         yield p, p_prime, lhs, c_p, c_prime, ok
 
 
-def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
-                     max_pairs: int = 10_000, seed: int = 0) -> SmoothnessReport:
-    """Verify sum_i C_i(p'_i, p_{-i}) <= lam*C(p') + mu*C(p) over ordered
-    profile pairs: exhaustively when the pair count fits max_pairs, otherwise
-    on a seeded sample."""
+def _smoothness_report(lam: float, mu: float, rows) -> SmoothnessReport:
     max_ratio = -math.inf
     violations = 0
     tested = 0
-    for _, _, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, max_pairs, seed):
+    for _, _, lhs, c_p, c_prime, ok in rows:
         tested += 1
         max_ratio = max(max_ratio, (lhs - mu * c_p) / c_prime)
         if not ok:
@@ -381,17 +388,28 @@ def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
                             max_ratio=max_ratio, violations=violations)
 
 
+def smoothness_check(instance: Instance, mechanism: str, lam: float, mu: float,
+                     max_pairs: int = 10_000, seed: int = 0) -> SmoothnessReport:
+    """Verify sum_i C_i(p'_i, p_{-i}) <= lam*C(p') + mu*C(p) over ordered
+    profile pairs: exhaustively when the pair count fits max_pairs, otherwise
+    on max_pairs seeded samples.  max_pairs must be at least 1."""
+    return _smoothness_report(
+        lam, mu, _iter_smoothness_rows(instance, mechanism, lam, mu, max_pairs, seed))
+
+
 def smoothness_report_csv(instance: Instance, mechanism: str, lam: float, mu: float,
-                          max_pairs: int = 10_000, seed: int = 0) -> str:
-    """One row per checked pair: deviation sum, both costs, verdict."""
+                          max_pairs: int = 10_000, seed: int = 0
+                          ) -> tuple[SmoothnessReport, str]:
+    """One row per checked pair: deviation sum, both costs, verdict.
+    Returns the :func:`smoothness_check` report of the same pairs beside it."""
+    rows = list(_iter_smoothness_rows(instance, mechanism, lam, mu, max_pairs, seed))
     lines = ["profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok"]
-    for p, p_prime, lhs, c_p, c_prime, ok in _iter_smoothness_rows(
-            instance, mechanism, lam, mu, max_pairs, seed):
+    for p, p_prime, lhs, c_p, c_prime, ok in rows:
         lines.append(
             f"{_profile_label(p)},{_profile_label(p_prime)},"
             f"{format(lhs, '.9g')},{format(c_p, '.9g')},{format(c_prime, '.9g')},"
             f"{'true' if ok else 'false'}")
-    return "\n".join(lines) + "\n"
+    return _smoothness_report(lam, mu, rows), "\n".join(lines) + "\n"
 
 
 # ---------------------------------------------------------------------------

@@ -98,9 +98,11 @@ def _cmd_brute(args) -> int:
 def _cmd_nash(args) -> int:
     instance = parse_instance(args.instance)
     mechanism = _MECHANISM[args.csm]
-    report = enumerate_nash(instance, mechanism)
     if args.csv:
-        _write_text(args.csv, nash_report_csv(instance, mechanism))
+        report, text = nash_report_csv(instance, mechanism)
+        _write_text(args.csv, text)
+    else:
+        report = enumerate_nash(instance, mechanism)
     if args.json:
         print(json.dumps({
             "nash_count": len(report.nash_profiles),
@@ -126,11 +128,13 @@ def _cmd_smooth(args) -> int:
     constants = rep_expansion_constants(mechanism, instance.exponents)
     lam = gamma_alpha(instance) + lambda_alpha(constants, instance.exponents.alpha_max)
     mu = 0.5
-    report = smoothness_check(instance, mechanism, lam, mu,
-                              max_pairs=args.pairs, seed=args.seed)
     if args.csv:
-        _write_text(args.csv, smoothness_report_csv(
-            instance, mechanism, lam, mu, max_pairs=args.pairs, seed=args.seed))
+        report, text = smoothness_report_csv(instance, mechanism, lam, mu,
+                                             max_pairs=args.pairs, seed=args.seed)
+        _write_text(args.csv, text)
+    else:
+        report = smoothness_check(instance, mechanism, lam, mu,
+                                  max_pairs=args.pairs, seed=args.seed)
     if args.json:
         print(json.dumps({
             "lambda": report.lam, "mu": report.mu,

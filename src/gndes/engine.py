@@ -15,8 +15,8 @@ positive the dynamics converge; otherwise one player updates:
 * randomized selection: a uniformly random player updates iff her delta is
   positive, with the step budget inflated to N*T^2.
 
-The tolls of all players in one step come from one shared view of the
-resources' users (``PassView``), built once per step.
+One step is one ``PassView``: the frozen profile, its resources' users and
+the shares already computed against it, shared by every player's ABR.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.
@@ -29,7 +29,7 @@ from typing import Callable, Optional
 
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
-from .errors import ConfigError, InfeasibleError
+from .errors import ConfigError
 from .instance import Instance, StrategyProfile, rep_cost, total_cost
 from .oracles import OracleAnswer, clamp_tolls, oracle_rho, reply_oracle
 from .rng import keyed_rng
@@ -120,27 +120,34 @@ def initial_profile(instance: Instance) -> StrategyProfile:
 
 
 class PassView:
-    """The users of every resource under one frozen profile, plus the shares
-    already computed against it.
+    """One delta pass: every player's tolls against one frozen profile.
 
-    A delta pass builds one view and hands it to every player's ABR, since
-    the profile does not change during the pass.  ``users`` maps a resource
-    id to its (request id, weight) pairs in id order.  ``shares`` memoizes
-    exact shares by (resource, ``ON`` if the player is on the resource else
-    None, the player's weight there).  An exact share depends on the other
-    users only through their weight multiset, bit for bit.  Every player off
-    a resource sees all of its users as the others, and every player of one
-    weight on it sees the same multiset without one user of that weight, so
-    each group shares one entry.  Under ``shapley-sampled`` the same holds
-    for the shares that need no samples (``sharing.samples_needed`` reads
-    only the multiset); shares that do sample draw a stream per player, are
-    not memoized, and are counted in ``sampled_shares``, and those whose
+    ``users`` maps a resource id to its (request id, weight) pairs in id
+    order.  ``shares`` memoizes exact shares by (resource, ``ON`` if the
+    player is on the resource else None, the player's weight there).  An
+    exact share depends on the other users only through their weight
+    multiset, bit for bit.  Every player off a resource sees all of its
+    users as the others, and every player of one weight on it sees the same
+    multiset without one user of that weight, so each group shares one
+    entry.  Under ``shapley-sampled`` the same holds for the shares that need
+    no samples (``sharing.samples_needed`` reads only the multiset); shares
+    that do sample draw a stream per player and ``step``, each within
+    epsilon of the exact share except with probability ``delta``.  They are
+    not memoized; they are counted in ``sampled_shares``, and those whose
     sample count was capped also in ``sample_cap_hits``.
     """
 
     ON = "on"
 
-    def __init__(self, instance: Instance, profile: StrategyProfile):
+    def __init__(self, instance: Instance, config: AbrdConfig, profile: StrategyProfile,
+                 step: int, delta: float):
+        self.instance = instance
+        self.config = config
+        self.profile = profile
+        self.step = step
+        self.delta = delta
+        self.sampled = config.mechanism == "shapley-sampled"
+        self.exact_mechanism = "shapley-exact" if self.sampled else config.mechanism
         grouped: dict[str, list[tuple[int, int]]] = {}
         for req, reply in zip(instance.requests, profile):
             for e in reply:
@@ -151,67 +158,56 @@ class PassView:
         self.sampled_shares = 0
         self.sample_cap_hits = 0
 
-
-def _player_tolls(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
-                  position: int, step: int, planned_budget: int,
-                  view: Optional[PassView] = None) -> dict[str, float]:
-    """Tolls for one player: her share on each resource if she joined the
-    others there.  For resources in her own reply this is exactly her current
-    (estimated) share.  Shares are computed in resource order, each only
-    when no earlier player of the pass already computed it."""
-    if view is None:
-        view = PassView(instance, profile)
-    req = instance.requests[position]
-    own = profile[position]
-    memo = view.shares
-    sampled = config.mechanism == "shapley-sampled"
-    exact_mechanism = "shapley-exact" if sampled else config.mechanism
-    delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
-    tolls = {}
-    for res in instance.resources:
-        e = res.id
-        w = req.weight(e)
-        on = e in own
-        key = (e, PassView.ON if on else None, w)
-        share = memo.get(key)
-        if share is None:
-            users = view.users.get(e, ())
-            if on:
-                users = tuple([u for u in users if u[0] != req.id])
-            query = ShareQuery(res, instance.exponents, users + ((req.id, w),),
-                               target=req.id)
-            needed = samples_needed(query, config.epsilon, delta) if sampled else 0
-            if needed:
-                view.sampled_shares += 1
-                view.sample_cap_hits += needed > sharing.MAX_SAMPLES
-                # what cost_share returns for this query, without deciding
-                # again; called through the module so that wrappers on
-                # sharing.shapley_sampled (the benchmark's tracer) see it
-                share = sharing.shapley_sampled(
-                    query, config.epsilon, delta,
-                    keyed_rng(config.seed, "share", step, req.id, e), samples=needed)
-            else:
-                # exactly what cost_share returns for a sampled share that
-                # needs no samples, so it is memoized like any exact share
-                share = memo[key] = cost_share(exact_mechanism, query)
-        tolls[e] = share
-    return clamp_tolls(tolls)
+    def tolls(self, position: int) -> dict[str, float]:
+        """Tolls for one player: her share on each resource if she joined
+        the others there.  For resources in her own reply this is exactly
+        her current (estimated) share.  Shares are computed in resource
+        order, each only when no earlier player of the pass computed it."""
+        instance, config = self.instance, self.config
+        req = instance.requests[position]
+        own = self.profile[position]
+        memo = self.shares
+        tolls = {}
+        for res in instance.resources:
+            e = res.id
+            w = req.weight(e)
+            on = e in own
+            key = (e, PassView.ON if on else None, w)
+            share = memo.get(key)
+            if share is None:
+                users = self.users.get(e, ())
+                if on:
+                    users = tuple([u for u in users if u[0] != req.id])
+                query = ShareQuery(res, instance.exponents, users + ((req.id, w),),
+                                   target=req.id)
+                needed = samples_needed(query, config.epsilon, self.delta) if self.sampled else 0
+                if needed:
+                    self.sampled_shares += 1
+                    self.sample_cap_hits += needed > sharing.MAX_SAMPLES
+                    # what cost_share returns for this query, without deciding
+                    # again; called through the module so that wrappers on
+                    # sharing.shapley_sampled (the benchmark's tracer) see it
+                    share = sharing.shapley_sampled(
+                        query, config.epsilon, self.delta,
+                        keyed_rng(config.seed, "share", self.step, req.id, e),
+                        samples=needed)
+                else:
+                    # exactly what cost_share returns for a sampled share that
+                    # needs no samples, so it is memoized like any exact share
+                    share = memo[key] = cost_share(self.exact_mechanism, query)
+            tolls[e] = share
+        return clamp_tolls(tolls)
 
 
-def approximate_best_response(instance: Instance, config: AbrdConfig, position: int,
-                              profile: StrategyProfile, step: int = 0,
-                              planned_budget: int = 1,
-                              view: Optional[PassView] = None) -> tuple[OracleAnswer, float]:
-    """ABR of one player to everybody else's replies in ``profile``.
+def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnswer, float]:
+    """ABR of one player to everybody else's replies in the pass's profile.
 
     Returns the oracle answer (whose toll_total is the player's estimated
     cost at the new reply) together with her estimated current cost.
-    ``view`` is the pass's shared view of ``profile``; without one the
-    player builds its own.
     """
-    tolls = _player_tolls(instance, config, profile, position, step, planned_budget, view)
-    answer = reply_oracle(instance, instance.requests[position], tolls)
-    current = sum(tolls[e] for e in sorted(profile[position]))
+    tolls = view.tolls(position)
+    answer = reply_oracle(view.instance, view.instance.requests[position], tolls)
+    current = sum(tolls[e] for e in sorted(view.profile[position]))
     return answer, current
 
 
@@ -222,29 +218,28 @@ class DeltaPass:
     proposals: tuple[OracleAnswer, ...]
 
 
-def delta_vector(instance: Instance, config: AbrdConfig, profile: StrategyProfile,
-                 step: int = 1, planned_budget: int = 1,
-                 view: Optional[PassView] = None) -> DeltaPass:
-    """Fresh ABRs and improvement estimates for every player against the
-    profile, all from one view of it (built here unless given)."""
-    eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
-    if view is None:
-        view = PassView(instance, profile)
+def delta_vector(view: PassView) -> DeltaPass:
+    """Fresh ABRs and improvement estimates for every player of the pass."""
+    eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
     deltas = []
     proposals = []
-    for pos in range(instance.n_requests):
-        answer, current = approximate_best_response(
-            instance, config, pos, profile, step, planned_budget, view)
+    for pos in range(view.instance.n_requests):
+        answer, current = approximate_best_response(view, pos)
         deltas.append(current - eps1 * answer.toll_total)
         proposals.append(answer)
     return DeltaPass(deltas=tuple(deltas), total=sum(deltas), proposals=tuple(proposals))
 
 
-def _maybe_potential(instance: Instance, config: AbrdConfig,
-                     profile: StrategyProfile) -> Optional[float]:
-    if config.mechanism == "proportional":
-        return None
-    return analysis.potential(instance, profile)
+def _select(config: AbrdConfig, dpass: DeltaPass, step: int) -> Optional[int]:
+    """Position of the player who updates after a pass with a positive
+    delta, or None when randomized selection drew a player without one."""
+    deltas = dpass.deltas
+    if config.selection == "deterministic":
+        # the mean can round above every delta when all of them tie
+        threshold = min(dpass.total / len(deltas), max(deltas))
+        return next((pos for pos, d in enumerate(deltas) if d > 0.0 and d >= threshold), None)
+    pick = int(keyed_rng(config.seed, "select", step).integers(len(deltas)))
+    return pick if deltas[pick] > 0.0 else None
 
 
 def run_abrd(instance: Instance, config: AbrdConfig,
@@ -258,72 +253,46 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         planned = instance.n_requests * bounds.T ** 2
     overridden = config.step_budget_override is not None
     budget = config.step_budget_override if overridden else planned
+    delta = whp_delta(budget, instance.n_requests, len(instance.resources))
+    # proportional sharing has no potential to track
+    tracks_potential = config.mechanism != "proportional"
 
     profile = initial_profile(instance)
+    cost = total_cost(instance, profile)
+    potential = analysis.potential(instance, profile) if tracks_potential else None
     trace = [StepRecord(step=0, player=None, deltas=None, delta_total=None,
-                        cost=total_cost(instance, profile),
-                        potential=_maybe_potential(instance, config, profile),
-                        converged=False)]
-    best_profile, best_cost, t_star = profile, trace[0].cost, 0   # the first least cost
+                        cost=cost, potential=potential, converged=False)]
+    best_profile, best_cost, t_star = profile, cost, 0   # the first least cost
     converged_at = None
     sampled_shares = sample_cap_hits = 0
 
     for t in range(1, budget + 1):
-        view = PassView(instance, profile)
-        try:
-            dpass = delta_vector(instance, config, profile, step=t,
-                                 planned_budget=max(1, budget), view=view)
-        except InfeasibleError as exc:
-            # cannot happen for well-formed instances (feasibility does not
-            # depend on tolls), but the partial trace is attached for callers
-            exc.partial_trace = tuple(trace)
-            raise
+        view = PassView(instance, config, profile, t, delta)
+        dpass = delta_vector(view)
         sampled_shares += view.sampled_shares
         sample_cap_hits += view.sample_cap_hits
-        if all(d <= 0.0 for d in dpass.deltas):
-            converged_at = t
-            trace.append(StepRecord(
-                step=t, player=None, deltas=dpass.deltas, delta_total=dpass.total,
-                cost=trace[-1].cost, potential=trace[-1].potential, converged=True))
-            break
-
-        chosen = None
-        if config.selection == "deterministic":
-            # the mean can round above every delta when all of them tie
-            threshold = min(dpass.total / instance.n_requests, max(dpass.deltas))
-            for pos, d in enumerate(dpass.deltas):
-                if d > 0.0 and d >= threshold:
-                    chosen = pos
-                    break
-        else:
-            pick = int(keyed_rng(config.seed, "select", t).integers(instance.n_requests))
-            if dpass.deltas[pick] > 0.0:
-                chosen = pick
-
-        if chosen is None:
-            # randomized selection drew a player with no improvement
-            trace.append(StepRecord(
-                step=t, player=None, deltas=dpass.deltas, delta_total=dpass.total,
-                cost=trace[-1].cost, potential=trace[-1].potential, converged=False))
-            continue
-
-        profile = tuple(
-            dpass.proposals[chosen].reply if i == chosen else r
-            for i, r in enumerate(profile))
-        cost = total_cost(instance, profile)
-        if cost < best_cost:
-            best_profile, best_cost, t_star = profile, cost, t
+        converged = all(d <= 0.0 for d in dpass.deltas)
+        chosen = None if converged else _select(config, dpass, t)
+        if chosen is not None:
+            profile = tuple(
+                dpass.proposals[chosen].reply if i == chosen else r
+                for i, r in enumerate(profile))
+            cost = total_cost(instance, profile)
+            potential = analysis.potential(instance, profile) if tracks_potential else None
+            if cost < best_cost:
+                best_profile, best_cost, t_star = profile, cost, t
         trace.append(StepRecord(
-            step=t, player=instance.requests[chosen].id,
+            step=t, player=None if chosen is None else instance.requests[chosen].id,
             deltas=dpass.deltas, delta_total=dpass.total,
-            cost=cost,
-            potential=_maybe_potential(instance, config, profile),
-            converged=False))
+            cost=cost, potential=potential, converged=converged))
+        if converged:
+            converged_at = t
+            break
 
     best = config.output == "best"
     result = RunResult(
         output_profile=best_profile if best else profile,
-        output_cost=best_cost if best else trace[-1].cost,
+        output_cost=best_cost if best else cost,
         t_star=t_star,
         best_cost=best_cost,
         trace=tuple(trace),

@@ -146,9 +146,9 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         raise ConfigError("round count must be >= 1")
     eta = (rounds / m) ** 0.5
 
+    chosen = int(keyed_rng(config.seed, "output").integers(1, rounds + 1))
     cumulative = [{res.id: 0.0 for res in scaled.resources} for _ in range(n)]
     realized = [0.0] * n
-    profiles: list[StrategyProfile] = []
     trace: list[RegretTraceRow] = []
 
     for t in range(1, rounds + 1):
@@ -158,7 +158,8 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
             replies.append(fpl_step(graph, req.kind.source, req.kind.target,
                                     cumulative[pos], eta, rng))
         profile = tuple(replies)
-        profiles.append(profile)
+        if t == chosen:
+            out_profile = profile
         loads = load_vector(scaled, profile)
         for pos, req in enumerate(scaled.requests):
             row = _proportional_toll_row(scaled, loads, profile, pos)
@@ -174,8 +175,6 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
     regrets = tuple(
         realized[pos] - _best_fixed_toll(graph, req, cumulative[pos])
         for pos, req in enumerate(scaled.requests))
-    chosen = int(keyed_rng(config.seed, "output").integers(1, rounds + 1))
-    out_profile = profiles[chosen - 1]
     return LApxResult(
         profile=out_profile,
         cost=total_cost(instance, out_profile),

@@ -10,16 +10,23 @@ from gndes import (
     ExponentProfile,
     HostGraph,
     Instance,
+    PassView,
     Request,
     ResourceParams,
     Routing,
     SetConnectivity,
 )
-from gndes.sharing import ShareQuery
+from gndes.sharing import ShareQuery, whp_delta
 
 
 def rng_for(seed: int) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(seed))
+
+
+def pass_view(instance: Instance, config, profile, step: int, planned_budget: int) -> PassView:
+    """The delta pass at ``step`` of a run whose step budget is ``planned_budget``."""
+    delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
+    return PassView(instance, config, profile, step, delta)
 
 
 def random_exponents(rng, max_q: int = 2, alpha_max: float = 4.0) -> ExponentProfile:

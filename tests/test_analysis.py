@@ -6,9 +6,12 @@ from hypothesis import given, settings, strategies as st
 
 from gndes import (
     ConfigError,
+    Edge,
     EnumerationLimitError,
     ExplicitReplies,
     ExponentProfile,
+    HostGraph,
+    InfeasibleError,
     Instance,
     MachineChoice,
     Request,
@@ -23,6 +26,8 @@ from gndes.analysis import (
     budget_balance_check,
     candidate_replies,
     enumerate_nash,
+    enumerate_profiles,
+    nash_report_csv,
     player_cost,
     poa_lower_bound_instance,
     potential,
@@ -30,6 +35,7 @@ from gndes.analysis import (
     potential_by_prefix,
     potential_exactness_check,
     smoothness_check,
+    smoothness_report_csv,
 )
 from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
 from gndes.sharing import rep_expansion_constants
@@ -240,7 +246,29 @@ class TestBruteForce:
             candidate_replies(inst, inst.requests[0])
 
 
+class TestEnumerateProfiles:
+    def test_request_without_a_reply_is_infeasible(self):
+        # request 2 routes s -> t, but the only edge runs t -> s
+        g = HostGraph(True, ("s", "t"), (Edge("ts", "t", "s"),))
+        inst = Instance(ExponentProfile((2.0,)), (ResourceParams("ts", 1.0, (1.0,)),),
+                        (Request(id=1, kind=Routing("t", "s")),
+                         Request(id=2, kind=Routing("s", "t")),
+                         Request(id=3, kind=Routing("s", "t"))), g)
+        with pytest.raises(InfeasibleError, match="^request 2 has no feasible reply$"):
+            enumerate_profiles(inst)
+        for run in (brute_force_opt, lambda i: enumerate_nash(i, "shapley-exact"),
+                    lambda i: smoothness_check(i, "shapley-exact", 1.0, 0.5)):
+            with pytest.raises(InfeasibleError):
+                run(inst)
+
+
 class TestNash:
+    def test_csv_report_is_the_enumerate_nash_report(self):
+        for inst in (parallel_edges_instance(), poa_lower_bound_instance(9.0, 1.0, 2.0)):
+            report, text = nash_report_csv(inst, "shapley-exact")
+            assert report == enumerate_nash(inst, "shapley-exact")
+            assert len(text.splitlines()) == 1 + 2 ** inst.n_requests
+
     def test_parallel_edges_split_is_nash(self):
         inst = parallel_edges_instance()
         report = enumerate_nash(inst, "shapley-exact")
@@ -297,6 +325,22 @@ class TestSmoothness:
         assert report.pairs_tested == 16
         assert report.ok
         assert report.max_ratio <= lam
+
+    @pytest.mark.parametrize("pairs", [0, -3])
+    def test_no_pairs_rejected(self, pairs):
+        inst = parallel_edges_instance()
+        for check in (smoothness_check, smoothness_report_csv):
+            with pytest.raises(ConfigError, match=f"got {pairs}$"):
+                check(inst, "shapley-exact", 1.0, 0.5, max_pairs=pairs)
+
+    @pytest.mark.parametrize("pairs", [5, 16, 17])
+    def test_csv_report_is_the_check_report(self, pairs):
+        inst = parallel_edges_instance()
+        report, text = smoothness_report_csv(inst, "shapley-exact", 3.0, 0.5,
+                                             max_pairs=pairs, seed=4)
+        assert report == smoothness_check(inst, "shapley-exact", 3.0, 0.5,
+                                          max_pairs=pairs, seed=4)
+        assert report.pairs_tested == len(text.splitlines()) - 1 == min(pairs, 16)
 
     def test_identical_profiles_satisfied_by_budget_balance(self):
         inst = parallel_edges_instance()

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from gndes import cli
+from gndes import analysis, cli
 from gndes.cli import main
 from gndes.io import instance_to_text, parse_instance
 
@@ -39,6 +39,15 @@ STEINER_PATH = {
                         {"id": "bc", "tail": "b", "head": "c"}]},
     "requests": [{"id": 1, "kind": {"type": "set_connectivity",
                                     "terminals": ["a", "b", "c"]}}],
+}
+
+# a directed graph whose only edge runs t -> s, so request 1 has no s-t path
+ONE_WAY = {
+    "alphas": [2.0],
+    "resources": [{"id": "ts", "sigma": 1.0, "xis": [1.0]}],
+    "graph": {"directed": True, "vertices": ["s", "t"],
+              "edges": [{"id": "ts", "tail": "t", "head": "s"}]},
+    "requests": [{"id": 1, "kind": {"type": "routing", "source": "s", "target": "t"}}],
 }
 
 
@@ -164,7 +173,54 @@ class TestBruteAndNash:
         assert sum(1 for ln in lines[1:] if ln.endswith("true")) == 2
 
 
+class TestNoFeasibleReply:
+    @pytest.mark.parametrize("argv", [
+        ("brute",), ("brute", "--json"), ("nash",), ("nash", "--json"),
+        ("smooth",), ("smooth", "--json"),
+    ], ids=" ".join)
+    def test_exit_3_without_a_verdict(self, capsys, tmp_path, argv):
+        path = tmp_path / "one_way.json"
+        path.write_text(json.dumps(ONE_WAY), encoding="utf-8")
+        code, out, err = run_cli(capsys, argv[0], "--instance", str(path), *argv[1:])
+        assert code == 3
+        assert out == ""
+        assert err == "infeasible: request 1 has no feasible reply\n"
+
+
+class TestCsvWalks:
+    @pytest.mark.parametrize("command", ["nash", "smooth"])
+    def test_csv_walks_the_profiles_once(self, capsys, monkeypatch, tmp_path,
+                                         parallel_file, command):
+        _, plain, _ = run_cli(capsys, command, "--instance", parallel_file)
+        walks = []
+        real = analysis.enumerate_profiles
+
+        def counted(instance):
+            walks.append(instance)
+            return real(instance)
+
+        monkeypatch.setattr(analysis, "enumerate_profiles", counted)
+        code, out, _ = run_cli(capsys, command, "--instance", parallel_file,
+                               "--csv", str(tmp_path / "rows.csv"))
+        assert code == 0
+        assert len(walks) == 1
+        assert out == plain
+
+
 class TestSmoothBoundsFpl:
+    @pytest.mark.parametrize("pairs", ["0", "-3"])
+    @pytest.mark.parametrize("extra", [(), ("--json",), ("--csv", "pairs.csv")],
+                             ids=["text", "json", "csv"])
+    def test_smooth_without_pairs_exit_2(self, capsys, tmp_path, parallel_file,
+                                         pairs, extra):
+        extra = tuple(str(tmp_path / x) if x.endswith(".csv") else x for x in extra)
+        code, out, err = run_cli(capsys, "smooth", "--instance", parallel_file,
+                                 "--pairs", pairs, *extra)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: the number of pairs must be >= 1, got {pairs}\n"
+        assert not (tmp_path / "pairs.csv").exists()
+
     def test_smooth_passes(self, capsys, parallel_file):
         code, out, _ = run_cli(capsys, "smooth", "--instance", parallel_file,
                                "--csm", "shapley")

@@ -23,8 +23,6 @@ from gndes import (
 from gndes.analysis import brute_force_opt
 from gndes.bounds import harmonic
 from gndes.engine import (
-    PassView,
-    _player_tolls,
     result_to_json_dict,
     run_report,
     trace_to_csv,
@@ -33,7 +31,7 @@ from gndes.errors import ConfigError
 from gndes.rng import keyed_rng
 from gndes.sharing import ShareQuery, cost_share, whp_delta
 
-from helpers import random_explicit_instance, rng_for
+from helpers import pass_view, random_explicit_instance, rng_for
 
 
 def parallel_edges_instance(kind="explicit"):
@@ -87,7 +85,8 @@ class TestAbr:
         inst = parallel_edges_instance()
         config = AbrdConfig(mechanism="shapley-exact", epsilon=0.01)
         profile = (frozenset({"e1"}), frozenset({"e1"}))
-        answer, current = approximate_best_response(inst, config, 0, profile)
+        answer, current = approximate_best_response(
+            pass_view(inst, config, profile, 1, 1), 0)
         # sharing e1 costs 2.5 under exact Shapley; e2 alone costs F(1) = 2
         assert current == pytest.approx(2.5)
         assert answer.reply == frozenset({"e2"})
@@ -98,7 +97,8 @@ class TestAbr:
         res = (ResourceParams("m1", 1.0, (1.0,)), ResourceParams("m2", 3.0, (1.0,)))
         inst = Instance(exp, res, (Request(id=1, kind=MachineChoice(("m1", "m2"))),))
         config = AbrdConfig()
-        answer, _ = approximate_best_response(inst, config, 0, (frozenset({"m2"}),))
+        answer, _ = approximate_best_response(
+            pass_view(inst, config, (frozenset({"m2"}),), 1, 1), 0)
         assert answer.reply == frozenset({"m1"})
         assert answer.toll_total == pytest.approx(2.0)
 
@@ -107,7 +107,8 @@ class TestDeltaVector:
     def test_positive_at_shared_profile(self):
         inst = parallel_edges_instance()
         config = AbrdConfig(epsilon=0.01)
-        dpass = delta_vector(inst, config, (frozenset({"e1"}), frozenset({"e1"})))
+        profile = (frozenset({"e1"}), frozenset({"e1"}))
+        dpass = delta_vector(pass_view(inst, config, profile, 1, 1))
         eps1 = 1.01 / 0.99
         expected = 2.5 - eps1 * 2.0
         assert dpass.deltas == pytest.approx((expected, expected))
@@ -116,14 +117,15 @@ class TestDeltaVector:
     def test_nonpositive_at_equilibrium(self):
         inst = parallel_edges_instance()
         config = AbrdConfig(epsilon=0.01)
-        dpass = delta_vector(inst, config, (frozenset({"e1"}), frozenset({"e2"})))
+        profile = (frozenset({"e1"}), frozenset({"e2"}))
+        dpass = delta_vector(pass_view(inst, config, profile, 1, 1))
         assert all(d <= 0 for d in dpass.deltas)
 
     def test_single_player_at_best_reply(self):
         exp = ExponentProfile((2.0,))
         res = (ResourceParams("m1", 1.0, (1.0,)), ResourceParams("m2", 3.0, (1.0,)))
         inst = Instance(exp, res, (Request(id=1, kind=MachineChoice(("m1", "m2"))),))
-        dpass = delta_vector(inst, AbrdConfig(), (frozenset({"m1"}),))
+        dpass = delta_vector(pass_view(inst, AbrdConfig(), (frozenset({"m1"}),), 1, 1))
         assert dpass.deltas[0] <= 0
 
 
@@ -312,26 +314,6 @@ class TestRunAbrd:
         with pytest.raises(ConfigError):
             AbrdConfig(selection="sometimes")
 
-    def test_mid_run_infeasibility_carries_partial_trace(self, monkeypatch):
-        import gndes.engine as engine_mod
-        from gndes.errors import InfeasibleError
-
-        inst = parallel_edges_instance()
-        real_oracle = engine_mod.reply_oracle
-        calls = {"n": 0}
-
-        def flaky(instance, request, tolls):
-            calls["n"] += 1
-            if calls["n"] > inst.n_requests:   # fail on the first dynamics step
-                raise InfeasibleError("injected")
-            return real_oracle(instance, request, tolls)
-
-        monkeypatch.setattr(engine_mod, "reply_oracle", flaky)
-        with pytest.raises(InfeasibleError) as excinfo:
-            run_abrd(inst, AbrdConfig())
-        trace = excinfo.value.partial_trace
-        assert len(trace) == 1 and trace[0].step == 0
-
 
 def small_machines_instance():
     """Machine-choice and explicit-reply players of weights 1-4 on three
@@ -397,8 +379,8 @@ class TestSampledRuns:
         # uncapped, the engine's sampled share is the one cost_share returns
         monkeypatch.undo()
         profile = initial_profile(inst)
-        view = PassView(inst, profile)
-        tolls = _player_tolls(inst, config, profile, 0, 1, 2, view)
+        view = pass_view(inst, config, profile, 1, 2)
+        tolls = view.tolls(0)
         assert view.sampled_shares == 1 and view.sample_cap_hits == 0
         share = cost_share(
             "shapley-sampled", ShareQuery(inst.resources[0], inst.exponents,

@@ -56,10 +56,10 @@ def _poa_n2(kind):
     inst = poa_lower_bound_instance(4.0, 1.0, 2.0)
     mechanism = "shapley-exact"
     if kind == "nash":
-        return nash_report_csv(inst, mechanism)
+        return nash_report_csv(inst, mechanism)[1]
     constants = rep_expansion_constants(mechanism, inst.exponents)
     lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-    return smoothness_report_csv(inst, mechanism, lam, 0.5)
+    return smoothness_report_csv(inst, mechanism, lam, 0.5)[1]
 
 
 CASES = {

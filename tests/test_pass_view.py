@@ -1,10 +1,11 @@
 """Differential tests for the shared resource view of a delta pass.
 
-``delta_vector`` builds the users of every resource once per pass and
-memoizes shares across players.  These tests compare it, with exact float
-equality, against per-player ABRs that share nothing: calls of
-``approximate_best_response`` without a view, and an independent
-regrouping of the others' users for every player.
+A ``PassView`` groups the users of every resource once per pass and
+memoizes shares across the players of the pass.  These tests compare
+``delta_vector`` on one view, with exact float equality, against per-player
+ABRs that share nothing: ``approximate_best_response`` on a fresh view for
+every player, and an independent regrouping of the others' users for every
+player.
 """
 
 import pytest
@@ -29,6 +30,7 @@ from gndes.rng import keyed_rng
 from gndes.sharing import MECHANISMS, ShareQuery, cost_share, whp_delta
 
 from helpers import (
+    pass_view,
     random_connected_graph,
     random_explicit_instance,
     random_exponents,
@@ -62,6 +64,12 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
     return answer, sum(tolls[e] for e in sorted(profile[position]))
 
 
+def fresh_view_abr(instance, config, position, profile, step, planned_budget):
+    """One player's ABR on a view of her own."""
+    return approximate_best_response(
+        pass_view(instance, config, profile, step, planned_budget), position)
+
+
 def unshared_pass(abr, instance, config, profile, step, planned_budget):
     eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
     deltas, proposals = [], []
@@ -73,8 +81,8 @@ def unshared_pass(abr, instance, config, profile, step, planned_budget):
 
 
 def assert_pass_matches(instance, config, profile, step=3, planned_budget=7):
-    shared = delta_vector(instance, config, profile, step, planned_budget)
-    for abr in (approximate_best_response, regrouped_abr):
+    shared = delta_vector(pass_view(instance, config, profile, step, planned_budget))
+    for abr in (fresh_view_abr, regrouped_abr):
         alone = unshared_pass(abr, instance, config, profile, step, planned_budget)
         # dataclasses of floats compare with ==, so this is exact equality
         # of every delta, the total and every proposed reply and toll total

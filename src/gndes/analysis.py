@@ -187,13 +187,8 @@ def _simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[
             visited.remove(v)
 
     dfs(source, {source}, ())
-    seen: set[frozenset[str]] = set()
-    unique = []
-    for p in out:
-        if p not in seen:
-            seen.add(p)
-            unique.append(p)
-    return unique
+    # a simple path is determined by its edge set, so no two paths repeat
+    return out
 
 
 def candidate_replies(instance: Instance, request: Request) -> list[frozenset[str]]:

@@ -45,12 +45,22 @@ def gamma_alpha(instance: Instance) -> float:
     return best
 
 
+def _finite(name: str, alpha_max: float, compute) -> float:
+    """``compute()``, or ConfigError when it exceeds the largest double."""
+    try:
+        value = compute()
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise ConfigError(f"{name} exceeds the largest double at alpha_max = {alpha_max:g}")
+    return value
+
+
 def lambda_alpha(constants: RepExpansionConstants, alpha_max: float) -> float:
-    z_max = math.ceil(constants.z_max)
-    return max(
-        (2.0 * k * z_max) ** (alpha_max + 1.0)
+    return _finite("lambda_alpha", alpha_max, lambda: max(
+        (2.0 * k * math.ceil(constants.z_max)) ** (alpha_max + 1.0)
         for k in constants.k_values()
-    )
+    ))
 
 
 @dataclass(frozen=True)
@@ -85,11 +95,15 @@ def theoretical_bounds(instance: Instance, rho: float, epsilon: float,
     n = instance.n_requests
     g = gamma_alpha(instance)
     la = lambda_alpha(constants, alpha_max)
-    lam = g + la * rho ** alpha_max
+    lam = _finite("lambda", alpha_max, lambda: g + la * rho ** alpha_max)
+    ratio_bound = _finite("the ratio bound", alpha_max,
+                          lambda: 2.0 * rho * eps1 * eps1 * lam / denom)
     a = harmonic(n)
     b = float(math.ceil(alpha_max))
     q = 2.0 * eps1 * n * a / denom
-    t = math.ceil(q * math.log(a * b * float(n) ** alpha_max))
+    log_term = _finite("the log term of T", alpha_max,
+                       lambda: math.log(a * b * float(n) ** alpha_max))
+    t = math.ceil(q * log_term)
     return TheoreticalBounds(
         epsilon1=eps1,
         gamma_alpha=g,
@@ -100,6 +114,6 @@ def theoretical_bounds(instance: Instance, rho: float, epsilon: float,
         B=b,
         Q=q,
         T=max(1, t),
-        ratio_bound=2.0 * rho * eps1 * eps1 * lam / denom,
+        ratio_bound=ratio_bound,
         rho=rho,
     )

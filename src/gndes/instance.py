@@ -18,6 +18,7 @@ dynamics engine mutates.  Loads are exact integers, costs are doubles.
 
 from __future__ import annotations
 
+import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
@@ -89,9 +90,14 @@ def rep_cost(params: ResourceParams, exponents: ExponentProfile, load: int) -> f
         return 0.0
     total = params.sigma
     x = float(load)
-    for xi, alpha in zip(params.xis, exponents.alphas):
-        if xi:
-            total += xi * x ** alpha
+    try:
+        for xi, alpha in zip(params.xis, exponents.alphas):
+            if xi:
+                total += xi * x ** alpha
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise InstanceError(f"cost of resource {params.id!r} at load {load} exceeds the largest double")
     return total
 
 
@@ -338,7 +344,7 @@ class Instance:
             for rep in kind.replies:
                 if not rep:
                     raise InstanceError(f"request {req.id}: replies must be nonempty")
-                for e in rep:
+                for e in sorted(rep):
                     if e not in self.resource_by_id:
                         raise InstanceError(f"request {req.id}: reply uses unknown resource {e!r}")
         else:
@@ -347,9 +353,9 @@ class Instance:
     # -- cost primitives ----------------------------------------------------
 
     def check_reply_resources(self, reply: Iterable[str]):
-        for e in reply:
-            if e not in self.resource_by_id:
-                raise InstanceError(f"reply uses unknown resource {e!r}")
+        unknown = [e for e in reply if e not in self.resource_by_id]
+        if unknown:
+            raise InstanceError(f"reply uses unknown resource {min(unknown)!r}")
 
 
 def load_vector(instance: Instance, profile: StrategyProfile) -> LoadVector:
@@ -361,7 +367,8 @@ def load_vector(instance: Instance, profile: StrategyProfile) -> LoadVector:
     for req, reply in zip(instance.requests, profile):
         for e in reply:
             if e not in loads:
-                raise InstanceError(f"reply of request {req.id} uses unknown resource {e!r}")
+                unknown = min(x for x in reply if x not in loads)
+                raise InstanceError(f"reply of request {req.id} uses unknown resource {unknown!r}")
             loads[e] += req.weight(e)
     return loads
 

@@ -38,6 +38,8 @@ from .instance import ExponentProfile, ResourceParams, rep_cost
 logger = logging.getLogger(__name__)
 
 MAX_SAMPLES = 200_000
+# permutation entries (samples x users) a sampled share holds in memory at once
+SAMPLE_BLOCK = 1 << 18
 
 MECHANISMS = ("proportional", "shapley-exact", "shapley-sampled")
 
@@ -86,8 +88,15 @@ def h_value(resource: ResourceParams, exponents: ExponentProfile, weight_sum: fl
         raise InstanceError("weight sum must be >= 0")
     if weight_sum == 0:
         return 0.0
-    return sum(xi * float(weight_sum) ** a
-               for xi, a in zip(resource.xis, exponents.alphas) if xi)
+    try:
+        value = sum(xi * float(weight_sum) ** a
+                    for xi, a in zip(resource.xis, exponents.alphas) if xi)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise InstanceError(
+            f"cost of resource {resource.id!r} at load {weight_sum} exceeds the largest double")
+    return value
 
 
 def proportional_share(query: ShareQuery) -> float:
@@ -233,10 +242,16 @@ def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
 
     weights = np.array([w for _, w in query.users], dtype=np.float64)
     target_index = next(k for k, (i, _) in enumerate(query.users) if i == query.target)
-    perms = rng.permuted(np.tile(np.arange(n), (m, 1)), axis=1)
-    csum = np.cumsum(weights[perms], axis=1)
-    tpos = np.argmax(perms == target_index, axis=1)
-    after = csum[np.arange(m), tpos]
+    # permutations are drawn in blocks of rows to bound memory; the generator
+    # shuffles row by row, so the draws equal one m-row draw
+    rows = max(1, SAMPLE_BLOCK // n)
+    after = np.empty(m)
+    for start in range(0, m, rows):
+        size = min(rows, m - start)
+        perms = rng.permuted(np.tile(np.arange(n), (size, 1)), axis=1)
+        csum = np.cumsum(weights[perms], axis=1)
+        tpos = np.argmax(perms == target_index, axis=1)
+        after[start:start + size] = csum[np.arange(size), tpos]
     before = after - weights[target_index]
 
     def h_vec(x):
@@ -326,13 +341,17 @@ def rep_expansion_constants(mechanism: str, exponents: ExponentProfile) -> RepEx
     base = mechanism.split("-")[0]
     per_j = []
     for a in exponents.alphas:
-        if base == "proportional":
-            z1 = z2 = 2.0 ** (a - 1.0)
-        elif base == "shapley":
-            z1 = 3.0 ** a
-            z2 = 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))
-        else:
-            raise ConfigError(f"unknown mechanism {mechanism!r}")
+        try:
+            if base == "proportional":
+                z1 = z2 = 2.0 ** (a - 1.0)
+            elif base == "shapley":
+                z1 = 3.0 ** a
+                z2 = 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))
+            else:
+                raise ConfigError(f"unknown mechanism {mechanism!r}")
+        except OverflowError:
+            raise ConfigError(
+                f"expansion constants exceed the largest double at alpha = {a:g}") from None
         per_j.append((ExpansionTerm(0.0, a, z1), ExpansionTerm(a - 1.0, 1.0, z2)))
     return RepExpansionConstants(mechanism=base, terms=tuple(per_j))
 

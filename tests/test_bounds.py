@@ -13,7 +13,7 @@ from gndes import (
     gamma_alpha,
     theoretical_bounds,
 )
-from gndes.sharing import rep_expansion_constants
+from gndes.sharing import ExpansionTerm, RepExpansionConstants, rep_expansion_constants
 
 from helpers import random_explicit_instance, rng_for
 
@@ -106,3 +106,45 @@ def test_ratio_bound_exceeds_rho(mechanism):
         assert b.ratio_bound > b.rho
         assert b.T >= 1
         assert b.mu < 1.0 / (b.rho * b.epsilon1 ** 2)
+
+
+def one_machine_instance(alpha, n_players=1):
+    res = ResourceParams("m", 1.0, (1.0,))
+    reqs = tuple(Request(id=i, kind=MachineChoice(("m",))) for i in range(1, n_players + 1))
+    return Instance(ExponentProfile((alpha,)), (res,), reqs)
+
+
+# K = 1 and z = 0.5, so lambda_alpha = 2^(alpha + 1) stays finite up to alpha 1022
+SMALL_CONSTANTS = RepExpansionConstants("proportional", ((ExpansionTerm(0.0, 1.0, 0.5),),))
+
+
+@pytest.mark.parametrize("name, alpha, rho, epsilon, constants, n", [
+    ("lambda_alpha", 25.0, 1.0, 0.01, None, 1),
+    # the Shapley binomial factor is itself infinite here
+    ("lambda_alpha", 300.0, 1.0, 0.01, None, 1),
+    ("lambda", 24.0, 2.0, 0.01, None, 1),
+    # eps1^2 just below 2 leaves 1 - rho eps1^2 mu near 1e-9
+    ("the ratio bound", 24.0, 1.0, 0.171572875, None, 1),
+    ("the log term of T", 700.0, 1.0, 0.01, SMALL_CONSTANTS, 3),
+], ids=["lambda_alpha-25", "lambda_alpha-300", "lambda-24", "ratio-bound-24", "log-term-700"])
+def test_constants_beyond_a_double_raise(name, alpha, rho, epsilon, constants, n):
+    inst = one_machine_instance(alpha, n)
+    constants = constants or rep_expansion_constants("shapley", inst.exponents)
+    with pytest.raises(ConfigError) as info:
+        theoretical_bounds(inst, rho, epsilon, constants)
+    assert str(info.value) == f"{name} exceeds the largest double at alpha_max = {alpha:g}"
+
+
+@pytest.mark.parametrize("mechanism, alpha", [("shapley", 700.0), ("proportional", 1100.0)])
+def test_expansion_constants_beyond_a_double_raise(mechanism, alpha):
+    with pytest.raises(ConfigError) as info:
+        rep_expansion_constants(mechanism, ExponentProfile((alpha,)))
+    assert str(info.value) == f"expansion constants exceed the largest double at alpha = {alpha:g}"
+
+
+def test_largest_fitting_constants_are_unchanged():
+    inst = one_machine_instance(24.0)
+    constants = rep_expansion_constants("shapley", inst.exponents)
+    b = theoretical_bounds(inst, 1.0, 0.01, constants)
+    assert b.lambda_alpha == (2.0 * 2 * math.ceil(3.0 ** 24.0)) ** 25.0
+    assert b.lam == b.gamma_alpha + b.lambda_alpha * 1.0 ** 24.0

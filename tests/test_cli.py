@@ -329,3 +329,78 @@ class TestPoaGen:
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "15", "--xi", "1",
                                "--alpha", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2 and "16" in err
+
+
+def one_machine(alpha, weight_all=1):
+    """One request on one machine, so a constant or cost grows only with alpha."""
+    return {"alphas": [alpha], "resources": [{"id": "m", "sigma": 1.0, "xis": [1.0]}],
+            "requests": [{"id": 1, "weight_all": weight_all,
+                          "kind": {"type": "machine_choice", "machines": ["m"]}}]}
+
+
+STEINER_24 = dict(STEINER_PATH, alphas=[24.0])
+
+
+def instance_file(tmp_path, doc) -> str:
+    path = tmp_path / "instance.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return str(path)
+
+
+class TestBeyondADouble:
+    @pytest.mark.parametrize("command, csm, alpha", [
+        ("bounds", "shapley", 25), ("solve", "shapley", 25), ("smooth", "shapley", 25),
+        ("bounds", "proportional", 31), ("solve", "proportional", 31),
+    ])
+    def test_constant_beyond_a_double_exit_2(self, capsys, tmp_path, command, csm, alpha):
+        path = instance_file(tmp_path, one_machine(alpha))
+        code, out, err = run_cli(capsys, command, "--instance", path, "--csm", csm)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: lambda_alpha exceeds the largest double at alpha_max = {alpha}\n"
+
+    @pytest.mark.parametrize("csm, alpha", [("shapley", 24), ("proportional", 30)])
+    def test_largest_constants_still_run(self, capsys, tmp_path, csm, alpha):
+        path = instance_file(tmp_path, one_machine(alpha))
+        code, out, _ = run_cli(capsys, "bounds", "--instance", path, "--csm", csm, "--json")
+        assert code == 0
+        assert 1e280 < json.loads(out)["lambda_alpha"] < float("inf")
+
+    @pytest.mark.parametrize("command", ["bounds", "solve"])
+    def test_infinite_lambda_exit_2(self, capsys, tmp_path, command):
+        code, out, err = run_cli(capsys, command, "--instance",
+                                 instance_file(tmp_path, STEINER_24), "--json")
+        assert code == 2
+        assert out == ""
+        assert err == "error: lambda exceeds the largest double at alpha_max = 24\n"
+
+    @pytest.mark.parametrize("command", ["brute", "nash"])
+    def test_cost_beyond_a_double_exit_2(self, capsys, tmp_path, command):
+        path = instance_file(tmp_path, one_machine(200, weight_all=60))
+        code, out, err = run_cli(capsys, command, "--instance", path)
+        assert code == 2
+        assert out == ""
+        assert err == "error: cost of resource 'm' at load 60 exceeds the largest double\n"
+
+
+def reject_constant(name):
+    raise ValueError(f"{name} is not JSON")
+
+
+class TestStrictJson:
+    @pytest.mark.parametrize("command, name, expected_code", [
+        ("solve", "parallel", 0), ("brute", "parallel", 0), ("nash", "parallel", 0),
+        ("smooth", "parallel", 0), ("fpl", "two_routes", 0), ("bounds", "parallel", 0),
+        ("solve", "steiner_24", 2), ("brute", "steiner_24", 0), ("nash", "steiner_24", 0),
+        ("smooth", "steiner_24", 0), ("bounds", "steiner_24", 2),
+    ])
+    def test_json_output_is_strict(self, capsys, tmp_path, command, name, expected_code):
+        doc = {"parallel": json.loads(PARALLEL), "two_routes": TWO_ROUTES,
+               "steiner_24": STEINER_24}[name]
+        code, out, _ = run_cli(capsys, command, "--instance", instance_file(tmp_path, doc),
+                               "--json")
+        assert code == expected_code
+        if code:
+            assert out == ""
+        else:
+            assert isinstance(json.loads(out, parse_constant=reject_constant), dict)

@@ -4,7 +4,8 @@ Replies are frozensets, whose iteration order follows ``PYTHONHASHSEED``,
 and summing floats in a different order can change the last bits.  Each
 case solves one seeded instance in two fresh interpreters with different
 hash seeds and compares ``repr`` of every delta of every step, or of every
-regret of a perturbed-leader run.
+regret of a perturbed-leader run.  Error messages that name one of several
+unknown resources must name the same one under every hash seed.
 """
 
 import os
@@ -38,17 +39,47 @@ else:
 """
 
 
-def solve_under_hash_seed(case: str, hash_seed: int) -> str:
+# a reply of six undeclared resources, met by the parser, the reply check and
+# the load vector; each names the least of them
+UNKNOWN = r"""
+import json
+from gndes import ExponentProfile, Instance, MachineChoice, Request, ResourceParams, load_vector
+from gndes.errors import GndesError
+from gndes.io import parse_instance_text
+
+reply = frozenset("uvwxyz")
+doc = {"alphas": [2.0], "resources": [{"id": "m", "sigma": 1.0, "xis": [1.0]}],
+       "requests": [{"id": 1, "kind": {"type": "explicit", "replies": [sorted(reply)]}}]}
+inst = Instance(ExponentProfile((2.0,)), (ResourceParams("m", 1.0, (1.0,)),),
+                (Request(id=1, kind=MachineChoice(("m",))),))
+for attempt in (lambda: parse_instance_text(json.dumps(doc)),
+                lambda: inst.check_reply_resources(reply),
+                lambda: load_vector(inst, (reply,))):
+    try:
+        attempt()
+    except GndesError as exc:
+        print(exc)
+"""
+
+
+def run_under_hash_seed(script: str, hash_seed: int, *args: str) -> str:
     path = [SRC, TESTS, os.environ.get("PYTHONPATH")]
     env = dict(os.environ, PYTHONHASHSEED=str(hash_seed),
                PYTHONPATH=os.pathsep.join(filter(None, path)))
-    done = subprocess.run([sys.executable, "-c", SOLVE, case], env=env,
+    done = subprocess.run([sys.executable, "-c", script, *args], env=env,
                           capture_output=True, text=True, timeout=120, check=True)
     return done.stdout
 
 
 @pytest.mark.parametrize("case", ["routing", "steiner", "explicit", "fpl"])
 def test_deltas_do_not_depend_on_hash_seed(case):
-    first = solve_under_hash_seed(case, 0)
+    first = run_under_hash_seed(SOLVE, 0, case)
     assert first                            # deltas per step, or regrets and trace
-    assert solve_under_hash_seed(case, 1) == first
+    assert run_under_hash_seed(SOLVE, 1, case) == first
+
+
+def test_unknown_resource_messages_do_not_depend_on_hash_seed():
+    outputs = {run_under_hash_seed(UNKNOWN, seed) for seed in range(6)}
+    assert outputs == {"request 1: reply uses unknown resource 'u'\n"
+                       "reply uses unknown resource 'u'\n"
+                       "reply of request 1 uses unknown resource 'u'\n"}

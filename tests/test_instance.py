@@ -51,6 +51,15 @@ class TestRepCost:
         with pytest.raises(InstanceError):
             rep_cost(params, ExponentProfile((2.0,)), -1)
 
+    @pytest.mark.parametrize("xi, alpha, load", [(1.0, 200.0, 60), (10.0, 1023.9, 2)],
+                             ids=["power-overflows", "product-overflows"])
+    def test_beyond_a_double_raises(self, xi, alpha, load):
+        params = ResourceParams("e", 1.0, (xi,))
+        with pytest.raises(InstanceError) as info:
+            rep_cost(params, ExponentProfile((alpha,)), load)
+        assert str(info.value) == (
+            f"cost of resource 'e' at load {load} exceeds the largest double")
+
     @given(
         a=st.integers(min_value=1, max_value=50),
         b=st.integers(min_value=1, max_value=50),

@@ -165,6 +165,37 @@ class TestShortestPathAgainstNetworkx:
         assert outcomes["path"] > 10 and outcomes["infeasible"] > 10
 
 
+class TestCandidatePathsAgainstNetworkx:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_matches_all_simple_edge_paths(self, directed):
+        """The routing reply collection is every simple s-t path, each once,
+        on multigraphs with loops, parallel edges and unreachable pairs."""
+        nx = pytest.importorskip("networkx")
+        rng = rng_for(26 if directed else 25)
+        sizes = []
+        for _ in range(150):
+            n = int(rng.integers(2, 7))
+            vertices = [f"v{k}" for k in range(n)]
+            ends = rng.integers(n, size=(int(rng.integers(0, 4 * n)), 2))
+            edges = [Edge(f"e{k}", vertices[a], vertices[b]) for k, (a, b) in enumerate(ends)]
+            g = HostGraph(directed, tuple(vertices), tuple(edges))
+            ref = nx.MultiDiGraph() if directed else nx.MultiGraph()
+            ref.add_nodes_from(vertices)
+            for e in g.edges:
+                ref.add_edge(e.tail, e.head, key=e.id)
+            s, t = rng.choice(n, size=2, replace=False)
+            inst = Instance(ExponentProfile((2.0,)),
+                            tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges) or
+                            (ResourceParams("spare", 1.0, (1.0,)),),
+                            (Request(id=1, kind=Routing(vertices[s], vertices[t])),), g)
+            replies = candidate_replies(inst, inst.requests[0])
+            expected = {frozenset(key for _, _, key in path)
+                        for path in nx.all_simple_edge_paths(ref, vertices[s], vertices[t])}
+            assert len(set(replies)) == len(replies)
+            assert set(replies) == expected
+            sizes.append(len(replies))
+        assert sizes.count(0) > 10 and sum(k > 1 for k in sizes) > 20
+
 class TestMachine:
     def test_cheapest(self):
         assert machine_oracle(("m1", "m2"), {"m1": 5.0, "m2": 9.0}).reply == frozenset({"m1"})

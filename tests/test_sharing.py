@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
@@ -87,6 +88,15 @@ class TestHValue:
     def test_two_terms(self):
         res = ResourceParams("r", 0.0, (1.0, 2.0))
         assert h_value(res, ExponentProfile((2.0, 3.0)), 2) == pytest.approx(20.0)
+
+    @pytest.mark.parametrize("xi, alpha, load", [(1.0, 200.0, 60), (10.0, 1023.9, 2)],
+                             ids=["power-overflows", "product-overflows"])
+    def test_beyond_a_double_raises(self, xi, alpha, load):
+        res = ResourceParams("r", 0.0, (xi,))
+        with pytest.raises(InstanceError) as info:
+            h_value(res, ExponentProfile((alpha,)), load)
+        assert str(info.value) == (
+            f"cost of resource 'r' at load {load} exceeds the largest double")
 
     @given(
         x1=st.floats(min_value=0.0, max_value=20.0),
@@ -265,6 +275,25 @@ class TestShapleySampled:
         a = shapley_sampled(q, 0.1, 0.05, keyed_rng(7, "s"))
         b = shapley_sampled(q, 0.1, 0.05, keyed_rng(7, "s"))
         assert a == b
+
+    @pytest.mark.parametrize("block", [1, 7, 50])
+    def test_blocks_reproduce_one_draw(self, monkeypatch, block):
+        q = query(2.0, [1.0, 0.5], [2.0, 3.0], [1, 2, 3, 5, 8, 13, 21], target=3)
+        assert 1000 * 7 <= sharing.SAMPLE_BLOCK      # one block at the default
+        whole = shapley_sampled(q, 0.1, 0.05, keyed_rng(5, "blocks"), samples=1000)
+        monkeypatch.setattr(sharing, "SAMPLE_BLOCK", block)
+        assert shapley_sampled(q, 0.1, 0.05, keyed_rng(5, "blocks"), samples=1000) == whole
+
+    def test_memory_is_bounded_by_the_block(self):
+        # one 50,000 x 100 draw held at once peaks near 125 MB
+        q = query(1.0, [1.0], [2.0], [k % 7 + 1 for k in range(100)], target=3)
+        tracemalloc.start()
+        try:
+            shapley_sampled(q, 0.1, 0.01, keyed_rng(1, "memory"), samples=50_000)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 20e6
 
     def test_sample_cap_binds_with_warning(self, caplog):
         # the count itself is uncapped and silent; the estimator applies

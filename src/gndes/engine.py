@@ -69,7 +69,7 @@ class AbrdConfig:
 class StepRecord:
     step: int
     player: Optional[int]                     # request id of the updated player
-    deltas: Optional[tuple[float, ...]]       # positional, one per request
+    delta_selected: Optional[float]           # that player's delta
     delta_total: Optional[float]
     cost: float
     potential: Optional[float]
@@ -83,18 +83,21 @@ class RunResult:
     t_star: int
     best_cost: float
     trace: tuple[StepRecord, ...]
-    request_ids: tuple[int, ...]
     bounds: TheoreticalBounds
-    converged_at: Optional[int]
     step_budget: int
-    budget_overridden: bool
-    mechanism: str
-    selection: str
-    output_mode: str
-    seed: int
+    config: AbrdConfig
     opt_cost: Optional[float] = None
     sampled_shares: int = 0                   # shares estimated by sampling
     sample_cap_hits: int = 0                  # of those, shares whose count was capped
+
+    @property
+    def converged_at(self) -> Optional[int]:
+        last = self.trace[-1]
+        return last.step if last.converged else None
+
+    @property
+    def budget_overridden(self) -> bool:
+        return self.config.step_budget_override is not None
 
     @property
     def ratio(self) -> Optional[float]:
@@ -176,10 +179,9 @@ class PassView:
             share = memo.get(key)
             if share is None:
                 users = self.users.get(e, ())
-                if on:
-                    users = tuple([u for u in users if u[0] != req.id])
-                query = ShareQuery(res, instance.exponents, users + ((req.id, w),),
-                                   target=req.id)
+                if not on:
+                    users += ((req.id, w),)
+                query = ShareQuery(res, instance.exponents, users, target=req.id)
                 needed = samples_needed(query, config.epsilon, self.delta) if self.sampled else 0
                 if needed:
                     self.sampled_shares += 1
@@ -251,8 +253,7 @@ def run_abrd(instance: Instance, config: AbrdConfig,
     planned = bounds.T
     if config.selection == "randomized":
         planned = instance.n_requests * bounds.T ** 2
-    overridden = config.step_budget_override is not None
-    budget = config.step_budget_override if overridden else planned
+    budget = planned if config.step_budget_override is None else config.step_budget_override
     delta = whp_delta(budget, instance.n_requests, len(instance.resources))
     # proportional sharing has no potential to track
     tracks_potential = config.mechanism != "proportional"
@@ -260,10 +261,9 @@ def run_abrd(instance: Instance, config: AbrdConfig,
     profile = initial_profile(instance)
     cost = total_cost(instance, profile)
     potential = analysis.potential(instance, profile) if tracks_potential else None
-    trace = [StepRecord(step=0, player=None, deltas=None, delta_total=None,
+    trace = [StepRecord(step=0, player=None, delta_selected=None, delta_total=None,
                         cost=cost, potential=potential, converged=False)]
     best_profile, best_cost, t_star = profile, cost, 0   # the first least cost
-    converged_at = None
     sampled_shares = sample_cap_hits = 0
 
     for t in range(1, budget + 1):
@@ -283,10 +283,9 @@ def run_abrd(instance: Instance, config: AbrdConfig,
                 best_profile, best_cost, t_star = profile, cost, t
         trace.append(StepRecord(
             step=t, player=None if chosen is None else instance.requests[chosen].id,
-            deltas=dpass.deltas, delta_total=dpass.total,
-            cost=cost, potential=potential, converged=converged))
+            delta_selected=None if chosen is None else dpass.deltas[chosen],
+            delta_total=dpass.total, cost=cost, potential=potential, converged=converged))
         if converged:
-            converged_at = t
             break
 
     best = config.output == "best"
@@ -296,15 +295,9 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         t_star=t_star,
         best_cost=best_cost,
         trace=tuple(trace),
-        request_ids=tuple(req.id for req in instance.requests),
         bounds=bounds,
-        converged_at=converged_at,
         step_budget=budget,
-        budget_overridden=overridden,
-        mechanism=config.mechanism,
-        selection=config.selection,
-        output_mode=config.output,
-        seed=config.seed,
+        config=config,
         sampled_shares=sampled_shares,
         sample_cap_hits=sample_cap_hits,
     )
@@ -325,14 +318,10 @@ def trace_to_csv(result: RunResult) -> str:
     """Columns: step, player, delta_selected, Delta, cost, potential,
     converged.  The step-0 row and rows without an update leave the player
     and delta_selected fields empty."""
-    position_of = {rid: pos for pos, rid in enumerate(result.request_ids)}
     lines = ["step,player,delta_selected,Delta,cost,potential,converged"]
     for rec in result.trace:
         player = "" if rec.player is None else str(rec.player)
-        if rec.player is None or rec.deltas is None:
-            delta_sel = ""
-        else:
-            delta_sel = _fmt(rec.deltas[position_of[rec.player]])
+        delta_sel = "" if rec.delta_selected is None else _fmt(rec.delta_selected)
         delta_total = "" if rec.delta_total is None else _fmt(rec.delta_total)
         pot = "" if rec.potential is None else _fmt(rec.potential)
         lines.append(",".join([
@@ -342,13 +331,13 @@ def trace_to_csv(result: RunResult) -> str:
 
 
 def run_report(instance: Instance, result: RunResult) -> str:
-    b = result.bounds
+    b, config = result.bounds, result.config
     lines = [
         "abrd run report",
-        f"  mechanism        {result.mechanism}",
-        f"  selection        {result.selection}",
-        f"  output mode      {result.output_mode}",
-        f"  seed             {result.seed}",
+        f"  mechanism        {config.mechanism}",
+        f"  selection        {config.selection}",
+        f"  output mode      {config.output}",
+        f"  seed             {config.seed}",
         f"  players          {instance.n_requests}",
         f"  resources        {len(instance.resources)}",
         f"  rho              {_fmt(b.rho)}",
@@ -365,7 +354,7 @@ def run_report(instance: Instance, result: RunResult) -> str:
         f"  budget used      {result.step_budget}"
         + ("  (override; ratio guarantee void)" if result.budget_overridden else ""),
     ]
-    if result.mechanism == "shapley-sampled":
+    if config.mechanism == "shapley-sampled":
         fail = 1.0 / (2.0 * max(1, result.step_budget)
                       * instance.n_requests * len(instance.resources))
         lines.append(f"  sampling failure probability <= {_fmt(fail)}")
@@ -387,12 +376,12 @@ def run_report(instance: Instance, result: RunResult) -> str:
 
 def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
     """Machine-readable mirror of the plain-text run report."""
-    b = result.bounds
+    b, config = result.bounds, result.config
     out = {
-        "mechanism": result.mechanism,
-        "selection": result.selection,
-        "output_mode": result.output_mode,
-        "seed": result.seed,
+        "mechanism": config.mechanism,
+        "selection": config.selection,
+        "output_mode": config.output,
+        "seed": config.seed,
         "players": instance.n_requests,
         "resources": len(instance.resources),
         "bounds": {
@@ -410,7 +399,7 @@ def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
         "output_cost": result.output_cost,
         "output_profile": [sorted(r) for r in result.output_profile],
     }
-    if result.mechanism == "shapley-sampled":
+    if config.mechanism == "shapley-sampled":
         out["sampled_shares"] = result.sampled_shares
         out["sample_cap_hits"] = result.sample_cap_hits
     if result.opt_cost is not None:

@@ -37,7 +37,7 @@ LoadVector = dict[str, int]
 
 @dataclass(frozen=True)
 class ExponentProfile:
-    """Global exponents alpha_1..alpha_q, each > 1, shared by all resources."""
+    """Global exponents alpha_1..alpha_q, each finite and > 1, shared by all resources."""
 
     alphas: tuple[float, ...]
 
@@ -48,6 +48,8 @@ class ExponentProfile:
         for a in self.alphas:
             if not a > 1.0:
                 raise InstanceError(f"every exponent must exceed 1, got {a}")
+            if not math.isfinite(a):
+                raise InstanceError(f"every exponent must be finite, got {a}")
 
     @property
     def q(self) -> int:
@@ -60,7 +62,7 @@ class ExponentProfile:
 
 @dataclass(frozen=True)
 class ResourceParams:
-    """One resource: startup cost sigma >= 0 and per-exponent factors xi_j >= 0.
+    """One resource: finite startup cost sigma >= 0 and finite factors xi_j >= 0.
 
     At least one factor must be positive; the xis tuple must match the
     instance's exponent count (checked at Instance construction where q is
@@ -76,8 +78,12 @@ class ResourceParams:
         object.__setattr__(self, "xis", tuple(float(x) for x in self.xis))
         if self.sigma < 0:
             raise InstanceError(f"resource {self.id!r}: sigma must be >= 0")
+        if not math.isfinite(self.sigma):
+            raise InstanceError(f"resource {self.id!r}: sigma must be finite")
         if any(x < 0 for x in self.xis):
             raise InstanceError(f"resource {self.id!r}: factors must be >= 0")
+        if not all(map(math.isfinite, self.xis)):
+            raise InstanceError(f"resource {self.id!r}: factors must be finite")
         if not any(x > 0 for x in self.xis):
             raise InstanceError(f"resource {self.id!r}: needs at least one positive factor")
 
@@ -89,8 +95,8 @@ def rep_cost(params: ResourceParams, exponents: ExponentProfile, load: int) -> f
     if load == 0:
         return 0.0
     total = params.sigma
-    x = float(load)
     try:
+        x = float(load)
         for xi, alpha in zip(params.xis, exponents.alphas):
             if xi:
                 total += xi * x ** alpha

@@ -1,4 +1,5 @@
 import json
+import math
 
 import pytest
 
@@ -340,6 +341,18 @@ def one_machine(alpha, weight_all=1):
 
 STEINER_24 = dict(STEINER_PATH, alphas=[24.0])
 
+# two machines, each a choice of every request
+MACHINE_CHOICE = {"type": "machine_choice", "machines": ["m1", "m2"]}
+TWO_MACHINES = {"alphas": [2.0], "resources": [{"id": "m1", "sigma": 1.0, "xis": [1.0]},
+                                               {"id": "m2", "sigma": 1.0, "xis": [1.0]}],
+                "requests": [{"id": 1, "kind": MACHINE_CHOICE},
+                             {"id": 2, "kind": MACHINE_CHOICE}]}
+NAN_SIGMA = dict(TWO_MACHINES, resources=[dict(TWO_MACHINES["resources"][0], sigma=math.nan),
+                                          TWO_MACHINES["resources"][1]])
+# one request whose 401-digit weight is itself beyond a double
+HUGE_WEIGHT = dict(TWO_MACHINES, requests=[{"id": 1, "weight_all": 10 ** 400,
+                                            "kind": MACHINE_CHOICE}])
+
 
 def instance_file(tmp_path, doc) -> str:
     path = tmp_path / "instance.json"
@@ -382,6 +395,15 @@ class TestBeyondADouble:
         assert out == ""
         assert err == "error: cost of resource 'm' at load 60 exceeds the largest double\n"
 
+    @pytest.mark.parametrize("command", ["solve", "brute"])
+    def test_load_beyond_a_double_exit_2(self, capsys, tmp_path, command):
+        path = instance_file(tmp_path, HUGE_WEIGHT)
+        code, out, err = run_cli(capsys, command, "--instance", path)
+        assert code == 2
+        assert out == ""
+        assert err == (f"error: cost of resource 'm1' at load {10 ** 400}"
+                       " exceeds the largest double\n")
+
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")
@@ -393,10 +415,12 @@ class TestStrictJson:
         ("smooth", "parallel", 0), ("fpl", "two_routes", 0), ("bounds", "parallel", 0),
         ("solve", "steiner_24", 2), ("brute", "steiner_24", 0), ("nash", "steiner_24", 0),
         ("smooth", "steiner_24", 0), ("bounds", "steiner_24", 2),
+        ("solve", "nan_sigma", 2), ("brute", "nan_sigma", 2), ("nash", "nan_sigma", 2),
+        ("smooth", "nan_sigma", 2), ("bounds", "nan_sigma", 2),
     ])
     def test_json_output_is_strict(self, capsys, tmp_path, command, name, expected_code):
         doc = {"parallel": json.loads(PARALLEL), "two_routes": TWO_ROUTES,
-               "steiner_24": STEINER_24}[name]
+               "steiner_24": STEINER_24, "nan_sigma": NAN_SIGMA}[name]
         code, out, _ = run_cli(capsys, command, "--instance", instance_file(tmp_path, doc),
                                "--json")
         assert code == expected_code

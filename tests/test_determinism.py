@@ -20,11 +20,15 @@ import gndes
 SRC = str(Path(gndes.__file__).resolve().parent.parent)
 TESTS = str(Path(__file__).resolve().parent)
 
+# A step record keeps only the updated player's delta, so every pass is
+# rebuilt from the profile after k steps (the last profile of a run cut at k)
+# and its full delta vector printed, after checking it against the record.
 SOLVE = r"""
 import sys
-from gndes import AbrdConfig, run_abrd
+from dataclasses import replace
+from gndes import AbrdConfig, delta_vector, run_abrd
 from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
-from helpers import seeded_case
+from helpers import pass_view, seeded_case
 
 case = sys.argv[1]
 inst, mechanism = seeded_case(case)
@@ -33,9 +37,16 @@ if case == "fpl":
     print(repr(result.regrets))
     print(regret_trace_to_csv(result))
 else:
-    result = run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=4))
-    for rec in result.trace[1:]:
-        print(repr(rec.deltas))
+    config = AbrdConfig(mechanism=mechanism, step_budget_override=4)
+    result = run_abrd(inst, config)
+    position = {req.id: pos for pos, req in enumerate(inst.requests)}
+    for k, rec in enumerate(result.trace[1:]):
+        cut = run_abrd(inst, replace(config, output="last", step_budget_override=k))
+        dpass = delta_vector(pass_view(inst, config, cut.output_profile, k + 1, 4))
+        assert dpass.total == rec.delta_total
+        if rec.player is not None:
+            assert dpass.deltas[position[rec.player]] == rec.delta_selected
+        print(repr(dpass.deltas))
 """
 
 

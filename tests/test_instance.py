@@ -1,3 +1,5 @@
+import math
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -210,7 +212,62 @@ class TestValidateReply:
         assert not validate_reply(inst, inst.requests[0], frozenset({"ab"}))
 
 
+PATH = HostGraph(False, ("a", "b", "c"), (Edge("ab", "a", "b"), Edge("bc", "b", "c")))
+PATH_RESOURCES = tuple(ResourceParams(e, 1.0, (1.0,)) for e in ("ab", "bc", "m"))
+M = MachineChoice(("m",))
+
+
+def invalid(message, *kinds, resources=PATH_RESOURCES, graph=PATH, **fields):
+    """An instance case that breaks one rule: one request of id 1 per kind."""
+    requests = tuple(Request(id=1, kind=kind, **fields) for kind in kinds)
+    return pytest.param(resources, requests, graph, message, id=message)
+
+
+INVALID = [
+    invalid("duplicate resource ids", M, resources=PATH_RESOURCES + PATH_RESOURCES[:1]),
+    invalid("instance needs at least one resource", M, resources=(), graph=None),
+    invalid("graph edge 'ca' is not a declared resource", M,
+            graph=HostGraph(False, PATH.vertices, PATH.edges + (Edge("ca", "c", "a"),))),
+    invalid("instance needs at least one request"),
+    invalid("duplicate request ids", M, M),
+    invalid("request 1: weight on unknown resource 'z'", M, weights={"z": 2}),
+    invalid("request 1: unknown terminal vertex", Routing("a", "z")),
+    invalid("request 1: source equals target", Routing("b", "b")),
+    invalid("request 1: needs at least one terminal pair", MultiRouting(())),
+    invalid("request 1: unknown terminal vertex", MultiRouting((("a", "c"), ("z", "b")))),
+    invalid("request 1: degenerate terminal pair (b,b)", MultiRouting((("a", "c"), ("b", "b")))),
+    invalid("request 1: needs at least two terminals", SetConnectivity(("a", "a"))),
+    invalid("request 1: unknown terminal vertex 'z'", SetConnectivity(("a", "z"))),
+    invalid("request 1: empty machine list", MachineChoice(())),
+    invalid("request 1: unknown machine 'z'", MachineChoice(("m", "z"))),
+    invalid("request 1: empty reply list", ExplicitReplies(())),
+    invalid("request 1: replies must be nonempty", ExplicitReplies((frozenset("m"), frozenset()))),
+    invalid("request 1: reply uses unknown resource 'y'", ExplicitReplies((frozenset("zy"),))),
+    invalid("request 1: unsupported kind str", "teleport"),
+]
+
+
 class TestInstanceValidation:
+    @pytest.mark.parametrize("resources, requests, graph, message", INVALID)
+    def test_each_rule_has_its_message(self, resources, requests, graph, message):
+        with pytest.raises(InstanceError) as info:
+            Instance(ExponentProfile((2.0,)), resources, requests, graph)
+        assert str(info.value) == message
+
+    @pytest.mark.parametrize("make, message", [
+        (lambda: ResourceParams("e", math.nan, (1.0,)), "resource 'e': sigma must be finite"),
+        (lambda: ResourceParams("e", math.inf, (1.0,)), "resource 'e': sigma must be finite"),
+        (lambda: ResourceParams("e", 1.0, (1.0, math.nan)),
+         "resource 'e': factors must be finite"),
+        (lambda: ResourceParams("e", 1.0, (math.inf,)), "resource 'e': factors must be finite"),
+        (lambda: ExponentProfile((2.0, math.inf)), "every exponent must be finite, got inf"),
+        (lambda: ExponentProfile((math.nan,)), "every exponent must exceed 1, got nan"),
+    ], ids=["sigma-nan", "sigma-inf", "xi-nan", "xi-inf", "alpha-inf", "alpha-nan"])
+    def test_non_finite_numbers_rejected(self, make, message):
+        with pytest.raises(InstanceError) as info:
+            make()
+        assert str(info.value) == message
+
     def test_graph_kind_needs_graph(self):
         with pytest.raises(InstanceError):
             Instance(

@@ -1,5 +1,6 @@
 import copy
 import json
+import math
 
 import pytest
 
@@ -203,7 +204,12 @@ MALFORMED = {
                      "requests[4].kind.replies[0]: expected a string"),
     # errors the instance model raises while it is built
     "alpha-one": (edited("alphas.0", 1.0), "every exponent must exceed 1, got 1.0"),
+    "alpha-infinity": (edited("alphas.1", math.inf), "every exponent must be finite, got inf"),
     "sigma-negative": (edited("resources.0.sigma", -1.0), "resource 'ab': sigma must be >= 0"),
+    "sigma-nan": (edited("resources.0.sigma", math.nan), "resource 'ab': sigma must be finite"),
+    "sigma-infinity": (edited("resources.2.sigma", math.inf),
+                       "resource 'cd': sigma must be finite"),
+    "xi-nan": (edited("resources.0.xis.1", math.nan), "resource 'ab': factors must be finite"),
     "xis-negative": (edited("resources.1.xis.1", -0.5), "resource 'bc': factors must be >= 0"),
     "xis-all-zero": (edited("resources.3.xis.0", 0),
                      "resource 'm1': needs at least one positive factor"),

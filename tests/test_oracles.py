@@ -262,6 +262,19 @@ class TestSteinerTree:
                                   {"ab": 0.1, "t1a": 1.0, "at2": 1.0})
         assert "ab" not in ans.reply
 
+    def test_prunes_leaves_left_by_the_mst(self):
+        # the shortest paths a-b (via p, s) and b-c (via r, q) close a cycle
+        # through x; the MST of their union drops e6, leaving the dead branch
+        # x-q-r, which pruning must remove
+        g = HostGraph(False, ("a", "b", "c", "p", "q", "r", "s", "x"),
+                      (Edge("ax", "a", "x"), Edge("cx", "c", "x"),
+                       Edge("e1", "x", "p"), Edge("e2", "p", "s"), Edge("e3", "s", "b"),
+                       Edge("e4", "x", "q"), Edge("e5", "q", "r"), Edge("e6", "r", "b")))
+        tolls = {"ax": 10.0, "cx": 10.0, **{f"e{k}": 1.0 for k in range(1, 7)}}
+        ans = steiner_tree_oracle(g, ("a", "b", "c"), tolls)
+        assert ans.reply == frozenset({"ax", "cx", "e1", "e2", "e3"})
+        assert ans.toll_total == 23.0
+
     def test_unreachable_terminals(self):
         g = HostGraph(False, ("t1", "t2", "x"), (Edge("e", "t1", "x"),))
         with pytest.raises(InfeasibleError):

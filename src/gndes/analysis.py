@@ -461,6 +461,8 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     if alpha <= 1:
         raise ConfigError("alpha must exceed 1")
     n_real = (sigma / xi) ** (1.0 / alpha)
+    if not math.isfinite(n_real):
+        raise ConfigError(f"(sigma/xi)^(1/alpha) = {n_real} is not a finite number")
     n = round(n_real)
     if n < 2 or abs(n_real - n) > 1e-9 * max(1.0, n):
         suggestion = xi * max(2, round(n_real)) ** alpha

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 from .analysis import (
@@ -163,6 +164,8 @@ def _cmd_poa_gen(args) -> int:
 
 
 def _cmd_fpl(args) -> int:
+    if args.lb is not None and not (math.isfinite(args.lb) and args.lb >= 0):
+        raise ConfigError(f"--lb must be a finite number >= 0, got {args.lb}")
     instance = parse_instance(args.instance)
     result = run_l_apx(instance, FplConfig(seed=args.seed, rounds=args.rounds),
                        collect_trace=bool(args.trace))

@@ -31,7 +31,7 @@ from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import Instance, StrategyProfile, rep_cost, total_cost
-from .oracles import OracleAnswer, clamp_tolls, oracle_rho, reply_oracle
+from .oracles import OracleAnswer, clamp_toll, oracle_rho, reply_oracle
 from .rng import keyed_rng
 from .sharing import (
     MECHANISMS,
@@ -165,15 +165,17 @@ class PassView:
         """Tolls for one player: her share on each resource if she joined
         the others there.  For resources in her own reply this is exactly
         her current (estimated) share.  Shares are computed in resource
-        order, each only when no earlier player of the pass computed it."""
+        order, each only when no earlier player of the pass computed it.
+        Each toll is clamped as it is written (``oracles.clamp_toll``)."""
         instance, config = self.instance, self.config
         req = instance.requests[position]
+        weights, default_weight = req.weights, req.default_weight
         own = self.profile[position]
         memo = self.shares
         tolls = {}
         for res in instance.resources:
             e = res.id
-            w = req.weight(e)
+            w = weights.get(e, default_weight)
             on = e in own
             key = (e, PassView.ON if on else None, w)
             share = memo.get(key)
@@ -197,8 +199,8 @@ class PassView:
                     # exactly what cost_share returns for a sampled share that
                     # needs no samples, so it is memoized like any exact share
                     share = memo[key] = cost_share(self.exact_mechanism, query)
-            tolls[e] = share
-        return clamp_tolls(tolls)
+            tolls[e] = clamp_toll(share)
+        return tolls
 
 
 def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnswer, float]:

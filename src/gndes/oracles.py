@@ -6,11 +6,19 @@ minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) and toll
 totals over a reply are summed in sorted resource order, so runs are
 reproducible whatever the interpreter's hash seed.
 
+Every graph oracle searches with :func:`shortest_paths`, one Dijkstra from
+a source that stops once all its targets are settled; which vertex settles
+when does not depend on the targets, so a search for many targets returns
+for each the path a search for it alone would.
+
 * routing: Dijkstra, exact (rho = 1).
 * machine choice / explicit lists: direct argmin, exact.
-* set connectivity (undirected): metric-closure MST, rho = 2.
+* set connectivity (undirected): metric-closure MST, rho = 2; the closure
+  on k terminals takes k - 1 searches.
 * multi-routing (undirected): primal-dual moat growing with reverse
-  deletion, rho = 2.
+  deletion, rho = 2.  The grown edges form a forest, so reverse deletion
+  keeps exactly the union of the pairs' paths in it, which one walk per
+  pair finds.
 * directed multi-routing / set strong connectivity: union of pairwise
   shortest paths, a heuristic whose only guarantee is the trivial factor
   equal to the number of pairs, which :func:`oracle_rho` reports.
@@ -45,10 +53,15 @@ class OracleAnswer:
     toll_total: float
 
 
+def clamp_toll(toll: float) -> float:
+    """Tolls must be strictly positive, and sampled shares can round to 0;
+    this raises a toll to at least TOLL_FLOOR."""
+    return toll if toll > TOLL_FLOOR else TOLL_FLOOR
+
+
 def clamp_tolls(tolls: Tolls) -> dict[str, float]:
-    """Tolls must be strictly positive; sampled shares can round to 0, so the
-    engine clamps to TOLL_FLOOR before oracle calls."""
-    return {e: (t if t > TOLL_FLOOR else TOLL_FLOOR) for e, t in tolls.items()}
+    """:func:`clamp_toll` applied to every toll."""
+    return {e: clamp_toll(t) for e, t in tolls.items()}
 
 
 def _toll(tolls: Tolls, edge_id: str) -> float:
@@ -62,34 +75,67 @@ def _toll(tolls: Tolls, edge_id: str) -> float:
 # shortest paths
 # ---------------------------------------------------------------------------
 
-def shortest_path(graph: HostGraph, source: str, target: str,
-                  tolls: Tolls) -> tuple[tuple[str, ...], tuple[str, ...], float]:
-    """Minimum-toll simple path; ties resolved by lexicographic vertex order,
-    then by edge ids (relevant for parallel edges).
+Path = tuple[tuple[str, ...], tuple[str, ...], float]
+
+
+def _check_endpoint(graph: HostGraph, vertex: str) -> None:
+    if vertex not in graph.adjacency:
+        raise InstanceError("unknown endpoint vertex")
+
+
+def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
+                   tolls: Tolls) -> dict[str, Path]:
+    """Minimum-toll simple paths from one source to several targets; ties
+    resolved by lexicographic vertex order, then by edge ids (relevant for
+    parallel edges).
+
+    Vertices are settled until every target is, so one search serves them
+    all.  The order of settlement does not depend on the targets, so each
+    path is exactly the one a search for that target alone would return.
+
+    Returns target -> (vertex sequence, edge ids, total toll) for the targets
+    that are reachable; a target that is the source gets the empty path.
+    """
+    _check_endpoint(graph, source)
+    adjacency = graph.adjacency
+    pending = {t for t in targets if t in adjacency}
+    found: dict[str, Path] = {}
+    # heap keys (dist, vertex path, edge path) make the pop order total,
+    # so the first settlement of each vertex is both cheapest and lex-min
+    heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (source,), ())]
+    settled: set[str] = set()
+    pop, push = heapq.heappop, heapq.heappush
+    while pending and heap:
+        dist, path, edges = pop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u in pending:
+            found[u] = (path, edges, dist)
+            pending.discard(u)
+            if not pending:
+                break
+        for v, eid in adjacency[u]:
+            if v in settled:
+                continue
+            push(heap, (dist + _toll(tolls, eid), path + (v,), edges + (eid,)))
+    return found
+
+
+def shortest_path(graph: HostGraph, source: str, target: str, tolls: Tolls) -> Path:
+    """Minimum-toll simple path from source to target, by the tie rule of
+    :func:`shortest_paths`.
 
     Returns (vertex sequence, edge ids, total toll).
     """
     if source == target:
         raise InstanceError("source equals target")
-    if source not in graph.adjacency or target not in graph.adjacency:
-        raise InstanceError("unknown endpoint vertex")
-    # heap keys (dist, vertex path, edge path) make the pop order total,
-    # so the first settlement of each vertex is both cheapest and lex-min
-    heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (source,), ())]
-    settled: set[str] = set()
-    while heap:
-        dist, path, edges = heapq.heappop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        if u == target:
-            return path, edges, dist
-        for v, eid in graph.adjacency[u]:
-            if v in settled:
-                continue
-            heapq.heappush(heap, (dist + _toll(tolls, eid), path + (v,), edges + (eid,)))
-    raise InfeasibleError(f"no path from {source!r} to {target!r}")
+    _check_endpoint(graph, target)
+    found = shortest_paths(graph, source, (target,), tolls)
+    if target not in found:
+        raise InfeasibleError(f"no path from {source!r} to {target!r}")
+    return found[target]
 
 
 def routing_oracle(graph: HostGraph, source: str, target: str, tolls: Tolls) -> OracleAnswer:
@@ -163,14 +209,16 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
     if len(terms) < 2:
         raise InstanceError("need at least two terminals")
 
+    # the closure from k-1 searches, one from each terminal to the larger ones
     closure: list[tuple[tuple[str, str], str, str, float]] = []
     paths: dict[tuple[str, str], tuple[str, ...]] = {}
-    for i, a in enumerate(terms):
+    for i, a in enumerate(terms[:-1]):
+        found = shortest_paths(graph, a, terms[i + 1:], tolls)
         for b in terms[i + 1:]:
-            try:
-                _, edges, dist = shortest_path(graph, a, b, tolls)
-            except InfeasibleError:
-                raise InfeasibleError(f"terminals {a!r} and {b!r} are not connected") from None
+            if b not in found:
+                _check_endpoint(graph, b)
+                raise InfeasibleError(f"terminals {a!r} and {b!r} are not connected")
+            _, edges, dist = found[b]
             closure.append(((a, b), a, b, dist))
             paths[(a, b)] = edges
 
@@ -213,8 +261,14 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
 
     Duals grow at unit rate around every active component (one containing
     exactly one endpoint of some pair); the edge that goes tight first is
-    added and its endpoints' components merged.  Afterwards edges are removed
-    in reverse addition order whenever feasibility survives.
+    added and its endpoints' components merged.  An edge inside one component
+    never goes tight again, so it leaves the scan for good.
+
+    Reverse deletion (drop the grown edges in reverse order whenever every
+    pair stays connected) is taken in closed form: it keeps exactly the edges
+    on some pair's path in the grown forest.  Paths in a forest are unique,
+    so an edge on no pair's path can go without changing any pair's path,
+    and an edge on one cannot go at all.
     """
     if graph.directed:
         raise ConfigError("multi-routing oracle requires an undirected graph")
@@ -224,57 +278,75 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
     for s, t in pair_list:
         if s == t:
             raise InstanceError(f"degenerate pair ({s!r},{t!r})")
+    for pair in pair_list:
+        for v in pair:
+            _check_endpoint(graph, v)
 
-    vertices = set(graph.vertices)
-    uf = _UnionFind(vertices)
-    remaining = {e.id: _toll(tolls, e.id) for e in graph.edges if e.tail != e.head}
+    # component label of each vertex; members of each label
+    label = {v: v for v in graph.vertices}
+    members = {v: [v] for v in graph.vertices}
+    live = [(e.id, e.tail, e.head) for e in graph.edges if e.tail != e.head]
+    remaining = {eid: _toll(tolls, eid) for eid, _, _ in live}
 
-    def active_components() -> set[str]:
-        active = set()
-        for s, t in pair_list:
-            rs, rt = uf.find(s), uf.find(t)
-            if rs != rt:
-                active.add(rs)
-                active.add(rt)
-        return active
-
-    forest: list[str] = []
-    while True:
-        active = active_components()
-        if not active:
-            break
+    forest: list[tuple[str, str, str]] = []
+    apart = pair_list  # the pairs whose endpoints lie in different components
+    while apart:
+        active = {label[v] for pair in apart for v in pair}
         candidates = []
-        for eid in sorted(remaining):
-            e = graph.edge_by_id[eid]
-            ru, rv = uf.find(e.tail), uf.find(e.head)
-            if ru == rv:
+        crossing = []
+        for edge in live:
+            eid, u, v = edge
+            lu, lv = label[u], label[v]
+            if lu == lv:
                 continue
-            rate = (ru in active) + (rv in active)
-            if rate == 0:
-                continue
-            candidates.append((remaining[eid] / rate, eid, rate))
+            crossing.append(edge)
+            rate = (lu in active) + (lv in active)
+            if rate:
+                candidates.append((remaining[eid] / rate, eid, rate))
+        live = crossing
         if not candidates:
             raise InfeasibleError("some terminal pair is not connected in the graph")
         step, chosen, _ = min(candidates)
         for _, eid, rate in candidates:
             remaining[eid] = max(0.0, remaining[eid] - step * rate)
         e = graph.edge_by_id[chosen]
-        uf.union(e.tail, e.head)
-        forest.append(chosen)
-        del remaining[chosen]
+        big, small = label[e.tail], label[e.head]
+        if len(members[big]) < len(members[small]):
+            big, small = small, big
+        for x in members[small]:
+            label[x] = big
+        members[big] += members.pop(small)
+        forest.append((chosen, e.tail, e.head))
+        apart = [(s, t) for s, t in apart if label[s] != label[t]]
 
-    kept = list(forest)
-    for eid in reversed(forest):
-        trial = [x for x in kept if x != eid]
-        uf = _UnionFind(vertices)
-        for x in trial:
-            e = graph.edge_by_id[x]
-            uf.union(e.tail, e.head)
-        if all(uf.find(s) == uf.find(t) for s, t in pair_list):
-            kept = trial
+    adjacency: dict[str, list[tuple[str, str]]] = {}
+    for eid, u, v in forest:
+        adjacency.setdefault(u, []).append((v, eid))
+        adjacency.setdefault(v, []).append((u, eid))
+    used: set[str] = set()
+    for s, t in pair_list:
+        used.update(_forest_path(adjacency, s, t))
+    kept = [eid for eid, _, _ in forest if eid in used]
 
     total = sum(_toll(tolls, e) for e in kept)
     return OracleAnswer(reply=frozenset(kept), toll_total=total)
+
+
+def _forest_path(adjacency: Mapping[str, list[tuple[str, str]]], s: str, t: str) -> list[str]:
+    """Edge ids of the unique s-t path in a forest that connects s and t."""
+    via: dict[str, tuple[str, str]] = {s: ("", "")}
+    stack = [s]
+    while t not in via:
+        u = stack.pop()
+        for v, eid in adjacency[u]:
+            if v not in via:
+                via[v] = (u, eid)
+                stack.append(v)
+    path = []
+    while t != s:
+        t, eid = via[t]
+        path.append(eid)
+    return path
 
 
 # ---------------------------------------------------------------------------

@@ -2,20 +2,26 @@
 
 from __future__ import annotations
 
+import heapq
+
 import numpy as np
 
 from gndes import (
     Edge,
     ExplicitReplies,
+    InfeasibleError,
     ExponentProfile,
     HostGraph,
     Instance,
+    MultiRouting,
     PassView,
     Request,
     ResourceParams,
     Routing,
     SetConnectivity,
 )
+from gndes.errors import InstanceError
+from gndes.oracles import OracleAnswer
 from gndes.sharing import ShareQuery, whp_delta
 
 
@@ -125,9 +131,19 @@ def grid_graph(k: int) -> HostGraph:
     return HostGraph(False, tuple(v(i, j) for i in range(k) for j in range(k)), tuple(edges))
 
 
+def directed_grid_graph(k: int) -> HostGraph:
+    """The k x k grid with both orientations of every edge: ``h``/``d`` arcs
+    point right and down, ``H``/``D`` arcs left and up."""
+    und = grid_graph(k)
+    back = {"h": "H", "d": "D"}
+    arcs = [*und.edges, *(Edge(back[e.id[0]] + e.id[1:], e.head, e.tail) for e in und.edges)]
+    return HostGraph(True, und.vertices, tuple(arcs))
+
+
 def seeded_case(case: str) -> tuple[Instance, str]:
     """One fixed seeded instance per case ("routing" and "fpl" share a 5x5
-    grid; "steiner"; "explicit"), with the mechanism it is solved under."""
+    grid; "steiner"; "forest"; "directed"; "explicit"), with the mechanism it
+    is solved under."""
     rng = np.random.default_rng(0)
     exp = ExponentProfile((2.0,))
 
@@ -146,9 +162,174 @@ def seeded_case(case: str) -> tuple[Instance, str]:
                     g.vertices[t] for t in rng.choice(len(g.vertices), size=3, replace=False))))
                 for i in range(1, 6)]
         return Instance(exp, resources([e.id for e in g.edges]), tuple(reqs), g), "shapley-exact"
+    if case in ("forest", "directed"):
+        g = grid_graph(4) if case == "forest" else directed_grid_graph(4)
+
+        def terminals(size):
+            return [g.vertices[t] for t in rng.choice(len(g.vertices), size=size, replace=False)]
+
+        reqs = []
+        for i in range(1, 7):
+            if case == "forest" or i % 2:
+                ends = terminals(4)
+                kind = MultiRouting(((ends[0], ends[1]), (ends[2], ends[3])))
+            else:
+                kind = SetConnectivity(tuple(terminals(3)))
+            reqs.append(Request(i, kind, default_weight=int(rng.integers(1, 3))))
+        mechanism = "shapley-exact" if case == "forest" else "proportional"
+        return Instance(exp, resources([e.id for e in g.edges]), tuple(reqs), g), mechanism
     ids = [f"r{k}" for k in range(10)]
     reqs = [Request(i, ExplicitReplies(tuple(
                 frozenset(rng.choice(ids, size=5, replace=False).tolist()) for _ in range(3))),
                 default_weight=int(rng.integers(1, 3)))
             for i in range(1, 6)]
     return Instance(exp, resources(ids), tuple(reqs)), "shapley-exact"
+
+
+def random_toll_multigraph(rng, directed: bool = False, max_vertices: int = 7,
+                      integer_tolls: bool = False) -> tuple[HostGraph, dict[str, float]]:
+    """A graph that need not be connected, with parallel edges and
+    self-loops, and tolls that tie often when ``integer_tolls`` is set."""
+    n = int(rng.integers(2, max_vertices + 1))
+    vertices = [f"v{k}" for k in range(n)]
+    edges = []
+    for k in range(int(rng.integers(0, 2 * n + 1))):
+        a, b = (int(x) for x in rng.integers(n, size=2))
+        if a == b and rng.random() < 0.7:
+            b = (a + 1) % n
+        edges.append(Edge(f"e{k}", vertices[a], vertices[b]))
+    graph = HostGraph(directed, tuple(vertices), tuple(edges))
+    if integer_tolls:
+        tolls = {e.id: float(rng.integers(1, 4)) for e in edges}
+    else:
+        tolls = {e.id: float(rng.uniform(0.2, 3.0)) for e in edges}
+    return graph, tolls
+
+
+# ---------------------------------------------------------------------------
+# reference oracles: earlier, plainer implementations that the differential
+# tests in test_oracles.py hold the library's oracles to
+# ---------------------------------------------------------------------------
+
+def reference_shortest_path(graph: HostGraph, source: str, target: str, tolls):
+    """One Dijkstra per query, stopping at the target."""
+    if source == target:
+        raise InstanceError("source equals target")
+    if source not in graph.adjacency or target not in graph.adjacency:
+        raise InstanceError("unknown endpoint vertex")
+    heap = [(0.0, (source,), ())]
+    settled = set()
+    while heap:
+        dist, path, edges = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u == target:
+            return path, edges, dist
+        for v, eid in graph.adjacency[u]:
+            if v in settled:
+                continue
+            heapq.heappush(heap, (dist + float(tolls[eid]), path + (v,), edges + (eid,)))
+    raise InfeasibleError(f"no path from {source!r} to {target!r}")
+
+
+class _UnionFind:
+    def __init__(self, items):
+        self.parent = {x: x for x in items}
+
+    def find(self, x):
+        while self.parent[x] != x:
+            x = self.parent[x]
+        return x
+
+    def union(self, a, b) -> bool:
+        ra, rb = self.find(a), self.find(b)
+        if ra == rb:
+            return False
+        if rb < ra:
+            ra, rb = rb, ra
+        self.parent[rb] = ra
+        return True
+
+
+def _kruskal(vertices, edges):
+    uf = _UnionFind(vertices)
+    return [eid for eid, u, v, _ in sorted(edges, key=lambda t: (t[3], t[0]))
+            if uf.union(u, v)]
+
+
+def reference_steiner_tree(graph: HostGraph, terminals, tolls) -> OracleAnswer:
+    """Metric-closure MST with the closure from one shortest-path query per
+    pair of terminals."""
+    terms = tuple(sorted(set(terminals)))
+    closure, paths = [], {}
+    for i, a in enumerate(terms):
+        for b in terms[i + 1:]:
+            try:
+                _, edges, dist = reference_shortest_path(graph, a, b, tolls)
+            except InfeasibleError:
+                raise InfeasibleError(f"terminals {a!r} and {b!r} are not connected") from None
+            closure.append(((a, b), a, b, dist))
+            paths[(a, b)] = edges
+    union_edges = {eid for pair in _kruskal(set(terms), closure) for eid in paths[pair]}
+    sub_vertices, sub_edges = set(), []
+    for eid in sorted(union_edges):
+        e = graph.edge_by_id[eid]
+        sub_vertices.update((e.tail, e.head))
+        sub_edges.append((eid, e.tail, e.head, float(tolls[eid])))
+    tree = set(_kruskal(sub_vertices, sub_edges))
+    while True:
+        degree = {}
+        for eid in tree:
+            e = graph.edge_by_id[eid]
+            degree.setdefault(e.tail, []).append(eid)
+            degree.setdefault(e.head, []).append(eid)
+        dead = [v for v, inc in degree.items() if len(inc) == 1 and v not in terms]
+        if not dead:
+            break
+        for v in dead:
+            tree.difference_update(degree[v])
+    return OracleAnswer(frozenset(tree), sum(float(tolls[e]) for e in sorted(tree)))
+
+
+def reference_steiner_forest(graph: HostGraph, pairs, tolls) -> OracleAnswer:
+    """Moat growing over a union-find, then reverse deletion that rebuilds
+    the union-find for every trial."""
+    vertices = set(graph.vertices)
+    uf = _UnionFind(vertices)
+    remaining = {e.id: float(tolls[e.id]) for e in graph.edges if e.tail != e.head}
+    forest = []
+    while True:
+        active = set()
+        for s, t in pairs:
+            rs, rt = uf.find(s), uf.find(t)
+            if rs != rt:
+                active.update((rs, rt))
+        if not active:
+            break
+        candidates = []
+        for eid in sorted(remaining):
+            e = graph.edge_by_id[eid]
+            ru, rv = uf.find(e.tail), uf.find(e.head)
+            rate = (ru in active) + (rv in active)
+            if ru != rv and rate:
+                candidates.append((remaining[eid] / rate, eid, rate))
+        if not candidates:
+            raise InfeasibleError("some terminal pair is not connected in the graph")
+        step, chosen, _ = min(candidates)
+        for _, eid, rate in candidates:
+            remaining[eid] = max(0.0, remaining[eid] - step * rate)
+        e = graph.edge_by_id[chosen]
+        uf.union(e.tail, e.head)
+        forest.append(chosen)
+        del remaining[chosen]
+    kept = list(forest)
+    for eid in reversed(forest):
+        trial = [x for x in kept if x != eid]
+        uf = _UnionFind(vertices)
+        for x in trial:
+            uf.union(graph.edge_by_id[x].tail, graph.edge_by_id[x].head)
+        if all(uf.find(s) == uf.find(t) for s, t in pairs):
+            kept = trial
+    return OracleAnswer(frozenset(kept), sum(float(tolls[e]) for e in kept))

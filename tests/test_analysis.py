@@ -381,6 +381,11 @@ class TestPoaFamily:
         with pytest.raises(ConfigError):
             poa_lower_bound_instance(1.0, 1.0, 2.0)   # N = 1
 
+    @pytest.mark.parametrize("sigma", [float("inf"), 1e400, float("nan")])
+    def test_rejects_a_ratio_that_is_not_finite(self, sigma):
+        with pytest.raises(ConfigError, match="is not a finite number"):
+            poa_lower_bound_instance(sigma, 1.0, 2.0)
+
     def test_rejects_q_below_one(self):
         for q in (0, -1):
             with pytest.raises(ConfigError, match="q must be >= 1"):

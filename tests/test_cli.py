@@ -290,6 +290,15 @@ class TestSmoothBoundsFpl:
         assert "  guarantee conditional on scaled optimum >= 2\n" in out
         assert "no optimum lower bound given" not in out
 
+    @pytest.mark.parametrize("lb", ["nan", "inf", "-1"])
+    def test_fpl_rejects_a_lower_bound_that_is_not_a_cost(self, capsys, tmp_path, lb):
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(TWO_ROUTES), encoding="utf-8")
+        code, out, err = run_cli(capsys, "fpl", "--instance", str(path),
+                                 "--rounds", "5", f"--lb={lb}")
+        assert code == 2 and "--lb must be a finite number >= 0" in err
+        assert out == ""
+
     def test_fpl_on_graph_without_edges_exit_3(self, capsys, tmp_path):
         doc = {
             "alphas": [2.0],
@@ -325,6 +334,14 @@ class TestPoaGen:
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "16", "--xi", "1",
                                "--alpha", "2", "--q", "0", "--out", str(tmp_path / "x.json"))
         assert code == 2 and "q must be >= 1" in err
+
+    @pytest.mark.parametrize("sigma", ["inf", "1e400", "nan"])
+    def test_rejects_sigma_without_a_finite_ratio(self, capsys, tmp_path, sigma):
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "poa-gen", "--sigma", sigma, "--xi", "1",
+                               "--alpha", "2", "--out", str(out_path))
+        assert code == 2 and "is not a finite number" in err
+        assert not out_path.exists()
 
     def test_suggests_nearest_sigma(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "15", "--xi", "1",

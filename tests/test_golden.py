@@ -65,6 +65,8 @@ def _poa_n2(kind):
 CASES = {
     "abrd_routing.txt": lambda: _abrd("routing"),
     "abrd_steiner.txt": lambda: _abrd("steiner"),
+    "abrd_forest.txt": lambda: _abrd("forest"),
+    "abrd_directed.txt": lambda: _abrd("directed"),
     "abrd_explicit.txt": lambda: _abrd("explicit"),
     "fpl_routing.txt": _fpl,
     "sampled_capped.txt": _sampled_capped,

@@ -18,6 +18,7 @@ from gndes import (
 from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
+    OracleAnswer,
     clamp_tolls,
     directed_multi_routing_oracle,
     explicit_oracle,
@@ -26,12 +27,21 @@ from gndes.oracles import (
     reply_oracle,
     routing_oracle,
     shortest_path,
+    shortest_paths,
     steiner_forest_oracle,
     steiner_tree_oracle,
     strong_connectivity_oracle,
 )
 
-from helpers import random_connected_graph, random_tolls, rng_for
+from helpers import (
+    random_connected_graph,
+    random_toll_multigraph,
+    random_tolls,
+    reference_shortest_path,
+    reference_steiner_forest,
+    reference_steiner_tree,
+    rng_for,
+)
 
 
 def triangle():
@@ -427,6 +437,131 @@ class TestSteinerOraclesAgainstReferences:
             expected = sum(w for _, _, w in reference.edges(data="weight"))
             assert steiner_tree_oracle(g, terms, tolls).toll_total == pytest.approx(
                 expected, rel=1e-12)
+
+
+def outcome(call, *args):
+    """What a call returns, or the type and text of what it raises."""
+    try:
+        return call(*args)
+    except (InfeasibleError, InstanceError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def same_answer(new, ref):
+    """Equal replies and bit-equal toll totals (or the same error)."""
+    if isinstance(ref, OracleAnswer):
+        return (isinstance(new, OracleAnswer) and new.reply == ref.reply
+                and new.toll_total.hex() == ref.toll_total.hex())
+    return new == ref
+
+
+def random_pairs(rng, graph, low=1, high=3):
+    return [tuple(graph.vertices[int(i)]
+                  for i in rng.choice(len(graph.vertices), size=2, replace=False))
+            for _ in range(int(rng.integers(low, high + 1)))]
+
+
+class TestAgainstEarlierImplementations:
+    """The oracles against the plainer implementations they replaced
+    (``helpers.reference_*``), on multigraphs with loops, parallel edges and,
+    in half the cases, integer tolls that tie: same replies, bit-equal toll
+    totals, same errors."""
+
+    def test_forest_matches_reverse_deletion(self):
+        rng = rng_for(59)
+        infeasible = 0
+        for case in range(2400):
+            g, tolls = random_toll_multigraph(rng, integer_tolls=case % 2 == 0)
+            pairs = random_pairs(rng, g)
+            new = outcome(steiner_forest_oracle, g, pairs, tolls)
+            ref = outcome(reference_steiner_forest, g, pairs, tolls)
+            assert same_answer(new, ref), (case, pairs)
+            infeasible += not isinstance(ref, OracleAnswer)
+        assert 100 < infeasible < 2000
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_shortest_paths_match_one_search_per_target(self, directed):
+        rng = rng_for(61 + directed)
+        for case in range(300):
+            g, tolls = random_toll_multigraph(rng, directed, integer_tolls=case % 2 == 0)
+            source = g.vertices[int(rng.integers(len(g.vertices)))]
+            targets = [v for v in g.vertices if v != source and rng.random() < 0.7]
+            found = shortest_paths(g, source, targets, tolls)
+            for t in targets:
+                ref = outcome(reference_shortest_path, g, source, t, tolls)
+                assert outcome(shortest_path, g, source, t, tolls) == ref
+                if t in found:
+                    assert found[t] == ref and found[t][2].hex() == ref[2].hex()
+                else:
+                    assert ref[0] == "InfeasibleError"
+
+    def test_tree_matches_pairwise_closure(self):
+        rng = rng_for(67)
+        for case in range(600):
+            g, tolls = random_toll_multigraph(rng, integer_tolls=case % 2 == 0)
+            terms = random_terminals(rng, g)
+            new = outcome(steiner_tree_oracle, g, terms, tolls)
+            assert same_answer(new, outcome(reference_steiner_tree, g, terms, tolls)), case
+
+    @pytest.mark.parametrize("cycle", [False, True])
+    def test_directed_heuristics_match_pairwise_union(self, cycle):
+        def reference(graph, pairs, tolls):
+            union = set()
+            for s, t in pairs:
+                union.update(reference_shortest_path(graph, s, t, tolls)[1])
+            return OracleAnswer(frozenset(union), sum(tolls[e] for e in sorted(union)))
+
+        rng = rng_for(71 + cycle)
+        for case in range(400):
+            g, tolls = random_toll_multigraph(rng, True, integer_tolls=case % 2 == 0)
+            if cycle:
+                terms = sorted(random_terminals(rng, g))
+                pairs = list(zip(terms, terms[1:] + terms[:1]))
+                new = outcome(strong_connectivity_oracle, g, terms, tolls)
+            else:
+                pairs = random_pairs(rng, g, 1, 4)
+                new = outcome(directed_multi_routing_oracle, g, pairs, tolls)
+            assert same_answer(new, outcome(reference, g, pairs, tolls)), case
+
+
+class TestOracleErrors:
+    def disconnected(self, directed=False):
+        # a - b   c - d   e
+        return HostGraph(directed, ("a", "b", "c", "d", "e"),
+                         (Edge("ab", "a", "b"), Edge("cd", "c", "d")))
+
+    TOLLS = {"ab": 1.0, "cd": 1.0}
+
+    def test_tree_names_the_first_unconnected_pair(self):
+        with pytest.raises(InfeasibleError, match="terminals 'a' and 'c' are not connected"):
+            steiner_tree_oracle(self.disconnected(), ("e", "c", "b", "a"), self.TOLLS)
+        with pytest.raises(InfeasibleError, match="terminals 'c' and 'e' are not connected"):
+            steiner_tree_oracle(self.disconnected(), ("e", "d", "c"), self.TOLLS)
+
+    def test_tree_unknown_terminal(self):
+        with pytest.raises(InstanceError, match="unknown endpoint vertex"):
+            steiner_tree_oracle(self.disconnected(), ("a", "b", "z"), self.TOLLS)
+
+    def test_directed_union_names_the_first_failing_pair(self):
+        g = self.disconnected(directed=True)
+        with pytest.raises(InfeasibleError, match="no path from 'b' to 'a'"):
+            directed_multi_routing_oracle(g, (("a", "b"), ("b", "a"), ("a", "c")), self.TOLLS)
+        with pytest.raises(InfeasibleError, match="no path from 'a' to 'e'"):
+            directed_multi_routing_oracle(g, (("a", "b"), ("a", "e"), ("c", "c")), self.TOLLS)
+        with pytest.raises(InstanceError, match="source equals target"):
+            directed_multi_routing_oracle(g, (("a", "b"), ("c", "c"), ("a", "e")), self.TOLLS)
+
+    def test_forest_unknown_endpoint(self):
+        with pytest.raises(InstanceError, match="unknown endpoint vertex"):
+            steiner_forest_oracle(self.disconnected(), (("a", "b"), ("c", "z")), self.TOLLS)
+
+    def test_missing_toll(self):
+        with pytest.raises(InstanceError, match="no toll given for resource 'cd'"):
+            shortest_paths(self.disconnected(), "d", ("c",), {"ab": 1.0})
+
+    def test_shortest_paths_reports_only_reachable_targets(self):
+        found = shortest_paths(self.disconnected(), "a", ("e", "b", "c"), self.TOLLS)
+        assert found == {"b": (("a", "b"), ("ab",), 1.0)}
 
 
 class TestDirectedHeuristics:

@@ -67,6 +67,7 @@ from .sharing import (
 )
 from .analysis import (
     PoaReport,
+    ProfileState,
     SmoothnessReport,
     brute_force_opt,
     budget_balance_check,

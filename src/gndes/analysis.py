@@ -26,6 +26,7 @@ from .instance import (
     ResourceParams,
     Routing,
     StrategyProfile,
+    check_profile,
     rep_cost,
     total_cost,
     validate_reply,
@@ -41,13 +42,62 @@ def _close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
 
 
-def resource_users(instance: Instance, profile: StrategyProfile,
-                   resource_id: str) -> tuple[tuple[int, int], ...]:
-    users = []
-    for req, reply in zip(instance.requests, profile):
-        if resource_id in reply:
-            users.append((req.id, req.weight(resource_id)))
-    return tuple(users)
+class ProfileState:
+    """One profile grouped by resource, kept current as single replies change.
+
+    ``users`` maps each resource in use to its (request id, weight) pairs in
+    request order.  The potential is kept as one cached term per resource:
+    :meth:`move` regroups only the resources that the new reply enters or
+    the old one leaves and drops their terms, and :meth:`potential`
+    recomputes only the missing terms.
+    """
+
+    def __init__(self, instance: Instance, profile: StrategyProfile):
+        check_profile(instance, profile)
+        self.instance = instance
+        self.profile = tuple(profile)
+        self.users: dict[str, tuple[tuple[int, int], ...]] = {}
+        self._terms: dict[str, float] = {}
+        self._regroup(frozenset().union(*self.profile))
+
+    def move(self, position: int, reply: frozenset[str]):
+        """Replace the reply at ``position``; it may name only the instance's resources."""
+        self.instance.check_reply_resources(reply)
+        old = self.profile[position]
+        self.profile = self.profile[:position] + (reply,) + self.profile[position + 1:]
+        self._regroup(old ^ reply)
+
+    def _regroup(self, resource_ids: frozenset[str]):
+        grouped: dict[str, list[tuple[int, int]]] = {e: [] for e in resource_ids}
+        for req, reply in zip(self.instance.requests, self.profile):
+            for e in reply:
+                if e in grouped:
+                    grouped[e].append((req.id, req.weight(e)))
+        for e, users in grouped.items():
+            self._terms.pop(e, None)
+            if users:
+                self.users[e] = tuple(users)
+            else:
+                del self.users[e]
+
+    def potential(self) -> float:
+        """:func:`potential`, summed over the resources in instance order."""
+        total = 0.0
+        for res in self.instance.resources:
+            users = self.users.get(res.id)
+            if users is None:
+                continue
+            if res.id not in self._terms:
+                n = len(users)
+                table = subset_sums_by_size([w for _, w in users])
+                term = res.sigma * harmonic(n)
+                for k in range(1, n + 1):
+                    coeff = 1.0 / (math.comb(n, k) * k)
+                    term += coeff * sum(count * h_value(res, self.instance.exponents, s)
+                                        for s, count in table[k].items())
+                self._terms[res.id] = term
+            total += self._terms[res.id]
+        return total
 
 
 def player_cost(instance: Instance, mechanism: str, profile: StrategyProfile,
@@ -55,11 +105,12 @@ def player_cost(instance: Instance, mechanism: str, profile: StrategyProfile,
     """Individual cost of one player under an exact mechanism."""
     if mechanism == "shapley-sampled":
         raise ConfigError(f"exact analysis needs an exact mechanism, got {mechanism!r}")
+    users = ProfileState(instance, profile).users
     req = instance.requests[position]
     total = 0.0
     for e in sorted(profile[position]):
-        query = ShareQuery(instance.resource_by_id[e], instance.exponents,
-                           resource_users(instance, profile, e), target=req.id)
+        query = ShareQuery(instance.resource_by_id[e], instance.exponents, users[e],
+                           target=req.id)
         total += cost_share(mechanism, query)
     return total
 
@@ -75,21 +126,10 @@ def potential(instance: Instance, profile: StrategyProfile) -> float:
               + sum_{T subset of S_e, |T|=k} h_e(T) / (C(|S_e|,k) k) ],
 
     where the inner sum runs over the (size, weight sum) counts of
-    :func:`sharing.subset_sums_by_size`.
+    :func:`sharing.subset_sums_by_size`, one term per resource
+    (:meth:`ProfileState.potential`).
     """
-    total = 0.0
-    for res in instance.resources:
-        users = resource_users(instance, profile, res.id)
-        n = len(users)
-        if n == 0:
-            continue
-        table = subset_sums_by_size([w for _, w in users])
-        total += res.sigma * harmonic(n)
-        for k in range(1, n + 1):
-            coeff = 1.0 / (math.comb(n, k) * k)
-            total += coeff * sum(count * h_value(res, instance.exponents, s)
-                                 for s, count in table[k].items())
-    return total
+    return ProfileState(instance, profile).potential()
 
 
 def potential_by_prefix(instance: Instance, profile: StrategyProfile,
@@ -97,9 +137,10 @@ def potential_by_prefix(instance: Instance, profile: StrategyProfile,
     """Potential by the prefix definition: for an arbitrary fixed order of
     each resource's users, sum each user's exact share within the prefix
     ending at her.  Agrees with :func:`potential` for every order."""
+    state = ProfileState(instance, profile)
     total = 0.0
     for res in instance.resources:
-        users = dict(resource_users(instance, profile, res.id))
+        users = dict(state.users.get(res.id, ()))
         if not users:
             continue
         order = tuple(orders[res.id]) if orders and res.id in orders else tuple(sorted(users))
@@ -442,6 +483,9 @@ def budget_balance_check(mechanism: str,
 # worst-case family
 # ---------------------------------------------------------------------------
 
+MAX_POA_REQUESTS = 100_000
+
+
 def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) -> Instance:
     """Hub-and-spoke family with a price of anarchy of at least N/3.
 
@@ -450,6 +494,7 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     through the hub (edge estar priced at N/(N+1) of (sigma, xi), then f{i}
     priced at sigma/(N+1) with factor 3 xi/(N+1)).  All going direct is an
     equilibrium; all going through the hub costs less than 3(sigma + xi).
+    An N above MAX_POA_REQUESTS is refused.
 
     For q >= 2 the q-1 extra exponents are 1 + (alpha-1)/2, with factors at
     0.1 of the strict admissibility bound xi_1/(q N^alpha_j (N+1)).
@@ -464,6 +509,8 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     if not math.isfinite(n_real):
         raise ConfigError(f"(sigma/xi)^(1/alpha) = {n_real} is not a finite number")
     n = round(n_real)
+    if n > MAX_POA_REQUESTS:
+        raise ConfigError(f"N = {n_real:.6g} exceeds the cap of {MAX_POA_REQUESTS} requests")
     if n < 2 or abs(n_real - n) > 1e-9 * max(1.0, n):
         suggestion = xi * max(2, round(n_real)) ** alpha
         raise ConfigError(

@@ -15,8 +15,11 @@ positive the dynamics converge; otherwise one player updates:
 * randomized selection: a uniformly random player updates iff her delta is
   positive, with the step budget inflated to N*T^2.
 
-One step is one ``PassView``: the frozen profile, its resources' users and
-the shares already computed against it, shared by every player's ABR.
+One step is one ``PassView`` over the run's ``analysis.ProfileState``: the
+frozen profile, its resources' users read from the state (so a view is
+valid until the state's next move) and the shares already computed against
+them, shared by every player's ABR.  Each move regroups and reprices only
+the resources it changed.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.
@@ -125,9 +128,10 @@ def initial_profile(instance: Instance) -> StrategyProfile:
 class PassView:
     """One delta pass: every player's tolls against one frozen profile.
 
-    ``users`` maps a resource id to its (request id, weight) pairs in id
-    order.  ``shares`` memoizes exact shares by (resource, ``ON`` if the
-    player is on the resource else None, the player's weight there).  An
+    ``users`` maps a resource id to its (request id, weight) pairs in request
+    order.  It is the run state's own map, so the view is valid until the
+    state's next move.  ``shares`` memoizes exact shares by (resource, ``ON``
+    if the player is on the resource else None, the player's weight there).  An
     exact share depends on the other users only through their weight
     multiset, bit for bit.  Every player off a resource sees all of its
     users as the others, and every player of one weight on it sees the same
@@ -142,21 +146,16 @@ class PassView:
 
     ON = "on"
 
-    def __init__(self, instance: Instance, config: AbrdConfig, profile: StrategyProfile,
-                 step: int, delta: float):
-        self.instance = instance
+    def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,
+                 delta: float):
+        self.instance = state.instance
         self.config = config
-        self.profile = profile
+        self.profile = state.profile
+        self.users = state.users
         self.step = step
         self.delta = delta
         self.sampled = config.mechanism == "shapley-sampled"
         self.exact_mechanism = "shapley-exact" if self.sampled else config.mechanism
-        grouped: dict[str, list[tuple[int, int]]] = {}
-        for req, reply in zip(instance.requests, profile):
-            for e in reply:
-                grouped.setdefault(e, []).append((req.id, req.weight(e)))
-        self.users: dict[str, tuple[tuple[int, int], ...]] = {
-            e: tuple(users) for e, users in grouped.items()}
         self.shares: dict[tuple[str, Optional[str], int], float] = {}
         self.sampled_shares = 0
         self.sample_cap_hits = 0
@@ -260,29 +259,27 @@ def run_abrd(instance: Instance, config: AbrdConfig,
     # proportional sharing has no potential to track
     tracks_potential = config.mechanism != "proportional"
 
-    profile = initial_profile(instance)
-    cost = total_cost(instance, profile)
-    potential = analysis.potential(instance, profile) if tracks_potential else None
+    state = analysis.ProfileState(instance, initial_profile(instance))
+    cost = total_cost(instance, state.profile)
+    potential = state.potential() if tracks_potential else None
     trace = [StepRecord(step=0, player=None, delta_selected=None, delta_total=None,
                         cost=cost, potential=potential, converged=False)]
-    best_profile, best_cost, t_star = profile, cost, 0   # the first least cost
+    best_profile, best_cost, t_star = state.profile, cost, 0   # the first least cost
     sampled_shares = sample_cap_hits = 0
 
     for t in range(1, budget + 1):
-        view = PassView(instance, config, profile, t, delta)
+        view = PassView(state, config, t, delta)
         dpass = delta_vector(view)
         sampled_shares += view.sampled_shares
         sample_cap_hits += view.sample_cap_hits
         converged = all(d <= 0.0 for d in dpass.deltas)
         chosen = None if converged else _select(config, dpass, t)
         if chosen is not None:
-            profile = tuple(
-                dpass.proposals[chosen].reply if i == chosen else r
-                for i, r in enumerate(profile))
-            cost = total_cost(instance, profile)
-            potential = analysis.potential(instance, profile) if tracks_potential else None
+            state.move(chosen, dpass.proposals[chosen].reply)
+            cost = total_cost(instance, state.profile)
+            potential = state.potential() if tracks_potential else None
             if cost < best_cost:
-                best_profile, best_cost, t_star = profile, cost, t
+                best_profile, best_cost, t_star = state.profile, cost, t
         trace.append(StepRecord(
             step=t, player=None if chosen is None else instance.requests[chosen].id,
             delta_selected=None if chosen is None else dpass.deltas[chosen],
@@ -292,7 +289,7 @@ def run_abrd(instance: Instance, config: AbrdConfig,
 
     best = config.output == "best"
     result = RunResult(
-        output_profile=best_profile if best else profile,
+        output_profile=best_profile if best else state.profile,
         output_cost=best_cost if best else cost,
         t_star=t_star,
         best_cost=best_cost,

@@ -307,18 +307,18 @@ class Instance:
         req_ids = [r.id for r in self.requests]
         if len(set(req_ids)) != len(req_ids):
             raise InstanceError("duplicate request ids")
+        vset = frozenset(self.graph.vertices) if self.graph is not None else frozenset()
         for req in self.requests:
             for e in req.weights:
                 if e not in self.resource_by_id:
                     raise InstanceError(f"request {req.id}: weight on unknown resource {e!r}")
-            self._validate_kind(req)
+            self._validate_kind(req, vset)
 
-    def _validate_kind(self, req: Request):
+    def _validate_kind(self, req: Request, vset: frozenset[str]):
         kind = req.kind
         if isinstance(kind, GRAPH_KINDS):
             if self.graph is None:
                 raise InstanceError(f"request {req.id}: kind requires a host graph")
-            vset = set(self.graph.vertices)
             if isinstance(kind, Routing):
                 if kind.source not in vset or kind.target not in vset:
                     raise InstanceError(f"request {req.id}: unknown terminal vertex")
@@ -364,17 +364,25 @@ class Instance:
             raise InstanceError(f"reply uses unknown resource {min(unknown)!r}")
 
 
-def load_vector(instance: Instance, profile: StrategyProfile) -> LoadVector:
-    """Per-resource loads induced by a profile; unused resources map to 0."""
+def check_profile(instance: Instance, profile: StrategyProfile):
+    """Raise InstanceError unless the profile holds one reply per request and
+    its replies name only the instance's resources."""
     if len(profile) != instance.n_requests:
         raise InstanceError(
             f"profile has {len(profile)} replies for {instance.n_requests} requests")
+    known = instance.resource_by_id.keys()
+    for req, reply in zip(instance.requests, profile):
+        if not known >= reply:
+            unknown = min(e for e in reply if e not in known)
+            raise InstanceError(f"reply of request {req.id} uses unknown resource {unknown!r}")
+
+
+def load_vector(instance: Instance, profile: StrategyProfile) -> LoadVector:
+    """Per-resource loads induced by a profile; unused resources map to 0."""
+    check_profile(instance, profile)
     loads = {r.id: 0 for r in instance.resources}
     for req, reply in zip(instance.requests, profile):
         for e in reply:
-            if e not in loads:
-                unknown = min(x for x in reply if x not in loads)
-                raise InstanceError(f"reply of request {req.id} uses unknown resource {unknown!r}")
             loads[e] += req.weight(e)
     return loads
 

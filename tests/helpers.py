@@ -15,6 +15,7 @@ from gndes import (
     Instance,
     MultiRouting,
     PassView,
+    ProfileState,
     Request,
     ResourceParams,
     Routing,
@@ -32,7 +33,7 @@ def rng_for(seed: int) -> np.random.Generator:
 def pass_view(instance: Instance, config, profile, step: int, planned_budget: int) -> PassView:
     """The delta pass at ``step`` of a run whose step budget is ``planned_budget``."""
     delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
-    return PassView(instance, config, profile, step, delta)
+    return PassView(ProfileState(instance, profile), config, step, delta)
 
 
 def random_exponents(rng, max_q: int = 2, alpha_max: float = 4.0) -> ExponentProfile:

@@ -13,12 +13,14 @@ from gndes import (
     HostGraph,
     InfeasibleError,
     Instance,
+    InstanceError,
     MachineChoice,
     Request,
     ResourceParams,
     Routing,
     total_cost,
 )
+from gndes import analysis
 from gndes.analysis import (
     MAX_PATHS,
     MAX_PROFILES,
@@ -104,6 +106,27 @@ class TestPotential:
                     order_map[res.id] = tuple(perm)
                 assert potential_by_prefix(inst, profile, order_map) == pytest.approx(
                     reference, rel=1e-9)
+
+
+M = frozenset({"m"})
+
+
+@pytest.mark.parametrize("profile, message", [
+    ((M,), "^profile has 1 replies for 2 requests$"),
+    ((M, frozenset({"zz"})), "^reply of request 2 uses unknown resource 'zz'$"),
+    ((M, M, M), "^profile has 3 replies for 2 requests$"),
+], ids=["short", "unknown-resource", "long"])
+@pytest.mark.parametrize("evaluate", [
+    potential,
+    lambda inst, p: player_cost(inst, "shapley-exact", p, 0),
+    potential_by_prefix,
+], ids=["potential", "player_cost", "potential_by_prefix"])
+def test_malformed_profile_is_refused_like_total_cost(profile, message, evaluate):
+    inst = one_edge_instance()
+    with pytest.raises(InstanceError, match=message):
+        total_cost(inst, profile)
+    with pytest.raises(InstanceError, match=message):
+        evaluate(inst, profile)
 
 
 def machines_instance(sigmas, xis, alpha, weights):
@@ -390,6 +413,12 @@ class TestPoaFamily:
         for q in (0, -1):
             with pytest.raises(ConfigError, match="q must be >= 1"):
                 poa_lower_bound_instance(16.0, 1.0, 2.0, q=q)
+
+    def test_refuses_more_requests_than_the_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_POA_REQUESTS", 3)
+        assert poa_lower_bound_instance(9.0, 1.0, 2.0).n_requests == 3
+        with pytest.raises(ConfigError, match="= 4 exceeds the cap of 3 requests"):
+            poa_lower_bound_instance(16.0, 1.0, 2.0)
 
     def test_n4_shape_and_costs(self):
         inst = poa_lower_bound_instance(16.0, 1.0, 2.0)

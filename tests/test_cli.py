@@ -343,6 +343,14 @@ class TestPoaGen:
         assert code == 2 and "is not a finite number" in err
         assert not out_path.exists()
 
+    def test_refuses_more_requests_than_the_cap(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, _, err = run_cli(capsys, "poa-gen", "--sigma", "1e300", "--xi", "1",
+                               "--alpha", "2", "--out", str(out_path))
+        assert code == 2
+        assert f"exceeds the cap of {analysis.MAX_POA_REQUESTS} requests" in err
+        assert not out_path.exists()
+
     def test_suggests_nearest_sigma(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "poa-gen", "--sigma", "15", "--xi", "1",
                                "--alpha", "2", "--out", str(tmp_path / "x.json"))

@@ -1,7 +1,9 @@
-"""Differential tests for the shared resource view of a delta pass.
+"""Differential tests for a run's profile state and the delta pass over it.
 
-A ``PassView`` groups the users of every resource once per pass and
-memoizes shares across the players of the pass.  These tests compare
+A ``ProfileState`` groups the users of every resource once and regroups
+only the resources a move changes; a ``PassView`` reads those users from
+the state and memoizes shares across the players of the pass.  These tests
+check a moved state against a fresh state of the same profile, and compare
 ``delta_vector`` on one view, with exact float equality, against per-player
 ABRs that share nothing: ``approximate_best_response`` on a fresh view for
 every player, and an independent regrouping of the others' users for every
@@ -9,6 +11,7 @@ player.
 """
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gndes import (
     AbrdConfig,
@@ -16,14 +19,21 @@ from gndes import (
     Instance,
     MachineChoice,
     MultiRouting,
+    PassView,
+    ProfileState,
     Request,
     ResourceParams,
     Routing,
     SetConnectivity,
     approximate_best_response,
+    analysis,
     delta_vector,
+    potential,
+    potential_by_prefix,
     sharing,
 )
+from gndes.analysis import REL_TOL
+from gndes.errors import InstanceError
 from gndes.engine import DeltaPass
 from gndes.oracles import clamp_tolls, reply_oracle
 from gndes.rng import keyed_rng
@@ -165,3 +175,50 @@ def test_many_users_on_one_machine(mechanism, on_m1, n_players):
     instance = machines(n_players)
     profile = tuple(frozenset({"m1" if pos < on_m1 else "m2"}) for pos in range(n_players))
     assert_pass_matches(instance, AbrdConfig(mechanism=mechanism), profile)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_machine_instance]),
+       n_moves=st.integers(min_value=1, max_value=6),
+       mechanism=st.sampled_from(["shapley-exact", "proportional"]))
+def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
+    rng = rng_for(seed)
+    instance = make(rng)
+    state = ProfileState(instance, random_profile(rng, instance))
+    state.potential()
+    config = AbrdConfig(mechanism=mechanism)
+    for _ in range(n_moves):
+        position = int(rng.integers(instance.n_requests))
+        state.move(position, random_profile(rng, instance)[position])
+        fresh = ProfileState(instance, state.profile)
+        assert (state.profile, state.users) == (fresh.profile, fresh.users)
+        phi = state.potential()
+        assert phi == potential(instance, state.profile)
+        assert phi == pytest.approx(potential_by_prefix(instance, state.profile), rel=REL_TOL)
+        moved_view = PassView(state, config, 1, 0.1)
+        fresh_view = PassView(fresh, config, 1, 0.1)
+        for pos in range(instance.n_requests):
+            assert moved_view.tolls(pos) == fresh_view.tolls(pos)
+
+
+def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
+    exp = ExponentProfile((2.0,))
+    ids = ("m1", "m2", "m3")
+    instance = Instance(exp, tuple(ResourceParams(m, 1.0, (0.5,)) for m in ids),
+                        tuple(Request(id=i, kind=MachineChoice(ids)) for i in (1, 2, 3)))
+    state = ProfileState(instance, tuple(frozenset({m}) for m in ids))
+    state.potential()
+    priced = []
+    table = analysis.subset_sums_by_size
+    monkeypatch.setattr(analysis, "subset_sums_by_size",
+                        lambda weights: priced.append(len(weights)) or table(weights))
+    state.move(0, frozenset({"m2"}))
+    phi = state.potential()
+    # m1 lost its only user, m2 gained one, m3 did not change: one table,
+    # for the two users of m2
+    assert priced == [2]
+    assert phi == potential(instance, state.profile)
+    with pytest.raises(InstanceError, match="^reply uses unknown resource 'zz'$"):
+        state.move(0, frozenset({"zz"}))
+    assert state.profile == (frozenset({"m2"}), frozenset({"m2"}), frozenset({"m3"}))

@@ -1,9 +1,11 @@
 """Verification suite: potential function, brute-force optimum, equilibrium
 enumeration, smoothness checks and the worst-case instance family.
 
-Everything here is read-only over an instance and a mechanism with exact
-shares.  Enumerations refuse (never silently truncate) when the fixed
-limits would be exceeded, so derived expected values stay trustworthy.
+Everything here reads an instance and a mechanism with exact shares and
+changes neither; the one mutable object is :class:`ProfileState`, a
+profile that its owner updates one reply at a time.  Enumerations refuse
+(never silently truncate) when the fixed limits would be exceeded, so
+derived expected values stay trustworthy.
 """
 
 from __future__ import annotations

@@ -33,7 +33,7 @@ from .instance import (
     rep_cost,
     total_cost,
 )
-from .oracles import TOLL_FLOOR, routing_oracle
+from .oracles import clamp_toll, routing_oracle
 from .rng import keyed_rng
 
 ROUNDS_CAP = 100_000
@@ -105,7 +105,7 @@ def fpl_step(graph: HostGraph, source: str, target: str,
     edge_ids = sorted(e.id for e in graph.edges)
     noise = rng.uniform(0.0, eta, size=len(edge_ids))
     tolls = {
-        eid: max(cumulative.get(eid, 0.0) + float(u), TOLL_FLOOR)
+        eid: clamp_toll(cumulative.get(eid, 0.0) + float(u))
         for eid, u in zip(edge_ids, noise)
     }
     return routing_oracle(graph, source, target, tolls).reply

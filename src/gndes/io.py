@@ -225,4 +225,5 @@ def instance_to_text(instance: Instance) -> str:
 
 def write_instance(instance: Instance, path: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(instance_to_text(instance))
+        json.dump(instance_to_dict(instance), fh, indent=2)
+        fh.write("\n")

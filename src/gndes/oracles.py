@@ -3,7 +3,8 @@
 Every oracle takes a strictly positive toll per resource and returns a
 feasible reply whose total toll is within its guaranteed factor rho of the
 minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) and toll
-totals over a reply are summed in sorted resource order, so runs are
+totals over a reply are summed in a fixed order (sorted resource ids, or
+the order a path or the grown forest lists its edges), so runs are
 reproducible whatever the interpreter's hash seed.
 
 Every graph oracle searches with :func:`shortest_paths`, one Dijkstra from
@@ -11,24 +12,33 @@ a source that stops once all its targets are settled; which vertex settles
 when does not depend on the targets, so a search for many targets returns
 for each the path a search for it alone would.
 
+One dispatch maps each request to its oracle and to the factor rho that
+oracle guarantees: :func:`reply_oracle` runs the one and :func:`oracle_rho`
+reports the other.
+
 * routing: Dijkstra, exact (rho = 1).
 * machine choice / explicit lists: direct argmin, exact.
 * set connectivity (undirected): metric-closure MST, rho = 2; the closure
-  on k terminals takes k - 1 searches.
+  on k terminals takes k - 1 searches, and the tree is trimmed to the
+  paths between terminals.
 * multi-routing (undirected): primal-dual moat growing with reverse
   deletion, rho = 2.  The grown edges form a forest, so reverse deletion
-  keeps exactly the union of the pairs' paths in it, which one walk per
-  pair finds.
+  keeps exactly the union of the pairs' paths in it.
 * directed multi-routing / set strong connectivity: union of pairwise
   shortest paths, a heuristic whose only guarantee is the trivial factor
-  equal to the number of pairs, which :func:`oracle_rho` reports.
+  equal to the number of pairs.
+
+Both Steiner oracles merge components with one helper (Kruskal's merge
+and the moats' merge are the same relabelling of the smaller component)
+and keep the edges of a forest that lie on some pair's path with one walk.
 """
 
 from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
-from typing import Hashable, Iterable, Mapping, Sequence
+from functools import partial
+from typing import Callable, Hashable, Iterable, Mapping, Sequence
 
 from .errors import ConfigError, InfeasibleError, InstanceError
 from .instance import (
@@ -165,44 +175,37 @@ def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAn
 # Steiner tree (metric-closure MST)
 # ---------------------------------------------------------------------------
 
-class _UnionFind:
-    def __init__(self, items: Iterable[str]):
-        self.parent = {x: x for x in items}
-
-    def find(self, x: str) -> str:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: str, b: str) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if rb < ra:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        return True
+def _merge(label: dict[str, str], members: dict[str, list[str]], a: str, b: str) -> bool:
+    """Merge the components of a and b (vertex -> component label, label ->
+    its vertices), relabelling the smaller one; False if they are one
+    component already.  Kruskal and the forest's moats both merge here."""
+    big, small = label[a], label[b]
+    if big == small:
+        return False
+    if len(members[big]) < len(members[small]):
+        big, small = small, big
+    for x in members[small]:
+        label[x] = big
+    members[big] += members.pop(small)
+    return True
 
 
-def _mst_edges(vertices: set[str], edges: list[tuple[Hashable, str, str, float]]) -> list:
+def _mst_edges(edges: list[tuple[Hashable, str, str, float]]) -> list:
     """Kruskal over (id, tail, head, weight) tuples, ties broken by id;
-    returns the chosen ids."""
-    uf = _UnionFind(vertices)
-    chosen = []
-    for eid, u, v, _ in sorted(edges, key=lambda t: (t[3], t[0])):
-        if uf.union(u, v):
-            chosen.append(eid)
-    return chosen
+    returns the chosen tuples."""
+    label = {v: v for _, tail, head, _ in edges for v in (tail, head)}
+    members = {v: [v] for v in label}
+    return [edge for edge in sorted(edges, key=lambda t: (t[3], t[0]))
+            if _merge(label, members, edge[1], edge[2])]
 
 
 def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls) -> OracleAnswer:
     """Metric-closure MST construction: complete graph on the terminals under
     shortest-path tolls, its MST expanded back to paths, an MST of that
-    subgraph, then non-terminal leaves pruned.  Guaranteed within twice the
-    optimal Steiner toll."""
+    subgraph, then the union of the paths in that tree from the first
+    terminal to each other one, which is what pruning non-terminal leaves
+    until none is left would keep.  Guaranteed within twice the optimal
+    Steiner toll."""
     if graph.directed:
         raise ConfigError("set connectivity oracle requires an undirected graph")
     terms = tuple(sorted(set(terminals)))
@@ -222,33 +225,18 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
             closure.append(((a, b), a, b, dist))
             paths[(a, b)] = edges
 
-    union_edges = {eid for pair in _mst_edges(set(terms), closure) for eid in paths[pair]}
+    union_edges = {eid for pair, _, _, _ in _mst_edges(closure) for eid in paths[pair]}
 
-    # MST of the expanded subgraph, then prune dead leaves
-    sub_vertices: set[str] = set()
+    # MST of the expanded subgraph, trimmed to the paths between terminals
     sub_edges = []
     for eid in sorted(union_edges):
         e = graph.edge_by_id[eid]
-        sub_vertices.update((e.tail, e.head))
         sub_edges.append((eid, e.tail, e.head, _toll(tolls, eid)))
-    tree = set(_mst_edges(sub_vertices, sub_edges))
+    tree = [edge[:3] for edge in _mst_edges(sub_edges)]
+    kept = _forest_paths(tree, [(terms[0], t) for t in terms[1:]])
 
-    term_set = set(terms)
-    while True:
-        degree: dict[str, list[str]] = {}
-        for eid in tree:
-            e = graph.edge_by_id[eid]
-            degree.setdefault(e.tail, []).append(eid)
-            degree.setdefault(e.head, []).append(eid)
-        dead = [v for v, inc in degree.items() if len(inc) == 1 and v not in term_set]
-        if not dead:
-            break
-        for v in dead:
-            for eid in degree[v]:
-                tree.discard(eid)
-
-    total = sum(_toll(tolls, e) for e in sorted(tree))
-    return OracleAnswer(reply=frozenset(tree), toll_total=total)
+    total = sum(_toll(tolls, e) for e in sorted(kept))
+    return OracleAnswer(reply=frozenset(kept), toll_total=total)
 
 
 # ---------------------------------------------------------------------------
@@ -310,43 +298,41 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
         for _, eid, rate in candidates:
             remaining[eid] = max(0.0, remaining[eid] - step * rate)
         e = graph.edge_by_id[chosen]
-        big, small = label[e.tail], label[e.head]
-        if len(members[big]) < len(members[small]):
-            big, small = small, big
-        for x in members[small]:
-            label[x] = big
-        members[big] += members.pop(small)
+        _merge(label, members, e.tail, e.head)
         forest.append((chosen, e.tail, e.head))
         apart = [(s, t) for s, t in apart if label[s] != label[t]]
 
-    adjacency: dict[str, list[tuple[str, str]]] = {}
-    for eid, u, v in forest:
-        adjacency.setdefault(u, []).append((v, eid))
-        adjacency.setdefault(v, []).append((u, eid))
-    used: set[str] = set()
-    for s, t in pair_list:
-        used.update(_forest_path(adjacency, s, t))
+    used = _forest_paths(forest, pair_list)
     kept = [eid for eid, _, _ in forest if eid in used]
 
     total = sum(_toll(tolls, e) for e in kept)
     return OracleAnswer(reply=frozenset(kept), toll_total=total)
 
 
-def _forest_path(adjacency: Mapping[str, list[tuple[str, str]]], s: str, t: str) -> list[str]:
-    """Edge ids of the unique s-t path in a forest that connects s and t."""
-    via: dict[str, tuple[str, str]] = {s: ("", "")}
-    stack = [s]
-    while t not in via:
-        u = stack.pop()
-        for v, eid in adjacency[u]:
-            if v not in via:
-                via[v] = (u, eid)
-                stack.append(v)
-    path = []
-    while t != s:
-        t, eid = via[t]
-        path.append(eid)
-    return path
+def _forest_paths(forest: Iterable[tuple[str, str, str]],
+                  pairs: Iterable[tuple[str, str]]) -> set[str]:
+    """Edge ids on the unique path between the ends of each pair in a forest
+    of (id, u, v) edges that connects every pair."""
+    adjacency: dict[str, list[tuple[str, str]]] = {}
+    for eid, u, v in forest:
+        adjacency.setdefault(u, []).append((v, eid))
+        adjacency.setdefault(v, []).append((u, eid))
+    # one depth-first search per source, resumed for each of its pairs; in a
+    # forest the search's parent links give the unique path back to it
+    searches: dict[str, tuple[dict[str, tuple[str, str]], list[str]]] = {}
+    used: set[str] = set()
+    for s, t in pairs:
+        via, stack = searches.setdefault(s, ({s: (s, "")}, [s]))
+        while t not in via:
+            u = stack.pop()
+            for v, eid in adjacency[u]:
+                if v not in via:
+                    via[v] = (u, eid)
+                    stack.append(v)
+        while t != s:
+            t, eid = via[t]
+            used.add(eid)
+    return used
 
 
 # ---------------------------------------------------------------------------
@@ -385,34 +371,35 @@ def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
 # dispatch
 # ---------------------------------------------------------------------------
 
+def _dispatch(instance: Instance, request: Request) -> tuple[Callable[[Tolls], OracleAnswer], float]:
+    """The oracle for the request kind, bound to everything but the tolls,
+    and the factor it guarantees."""
+    kind = request.kind
+    graph = instance.graph
+    if isinstance(kind, Routing):
+        return partial(routing_oracle, graph, kind.source, kind.target), 1.0
+    if isinstance(kind, MachineChoice):
+        return partial(machine_oracle, kind.machines), 1.0
+    if isinstance(kind, ExplicitReplies):
+        return partial(explicit_oracle, kind.replies), 1.0
+    if isinstance(kind, MultiRouting):
+        if graph.directed:
+            return (partial(directed_multi_routing_oracle, graph, kind.pairs),
+                    float(len(kind.pairs)))
+        return partial(steiner_forest_oracle, graph, kind.pairs), 2.0
+    if isinstance(kind, SetConnectivity):
+        if graph.directed:
+            return (partial(strong_connectivity_oracle, graph, kind.terminals),
+                    float(len(kind.terminals)))
+        return partial(steiner_tree_oracle, graph, kind.terminals), 2.0
+    raise InstanceError(f"unsupported request kind {type(kind).__name__}")
+
+
 def oracle_rho(instance: Instance, request: Request) -> float:
     """Guaranteed factor of the oracle that reply_oracle would use."""
-    kind = request.kind
-    if isinstance(kind, (Routing, MachineChoice, ExplicitReplies)):
-        return 1.0
-    if isinstance(kind, MultiRouting):
-        return 2.0 if not instance.graph.directed else float(len(kind.pairs))
-    if isinstance(kind, SetConnectivity):
-        return 2.0 if not instance.graph.directed else float(len(kind.terminals))
-    raise InstanceError(f"unsupported request kind {type(kind).__name__}")
+    return _dispatch(instance, request)[1]
 
 
 def reply_oracle(instance: Instance, request: Request, tolls: Tolls) -> OracleAnswer:
     """Select and run the oracle matching the request kind."""
-    kind = request.kind
-    graph = instance.graph
-    if isinstance(kind, Routing):
-        return routing_oracle(graph, kind.source, kind.target, tolls)
-    if isinstance(kind, MachineChoice):
-        return machine_oracle(kind.machines, tolls)
-    if isinstance(kind, ExplicitReplies):
-        return explicit_oracle(kind.replies, tolls)
-    if isinstance(kind, MultiRouting):
-        if graph.directed:
-            return directed_multi_routing_oracle(graph, kind.pairs, tolls)
-        return steiner_forest_oracle(graph, kind.pairs, tolls)
-    if isinstance(kind, SetConnectivity):
-        if graph.directed:
-            return strong_connectivity_oracle(graph, kind.terminals, tolls)
-        return steiner_tree_oracle(graph, kind.terminals, tolls)
-    raise InstanceError(f"unsupported request kind {type(kind).__name__}")
+    return _dispatch(instance, request)[0](tolls)

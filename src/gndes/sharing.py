@@ -332,23 +332,24 @@ def _binom_real(alpha: float, k: int) -> float:
 
 
 def rep_expansion_constants(mechanism: str, exponents: ExponentProfile) -> RepExpansionConstants:
-    """Expansion constants for the two supported mechanisms.
+    """Expansion constants for the two supported mechanisms, named as in
+    :data:`MECHANISMS` or as plain ``"shapley"``.
 
     proportional: z_1 = z_2 = 2^{alpha-1};
     shapley: z_1 = 3^alpha, z_2 = 2 * binom(alpha, floor((alpha+1)/2)),
     both with (x_1, y_1) = (0, alpha) and (x_2, y_2) = (alpha-1, 1).
     """
+    if mechanism not in MECHANISMS and mechanism != "shapley":
+        raise ConfigError(f"unknown mechanism {mechanism!r}")
     base = mechanism.split("-")[0]
     per_j = []
     for a in exponents.alphas:
         try:
             if base == "proportional":
                 z1 = z2 = 2.0 ** (a - 1.0)
-            elif base == "shapley":
+            else:
                 z1 = 3.0 ** a
                 z2 = 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))
-            else:
-                raise ConfigError(f"unknown mechanism {mechanism!r}")
         except OverflowError:
             raise ConfigError(
                 f"expansion constants exceed the largest double at alpha = {a:g}") from None

@@ -1,8 +1,9 @@
 """Traces and reports must stay byte-identical to the files in tests/golden.
 
 Each case renders one seeded run or report and compares it with its golden
-file byte for byte.  After a deliberate change of output, rewrite the files
-with ``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+file byte for byte.  After a deliberate change of output, rewrite the files,
+the demos' outputs (``tests/test_demos.py``) included, with
+``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
 """
 
 from pathlib import Path
@@ -18,6 +19,7 @@ from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from gndes.sharing import rep_expansion_constants
 
 from helpers import seeded_case
+from test_demos import DEMOS, demo_output, golden_name
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
 
@@ -84,3 +86,6 @@ if __name__ == "__main__":
     GOLDEN.mkdir(exist_ok=True)
     for name, render in CASES.items():
         (GOLDEN / name).write_text(render(), encoding="utf-8", newline="\n")
+    for demo in DEMOS:
+        (GOLDEN / golden_name(demo)).write_text(demo_output(demo), encoding="utf-8",
+                                                newline="\n")

@@ -5,7 +5,8 @@ import math
 import pytest
 
 from gndes import ParseError, poa_lower_bound_instance
-from gndes.io import instance_to_dict, instance_to_text, parse_instance, parse_instance_text
+from gndes.io import (instance_to_dict, instance_to_text, parse_instance, parse_instance_text,
+                      write_instance)
 
 from helpers import random_explicit_instance, random_routing_instance, rng_for
 
@@ -64,6 +65,15 @@ def test_round_trip_is_fixed_point(seed):
     text = instance_to_text(inst)
     again = instance_to_text(parse_instance_text(text))
     assert text == again
+
+
+def test_written_file_is_the_instance_text(tmp_path):
+    path = tmp_path / "instance.json"
+    for inst in (poa_lower_bound_instance(16.0, 1.0, 2.0),
+                 parse_instance_text(json.dumps(FIVE_KINDS)),
+                 random_routing_instance(rng_for(3))):
+        write_instance(inst, str(path))
+        assert path.read_bytes() == instance_to_text(inst).encode("utf-8")
 
 
 def test_round_trip_preserves_structure():

@@ -8,6 +8,7 @@ from gndes import (
     HostGraph,
     InfeasibleError,
     Instance,
+    MachineChoice,
     MultiRouting,
     Request,
     ResourceParams,
@@ -35,6 +36,7 @@ from gndes.oracles import (
 
 from helpers import (
     random_connected_graph,
+    random_explicit_instance,
     random_toll_multigraph,
     random_tolls,
     reference_shortest_path,
@@ -586,25 +588,70 @@ class TestDirectedHeuristics:
         assert oracle_rho(inst, inst.requests[0]) == 2.0
 
 
+def both_ways(graph):
+    """The directed graph with both orientations of every edge, so every
+    terminal reaches every other."""
+    arcs = (*graph.edges, *(Edge("r" + e.id, e.head, e.tail) for e in graph.edges))
+    return HostGraph(True, graph.vertices, arcs)
+
+
+def graph_case(kind_of, directed=False):
+    def build(rng):
+        g = random_connected_graph(rng, 5, 2)
+        if directed:
+            g = both_ways(g)
+        tolls = random_tolls(rng, g)
+        return instance_for(g, kind_of(g.vertices)), tolls
+    return build
+
+
+def resource_tolls(rng, inst):
+    return {r.id: float(rng.uniform(0.2, 3.0)) for r in inst.resources}
+
+
+def machine_case(rng):
+    resources = tuple(ResourceParams(f"m{k}", 1.0, (1.0,)) for k in range(4))
+    request = Request(id=1, kind=MachineChoice(("m2", "m0", "m3")))
+    inst = Instance(ExponentProfile((2.0,)), resources, (request,))
+    return inst, resource_tolls(rng, inst)
+
+
+def explicit_case(rng):
+    inst = random_explicit_instance(rng)
+    return inst, resource_tolls(rng, inst)
+
+
+# one small seeded instance builder per oracle that reply_oracle dispatches to
+DISPATCH_CASES = {
+    "routing": graph_case(lambda v: Routing(v[0], v[1])),
+    "machine choice": machine_case,
+    "explicit replies": explicit_case,
+    "multi-routing": graph_case(lambda v: MultiRouting(((v[0], v[2]), (v[1], v[3])))),
+    "set connectivity": graph_case(lambda v: SetConnectivity((v[0], v[2], v[4]))),
+    "directed multi-routing": graph_case(
+        lambda v: MultiRouting(((v[0], v[2]), (v[3], v[1]))), directed=True),
+    "strong connectivity": graph_case(
+        lambda v: SetConnectivity((v[0], v[2], v[4])), directed=True),
+}
+
+
 class TestDispatchAndClamping:
     def test_clamp_floor(self):
         clamped = clamp_tolls({"e": 0.0, "f": -1.0, "g": 2.0})
         assert clamped["e"] > 0 and clamped["f"] > 0 and clamped["g"] == 2.0
 
     def test_every_answer_validates(self):
-        rng = rng_for(41)
-        for _ in range(20):
-            g = random_connected_graph(rng, 5, 2)
-            tolls = random_tolls(rng, g)
-            verts = list(g.vertices)
-            kinds = [
-                Routing(verts[0], verts[1]),
-                MultiRouting(((verts[0], verts[2]), (verts[1], verts[3]))),
-                SetConnectivity((verts[0], verts[2], verts[4])),
-            ]
-            for kind in kinds:
-                inst = instance_for(g, kind)
-                ans = reply_oracle(inst, inst.requests[0], tolls)
-                assert validate_reply(inst, inst.requests[0], ans.reply)
+        # the reply is feasible, its total is its tolls' sum, and the total is
+        # within the factor oracle_rho reports of the best reply there is
+        for case, build in DISPATCH_CASES.items():
+            rng = rng_for(41)
+            for _ in range(20):
+                inst, tolls = build(rng)
+                request = inst.requests[0]
+                ans = reply_oracle(inst, request, tolls)
+                assert validate_reply(inst, request, ans.reply), case
                 assert ans.toll_total == pytest.approx(
-                    sum(tolls[e] for e in ans.reply), rel=1e-12)
+                    sum(tolls[e] for e in sorted(ans.reply)), rel=1e-12), case
+                best = min(sum(tolls[e] for e in sorted(reply))
+                           for reply in candidate_replies(inst, request))
+                assert ans.toll_total <= oracle_rho(inst, request) * best * (1 + 1e-12), case

@@ -9,10 +9,11 @@ from hypothesis import given, settings, strategies as st
 
 from gndes import ExponentProfile, ResourceParams, rep_cost, sharing
 from gndes.analysis import budget_balance_check
-from gndes.errors import InstanceError
+from gndes.errors import ConfigError, InstanceError
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     MAX_SAMPLES,
+    MECHANISMS,
     ShareQuery,
     cost_share,
     h_value,
@@ -431,6 +432,18 @@ class TestExpansion:
         assert shap.share == pytest.approx(6.0)
         assert shap.bound == pytest.approx(23.0)
         assert prop.ok and shap.ok
+
+    @pytest.mark.parametrize("name", MECHANISMS + ("shapley",))
+    def test_mechanism_names_accepted(self, name):
+        c = rep_expansion_constants(name, ExponentProfile((2.0,)))
+        assert c.mechanism == name.split("-")[0]
+
+    @pytest.mark.parametrize("name", ["shapley-bogus", "proportional-x", "shapley-", "bogus"])
+    def test_unknown_mechanism_names_rejected(self, name):
+        with pytest.raises(ConfigError, match=f"unknown mechanism '{name}'"):
+            rep_expansion_constants(name, ExponentProfile((2.0,)))
+        with pytest.raises(ConfigError, match=f"unknown mechanism '{name}'"):
+            rep_expansion_check(name, query(6.0, [1.0], [2.0], [1, 2], target=1))
 
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley"])
     @pytest.mark.parametrize("alphas,xis,sigma", [

@@ -34,7 +34,7 @@ from .instance import (
     validate_reply,
 )
 from .rng import keyed_rng
-from .sharing import ShareQuery, cost_share, h_value, shapley_exact, subset_sums_by_size
+from .sharing import CountingTables, ShareQuery, cost_share, shapley_exact
 
 REL_TOL = 1e-9
 ABS_TOL = 1e-12
@@ -52,6 +52,12 @@ class ProfileState:
     :meth:`move` regroups only the resources that the new reply enters or
     the old one leaves and drops their terms, and :meth:`potential`
     recomputes only the missing terms.
+
+    ``tables`` is the state's :class:`sharing.CountingTables`: the
+    potential reads its counting tables and h values there, and so do the
+    exact shares of every pass over the state (``engine.PassView``).  Each
+    :meth:`move` ages the store, so it holds only what was used since the
+    move before.
     """
 
     def __init__(self, instance: Instance, profile: StrategyProfile):
@@ -59,6 +65,7 @@ class ProfileState:
         self.instance = instance
         self.profile = tuple(profile)
         self.users: dict[str, tuple[tuple[int, int], ...]] = {}
+        self.tables = CountingTables()
         self._terms: dict[str, float] = {}
         self._regroup(frozenset().union(*self.profile))
 
@@ -68,6 +75,7 @@ class ProfileState:
         old = self.profile[position]
         self.profile = self.profile[:position] + (reply,) + self.profile[position + 1:]
         self._regroup(old ^ reply)
+        self.tables.age()
 
     def _regroup(self, resource_ids: frozenset[str]):
         grouped: dict[str, list[tuple[int, int]]] = {e: [] for e in resource_ids}
@@ -91,12 +99,12 @@ class ProfileState:
                 continue
             if res.id not in self._terms:
                 n = len(users)
-                table = subset_sums_by_size([w for _, w in users])
+                table = self.tables.table([w for _, w in users])
+                h = self.tables.h_values(res, self.instance.exponents, set().union(*table))
                 term = res.sigma * harmonic(n)
                 for k in range(1, n + 1):
                     coeff = 1.0 / (math.comb(n, k) * k)
-                    term += coeff * sum(count * h_value(res, self.instance.exponents, s)
-                                        for s, count in table[k].items())
+                    term += coeff * sum(count * h[s] for s, count in table[k].items())
                 self._terms[res.id] = term
             total += self._terms[res.id]
         return total

@@ -142,6 +142,11 @@ class PassView:
     epsilon of the exact share except with probability ``delta``.  They are
     not memoized; they are counted in ``sampled_shares``, and those whose
     sample count was capped also in ``sample_cap_hits``.
+
+    Exact shares read their counting tables and h values from the state's
+    ``tables`` store, which outlives the pass: the memo saves a share within
+    one pass, and the store saves a multiset's table across passes and
+    shares it with the state's potential.
     """
 
     ON = "on"
@@ -152,6 +157,7 @@ class PassView:
         self.config = config
         self.profile = state.profile
         self.users = state.users
+        self.tables = state.tables
         self.step = step
         self.delta = delta
         self.sampled = config.mechanism == "shapley-sampled"
@@ -197,7 +203,8 @@ class PassView:
                 else:
                     # exactly what cost_share returns for a sampled share that
                     # needs no samples, so it is memoized like any exact share
-                    share = memo[key] = cost_share(self.exact_mechanism, query)
+                    share = memo[key] = cost_share(self.exact_mechanism, query,
+                                                   tables=self.tables)
             tolls[e] = clamp_toll(share)
         return tolls
 

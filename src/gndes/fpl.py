@@ -112,15 +112,21 @@ def fpl_step(graph: HostGraph, source: str, target: str,
 
 
 def _proportional_toll_row(scaled: Instance, loads: dict[str, int],
-                           profile: StrategyProfile, position: int) -> dict[str, float]:
+                           profile: StrategyProfile, position: int,
+                           costs: dict[tuple[str, int], float]) -> dict[str, float]:
     """tau_i(e) = player i's proportional share on e with i joined to the
-    round's users of e, given the round's loads."""
+    round's users of e, given the round's loads.  ``costs`` holds the
+    round's F_e(joined load) by (resource id, joined load), filled here, so
+    players who see the same load on a resource share one evaluation."""
     req = scaled.requests[position]
     row = {}
     for res in scaled.resources:
         w = req.weight(res.id)
         joined = loads[res.id] + (0 if res.id in profile[position] else w)
-        row[res.id] = (w / joined) * rep_cost(res, scaled.exponents, joined)
+        cost = costs.get((res.id, joined))
+        if cost is None:
+            cost = costs[res.id, joined] = rep_cost(res, scaled.exponents, joined)
+        row[res.id] = (w / joined) * cost
     return row
 
 
@@ -161,8 +167,9 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         if t == chosen:
             out_profile = profile
         loads = load_vector(scaled, profile)
+        costs: dict[tuple[str, int], float] = {}
         for pos, req in enumerate(scaled.requests):
-            row = _proportional_toll_row(scaled, loads, profile, pos)
+            row = _proportional_toll_row(scaled, loads, profile, pos, costs)
             toll = sum(row[e] for e in sorted(profile[pos]))
             realized[pos] += toll
             for e, tau in row.items():

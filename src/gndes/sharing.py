@@ -20,6 +20,11 @@ Both exact mechanisms are budget balanced: the shares on a resource sum to
 its cost.  Both depend on the other users only through their weight
 multiset, never through their ids or order.  The same counting table gives
 the exact potential (``analysis.potential``).
+
+A :class:`CountingTables` store keeps counting tables by weight multiset
+and h values by (resource id, weight sum), so the exact shares and the
+potential of one run count each multiset once; a share computed without
+a store uses a fresh one.
 """
 
 from __future__ import annotations
@@ -125,23 +130,85 @@ def subset_sums_by_size(weights: Sequence[int]) -> list[dict[int, int]]:
     return [dict(sorted(sums.items())) for sums in table]
 
 
-def shapley_exact(query: ShareQuery) -> float:
+class CountingTables:
+    """Counting tables and h values kept for the queries of one instance.
+
+    A table of :func:`subset_sums_by_size` is kept by the sorted weight
+    tuple it counts, and an h value by resource id and weight sum, so one
+    store must serve the resources and exponents of a single instance.
+    Tables are exact integers and h values are the floats
+    :func:`h_value` returns, so whatever reads them is bit for bit what it
+    would be without the store.
+
+    The store keeps two generations: :meth:`age` makes what is held the
+    old generation and drops the previous old one, and a lookup that finds
+    an entry only in the old generation copies it to the current one.  So
+    after ``age`` only the entries used since the ``age`` before it are
+    held.
+    """
+
+    def __init__(self):
+        self._tables: dict[tuple[int, ...], list[dict[int, int]]] = {}
+        self._h: dict[str, dict[int, float]] = {}
+        self._old_tables: dict[tuple[int, ...], list[dict[int, int]]] = {}
+        self._old_h: dict[str, dict[int, float]] = {}
+
+    def table(self, weights: Sequence[int]) -> list[dict[int, int]]:
+        """:func:`subset_sums_by_size` of ``weights``, built once per multiset."""
+        key = tuple(sorted(weights))
+        table = self._tables.get(key)
+        if table is None:
+            table = self._old_tables.get(key)
+            if table is None:
+                table = subset_sums_by_size(key)
+            self._tables[key] = table
+        return table
+
+    def h_values(self, resource: ResourceParams, exponents: ExponentProfile,
+                 sums: set[int]) -> dict[int, float]:
+        """A map from weight sums to :func:`h_value` on the resource that
+        holds at least ``sums``; each value is evaluated once."""
+        held = self._h.get(resource.id)
+        if held is None:
+            held = self._h[resource.id] = {}
+        missing = sums - held.keys()
+        if missing:
+            old = self._old_h.get(resource.id, {})
+            for s in missing:
+                value = old.get(s)
+                held[s] = h_value(resource, exponents, s) if value is None else value
+        return held
+
+    def age(self):
+        """Start a new generation; entries not used since the last call go."""
+        self._old_tables, self._tables = self._tables, {}
+        self._old_h, self._h = self._h, {}
+
+    def weight_multisets(self) -> set[tuple[int, ...]]:
+        """The sorted weight tuples whose tables the store holds."""
+        return set(self._tables) | set(self._old_tables)
+
+
+def shapley_exact(query: ShareQuery, tables: Optional[CountingTables] = None) -> float:
     """Exact Shapley share via the subset-coefficient formula.
 
     A subset of k of the other users precedes the target in a uniform
     arrival order with probability 1/(n * C(n-1, k)), and the marginal
     depends only on its weight sum, so the formula runs over the table of
-    :func:`subset_sums_by_size`: O(n^2 * L) for n users of load L.
+    :func:`subset_sums_by_size`: O(n^2 * L) for n users of load L.  The
+    table and the h values come from ``tables`` (a fresh
+    :class:`CountingTables` when None), built there only if missing.
     """
+    if tables is None:
+        tables = CountingTables()
     n = len(query.users)
     res, exp = query.resource, query.exponents
     w_target = query.target_weight
-    others = [w for i, w in query.users if i != query.target]
 
-    table = subset_sums_by_size(others)
+    table = tables.table([w for i, w in query.users if i != query.target])
     # the marginal depends on the sum alone, so it is shared across sizes
     sums = set().union(*table)
-    h = {s: h_value(res, exp, s) for s in sums | {s + w_target for s in sums}}
+    h = tables.h_values(res, exp, sums | {s + w_target for s in sums})
     marginals = {s: h[s + w_target] - h[s] for s in sums}
 
     shapley_h = 0.0
@@ -227,7 +294,7 @@ def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
     """Sampled Shapley share: sigma/|S_e| plus the mean marginal of the power
     part over ``samples`` uniform random permutations (by default
     :func:`hoeffding_sample_count`), at most ``MAX_SAMPLES`` of them; a
-    capped count voids the epsilon guarantee and is logged."""
+    capped count voids the epsilon guarantee and is logged at debug level."""
     n = len(query.users)
     res, exp = query.resource, query.exponents
     if n == 1:
@@ -235,7 +302,8 @@ def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
         return res.sigma + h_value(res, exp, query.target_weight)
     m = hoeffding_sample_count(query, epsilon, delta) if samples is None else samples
     if m > MAX_SAMPLES:
-        logger.warning(
+        # at debug level: a run counts its capped shares and reports them once
+        logger.debug(
             "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
             m, res.id, MAX_SAMPLES)
         m = MAX_SAMPLES
@@ -275,20 +343,22 @@ def whp_delta(steps: int, n_requests: int, n_resources: int) -> float:
 def cost_share(mechanism: str, query: ShareQuery, *,
                epsilon: Optional[float] = None,
                delta: Optional[float] = None,
-               rng: Optional[np.random.Generator] = None) -> float:
+               rng: Optional[np.random.Generator] = None,
+               tables: Optional[CountingTables] = None) -> float:
     """Dispatch on the mechanism name ("proportional", "shapley-exact",
     "shapley-sampled").  A sampled share is exact, and draws nothing from
-    ``rng``, whenever :func:`samples_needed` is 0."""
+    ``rng``, whenever :func:`samples_needed` is 0.  Exact Shapley shares
+    read their counting tables and h values from ``tables``, if given."""
     if mechanism == "proportional":
         return proportional_share(query)
     if mechanism == "shapley-exact":
-        return shapley_exact(query)
+        return shapley_exact(query, tables)
     if mechanism == "shapley-sampled":
         if epsilon is None or delta is None or rng is None:
             raise ConfigError("shapley-sampled needs epsilon, delta and an rng stream")
         m = samples_needed(query, epsilon, delta)
         if m == 0:
-            return shapley_exact(query)
+            return shapley_exact(query, tables)
         return shapley_sampled(query, epsilon, delta, rng, samples=m)
     raise ConfigError(f"unknown mechanism {mechanism!r}")
 

@@ -1,8 +1,13 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import gndes
 from gndes import analysis, cli
 from gndes.cli import main
 from gndes.io import instance_to_text, parse_instance
@@ -19,6 +24,8 @@ PARALLEL = """{
   ]
 }
 """
+
+SRC = str(Path(gndes.__file__).resolve().parent.parent)
 
 TWO_ROUTES = {
     "alphas": [2.0],
@@ -134,6 +141,31 @@ class TestSolve:
         assert doc["selection"] == "randomized"
         assert doc["step_budget"] == 2 * 32 ** 2
         assert doc["output_cost"] == pytest.approx(4.0)
+
+    def test_capped_sampled_run_reports_the_void_guarantee_once(self, tmp_path):
+        # 12 players whose subset sums all differ share two parallel edges,
+        # so every share on the crowded edge samples, and a cap of 10
+        # samples voids each one; the run is a fresh process, so any log
+        # record at warning level or above would reach its stderr
+        replies = [["e1"], ["e2"]]
+        doc = {"alphas": [1.5],
+               "resources": [{"id": e, "sigma": 1.0, "xis": [1.0]} for e in ("e1", "e2")],
+               "requests": [{"id": i, "weight_all": 100_000 + 7 * 2 ** i,
+                             "kind": {"type": "explicit", "replies": replies}}
+                            for i in range(1, 13)]}
+        path = tmp_path / "capped.json"
+        path.write_text(json.dumps(doc), encoding="utf-8")
+        script = ("import sys; from gndes import cli, sharing; sharing.MAX_SAMPLES = 10; "
+                  "sys.exit(cli.main(sys.argv[1:]))")
+        env = dict(os.environ,
+                   PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
+        done = subprocess.run(
+            [sys.executable, "-c", script, "solve", "--instance", str(path),
+             "--csm", "shapley-sampled", "--epsilon", "0.15", "--seed", "2", "--max-steps", "2"],
+            env=env, capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stderr == ""
+        assert "  epsilon guarantee void on 24 of 24 sampled shares\n" in done.stdout
 
 
 class TestBruteAndNash:

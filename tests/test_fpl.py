@@ -13,6 +13,7 @@ from gndes import (
     Request,
     ResourceParams,
     Routing,
+    fpl,
     rep_cost,
 )
 from gndes.analysis import brute_force_opt, candidate_replies
@@ -259,6 +260,22 @@ class TestRunLApx:
         costs = [run_l_apx(inst, FplConfig(seed=s, rounds=200)).cost / scale
                  for s in range(10)]
         assert sum(costs) / len(costs) <= bound * opt_scaled
+
+    def test_each_resource_load_is_priced_once_per_round(self, monkeypatch):
+        # unit players see one of two joined loads on a resource in a round,
+        # the load itself or one more, so a round prices at most 2|E| costs
+        inst = grid_instance(rng_for(75), 3, 6)
+        inst = Instance(inst.exponents, inst.resources,
+                        tuple(Request(id=r.id, kind=r.kind) for r in inst.requests), inst.graph)
+        expected = run_l_apx(inst, FplConfig(seed=4, rounds=5), collect_trace=True)
+        priced = []
+        monkeypatch.setattr(fpl, "rep_cost",
+                            lambda res, exp, load: priced.append(load) or rep_cost(res, exp, load))
+        result = run_l_apx(inst, FplConfig(seed=4, rounds=5), collect_trace=True)
+        edges = len(inst.graph.edges)
+        # normalize_costs prices each resource once more
+        assert len(priced) <= edges + 2 * edges * 5 < edges + 6 * edges * 5
+        assert result.regrets == expected.regrets and result.trace == expected.trace
 
 
 class TestHindsightByShortestPath:

@@ -26,7 +26,6 @@ from gndes import (
     Routing,
     SetConnectivity,
     approximate_best_response,
-    analysis,
     delta_vector,
     potential,
     potential_by_prefix,
@@ -202,6 +201,53 @@ def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
             assert moved_view.tolls(pos) == fresh_view.tolls(pos)
 
 
+def moves_of_a_run(instance, config, rng, n_moves):
+    """Yield one state as a run moves it: first unused, then after each
+    move.  Between moves the state prices its potential and serves a delta
+    pass, as in ``run_abrd``; the mover takes its proposal when that
+    differs from its reply, else a random reply."""
+    state = ProfileState(instance, random_profile(rng, instance))
+    yield state
+    for t in range(1, n_moves + 1):
+        state.potential()
+        dpass = delta_vector(PassView(state, config, t, 0.1))
+        position = int(rng.integers(instance.n_requests))
+        reply = dpass.proposals[position].reply
+        if reply == state.profile[position]:
+            reply = random_profile(rng, instance)[position]
+        state.move(position, reply)
+        yield state
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_machine_instance]),
+       mechanism=st.sampled_from(["shapley-exact", "shapley-sampled"]))
+def test_a_runs_moved_state_potential_equals_a_fresh_potential(seed, make, mechanism):
+    rng = rng_for(seed)
+    instance = make(rng)
+    moves = moves_of_a_run(instance, AbrdConfig(mechanism=mechanism), rng, 6)
+    next(moves)
+    for state in moves:
+        assert state.potential() == potential(instance, state.profile)
+
+
+@settings(max_examples=30, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_machine_instance]))
+def test_after_each_move_the_store_holds_only_tables_used_since_the_move_before(seed, make):
+    rng = rng_for(seed)
+    instance = make(rng)
+    moves = moves_of_a_run(instance, AbrdConfig(mechanism="shapley-exact"), rng, 6)
+    state = next(moves)
+    used = set()
+    lookup = state.tables.table
+    state.tables.table = lambda weights: used.add(tuple(sorted(weights))) or lookup(weights)
+    for state in moves:
+        assert used and state.tables.weight_multisets() == used
+        used.clear()
+
+
 def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
     exp = ExponentProfile((2.0,))
     ids = ("m1", "m2", "m3")
@@ -210,8 +256,8 @@ def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
     state = ProfileState(instance, tuple(frozenset({m}) for m in ids))
     state.potential()
     priced = []
-    table = analysis.subset_sums_by_size
-    monkeypatch.setattr(analysis, "subset_sums_by_size",
+    table = sharing.subset_sums_by_size
+    monkeypatch.setattr(sharing, "subset_sums_by_size",
                         lambda weights: priced.append(len(weights)) or table(weights))
     state.move(0, frozenset({"m2"}))
     phi = state.potential()

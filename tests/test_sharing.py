@@ -187,6 +187,57 @@ class TestSubsetSumsBySize:
                 assert list(sums) == sorted(sums)
 
 
+class TestCountingTables:
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data(),
+           alphas=st.lists(st.floats(min_value=1.05, max_value=4.0), min_size=1, max_size=2),
+           calls=st.lists(st.tuples(st.integers(min_value=0, max_value=2),
+                                    st.lists(st.integers(min_value=1, max_value=6),
+                                             min_size=1, max_size=9),
+                                    st.booleans()),
+                          min_size=1, max_size=25))
+    def test_a_shared_store_returns_what_fresh_calls_return(self, data, alphas, calls):
+        # one instance's resources, queried in any order, with the store
+        # aged at random points; every share must keep its bits
+        exp = ExponentProfile(tuple(alphas))
+        resources = [ResourceParams(f"r{k}", data.draw(st.floats(0.0, 5.0)),
+                                    tuple(data.draw(st.floats(0.1, 2.0)) for _ in alphas))
+                     for k in range(3)]
+        store = sharing.CountingTables()
+        for k, weights, age in calls:
+            users = tuple((i + 1, w) for i, w in enumerate(weights))
+            target = data.draw(st.integers(min_value=1, max_value=len(weights)))
+            q = ShareQuery(resources[k], exp, users, target=target)
+            assert shapley_exact(q, store).hex() == shapley_exact(q).hex()
+            assert (cost_share("shapley-exact", q, tables=store).hex()
+                    == cost_share("shapley-exact", q).hex())
+            if age:
+                store.age()
+
+    def test_each_multiset_is_counted_once_per_generation(self, monkeypatch):
+        built = []
+        table = sharing.subset_sums_by_size
+        monkeypatch.setattr(sharing, "subset_sums_by_size",
+                            lambda weights: built.append(weights) or table(weights))
+        store = sharing.CountingTables()
+        # the others of user 1 in [1, 2, 2] and of user 3 in [2, 2, 1]
+        # are the same multiset {2, 2}
+        shapley_exact(query(1.0, [1.0], [2.0], [1, 2, 2], target=1), store)
+        shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 1], target=3), store)
+        assert built == [(2, 2)]
+        assert store.weight_multisets() == {(2, 2)}
+        store.age()
+        # a table used since the last age() survives the next one
+        shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 3], target=3), store)
+        store.age()
+        assert store.weight_multisets() == {(2, 2)} and built == [(2, 2)]
+        # one not used between two calls of age() is dropped
+        store.age()
+        assert store.weight_multisets() == set()
+        shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 3], target=3), store)
+        assert built == [(2, 2), (2, 2)]
+
+
 class TestBudgetBalance:
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
     def test_random_sweep(self, mechanism):
@@ -298,16 +349,18 @@ class TestShapleySampled:
 
     def test_sample_cap_binds_with_warning(self, caplog):
         # the count itself is uncapped and silent; the estimator applies
-        # the cap and logs that the guarantee is void
+        # the cap and logs, at debug level, that the guarantee is void (a
+        # run counts its capped shares and reports them once)
         q = query(6.0, [1.0], [2.0], [1, 2, 2], target=1)
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             m = hoeffding_sample_count(q, 0.01, 1e-9)
         assert m > MAX_SAMPLES and not caplog.records
-        with caplog.at_level("WARNING"):
+        with caplog.at_level("DEBUG"):
             shapley_sampled(q, 0.01, 1e-9, keyed_rng(3, "cap"))
         assert [r.getMessage() for r in caplog.records] == [
             f"sample count {m} for resource 'r' capped at {MAX_SAMPLES};"
             " the epsilon guarantee is void"]
+        assert caplog.records[0].levelname == "DEBUG"
 
 
     @settings(max_examples=60, deadline=None)

@@ -7,6 +7,7 @@ from .engine import (
     PassView,
     RunResult,
     StepRecord,
+    TollRows,
     approximate_best_response,
     delta_vector,
     initial_profile,

@@ -10,8 +10,8 @@ from pathlib import Path
 
 import pytest
 
-from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, Request,
-                   ResourceParams, run_abrd, sharing)
+from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, MachineChoice,
+                   Request, ResourceParams, run_abrd, sharing)
 from gndes.analysis import nash_report_csv, poa_lower_bound_instance, smoothness_report_csv
 from gndes.bounds import gamma_alpha, lambda_alpha
 from gndes.engine import run_report, trace_to_csv
@@ -54,6 +54,27 @@ def _sampled_capped():
     return trace_to_csv(result) + run_report(inst, result)
 
 
+def _sampled_randomized():
+    # 10 players whose subset sums all differ choose among 4 machines, so
+    # the crowded machines' shares are sampled; randomized selection leaves
+    # some steps without an update, and the next pass, over an unchanged
+    # profile, must still redraw every sampled share from its own step's
+    # stream
+    exp = ExponentProfile((1.5,))
+    ids = ("m1", "m2", "m3", "m4")
+    res = tuple(ResourceParams(m, 1.0 + k, (1.0,)) for k, m in enumerate(ids))
+    reqs = tuple(Request(id=i, kind=MachineChoice(ids), default_weight=100_000 + 7 * 2 ** i)
+                 for i in range(1, 11))
+    inst = Instance(exp, res, reqs)
+    config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.15, seed=3,
+                        selection="randomized", output="last", step_budget_override=8)
+    result = run_abrd(inst, config)
+    assert result.sampled_shares > 0
+    assert any(rec.player is None for rec in result.trace[1:])
+    return (trace_to_csv(result) + run_report(inst, result)
+            + f"sampled shares {result.sampled_shares}, capped {result.sample_cap_hits}\n")
+
+
 def _poa_n2(kind):
     inst = poa_lower_bound_instance(4.0, 1.0, 2.0)
     mechanism = "shapley-exact"
@@ -72,6 +93,7 @@ CASES = {
     "abrd_explicit.txt": lambda: _abrd("explicit"),
     "fpl_routing.txt": _fpl,
     "sampled_capped.txt": _sampled_capped,
+    "sampled_randomized.txt": _sampled_randomized,
     "poa_n2_nash.csv": lambda: _poa_n2("nash"),
     "poa_n2_smoothness.csv": lambda: _poa_n2("smoothness"),
 }

@@ -2,12 +2,13 @@
 
 A ``ProfileState`` groups the users of every resource once and regroups
 only the resources a move changes; a ``PassView`` reads those users from
-the state and memoizes shares across the players of the pass.  These tests
-check a moved state against a fresh state of the same profile, and compare
-``delta_vector`` on one view, with exact float equality, against per-player
-ABRs that share nothing: ``approximate_best_response`` on a fresh view for
-every player, and an independent regrouping of the others' users for every
-player.
+the state and memoizes shares across the players of the pass; a
+``TollRows`` store keeps every player's toll row across the passes of a
+run.  These tests check a moved state against a fresh state of the same
+profile, kept rows against rows built afresh, and compare ``delta_vector``
+on one view, with exact float equality, against per-player ABRs that share
+nothing: ``approximate_best_response`` on a fresh view for every player,
+and an independent regrouping of the others' users for every player.
 """
 
 import pytest
@@ -15,7 +16,9 @@ from hypothesis import given, settings, strategies as st
 
 from gndes import (
     AbrdConfig,
+    Edge,
     ExponentProfile,
+    HostGraph,
     Instance,
     MachineChoice,
     MultiRouting,
@@ -25,8 +28,10 @@ from gndes import (
     ResourceParams,
     Routing,
     SetConnectivity,
+    TollRows,
     approximate_best_response,
     delta_vector,
+    engine,
     potential,
     potential_by_prefix,
     sharing,
@@ -102,9 +107,15 @@ def random_weights(rng, resource_ids):
     return {e: int(rng.integers(1, 5)) for e in resource_ids if rng.random() < 0.5}
 
 
-def random_graph_instance(rng):
+def random_graph_instance(rng, directed=False):
+    """Routing, set-connectivity and multi-routing players on one graph; a
+    directed graph has both orientations of every edge, so its
+    set-connectivity players ask for strong connectivity."""
     exp = random_exponents(rng)
     graph = random_connected_graph(rng, n_vertices=6, n_extra_edges=5)
+    if directed:
+        graph = HostGraph(True, graph.vertices, graph.edges + tuple(
+            Edge(f"r{e.id}", e.head, e.tail) for e in graph.edges))
     resources = tuple(random_resource(rng, e.id, exp.q) for e in graph.edges)
     ids = [e.id for e in graph.edges]
     requests = []
@@ -116,6 +127,10 @@ def random_graph_instance(rng):
         requests.append(Request(id=i, kind=kind, weights=random_weights(rng, ids),
                                 default_weight=int(rng.integers(1, 4))))
     return Instance(exp, resources, tuple(requests), graph)
+
+
+def random_directed_instance(rng):
+    return random_graph_instance(rng, directed=True)
 
 
 def random_machine_instance(rng):
@@ -268,3 +283,100 @@ def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
     with pytest.raises(InstanceError, match="^reply uses unknown resource 'zz'$"):
         state.move(0, frozenset({"zz"}))
     assert state.profile == (frozenset({"m2"}), frozenset({"m2"}), frozenset({"m3"}))
+
+
+def row_hex(row):
+    """A toll row, in its order, with every toll as ``float.hex``."""
+    return [(e, toll.hex()) for e, toll in row.items()]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_directed_instance,
+                             random_machine_instance]),
+       mechanism=st.sampled_from(MECHANISMS),
+       moves_between_passes=st.lists(st.integers(min_value=0, max_value=3),
+                                     min_size=1, max_size=6))
+def test_kept_rows_equal_fresh_rows(seed, make, mechanism, moves_between_passes):
+    """Passes over one state, some after no move, some after several, and
+    some after moves to the reply a player already had (the same object or
+    an equal one): every row a pass with kept rows hands out equals the row
+    of a fresh view, entry by entry, and both passes sample alike."""
+    rng = rng_for(seed)
+    instance = make(rng)
+    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=seed % 1000)
+    state = ProfileState(instance, random_profile(rng, instance))
+    rows = TollRows()
+    with pytest.MonkeyPatch.context() as patch:
+        # free sampling set-up makes small queries sample too, so sampled
+        # and exact entries mix in one row; the cap keeps draws cheap
+        patch.setattr(sharing, "SAMPLING_NS", 0)
+        patch.setattr(sharing, "MAX_SAMPLES", 300)
+        for step, n_moves in enumerate(moves_between_passes, start=1):
+            for _ in range(n_moves):
+                position = int(rng.integers(instance.n_requests))
+                reply = [random_profile(rng, instance)[position],
+                         state.profile[position],
+                         frozenset(sorted(state.profile[position]))][int(rng.integers(3))]
+                state.move(position, reply)
+            kept = PassView(state, config, step, 0.1, rows)
+            fresh = PassView(state, config, step, 0.1)
+            for pos in range(instance.n_requests):
+                assert row_hex(kept.tolls(pos)) == row_hex(fresh.tolls(pos))
+            assert ((kept.sampled_shares, kept.sample_cap_hits)
+                    == (fresh.sampled_shares, fresh.sample_cap_hits))
+
+
+@pytest.mark.parametrize("mechanism", MECHANISMS)
+def test_a_row_handed_out_is_never_changed(mechanism):
+    rng = rng_for(71)
+    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=4)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharing, "SAMPLING_NS", 0)
+        patch.setattr(sharing, "MAX_SAMPLES", 300)
+        for make in (random_graph_instance, random_machine_instance):
+            for _ in range(6):
+                instance = make(rng)
+                state = ProfileState(instance, random_profile(rng, instance))
+                rows = TollRows()
+                handed = []
+                for step in (1, 2, 3):
+                    view = PassView(state, config, step, 0.1, rows)
+                    for pos in range(instance.n_requests):
+                        row = view.tolls(pos)
+                        handed.append((row, row_hex(row)))
+                    position = int(rng.integers(instance.n_requests))
+                    state.move(position, random_profile(rng, instance)[position])
+                assert all(row_hex(row) == snapshot for row, snapshot in handed)
+
+
+def test_a_pass_prices_only_the_resources_whose_users_changed(monkeypatch):
+    exp = ExponentProfile((2.0,))
+    ids = ("m1", "m2", "m3")
+    instance = Instance(exp, tuple(ResourceParams(m, 1.0, (0.5,)) for m in ids),
+                        tuple(Request(id=i, kind=MachineChoice(ids)) for i in (1, 2, 3)))
+    state = ProfileState(instance, tuple(frozenset({m}) for m in ids))
+    config = AbrdConfig()
+    rows = TollRows()
+    priced = []
+    share = engine.cost_share
+    monkeypatch.setattr(engine, "cost_share",
+                        lambda mechanism, query, **kw: priced.append(query.resource.id)
+                        or share(mechanism, query, **kw))
+    view = PassView(state, config, 1, 0.1, rows)
+    first = [view.tolls(pos) for pos in range(3)]
+    # on each machine, one share for its user and one for every player off it
+    assert sorted(priced) == ["m1", "m1", "m2", "m2", "m3", "m3"]
+
+    priced.clear()
+    view = PassView(state, config, 2, 0.1, rows)
+    assert all(view.tolls(pos) is row for pos, row in enumerate(first))
+    assert priced == []
+
+    state.move(0, frozenset({"m2"}))
+    view = PassView(state, config, 3, 0.1, rows)
+    moved = [view.tolls(pos) for pos in range(3)]
+    # m1 lost its only user and m2 gained one; m3 kept its users
+    assert set(priced) == {"m1", "m2"}
+    assert all(row == PassView(state, config, 3, 0.1).tolls(pos)
+               for pos, row in enumerate(moved))

@@ -20,9 +20,9 @@ frozen profile, its resources' users read from the state (so a view is
 valid until the state's next move) and the shares already computed against
 them, shared by every player's ABR.  Each move regroups and reprices only
 the resources it changed.  Toll rows are kept per run and patched per move
-(``TollRows``): a pass recomputes a player's exact tolls only on the
-resources whose users changed since her row was built, and draws her
-sampled tolls again.
+(``TollRows``): a pass computes a player's tolls again only on the
+resources whose users changed since her row was built and on those where
+her toll was sampled, since a sampled toll holds for one pass.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.
@@ -36,7 +36,7 @@ from typing import Callable, Optional
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
-from .instance import Instance, Request, StrategyProfile, rep_cost, total_cost
+from .instance import Instance, StrategyProfile, rep_cost, total_cost
 from .oracles import OracleAnswer, clamp_toll, oracle_rho, reply_oracle
 from .rng import keyed_rng
 from .sharing import (
@@ -132,12 +132,11 @@ class TollRows:
     """Every player's toll row, kept across the passes of one run.
 
     ``tolls`` maps a position to its row: a toll per resource, in instance
-    resource order.  ``sampled`` maps it to the row's sampled entries, each
-    with its share query and sample count, which every pass draws again
-    from its own stream.  ``stale`` maps it to the resources whose users
-    changed since the row was last brought up to date; only those exact
-    entries are computed again.  A position without a row has every
-    resource changed.
+    resource order.  ``stale`` maps it to the resources whose entries the
+    next pass computes again: those whose users changed since the row was
+    last brought up to date, and those whose share was sampled, because a
+    sampled share is drawn from its pass's own stream.  A position without a
+    row has every resource stale.
 
     :meth:`advance` brings the store to a pass's profile by diffing it with
     the profile the store last saw: a changed reply changes the users of
@@ -149,7 +148,6 @@ class TollRows:
     def __init__(self):
         self.profile: StrategyProfile = ()
         self.tolls: dict[int, dict[str, float]] = {}
-        self.sampled: dict[int, dict[str, tuple[ShareQuery, int]]] = {}
         self.stale: dict[int, set[str]] = {}
 
     def advance(self, profile: StrategyProfile):
@@ -168,28 +166,26 @@ class PassView:
 
     ``users`` maps a resource id to its (request id, weight) pairs in request
     order.  It is the run state's own map, so the view is valid until the
-    state's next move.  ``shares`` memoizes exact shares by (resource, ``ON``
-    if the player is on the resource else None, the player's weight there).  An
-    exact share depends on the other users only through their weight
-    multiset, bit for bit.  Every player off a resource sees all of its
-    users as the others, and every player of one weight on it sees the same
-    multiset without one user of that weight, so each group shares one
-    entry.  Under ``shapley-sampled`` the same holds for the shares that need
-    no samples (``sharing.samples_needed`` reads only the multiset); shares
-    that do sample draw a stream per player and ``step``, each within
-    epsilon of the exact share except with probability ``delta``.  They are
-    not memoized; they are counted in ``sampled_shares``, and those whose
-    sample count was capped also in ``sample_cap_hits``.
+    state's next move.  ``shares`` memoizes exact shares by (resource,
+    whether the player is on it, the player's weight there).  An exact share
+    depends on the other users only through their weight multiset, bit for
+    bit.  Every player off a resource sees all of its users as the others,
+    and every player of one weight on it sees the same multiset without one
+    user of that weight, so each group shares one entry.  Under
+    ``shapley-sampled`` the same holds for the shares that need no samples
+    (``sharing.samples_needed`` reads only the multiset); shares that do
+    sample draw a stream per player and ``step``, each within epsilon of the
+    exact share except with probability ``delta``.  They are not memoized;
+    they are counted in ``sampled_shares``, and those whose sample count was
+    capped also in ``sample_cap_hits``.
 
     Rows are kept per run and patched per move: ``rows`` is the run's
-    :class:`TollRows` (a fresh store when None), so a player's exact entries
-    are computed again only on the resources whose users changed since her
-    row was built, and her sampled entries are drawn again.  Exact shares
-    read their counting tables and h values from the state's ``tables``
-    store, which outlives the pass and is shared with the state's potential.
+    :class:`TollRows` (a fresh store when None), so a player's entries are
+    computed again only on the resources whose users changed since her row
+    was built and on those where her share was sampled.  Exact shares read
+    their counting tables and h values from the state's ``tables`` store,
+    which outlives the pass and is shared with the state's potential.
     """
-
-    ON = "on"
 
     def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,
                  delta: float, rows: Optional[TollRows] = None):
@@ -202,7 +198,7 @@ class PassView:
         self.delta = delta
         self.sampled = config.mechanism == "shapley-sampled"
         self.exact_mechanism = "shapley-exact" if self.sampled else config.mechanism
-        self.shares: dict[tuple[str, Optional[str], int], float] = {}
+        self.shares: dict[tuple[str, bool, int], float] = {}
         self.sampled_shares = 0
         self.sample_cap_hits = 0
         self.rows = TollRows() if rows is None else rows
@@ -211,65 +207,55 @@ class PassView:
     def tolls(self, position: int) -> dict[str, float]:
         """Tolls for one player: her share on each resource if she joined
         the others there.  For resources in her own reply this is exactly
-        her current (estimated) share.  Exact shares are computed only when
-        her kept row lacks them and no earlier player of the pass computed
-        them.  Each toll is clamped as it is written
+        her current (estimated) share.  Only the stale entries of her kept
+        row are computed, each only when no earlier player of the pass
+        computed it.  Each toll is clamped as it is written
         (``oracles.clamp_toll``)."""
-        instance, rows = self.instance, self.rows
+        instance, config, rows = self.instance, self.config, self.rows
         row = rows.tolls.get(position)
         if row is None:
-            row, sampled, changed = {}, {}, [res.id for res in instance.resources]
+            row, changed = {}, [res.id for res in instance.resources]
         else:
-            changed, sampled = rows.stale[position], rows.sampled[position]
-            if not changed and not sampled:
+            changed = rows.stale[position]
+            if not changed:
                 return row
             row = dict(row)
-            sampled = {e: drawn for e, drawn in sampled.items() if e not in changed}
         req = instance.requests[position]
-        for e, (query, needed) in sampled.items():
-            row[e] = clamp_toll(self._draw(query, needed))
+        weights, default_weight = req.weights, req.default_weight
         own = self.profile[position]
+        memo = self.shares
+        stale = set()
         for e in changed:
-            row[e] = clamp_toll(self._share(req, e, e in own, sampled))
-        rows.tolls[position], rows.sampled[position], rows.stale[position] = row, sampled, set()
+            w = weights.get(e, default_weight)
+            on = e in own
+            key = (e, on, w)
+            share = memo.get(key)
+            if share is None:
+                users = self.users.get(e, ())
+                if not on:
+                    users += ((req.id, w),)
+                query = ShareQuery(instance.resource_by_id[e], instance.exponents, users,
+                                   target=req.id)
+                needed = samples_needed(query, config.epsilon, self.delta) if self.sampled else 0
+                if needed:
+                    stale.add(e)
+                    self.sampled_shares += 1
+                    self.sample_cap_hits += needed > sharing.MAX_SAMPLES
+                    # what cost_share returns for this query, without deciding
+                    # again; called through the module so that wrappers on
+                    # sharing.shapley_sampled (the benchmark's tracer) see it
+                    share = sharing.shapley_sampled(
+                        query, config.epsilon, self.delta,
+                        keyed_rng(config.seed, "share", self.step, req.id, e),
+                        samples=needed)
+                else:
+                    # exactly what cost_share returns for a sampled share that
+                    # needs no samples, so it is memoized like any exact share
+                    share = memo[key] = cost_share(self.exact_mechanism, query,
+                                                   tables=self.tables)
+            row[e] = clamp_toll(share)
+        rows.tolls[position], rows.stale[position] = row, stale
         return row
-
-    def _share(self, req: Request, e: str, on: bool,
-               sampled: dict[str, tuple[ShareQuery, int]]) -> float:
-        """One player's share on resource ``e``; a sampled one is also
-        entered in ``sampled``."""
-        w = req.weights.get(e, req.default_weight)
-        key = (e, PassView.ON if on else None, w)
-        share = self.shares.get(key)
-        if share is None:
-            users = self.users.get(e, ())
-            if not on:
-                users += ((req.id, w),)
-            query = ShareQuery(self.instance.resource_by_id[e], self.instance.exponents,
-                               users, target=req.id)
-            needed = (samples_needed(query, self.config.epsilon, self.delta)
-                      if self.sampled else 0)
-            if needed:
-                sampled[e] = (query, needed)
-                return self._draw(query, needed)
-            # exactly what cost_share returns for a sampled share that needs
-            # no samples, so it is memoized like any exact share
-            share = self.shares[key] = cost_share(self.exact_mechanism, query,
-                                                  tables=self.tables)
-        return share
-
-    def _draw(self, query: ShareQuery, needed: int) -> float:
-        """A sampled share from the stream of this pass and the query's
-        player and resource: what cost_share returns for the query, without
-        deciding again."""
-        self.sampled_shares += 1
-        self.sample_cap_hits += needed > sharing.MAX_SAMPLES
-        # called through the module so that wrappers on
-        # sharing.shapley_sampled (the benchmark's tracer) see it
-        return sharing.shapley_sampled(
-            query, self.config.epsilon, self.delta,
-            keyed_rng(self.config.seed, "share", self.step, query.target, query.resource.id),
-            samples=needed)
 
 
 def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnswer, float]:

@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import logging
 import math
+import operator
 from collections import Counter
 from dataclasses import dataclass
 from typing import Optional, Sequence
@@ -54,8 +55,9 @@ class ShareQuery:
     """The per-resource view a mechanism consumes.
 
     ``users`` is the multiset of (request id, weight on this resource) for
-    every request whose reply contains the resource; ``target`` must be one
-    of those ids.
+    every request whose reply contains the resource, both integers (a float
+    or a string is refused, not truncated); ``target`` must be one of those
+    ids.
     """
 
     resource: ResourceParams
@@ -64,7 +66,11 @@ class ShareQuery:
     target: int
 
     def __post_init__(self):
-        users = tuple(sorted((int(i), int(w)) for i, w in self.users))
+        try:
+            users = tuple(sorted((operator.index(i), operator.index(w)) for i, w in self.users))
+        except TypeError:
+            raise InstanceError(
+                "request ids and weights in a share query must be integers") from None
         object.__setattr__(self, "users", users)
         ids = [i for i, _ in users]
         if len(set(ids)) != len(ids):

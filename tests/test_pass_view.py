@@ -380,3 +380,46 @@ def test_a_pass_prices_only_the_resources_whose_users_changed(monkeypatch):
     assert set(priced) == {"m1", "m2"}
     assert all(row == PassView(state, config, 3, 0.1).tolls(pos)
                for pos, row in enumerate(moved))
+
+
+def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
+    # free sampling set-up makes the heavier players' small queries sample,
+    # so rows mix exact and sampled entries
+    monkeypatch.setattr(sharing, "SAMPLING_NS", 0)
+    exp = ExponentProfile((2.0,))
+    ids = ("m1", "m2", "m3")
+    instance = Instance(exp, tuple(ResourceParams(m, 1.0, (0.5,)) for m in ids),
+                        tuple(Request(id=i, kind=MachineChoice(ids), default_weight=w)
+                              for i, w in zip(range(1, 7), (1, 2, 3, 5, 8, 13))))
+    state = ProfileState(instance, tuple(frozenset({ids[pos % 3]}) for pos in range(6)))
+    config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.2, seed=3)
+    rows = TollRows()
+    priced, drawn = [], []
+    share, sampled = engine.cost_share, sharing.shapley_sampled
+
+    def draw(query, epsilon, delta, rng, **kw):
+        drawn.append((query.target, query.resource.id, rng.bit_generator.state))
+        return sampled(query, epsilon, delta, rng, **kw)
+
+    monkeypatch.setattr(engine, "cost_share",
+                        lambda mechanism, query, **kw: priced.append(query.resource.id)
+                        or share(mechanism, query, **kw))
+    monkeypatch.setattr(sharing, "shapley_sampled", draw)
+    view = PassView(state, config, 1, 0.1, rows)
+    for pos in range(6):
+        view.tolls(pos)
+    entries = sorted((target, e) for target, e, _ in drawn)
+    # both kinds of entry occur, and each sampled one is drawn once
+    assert priced and len(set(entries)) == len(entries) == view.sampled_shares > 0
+
+    priced.clear()
+    drawn.clear()
+    view = PassView(state, config, 2, 0.1, rows)
+    kept = [view.tolls(pos) for pos in range(6)]
+    assert priced == []
+    assert sorted((target, e) for target, e, _ in drawn) == entries
+    assert view.sampled_shares == len(entries)
+    for target, e, stream in drawn:
+        assert stream == keyed_rng(config.seed, "share", 2, target, e).bit_generator.state
+    fresh = PassView(state, config, 2, 0.1)
+    assert [row_hex(row) for row in kept] == [row_hex(fresh.tolls(pos)) for pos in range(6)]

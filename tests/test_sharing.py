@@ -4,6 +4,7 @@ from collections import Counter
 from fractions import Fraction
 from itertools import combinations, permutations, product
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -165,6 +166,43 @@ class TestShapleyExact:
         res = ResourceParams("r", 1.0, (1.0,))
         with pytest.raises(InstanceError):
             ShareQuery(res, exp, ((1, 1),), target=2)
+
+
+class TestShareQueryValidation:
+    EXP = ExponentProfile((2.0,))
+    RES = ResourceParams("r", 1.0, (1.0,))
+
+    @pytest.mark.parametrize("users, target", [
+        (((1, 2.7), (2, 1)), 1),       # a float weight is not truncated to 2
+        (((1, 2.0), (2, 1)), 1),       # nor is an integral float accepted
+        (((1.9, 2), (2, 1)), 2),       # a float id is not truncated to 1
+        ((("a", 2), (2, 1)), 2),       # a string id is not a ValueError
+    ])
+    def test_ids_and_weights_must_be_integers(self, users, target):
+        with pytest.raises(InstanceError, match="^request ids and weights in a share "
+                                                "query must be integers$"):
+            ShareQuery(self.RES, self.EXP, users, target=target)
+
+    def test_numpy_integers_are_integers(self):
+        q = ShareQuery(self.RES, self.EXP, ((np.int64(2), np.int32(3)), (1, np.uint8(1))),
+                       target=2)
+        assert q.users == ((1, 1), (2, 3))
+        assert all(type(x) is int for user in q.users for x in user)
+
+    @pytest.mark.parametrize("users, target, message", [
+        (((1, 1), (1, 2)), 1, "^duplicate request ids in a share query$"),
+        (((1, 1), (1, 2)), 3, "^duplicate request ids in a share query$"),
+        (((1, 1),), 2, "^target 2 is not among the resource's users$"),
+        (((1, 0),), 2, "^target 2 is not among the resource's users$"),
+        (((1, 0), (2, 1)), 2, "^weights must be >= 1$"),
+    ])
+    def test_the_other_checks_keep_their_order_and_messages(self, users, target, message):
+        with pytest.raises(InstanceError, match=message):
+            ShareQuery(self.RES, self.EXP, users, target=target)
+
+    def test_a_float_weight_does_not_fake_a_budget_balance_failure(self):
+        with pytest.raises(InstanceError):
+            budget_balance_check("proportional", [(self.RES, self.EXP, ((1, 2.7), (2, 1)))])
 
 
 class TestSubsetSumsBySize:

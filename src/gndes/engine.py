@@ -22,7 +22,13 @@ them, shared by every player's ABR.  Each move regroups and reprices only
 the resources it changed.  Toll rows are kept per run and patched per move
 (``TollRows``): a pass computes a player's tolls again only on the
 resources whose users changed since her row was built and on those where
-her toll was sampled, since a sampled toll holds for one pass.
+her toll was sampled, since a sampled toll holds for one pass.  Players of
+one request class (same kind and weights, any id) holding equal replies
+face equal rows, so a pass runs one ABR per class and reply and hands its
+answer and row to the others; the exception is a row with a sampled entry,
+drawn from its own player's stream, so each player of such a group runs an
+ABR of its own.  The starting profile likewise runs the oracle once per
+class.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.
@@ -117,15 +123,23 @@ def derived_rho(instance: Instance) -> float:
 
 
 def initial_profile(instance: Instance) -> StrategyProfile:
-    """Each request answers the oracle under standalone tolls F_e(w_i(e))."""
-    replies = []
-    for req in instance.requests:
-        tolls = {
-            res.id: rep_cost(res, instance.exponents, req.weight(res.id))
-            for res in instance.resources
-        }
-        replies.append(reply_oracle(instance, req, tolls).reply)
-    return tuple(replies)
+    """Each request answers the oracle under standalone tolls F_e(w_i(e)).
+
+    The tolls are priced once per weight row (``Instance.weight_rows``) and
+    the oracle runs once per request class (``Instance.request_classes``):
+    the members of a class get the reply of its first member."""
+    tolls_by_row: dict[int, dict[str, float]] = {}
+    replies: dict[int, frozenset[str]] = {}
+    for req, row, cls in zip(instance.requests, instance.weight_rows,
+                             instance.request_classes):
+        if cls not in replies:
+            if row not in tolls_by_row:
+                tolls_by_row[row] = {
+                    res.id: rep_cost(res, instance.exponents, req.weight(res.id))
+                    for res in instance.resources
+                }
+            replies[cls] = reply_oracle(instance, req, tolls_by_row[row]).reply
+    return tuple(replies[cls] for cls in instance.request_classes)
 
 
 class TollRows:
@@ -142,7 +156,8 @@ class TollRows:
     the profile the store last saw: a changed reply changes the users of
     exactly the resources in its old reply xor its new one.  So the store
     needs no hook in ``analysis.ProfileState.move``.  A row handed out is
-    never changed: a pass patches a copy and keeps that.
+    never changed: a pass patches a copy and keeps that, so players of one
+    class can hold one row object (:meth:`share`).
     """
 
     def __init__(self):
@@ -159,6 +174,13 @@ class TollRows:
             for stale in self.stale.values():
                 stale |= changed
         self.profile = profile
+
+    def share(self, position: int, source: int):
+        """Give ``position`` the row of ``source``, a player of the same
+        request class with an equal reply whose row is up to date and holds
+        nothing sampled: the two rows are equal entry by entry."""
+        self.tolls[position] = self.tolls[source]
+        self.stale[position] = set()
 
 
 class PassView:
@@ -278,15 +300,34 @@ class DeltaPass:
 
 
 def delta_vector(view: PassView) -> DeltaPass:
-    """Fresh ABRs and improvement estimates for every player of the pass."""
+    """Fresh ABRs and improvement estimates for every player of the pass.
+
+    Players of one request class (``Instance.request_classes``) that hold
+    equal replies face equal toll rows and so get equal ABRs: the first of
+    them runs ``approximate_best_response`` and the others take its answer,
+    its current cost and its row (:meth:`TollRows.share`).  A sampled entry
+    is drawn from its player's own stream, so an ABR is reused only when
+    its row came out with nothing sampled; then no other row of the group
+    samples either (``sharing.samples_needed`` reads only the weight
+    multiset), and the view's sampled-share counters count what a pass over
+    every player would."""
     eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
-    deltas = []
-    proposals = []
-    for pos in range(view.instance.n_requests):
-        answer, current = approximate_best_response(view, pos)
-        deltas.append(current - eps1 * answer.toll_total)
-        proposals.append(answer)
-    return DeltaPass(deltas=tuple(deltas), total=sum(deltas), proposals=tuple(proposals))
+    rows = view.rows
+    first: dict[tuple[int, frozenset[str]], int] = {}   # (class, reply) -> who answered
+    abrs = []
+    for pos, cls in enumerate(view.instance.request_classes):
+        key = (cls, view.profile[pos])
+        leader = first.get(key)
+        if leader is None:
+            abrs.append(approximate_best_response(view, pos))
+            if not rows.stale[pos]:
+                first[key] = pos
+        else:
+            abrs.append(abrs[leader])
+            rows.share(pos, leader)
+    deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)
+    return DeltaPass(deltas=deltas, total=sum(deltas),
+                     proposals=tuple(answer for answer, _ in abrs))
 
 
 def _select(config: AbrdConfig, dpass: DeltaPass, step: int) -> Optional[int]:

@@ -22,7 +22,7 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Iterable, Mapping, Optional, Union
+from typing import Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import InstanceError
 
@@ -264,6 +264,12 @@ class Request:
 # instance
 # ---------------------------------------------------------------------------
 
+def _first_seen_index(keys: Iterable[Hashable]) -> tuple[int, ...]:
+    """Each key's index among the distinct keys, in order of first sight."""
+    index: dict[Hashable, int] = {}
+    return tuple(index.setdefault(key, len(index)) for key in keys)
+
+
 @dataclass(frozen=True)
 class Instance:
     exponents: ExponentProfile
@@ -281,6 +287,23 @@ class Instance:
     @cached_property
     def resource_by_id(self) -> dict[str, ResourceParams]:
         return {r.id: r for r in self.resources}
+
+    @cached_property
+    def weight_rows(self) -> tuple[int, ...]:
+        """Each request's weight row, an index numbered in request order:
+        two requests share one when they weigh the same on every resource."""
+        ids = [res.id for res in self.resources]
+        return _first_seen_index(tuple(req.weights.get(e, req.default_weight) for e in ids)
+                                 for req in self.requests)
+
+    @cached_property
+    def request_classes(self) -> tuple[int, ...]:
+        """Each request's class, an index numbered in request order: two
+        requests share one when they have equal kinds and the same weight
+        row, so they differ only in their ids.  The oracle and the shares
+        see a request only through its kind and weights, so players of one
+        class holding equal replies face equal toll rows."""
+        return _first_seen_index(zip((req.kind for req in self.requests), self.weight_rows))
 
     @property
     def n_requests(self) -> int:

@@ -8,17 +8,18 @@ the demos' outputs (``tests/test_demos.py``) included, with
 
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, MachineChoice,
-                   Request, ResourceParams, run_abrd, sharing)
+                   Request, ResourceParams, Routing, run_abrd, sharing)
 from gndes.analysis import nash_report_csv, poa_lower_bound_instance, smoothness_report_csv
 from gndes.bounds import gamma_alpha, lambda_alpha
 from gndes.engine import run_report, trace_to_csv
 from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from gndes.sharing import rep_expansion_constants
 
-from helpers import seeded_case
+from helpers import grid_graph, seeded_case
 from test_demos import DEMOS, demo_output, golden_name
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -75,6 +76,39 @@ def _sampled_randomized():
             + f"sampled shares {result.sampled_shares}, capped {result.sample_cap_hits}\n")
 
 
+def _duplicate_players():
+    # four classes of identical routing players on a 4x4 grid (same
+    # endpoints and weights; player 4's explicit weight equals its default);
+    # in each run some member of a class moves while another keeps the
+    # class's reply, so the two then see different tolls
+    rng = np.random.default_rng(11)
+    g = grid_graph(4)
+    res = tuple(ResourceParams(e.id, float(rng.uniform(1, 9)), (float(rng.uniform(0.1, 0.9)),))
+                for e in g.edges)
+    classes = {1: (Routing("v00", "v33"), {}, 1), 2: (Routing("v30", "v03"), {}, 2),
+               3: (Routing("v10", "v23"), {"d11": 3}, 1), 4: (Routing("v00", "v33"), {}, 2)}
+    members = (1, 2, 3, 1, 4, 2, 1, 3, 4, 2, 1, 2)
+    reqs = tuple(Request(i, kind, {"h00": 1} if i == 4 else weights, default_weight)
+                 for i, (kind, weights, default_weight)
+                 in enumerate((classes[c] for c in members), start=1))
+    inst = Instance(ExponentProfile((2.0,)), res, reqs, g)
+    out = []
+    for mechanism in ("proportional", "shapley-exact", "shapley-sampled"):
+        config = AbrdConfig(mechanism=mechanism, epsilon=0.05, seed=4, output="last",
+                            step_budget_override=10)
+        with pytest.MonkeyPatch.context() as patch:
+            # free sampling set-up makes the grid's crowded edges sample
+            patch.setattr(sharing, "SAMPLING_NS", 0)
+            result = run_abrd(inst, config)
+        movers = {rec.player for rec in result.trace[1:]} - {None}
+        assert ({members[i - 1] for i in movers}
+                & {c for i, c in enumerate(members, start=1) if i not in movers})
+        out.append(trace_to_csv(result) + run_report(inst, result)
+                   + f"sampled shares {result.sampled_shares},"
+                     f" capped {result.sample_cap_hits}\n")
+    return "".join(out)
+
+
 def _poa_n2(kind):
     inst = poa_lower_bound_instance(4.0, 1.0, 2.0)
     mechanism = "shapley-exact"
@@ -94,6 +128,7 @@ CASES = {
     "fpl_routing.txt": _fpl,
     "sampled_capped.txt": _sampled_capped,
     "sampled_randomized.txt": _sampled_randomized,
+    "duplicate_players.txt": _duplicate_players,
     "poa_n2_nash.csv": lambda: _poa_n2("nash"),
     "poa_n2_smoothness.csv": lambda: _poa_n2("smoothness"),
 }

@@ -9,6 +9,8 @@ profile, kept rows against rows built afresh, and compare ``delta_vector``
 on one view, with exact float equality, against per-player ABRs that share
 nothing: ``approximate_best_response`` on a fresh view for every player,
 and an independent regrouping of the others' users for every player.
+``delta_vector`` runs one ABR per request class and reply, so instances
+with classes of two to four identical players check that sharing too.
 """
 
 import pytest
@@ -423,3 +425,75 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
         assert stream == keyed_rng(config.seed, "share", 2, target, e).bit_generator.state
     fresh = PassView(state, config, 2, 0.1)
     assert [row_hex(row) for row in kept] == [row_hex(fresh.tolls(pos)) for pos in range(6)]
+
+
+def with_copies(rng, base):
+    """``base`` with every request present two to four times under
+    shuffled ids, so each class has two to four members that need not be
+    neighbours; some copies spell out one resource's weight although it
+    equals the default.  Returns the instance and, per position, the
+    position of the base request it copies."""
+    ids = [r.id for r in base.resources]
+    copies = []
+    for pos, req in enumerate(base.requests):
+        for copy in range(int(rng.integers(2, 5))):
+            weights = dict(req.weights)
+            if copy and rng.random() < 0.5:
+                weights.setdefault(ids[int(rng.integers(len(ids)))], req.default_weight)
+            copies.append((pos, req.kind, weights, req.default_weight))
+    copies = [copies[k] for k in rng.permutation(len(copies))]
+    requests = tuple(Request(i, kind, weights, weight)
+                     for i, (_, kind, weights, weight) in enumerate(copies, start=1))
+    return (Instance(base.exponents, base.resources, requests, base.graph),
+            [pos for pos, *_ in copies])
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_directed_instance,
+                             random_machine_instance]),
+       mechanism=st.sampled_from(MECHANISMS),
+       moves_between_passes=st.lists(st.integers(min_value=0, max_value=3),
+                                     min_size=1, max_size=5))
+def test_a_pass_shared_by_class_equals_a_pass_over_every_player(seed, make, mechanism,
+                                                                moves_between_passes):
+    """Classes of identical players start on one reply per class; between
+    passes some players move away from their class's reply or back to a
+    classmate's.  ``delta_vector`` on kept rows gives every delta, reply
+    and toll total of per-player ABRs on a fresh view, bit for bit, counts
+    the same sampled shares, and leaves every kept row equal to the fresh
+    view's."""
+    rng = rng_for(seed)
+    instance, base_of = with_copies(rng, make(rng))
+    n = instance.n_requests
+    config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=seed % 1000)
+    eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
+    start = random_profile(rng, instance)
+    state = ProfileState(instance, tuple(start[base_of.index(base)] for base in base_of))
+    rows = TollRows()
+    with pytest.MonkeyPatch.context() as patch:
+        # free sampling set-up makes small queries sample too, and a low
+        # cap makes some of their counts capped, so sampled, capped and
+        # exact entries mix
+        patch.setattr(sharing, "SAMPLING_NS", 0)
+        patch.setattr(sharing, "MAX_SAMPLES", 30)
+        for step, n_moves in enumerate(moves_between_passes, start=1):
+            for _ in range(n_moves):
+                position = int(rng.integers(n))
+                mates = [pos for pos in range(n) if base_of[pos] == base_of[position]]
+                reply = [random_profile(rng, instance)[position],
+                         state.profile[mates[int(rng.integers(len(mates)))]]][int(rng.integers(2))]
+                state.move(position, reply)
+            view = PassView(state, config, step, 0.1, rows)
+            shared = delta_vector(view)
+            alone = PassView(state, config, step, 0.1)
+            abrs = [approximate_best_response(alone, pos) for pos in range(n)]
+            reference = [current - eps1 * answer.toll_total for answer, current in abrs]
+            assert [d.hex() for d in shared.deltas] == [d.hex() for d in reference]
+            assert shared.total.hex() == sum(reference).hex()
+            assert ([(p.reply, p.toll_total.hex()) for p in shared.proposals]
+                    == [(a.reply, a.toll_total.hex()) for a, _ in abrs])
+            assert ((view.sampled_shares, view.sample_cap_hits)
+                    == (alone.sampled_shares, alone.sample_cap_hits))
+            assert ([row_hex(rows.tolls[pos]) for pos in range(n)]
+                    == [row_hex(alone.rows.tolls[pos]) for pos in range(n)])

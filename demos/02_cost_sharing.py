@@ -5,10 +5,10 @@ each user her expected marginal contribution over a random arrival order.
 Both are budget balanced.  The sampled Shapley variant trades exactness for
 speed with an explicit (1 +- epsilon) guarantee; its Hoeffding sample count
 uses the range every marginal lies in, [h(w), h(L) - h(L - w)].  The demo
-calls the estimator directly, so it samples even on this two-user resource;
-``cost_share``, which the dynamics call, returns the exact share for this
-query at every epsilon shown, because counting its subsets is expected to
-take less time than drawing that many permutations.
+hands the estimator that count directly, so it samples even on this
+two-user resource; the dynamics take the exact share for this query at
+every epsilon shown (``samples_needed`` is 0), because counting its subsets
+is expected to take less time than drawing that many permutations.
 """
 
 from gndes import ExponentProfile, ResourceParams, rep_cost
@@ -45,7 +45,7 @@ exact = shapley_exact(q)
 print(f"\nsampling the Shapley share of request 1 (exact {exact:g}):")
 for eps in (0.3, 0.1, 0.03):
     m = hoeffding_sample_count(q, eps, 0.01)
-    est = shapley_sampled(q, eps, 0.01, keyed_rng(42, eps))
+    est = shapley_sampled(q, keyed_rng(42, eps), m)
     print(f"  eps={eps:<5} samples={m:<6} estimate={est:.4f}")
 
 print("\nshare bound certificate (the inequality behind the smoothness proof):")

@@ -46,7 +46,6 @@ from .instance import (
 from .io import instance_to_text, parse_instance, parse_instance_text, write_instance
 from .oracles import (
     OracleAnswer,
-    clamp_tolls,
     explicit_oracle,
     machine_oracle,
     oracle_rho,

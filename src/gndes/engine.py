@@ -194,23 +194,25 @@ class PassView:
     bit.  Every player off a resource sees all of its users as the others,
     and every player of one weight on it sees the same multiset without one
     user of that weight, so each group shares one entry.  Under
-    ``shapley-sampled`` the same holds for the shares that need no samples
-    (``sharing.samples_needed`` reads only the multiset); shares that do
-    sample draw a stream per player and ``step``, each within epsilon of the
-    exact share except with probability ``delta``.  They are not memoized;
-    they are counted in ``sampled_shares``, and those whose sample count was
-    capped also in ``sample_cap_hits``.
+    ``shapley-sampled`` the view decides each share's sample count, the one
+    place that does: ``sharing.samples_needed`` reads only the multiset, so
+    the shares it leaves exact are memoized the same way.  A share that does
+    sample draws that count from a stream per player and ``step``
+    (``sharing.shapley_sampled``), within epsilon of the exact share except
+    with probability ``delta``.  Sampled shares are not memoized; they are
+    counted in ``sampled_shares``, and those whose sample count was capped
+    also in ``sample_cap_hits``.
 
     Rows are kept per run and patched per move: ``rows`` is the run's
-    :class:`TollRows` (a fresh store when None), so a player's entries are
-    computed again only on the resources whose users changed since her row
-    was built and on those where her share was sampled.  Exact shares read
-    their counting tables and h values from the state's ``tables`` store,
-    which outlives the pass and is shared with the state's potential.
+    :class:`TollRows`, so a player's entries are computed again only on the
+    resources whose users changed since her row was built and on those where
+    her share was sampled.  Exact shares read their counting tables and h
+    values from the state's ``tables`` store, which outlives the pass and is
+    shared with the state's potential.
     """
 
     def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,
-                 delta: float, rows: Optional[TollRows] = None):
+                 delta: float, rows: TollRows):
         self.instance = state.instance
         self.config = config
         self.profile = state.profile
@@ -223,7 +225,7 @@ class PassView:
         self.shares: dict[tuple[str, bool, int], float] = {}
         self.sampled_shares = 0
         self.sample_cap_hits = 0
-        self.rows = TollRows() if rows is None else rows
+        self.rows = rows
         self.rows.advance(self.profile)
 
     def tolls(self, position: int) -> dict[str, float]:
@@ -263,16 +265,13 @@ class PassView:
                     stale.add(e)
                     self.sampled_shares += 1
                     self.sample_cap_hits += needed > sharing.MAX_SAMPLES
-                    # what cost_share returns for this query, without deciding
-                    # again; called through the module so that wrappers on
+                    # called through the module so that wrappers on
                     # sharing.shapley_sampled (the benchmark's tracer) see it
                     share = sharing.shapley_sampled(
-                        query, config.epsilon, self.delta,
-                        keyed_rng(config.seed, "share", self.step, req.id, e),
-                        samples=needed)
+                        query, keyed_rng(config.seed, "share", self.step, req.id, e), needed)
                 else:
-                    # exactly what cost_share returns for a sampled share that
-                    # needs no samples, so it is memoized like any exact share
+                    # a sampled share that needs no samples is the exact
+                    # Shapley share, so it is memoized like any exact share
                     share = memo[key] = cost_share(self.exact_mechanism, query,
                                                    tables=self.tables)
             row[e] = clamp_toll(share)

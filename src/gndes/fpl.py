@@ -102,11 +102,12 @@ def fpl_step(graph: HostGraph, source: str, target: str,
              rng: np.random.Generator) -> frozenset[str]:
     """One perturbed-leader decision: cheapest path under cumulative tolls
     plus i.i.d. uniform [0, eta] noise per edge, drawn fresh."""
-    edge_ids = sorted(e.id for e in graph.edges)
-    noise = rng.uniform(0.0, eta, size=len(edge_ids))
+    noise = rng.uniform(0.0, eta, size=len(graph.edges))
+    # HostGraph keeps its edges sorted by id, so the noise lands on the
+    # same edge whatever order the graph was built in
     tolls = {
-        eid: clamp_toll(cumulative.get(eid, 0.0) + float(u))
-        for eid, u in zip(edge_ids, noise)
+        e.id: clamp_toll(cumulative.get(e.id, 0.0) + float(u))
+        for e, u in zip(graph.edges, noise)
     }
     return routing_oracle(graph, source, target, tolls).reply
 
@@ -170,7 +171,11 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         costs: dict[tuple[str, int], float] = {}
         for pos, req in enumerate(scaled.requests):
             row = _proportional_toll_row(scaled, loads, profile, pos, costs)
-            toll = sum(row[e] for e in sorted(profile[pos]))
+            # a left fold, not sum(): from CPython 3.12 sum() adds floats
+            # with compensation, which would change the regrets' last bits
+            toll = 0.0
+            for e in sorted(profile[pos]):
+                toll += row[e]
             realized[pos] += toll
             for e, tau in row.items():
                 cumulative[pos][e] += tau

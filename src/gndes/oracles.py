@@ -69,11 +69,6 @@ def clamp_toll(toll: float) -> float:
     return toll if toll > TOLL_FLOOR else TOLL_FLOOR
 
 
-def clamp_tolls(tolls: Tolls) -> dict[str, float]:
-    """:func:`clamp_toll` applied to every toll."""
-    return {e: clamp_toll(t) for e, t in tolls.items()}
-
-
 def _toll(tolls: Tolls, edge_id: str) -> float:
     try:
         return float(tolls[edge_id])

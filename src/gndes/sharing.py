@@ -9,12 +9,14 @@ here:
   arrival order, computed by the subset-coefficient formula over a table
   that counts the other users' subsets by (size, weight sum).
 * Shapley, sampled: the startup part sigma_e/|S_e| is exact; the power part
-  is estimated by averaging marginal contributions over sampled uniform
-  permutations, with a Hoeffding sample count giving a multiplicative
-  (1 +- epsilon) guarantee at a configured confidence.  ``cost_share``
-  samples only when the counting table is expected to take longer than
-  that count, by measured costs of both; otherwise it returns the exact
-  share, which meets the band with probability 1.
+  is estimated by averaging marginal contributions over the number of
+  uniform permutations it is given.  A Hoeffding count gives a
+  multiplicative (1 +- epsilon) guarantee at a configured confidence, and
+  :func:`samples_needed` asks for it only when the counting table is
+  expected to take longer than drawing it, by measured costs of both;
+  otherwise the share is the exact one, which meets the band with
+  probability 1.  The dynamics (``engine.PassView.tolls``) make that
+  choice per share; :func:`cost_share` prices the exact mechanisms only.
 
 Both exact mechanisms are budget balanced: the shares on a resource sum to
 its cost.  Both depend on the other users only through their weight
@@ -294,25 +296,24 @@ def samples_needed(query: ShareQuery, epsilon: float, delta: float) -> int:
     return m
 
 
-def shapley_sampled(query: ShareQuery, epsilon: float, delta: float,
-                    rng: np.random.Generator,
-                    samples: Optional[int] = None) -> float:
+def shapley_sampled(query: ShareQuery, rng: np.random.Generator, samples: int) -> float:
     """Sampled Shapley share: sigma/|S_e| plus the mean marginal of the power
-    part over ``samples`` uniform random permutations (by default
-    :func:`hoeffding_sample_count`), at most ``MAX_SAMPLES`` of them; a
-    capped count voids the epsilon guarantee and is logged at debug level."""
+    part over ``samples`` uniform random permutations, at most
+    ``MAX_SAMPLES`` of them; a capped count voids the epsilon guarantee and
+    is logged at debug level."""
+    if samples < 1:
+        raise ConfigError(f"a sampled share needs at least one permutation, got {samples}")
     n = len(query.users)
     res, exp = query.resource, query.exponents
     if n == 1:
         # sole user: every permutation yields the same marginal
         return res.sigma + h_value(res, exp, query.target_weight)
-    m = hoeffding_sample_count(query, epsilon, delta) if samples is None else samples
-    if m > MAX_SAMPLES:
+    if samples > MAX_SAMPLES:
         # at debug level: a run counts its capped shares and reports them once
         logger.debug(
             "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
-            m, res.id, MAX_SAMPLES)
-        m = MAX_SAMPLES
+            samples, res.id, MAX_SAMPLES)
+    m = min(samples, MAX_SAMPLES)
 
     weights = np.array([w for _, w in query.users], dtype=np.float64)
     target_index = next(k for k, (i, _) in enumerate(query.users) if i == query.target)
@@ -346,27 +347,17 @@ def whp_delta(steps: int, n_requests: int, n_resources: int) -> float:
     return 1.0 / (2.0 * (max(1, steps) * n_requests * n_resources) ** 2)
 
 
-def cost_share(mechanism: str, query: ShareQuery, *,
-               epsilon: Optional[float] = None,
-               delta: Optional[float] = None,
-               rng: Optional[np.random.Generator] = None,
+def cost_share(mechanism: str, query: ShareQuery,
                tables: Optional[CountingTables] = None) -> float:
-    """Dispatch on the mechanism name ("proportional", "shapley-exact",
-    "shapley-sampled").  A sampled share is exact, and draws nothing from
-    ``rng``, whenever :func:`samples_needed` is 0.  Exact Shapley shares
-    read their counting tables and h values from ``tables``, if given."""
+    """Exact share under "proportional" or "shapley-exact"; exact Shapley
+    shares read their counting tables and h values from ``tables``, if
+    given.  A sampled share is priced by the dynamics, which decide its
+    count (:func:`samples_needed`) and draw it (:func:`shapley_sampled`)."""
     if mechanism == "proportional":
         return proportional_share(query)
     if mechanism == "shapley-exact":
         return shapley_exact(query, tables)
-    if mechanism == "shapley-sampled":
-        if epsilon is None or delta is None or rng is None:
-            raise ConfigError("shapley-sampled needs epsilon, delta and an rng stream")
-        m = samples_needed(query, epsilon, delta)
-        if m == 0:
-            return shapley_exact(query, tables)
-        return shapley_sampled(query, epsilon, delta, rng, samples=m)
-    raise ConfigError(f"unknown mechanism {mechanism!r}")
+    raise ConfigError(f"no exact share for mechanism {mechanism!r}")
 
 
 # ---------------------------------------------------------------------------

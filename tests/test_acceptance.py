@@ -41,6 +41,7 @@ from gndes.oracles import routing_oracle
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     ShareQuery,
+    hoeffding_sample_count,
     proportional_share,
     rep_expansion_constants,
     shapley_exact,
@@ -240,7 +241,8 @@ def test_criterion_08_shapley_sampling():
         target = int(rng.integers(1, n + 1))
         q = ShareQuery(res, exp, users, target=target)
         exact = shapley_exact(q)
-        est = shapley_sampled(q, epsilon, delta, keyed_rng(k, "accept8"))
+        est = shapley_sampled(q, keyed_rng(k, "accept8"),
+                              hoeffding_sample_count(q, epsilon, delta))
         if (1 - epsilon) * exact <= est <= (1 + epsilon) * exact:
             in_band += 1
     assert in_band / trials >= 0.95

@@ -29,7 +29,7 @@ from gndes.engine import (
 )
 from gndes.errors import ConfigError
 from gndes.rng import keyed_rng
-from gndes.sharing import ShareQuery, cost_share, whp_delta
+from gndes.sharing import ShareQuery, samples_needed, shapley_sampled, whp_delta
 
 from helpers import pass_view, random_explicit_instance, rng_for
 
@@ -376,16 +376,16 @@ class TestSampledRuns:
         assert doc["sample_cap_hits"] == result.sample_cap_hits
         assert run_abrd(inst, config) == result
 
-        # uncapped, the engine's sampled share is the one cost_share returns
+        # uncapped, the engine's sampled share draws the count samples_needed
+        # decides from the share's own stream
         monkeypatch.undo()
         profile = initial_profile(inst)
         view = pass_view(inst, config, profile, 1, 2)
         tolls = view.tolls(0)
         assert view.sampled_shares == 1 and view.sample_cap_hits == 0
-        share = cost_share(
-            "shapley-sampled", ShareQuery(inst.resources[0], inst.exponents,
-                                          view.users["e1"], target=1),
-            epsilon=0.15, delta=whp_delta(2, 12, 2), rng=keyed_rng(2, "share", 1, 1, "e1"))
+        query = ShareQuery(inst.resources[0], inst.exponents, view.users["e1"], target=1)
+        share = shapley_sampled(query, keyed_rng(2, "share", 1, 1, "e1"),
+                                samples_needed(query, 0.15, whp_delta(2, 12, 2)))
         assert tolls["e1"] == share
 
         small = parallel_edges_instance()

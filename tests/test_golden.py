@@ -1,11 +1,16 @@
 """Traces and reports must stay byte-identical to the files in tests/golden.
 
 Each case renders one seeded run or report and compares it with its golden
-file byte for byte.  After a deliberate change of output, rewrite the files,
-the demos' outputs (``tests/test_demos.py``) included, with
-``PYTHONPATH=src python tests/test_golden.py`` and review the diff.
+file byte for byte, once with the interpreter's own ``sum()`` and once with
+``compensated_sum``, the float summation of CPython 3.12 and 3.13, so the
+files hold whichever way the interpreter adds floats.  After a deliberate change of
+output, rewrite the files, the demos' outputs (``tests/test_demos.py``)
+included, with ``PYTHONPATH=src python tests/test_golden.py`` and review
+the diff.
 """
 
+import builtins
+import math
 from pathlib import Path
 
 import numpy as np
@@ -136,6 +141,68 @@ CASES = {
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_output_matches_golden_file(name):
+    assert CASES[name]() == (GOLDEN / name).read_text(encoding="utf-8")
+
+
+_LONG_MIN, _LONG_MAX = -(1 << 63), (1 << 63) - 1
+
+
+def compensated_sum(iterable, /, start=0):
+    """``sum()`` as CPython 3.12 and 3.13 compute it.
+
+    Exact ints are added exactly while the total fits a C long.  Once the
+    total is an exact float, exact floats are added with Neumaier's
+    compensation and the compensation is added at the end when it is
+    nonzero and finite; ints that fit a C long are added to the running
+    total plainly.  Any other item, and everything after it, goes through
+    ``+``.  CPython 3.11 and older add every float plainly.
+    """
+    items = iter(iterable)
+    total = start
+    if type(total) is int and _LONG_MIN <= total <= _LONG_MAX:
+        for item in items:
+            total = total + item
+            if not (type(item) in (int, bool) and _LONG_MIN <= total <= _LONG_MAX):
+                break
+        else:
+            return total
+    if type(total) is float:
+        hi, lo = total, 0.0
+        for item in items:
+            if type(item) is float:
+                t = hi + item
+                if abs(hi) >= abs(item):
+                    lo += (hi - t) + item
+                else:
+                    lo += (item - t) + hi
+                hi = t
+            elif isinstance(item, int) and _LONG_MIN <= item <= _LONG_MAX:
+                hi += float(item)
+            else:
+                total = (hi + lo if lo and math.isfinite(lo) else hi) + item
+                break
+        else:
+            return hi + lo if lo and math.isfinite(lo) else hi
+    for item in items:
+        total = total + item
+    return total
+
+
+def test_compensated_sum_adds_as_cpython_3_12_does():
+    # the example of the CPython 3.12 changelog, and sums whose plain
+    # left fold loses the small terms
+    assert compensated_sum([0.1] * 10) == 1.0
+    assert compensated_sum([1e16, 1.0, 1.0]) == 1e16 + 2.0
+    assert compensated_sum([1.0, 1e100, 1.0, -1e100]) == 2.0
+    assert compensated_sum([], 0.5) == 0.5 and compensated_sum([]) == 0
+    assert compensated_sum([1, 2, 3]) == 6 and type(compensated_sum([1, True])) is int
+    assert compensated_sum([2 ** 70, 1]) == 2 ** 70 + 1
+    assert repr(compensated_sum([-0.0], -0.0)) == "-0.0"
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_output_matches_golden_file_under_compensated_sum(name, monkeypatch):
+    monkeypatch.setattr(builtins, "sum", compensated_sum)
     assert CASES[name]() == (GOLDEN / name).read_text(encoding="utf-8")
 
 

@@ -19,8 +19,9 @@ from gndes import (
 from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
+    TOLL_FLOOR,
     OracleAnswer,
-    clamp_tolls,
+    clamp_toll,
     directed_multi_routing_oracle,
     explicit_oracle,
     machine_oracle,
@@ -637,8 +638,8 @@ DISPATCH_CASES = {
 
 class TestDispatchAndClamping:
     def test_clamp_floor(self):
-        clamped = clamp_tolls({"e": 0.0, "f": -1.0, "g": 2.0})
-        assert clamped["e"] > 0 and clamped["f"] > 0 and clamped["g"] == 2.0
+        assert clamp_toll(0.0) == clamp_toll(-1.0) == TOLL_FLOOR > 0
+        assert clamp_toll(2.0) == 2.0
 
     def test_every_answer_validates(self):
         # the reply is feasible, its total is its tolls' sum, and the total is

@@ -41,9 +41,16 @@ from gndes import (
 from gndes.analysis import REL_TOL
 from gndes.errors import InstanceError
 from gndes.engine import DeltaPass
-from gndes.oracles import clamp_tolls, reply_oracle
+from gndes.oracles import clamp_toll, reply_oracle
 from gndes.rng import keyed_rng
-from gndes.sharing import MECHANISMS, ShareQuery, cost_share, whp_delta
+from gndes.sharing import (
+    MECHANISMS,
+    ShareQuery,
+    cost_share,
+    samples_needed,
+    shapley_sampled,
+    whp_delta,
+)
 
 from helpers import (
     pass_view,
@@ -57,7 +64,9 @@ from helpers import (
 
 def regrouped_abr(instance, config, position, profile, step, planned_budget):
     """One player's ABR from the others' users regrouped for this player
-    alone, with a fresh share query on every resource."""
+    alone, with a fresh share query on every resource.  A sampled share
+    takes ``samples_needed`` permutations from the share's own stream when
+    that count is positive, and is the exact Shapley share otherwise."""
     req = instance.requests[position]
     users_by_resource = {}
     for pos, (other, reply) in enumerate(zip(instance.requests, profile)):
@@ -68,14 +77,15 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
     for res in instance.resources:
         users = tuple(users_by_resource.get(res.id, [])) + ((req.id, req.weight(res.id)),)
         query = ShareQuery(res, instance.exponents, users, target=req.id)
-        if config.mechanism == "shapley-sampled":
-            tolls[res.id] = cost_share(
-                config.mechanism, query, epsilon=config.epsilon,
-                delta=whp_delta(planned_budget, instance.n_requests, len(instance.resources)),
-                rng=keyed_rng(config.seed, "share", step, req.id, res.id))
+        if config.mechanism != "shapley-sampled":
+            share = cost_share(config.mechanism, query)
         else:
-            tolls[res.id] = cost_share(config.mechanism, query)
-    tolls = clamp_tolls(tolls)
+            needed = samples_needed(query, config.epsilon, whp_delta(
+                planned_budget, instance.n_requests, len(instance.resources)))
+            share = (shapley_sampled(query, keyed_rng(config.seed, "share", step, req.id, res.id),
+                                     needed)
+                     if needed else cost_share("shapley-exact", query))
+        tolls[res.id] = clamp_toll(share)
     answer = reply_oracle(instance, req, tolls)
     return answer, sum(tolls[e] for e in sorted(profile[position]))
 
@@ -212,8 +222,8 @@ def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
         phi = state.potential()
         assert phi == potential(instance, state.profile)
         assert phi == pytest.approx(potential_by_prefix(instance, state.profile), rel=REL_TOL)
-        moved_view = PassView(state, config, 1, 0.1)
-        fresh_view = PassView(fresh, config, 1, 0.1)
+        moved_view = PassView(state, config, 1, 0.1, TollRows())
+        fresh_view = PassView(fresh, config, 1, 0.1, TollRows())
         for pos in range(instance.n_requests):
             assert moved_view.tolls(pos) == fresh_view.tolls(pos)
 
@@ -227,7 +237,7 @@ def moves_of_a_run(instance, config, rng, n_moves):
     yield state
     for t in range(1, n_moves + 1):
         state.potential()
-        dpass = delta_vector(PassView(state, config, t, 0.1))
+        dpass = delta_vector(PassView(state, config, t, 0.1, TollRows()))
         position = int(rng.integers(instance.n_requests))
         reply = dpass.proposals[position].reply
         if reply == state.profile[position]:
@@ -322,7 +332,7 @@ def test_kept_rows_equal_fresh_rows(seed, make, mechanism, moves_between_passes)
                          frozenset(sorted(state.profile[position]))][int(rng.integers(3))]
                 state.move(position, reply)
             kept = PassView(state, config, step, 0.1, rows)
-            fresh = PassView(state, config, step, 0.1)
+            fresh = PassView(state, config, step, 0.1, TollRows())
             for pos in range(instance.n_requests):
                 assert row_hex(kept.tolls(pos)) == row_hex(fresh.tolls(pos))
             assert ((kept.sampled_shares, kept.sample_cap_hits)
@@ -380,7 +390,7 @@ def test_a_pass_prices_only_the_resources_whose_users_changed(monkeypatch):
     moved = [view.tolls(pos) for pos in range(3)]
     # m1 lost its only user and m2 gained one; m3 kept its users
     assert set(priced) == {"m1", "m2"}
-    assert all(row == PassView(state, config, 3, 0.1).tolls(pos)
+    assert all(row == PassView(state, config, 3, 0.1, TollRows()).tolls(pos)
                for pos, row in enumerate(moved))
 
 
@@ -399,9 +409,9 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
     priced, drawn = [], []
     share, sampled = engine.cost_share, sharing.shapley_sampled
 
-    def draw(query, epsilon, delta, rng, **kw):
+    def draw(query, rng, samples):
         drawn.append((query.target, query.resource.id, rng.bit_generator.state))
-        return sampled(query, epsilon, delta, rng, **kw)
+        return sampled(query, rng, samples)
 
     monkeypatch.setattr(engine, "cost_share",
                         lambda mechanism, query, **kw: priced.append(query.resource.id)
@@ -423,7 +433,7 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
     assert view.sampled_shares == len(entries)
     for target, e, stream in drawn:
         assert stream == keyed_rng(config.seed, "share", 2, target, e).bit_generator.state
-    fresh = PassView(state, config, 2, 0.1)
+    fresh = PassView(state, config, 2, 0.1, TollRows())
     assert [row_hex(row) for row in kept] == [row_hex(fresh.tolls(pos)) for pos in range(6)]
 
 
@@ -486,7 +496,7 @@ def test_a_pass_shared_by_class_equals_a_pass_over_every_player(seed, make, mech
                 state.move(position, reply)
             view = PassView(state, config, step, 0.1, rows)
             shared = delta_vector(view)
-            alone = PassView(state, config, step, 0.1)
+            alone = PassView(state, config, step, 0.1, TollRows())
             abrs = [approximate_best_response(alone, pos) for pos in range(n)]
             reference = [current - eps1 * answer.toll_total for answer, current in abrs]
             assert [d.hex() for d in shared.deltas] == [d.hex() for d in reference]

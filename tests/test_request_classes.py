@@ -109,7 +109,7 @@ def counted_pass(monkeypatch, state, config, step, rows, ids):
 
 
 def assert_pass_over_every_player(state, config, step, dpass, view):
-    alone = PassView(state, config, step, 0.01)
+    alone = PassView(state, config, step, 0.01, TollRows())
     abrs = [approximate_best_response(alone, pos) for pos in range(len(state.profile))]
     assert dpass.proposals == tuple(answer for answer, _ in abrs)
     assert (view.sampled_shares, view.sample_cap_hits) == (alone.sampled_shares,

@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from gndes import ExponentProfile, ResourceParams, rep_cost, sharing
+from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, PassView,
+                   ProfileState, Request, ResourceParams, TollRows, rep_cost, sharing)
 from gndes.analysis import budget_balance_check
 from gndes.errors import ConfigError, InstanceError
 from gndes.rng import keyed_rng
@@ -276,6 +277,19 @@ class TestCountingTables:
         assert built == [(2, 2), (2, 2)]
 
 
+class TestCostShare:
+    def test_exact_mechanisms_dispatch(self):
+        q = query(6.0, [1.0], [2.0], [1, 2], target=1)
+        assert cost_share("proportional", q) == proportional_share(q)
+        assert cost_share("shapley-exact", q) == shapley_exact(q)
+
+    @pytest.mark.parametrize("name", ["shapley-sampled", "shapley", "bogus"])
+    def test_other_names_are_refused(self, name):
+        # a sampled share's count is decided by the dynamics, not here
+        with pytest.raises(ConfigError, match=f"^no exact share for mechanism '{name}'$"):
+            cost_share(name, query(6.0, [1.0], [2.0], [1, 2], target=1))
+
+
 class TestBudgetBalance:
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
     def test_random_sweep(self, mechanism):
@@ -327,24 +341,28 @@ class TestSeparability:
 class TestShapleySampled:
     def test_sole_user_exact_for_any_sample_count(self):
         q = query(6.0, [1.0], [2.0], [3], target=1)
-        for seed in range(5):
-            est = shapley_sampled(q, 0.3, 0.5, keyed_rng(seed))
+        for seed, samples in enumerate((1, 2, 10, 100, MAX_SAMPLES + 1)):
+            est = shapley_sampled(q, keyed_rng(seed), samples)
             assert est == pytest.approx(15.0, rel=1e-12)
+
+    @pytest.mark.parametrize("samples", [0, -3])
+    @pytest.mark.parametrize("weights", [[3], [1, 2]], ids=["sole", "two"])
+    def test_a_count_below_one_is_refused(self, samples, weights):
+        q = query(6.0, [1.0], [2.0], weights, target=1)
+        with pytest.raises(ConfigError, match=f"at least one permutation, got {samples}$"):
+            shapley_sampled(q, keyed_rng(1, "none"), samples)
 
     def test_band_and_unbiasedness(self):
         q = query(6.0, [1.0], [2.0], [1, 2], target=1)
         exact = shapley_exact(q)
         trials = 400
-        estimates = [
-            shapley_sampled(q, 0.05, 0.05, keyed_rng(seed, "band"))
-            for seed in range(trials)
-        ]
+        m = hoeffding_sample_count(q, 0.05, 0.05)
+        estimates = [shapley_sampled(q, keyed_rng(seed, "band"), m) for seed in range(trials)]
         in_band = sum(1 for e in estimates if 0.95 * exact <= e <= 1.05 * exact)
         assert in_band / trials >= 0.95
 
         # unbiasedness within 3 standard errors; the sigma part is exact, so
         # compare against the analytic per-sample variance of the h marginals
-        m = hoeffding_sample_count(q, 0.05, 0.05)
         marginals = [1.0, 5.0]  # h deltas for target first / second
         mean_m = sum(marginals) / 2
         var_m = sum((x - mean_m) ** 2 for x in marginals) / 2
@@ -356,30 +374,31 @@ class TestShapleySampled:
         exact = shapley_exact(q)
         errs = []
         for eps in (0.5, 0.1, 0.02):
-            est = shapley_sampled(q, eps, 0.01, keyed_rng(123, eps))
+            est = shapley_sampled(q, keyed_rng(123, eps), hoeffding_sample_count(q, eps, 0.01))
             errs.append(abs(est - exact))
         assert errs[-1] <= 0.02 * exact
 
     def test_deterministic_per_stream(self):
         q = query(6.0, [1.0], [2.0], [1, 2, 2], target=1)
-        a = shapley_sampled(q, 0.1, 0.05, keyed_rng(7, "s"))
-        b = shapley_sampled(q, 0.1, 0.05, keyed_rng(7, "s"))
+        m = hoeffding_sample_count(q, 0.1, 0.05)
+        a = shapley_sampled(q, keyed_rng(7, "s"), m)
+        b = shapley_sampled(q, keyed_rng(7, "s"), m)
         assert a == b
 
     @pytest.mark.parametrize("block", [1, 7, 50])
     def test_blocks_reproduce_one_draw(self, monkeypatch, block):
         q = query(2.0, [1.0, 0.5], [2.0, 3.0], [1, 2, 3, 5, 8, 13, 21], target=3)
         assert 1000 * 7 <= sharing.SAMPLE_BLOCK      # one block at the default
-        whole = shapley_sampled(q, 0.1, 0.05, keyed_rng(5, "blocks"), samples=1000)
+        whole = shapley_sampled(q, keyed_rng(5, "blocks"), 1000)
         monkeypatch.setattr(sharing, "SAMPLE_BLOCK", block)
-        assert shapley_sampled(q, 0.1, 0.05, keyed_rng(5, "blocks"), samples=1000) == whole
+        assert shapley_sampled(q, keyed_rng(5, "blocks"), 1000) == whole
 
     def test_memory_is_bounded_by_the_block(self):
         # one 50,000 x 100 draw held at once peaks near 125 MB
         q = query(1.0, [1.0], [2.0], [k % 7 + 1 for k in range(100)], target=3)
         tracemalloc.start()
         try:
-            shapley_sampled(q, 0.1, 0.01, keyed_rng(1, "memory"), samples=50_000)
+            shapley_sampled(q, keyed_rng(1, "memory"), 50_000)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -394,7 +413,7 @@ class TestShapleySampled:
             m = hoeffding_sample_count(q, 0.01, 1e-9)
         assert m > MAX_SAMPLES and not caplog.records
         with caplog.at_level("DEBUG"):
-            shapley_sampled(q, 0.01, 1e-9, keyed_rng(3, "cap"))
+            shapley_sampled(q, keyed_rng(3, "cap"), m)
         assert [r.getMessage() for r in caplog.records] == [
             f"sample count {m} for resource 'r' capped at {MAX_SAMPLES};"
             " the epsilon guarantee is void"]
@@ -420,21 +439,22 @@ class TestShapleySampled:
             marginal = h_value(res, exp, before + w) - h_value(res, exp, before)
             assert least - slack <= marginal <= most + slack
 
-    def test_cost_share_is_exact_when_counting_is_cheaper(self, caplog, monkeypatch):
-        # with a cap of 1, any sampled share would log a capped count
-        monkeypatch.setattr(sharing, "MAX_SAMPLES", 1)
+    def test_a_sampled_share_is_exact_when_counting_is_cheaper(self, monkeypatch):
+        # the dynamics decide a sampled share's count; for these queries it
+        # is 0, so a pass's toll is the exact share and nothing is drawn
+        monkeypatch.setattr(sharing, "shapley_sampled", lambda *args: pytest.fail("sampled"))
+        config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.01)
         rng = rng_for(41)
         for _ in range(60):
             q = random_share_query(rng, max_users=8, max_weight=5)
             assert samples_needed(q, 0.01, 1e-6) == 0
-            stream = keyed_rng(9, "fallback")
-            state = stream.bit_generator.state
-            with caplog.at_level("WARNING"):
-                share = cost_share("shapley-sampled", q, epsilon=0.01, delta=1e-6,
-                                   rng=stream)
-            assert share == shapley_exact(q)
-            assert stream.bit_generator.state == state
-        assert not caplog.records
+            only = ExplicitReplies((frozenset({"r"}),))
+            inst = Instance(q.exponents, (q.resource,),
+                            tuple(Request(i, only, default_weight=w) for i, w in q.users))
+            state = ProfileState(inst, (frozenset({"r"}),) * len(q.users))
+            view = PassView(state, config, 1, 1e-6, TollRows())
+            assert view.tolls(q.target - 1)["r"] == shapley_exact(q)
+            assert view.sampled_shares == 0
 
     def test_count_spans_the_range_of_the_marginals(self):
         # h(x) = x^2, weights 1 and 2, target 1: the marginal is 1 or 5, a
@@ -459,11 +479,8 @@ class TestShapleySampled:
         assert sum(map(len, subset_sums_by_size(others))) == table_cells_bound(q) == 2 ** 13
         m = samples_needed(q, 0.3, 0.05)
         assert m == hoeffding_sample_count(q, 0.3, 0.05) > 0
-        stream = keyed_rng(4, "heavy")
-        est = cost_share("shapley-sampled", q, epsilon=0.3, delta=0.05, rng=stream)
-        assert est == shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"))
-        assert est == shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"), samples=m)
-        assert est != shapley_sampled(q, 0.3, 0.05, keyed_rng(4, "heavy"), samples=m - 1)
+        est = shapley_sampled(q, keyed_rng(4, "heavy"), m)
+        assert est != shapley_sampled(q, keyed_rng(4, "heavy"), m - 1)
         exact = shapley_exact(q)
         assert est != exact
         assert 0.7 * exact <= est <= 1.3 * exact

@@ -158,6 +158,16 @@ class HostGraph:
                 adj[e.head].append((e.tail, e.id))
         return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
 
+    @cached_property
+    def indexed_adjacency(self) -> tuple[dict[str, int], tuple[tuple[tuple[int, str], ...], ...]]:
+        """:attr:`adjacency` over vertex indices: vertex -> its index in
+        :attr:`vertices` (sorted, so index order is name order), and per index
+        the (neighbor index, edge id) pairs in adjacency order."""
+        index = {v: i for i, v in enumerate(self.vertices)}
+        adjacency = self.adjacency
+        return index, tuple(tuple((index[w], eid) for w, eid in adjacency[v])
+                            for v in self.vertices)
+
     def restricted_adjacency(self, edge_ids: Iterable[str]) -> dict[str, list[tuple[str, str]]]:
         """Adjacency of the subgraph spanned by the given edges (loops dropped)."""
         allowed = set(edge_ids)

@@ -7,10 +7,13 @@ totals over a reply are summed in a fixed order (sorted resource ids, or
 the order a path or the grown forest lists its edges), so runs are
 reproducible whatever the interpreter's hash seed.
 
-Every graph oracle searches with :func:`shortest_paths`, one Dijkstra from
-a source that stops once all its targets are settled; which vertex settles
-when does not depend on the targets, so a search for many targets returns
-for each the path a search for it alone would.
+Every graph oracle searches with :func:`shortest_paths`, one Dijkstra over
+vertex indices with parent links from a source that stops once all its
+targets are settled; which vertex settles when does not depend on the
+targets, so a search for many targets returns for each the path a search
+for it alone would.  Its paths are the least by (distance, vertex path,
+edge path): an offer at equal distance reparents a vertex when its full
+key is smaller, and vertices waiting at one distance settle by full key.
 
 One dispatch maps each request to its oracle and to the factor rho that
 oracle guarantees: :func:`reply_oracle` runs the one and :func:`oracle_rho`
@@ -36,6 +39,7 @@ and keep the edges of a forest that lie on some pair's path with one walk.
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
 from functools import partial
 from typing import Callable, Hashable, Iterable, Mapping, Sequence
@@ -94,6 +98,15 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
     resolved by lexicographic vertex order, then by edge ids (relevant for
     parallel edges).
 
+    One Dijkstra over vertex indices with parent links.  Each vertex keeps
+    the least (distance, vertex path, edge path) key among the paths its
+    settled neighbors offer: an offer at equal distance reparents it when
+    its full key is smaller.  Vertices settle by distance, and several
+    waiting at one distance settle by full key, which decides the reply
+    only when a toll is absorbed (d + toll == d).  Full keys are built from
+    the parent links only for the targets and where distances tie, and kept
+    for settled vertices.
+
     Vertices are settled until every target is, so one search serves them
     all.  The order of settlement does not depend on the targets, so each
     path is exactly the one a search for that target alone would return.
@@ -102,29 +115,83 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
     that are reachable; a target that is the source gets the empty path.
     """
     _check_endpoint(graph, source)
-    adjacency = graph.adjacency
-    pending = {t for t in targets if t in adjacency}
+    index, neighbors = graph.indexed_adjacency
+    names = graph.vertices
+    pending = {index[t] for t in targets if t in index}
     found: dict[str, Path] = {}
-    # heap keys (dist, vertex path, edge path) make the pop order total,
-    # so the first settlement of each vertex is both cheapest and lex-min
-    heap: list[tuple[float, tuple[str, ...], tuple[str, ...]]] = [(0.0, (source,), ())]
-    settled: set[str] = set()
+    root = index[source]
+    dist = [math.inf] * len(neighbors)
+    dist[root] = 0.0
+    parent: list[tuple[int, str]] = [(root, "")] * len(neighbors)
+    settled = [False] * len(neighbors)
+    routes = {root: ((source,), ())}  # settled vertices' full keys, once built
+
+    def route(v: int) -> tuple[tuple[str, ...], tuple[str, ...]]:
+        """v's full key (vertex path, edge path) by its parent links."""
+        chain = []
+        while v not in routes:
+            chain.append(v)
+            v = parent[v][0]
+        path, edges = routes[v]
+        for v in reversed(chain):
+            path, edges = path + (names[v],), edges + (parent[v][1],)
+            if settled[v]:
+                routes[v] = path, edges
+        return path, edges
+
+    heap = [(0.0, root)]
     pop, push = heapq.heappop, heapq.heappush
-    while pending and heap:
-        dist, path, edges = pop(heap)
-        u = path[-1]
-        if u in settled:
-            continue
-        settled.add(u)
-        if u in pending:
-            found[u] = (path, edges, dist)
-            pending.discard(u)
-            if not pending:
-                break
-        for v, eid in adjacency[u]:
-            if v in settled:
-                continue
-            push(heap, (dist + _toll(tolls, eid), path + (v,), edges + (eid,)))
+    # the vertices waiting at the popped distance d when several do, least
+    # full key last; an absorbed toll (d + toll == d) pushes one more at d or
+    # changes one's key, and the order is then taken again
+    tied: list[int] = []
+    reorder = False
+    try:
+        while pending and (heap or tied):
+            if not tied:
+                d, u = pop(heap)
+                if d > dist[u]:
+                    continue  # pushed before u's distance dropped
+                if heap and heap[0][0] == d:
+                    tied.append(u)
+            if tied:
+                while heap and heap[0][0] == d:
+                    v = pop(heap)[1]
+                    if dist[v] == d:
+                        tied.append(v)
+                    reorder = True
+                if reorder:
+                    tied.sort(key=route, reverse=True)
+                    reorder = False
+                u = tied.pop()
+            settled[u] = True
+            if u in pending:
+                found[names[u]] = (*route(u), d)
+                pending.discard(u)
+                if not pending:
+                    break
+            for v, eid in neighbors[u]:
+                if settled[v]:
+                    continue
+                nd = d + float(tolls[eid])
+                if nd < dist[v]:
+                    dist[v] = nd
+                    parent[v] = (u, eid)
+                    push(heap, (nd, v))
+                elif nd == dist[v]:
+                    # v's parent p settled before u.  At one distance that
+                    # puts p's key below u's, and unless u's parent is as
+                    # close as u (an absorbed toll), p is not on u's path
+                    # either, so the offer loses
+                    p = parent[v][0]
+                    if dist[p] == d and dist[parent[u][0]] < d:
+                        continue
+                    path, edges = route(u)
+                    if (path + (names[v],), edges + (eid,)) < route(v):
+                        parent[v] = (u, eid)
+                        reorder = reorder or nd == d
+    except KeyError:
+        raise InstanceError(f"no toll given for resource {eid!r}") from None
     return found
 
 

@@ -208,6 +208,13 @@ def random_toll_multigraph(rng, directed: bool = False, max_vertices: int = 7,
     return graph, tolls
 
 
+def absorbing_tolls(rng, graph: HostGraph) -> dict[str, float]:
+    """Tolls of 1e5 and 2e5 mixed with 1e-12, which a distance of 1e5 or
+    more absorbs (d + 1e-12 == d), so paths through different parents tie
+    at one distance."""
+    return {e.id: float(rng.choice([1e5, 2e5, 1e-12])) for e in graph.edges}
+
+
 # ---------------------------------------------------------------------------
 # reference oracles: earlier, plainer implementations that the differential
 # tests in test_oracles.py hold the library's oracles to
@@ -234,6 +241,37 @@ def reference_shortest_path(graph: HostGraph, source: str, target: str, tolls):
                 continue
             heapq.heappush(heap, (dist + float(tolls[eid]), path + (v,), edges + (eid,)))
     raise InfeasibleError(f"no path from {source!r} to {target!r}")
+
+
+def reference_shortest_paths(graph: HostGraph, source: str, targets, tolls):
+    """One Dijkstra for several targets whose heap entries carry whole
+    (dist, vertex path, edge path) keys, so the pop order is total."""
+    if source not in graph.adjacency:
+        raise InstanceError("unknown endpoint vertex")
+    pending = {t for t in targets if t in graph.adjacency}
+    found = {}
+    heap = [(0.0, (source,), ())]
+    settled = set()
+    while pending and heap:
+        dist, path, edges = heapq.heappop(heap)
+        u = path[-1]
+        if u in settled:
+            continue
+        settled.add(u)
+        if u in pending:
+            found[u] = (path, edges, dist)
+            pending.discard(u)
+            if not pending:
+                break
+        for v, eid in graph.adjacency[u]:
+            if v in settled:
+                continue
+            try:
+                toll = float(tolls[eid])
+            except KeyError:
+                raise InstanceError(f"no toll given for resource {eid!r}") from None
+            heapq.heappush(heap, (dist + toll, path + (v,), edges + (eid,)))
+    return found
 
 
 class _UnionFind:

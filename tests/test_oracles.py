@@ -1,5 +1,6 @@
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 from gndes import (
@@ -36,11 +37,15 @@ from gndes.oracles import (
 )
 
 from helpers import (
+    absorbing_tolls,
+    directed_grid_graph,
+    grid_graph,
     random_connected_graph,
     random_explicit_instance,
     random_toll_multigraph,
     random_tolls,
     reference_shortest_path,
+    reference_shortest_paths,
     reference_steiner_forest,
     reference_steiner_tree,
     rng_for,
@@ -467,8 +472,8 @@ def random_pairs(rng, graph, low=1, high=3):
 class TestAgainstEarlierImplementations:
     """The oracles against the plainer implementations they replaced
     (``helpers.reference_*``), on multigraphs with loops, parallel edges and,
-    in half the cases, integer tolls that tie: same replies, bit-equal toll
-    totals, same errors."""
+    in many cases, integer tolls that tie or absorbing tolls that tie through
+    different parents: same replies, bit-equal toll totals, same errors."""
 
     def test_forest_matches_reverse_deletion(self):
         rng = rng_for(59)
@@ -484,19 +489,67 @@ class TestAgainstEarlierImplementations:
 
     @pytest.mark.parametrize("directed", [False, True])
     def test_shortest_paths_match_one_search_per_target(self, directed):
+        # a third of the cases have absorbing tolls on up to 9 vertices
         rng = rng_for(61 + directed)
-        for case in range(300):
-            g, tolls = random_toll_multigraph(rng, directed, integer_tolls=case % 2 == 0)
+        for case in range(450):
+            absorbing = case % 3 == 2
+            g, tolls = random_toll_multigraph(rng, directed, 9 if absorbing else 7,
+                                              integer_tolls=case % 3 == 0)
+            if absorbing:
+                tolls = absorbing_tolls(rng, g)
             source = g.vertices[int(rng.integers(len(g.vertices)))]
             targets = [v for v in g.vertices if v != source and rng.random() < 0.7]
             found = shortest_paths(g, source, targets, tolls)
+            ref_found = reference_shortest_paths(g, source, targets, tolls)
+            assert found.keys() == ref_found.keys(), case
             for t in targets:
                 ref = outcome(reference_shortest_path, g, source, t, tolls)
                 assert outcome(shortest_path, g, source, t, tolls) == ref
                 if t in found:
-                    assert found[t] == ref and found[t][2].hex() == ref[2].hex()
+                    assert found[t] == ref_found[t] == ref, (case, t)
+                    assert found[t][2].hex() == ref_found[t][2].hex() == ref[2].hex()
                 else:
                     assert ref[0] == "InfeasibleError"
+
+    def test_equal_distances_settle_by_full_key(self):
+        # p and q both lie at 2e5, p by s-c-p and q by s-a-q, and the q-p
+        # toll is absorbed: 2e5 + 1e-12 == 2e5.  q's key (s, a, q) is below
+        # p's (s, c, p), so q settles first and offers p the key (s, a, q, p),
+        # which wins.  Settling the tied p and q by vertex index instead would
+        # settle p first and answer s-c-p.
+        g = HostGraph(False, ("a", "c", "p", "q", "s"),
+                      (Edge("sa", "s", "a"), Edge("aq", "a", "q"),
+                       Edge("sc", "s", "c"), Edge("cp", "c", "p"), Edge("pq", "p", "q")))
+        tolls = {"sa": 1e5, "aq": 1e5, "sc": 1e5, "cp": 1e5, "pq": 1e-12}
+        assert 2e5 + tolls["pq"] == 2e5
+        expected = (("s", "a", "q", "p"), ("sa", "aq", "pq"), 2e5)
+        assert shortest_path(g, "s", "p", tolls) == expected
+        assert shortest_paths(g, "s", ("p", "c"), tolls)["p"] == expected
+        assert reference_shortest_paths(g, "s", ("p",), tolls)["p"] == expected
+
+    def test_a_key_changed_at_a_tie_reorders_the_waiting_vertices(self):
+        # a and e wait at 2e5; a settles first and absorbs d and g into the
+        # wait, then d's offer to e at the same distance gives e the key
+        # b-c-f-a-d-e, now below g's b-c-f-a-g, so e settles before g and
+        # g's key becomes b-c-f-a-d-e-g
+        g = HostGraph(False, ("a", "b", "c", "d", "e", "f", "g"),
+                      (Edge("bc", "b", "c"), Edge("cf", "c", "f"), Edge("fa", "f", "a"),
+                       Edge("fe", "f", "e"), Edge("ad", "a", "d"), Edge("ag", "a", "g"),
+                       Edge("ed", "e", "d"), Edge("eg", "e", "g")))
+        tolls = {"bc": 1e5, "fa": 1e5, "fe": 1e5,
+                 "cf": 1e-12, "ad": 1e-12, "ag": 1e-12, "ed": 1e-12, "eg": 1e-12}
+        expected = (("b", "c", "f", "a", "d", "e", "g"), ("bc", "cf", "fa", "ad", "ed", "eg"), 2e5)
+        assert shortest_path(g, "b", "g", tolls) == expected
+        assert reference_shortest_paths(g, "b", ("g",), tolls)["g"] == expected
+
+    def test_equal_distance_offer_reparents_on_a_smaller_key(self):
+        # b settles at 1 and offers t the key (3, s-b-t); a settles at 2 and
+        # offers (3, s-a-t), the same distance by a lex-smaller path
+        g = HostGraph(False, ("a", "b", "s", "t"),
+                      (Edge("sa", "s", "a"), Edge("at", "a", "t"),
+                       Edge("sb", "s", "b"), Edge("bt", "b", "t")))
+        tolls = {"sa": 2.0, "at": 1.0, "sb": 1.0, "bt": 2.0}
+        assert shortest_path(g, "s", "t", tolls) == (("s", "a", "t"), ("sa", "at"), 3.0)
 
     def test_tree_matches_pairwise_closure(self):
         rng = rng_for(67)
@@ -562,9 +615,51 @@ class TestOracleErrors:
         with pytest.raises(InstanceError, match="no toll given for resource 'cd'"):
             shortest_paths(self.disconnected(), "d", ("c",), {"ab": 1.0})
 
+    def test_unknown_endpoints(self):
+        with pytest.raises(InstanceError, match="unknown endpoint vertex"):
+            shortest_paths(self.disconnected(), "z", ("a",), self.TOLLS)
+        with pytest.raises(InstanceError, match="unknown endpoint vertex"):
+            shortest_path(self.disconnected(), "a", "z", self.TOLLS)
+
     def test_shortest_paths_reports_only_reachable_targets(self):
         found = shortest_paths(self.disconnected(), "a", ("e", "b", "c"), self.TOLLS)
         assert found == {"b": (("a", "b"), ("ab",), 1.0)}
+
+
+class TestSearchInputs:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_int_and_numpy_tolls_give_bit_equal_float_totals(self, directed):
+        rng = rng_for(73 + directed)
+        for case in range(100):
+            g, tolls = random_toll_multigraph(rng, directed, integer_tolls=case % 2 == 0)
+            source = g.vertices[0]
+            for given in ({e: int(t) for e, t in tolls.items()} if case % 2 == 0 else tolls,
+                          {e: np.float64(t) for e, t in tolls.items()}):
+                found = shortest_paths(g, source, g.vertices, given)
+                ref = reference_shortest_paths(g, source, g.vertices, tolls)
+                assert found == ref
+                for t, (_, _, total) in found.items():
+                    assert type(total) is float and total.hex() == ref[t][2].hex()
+
+    @staticmethod
+    def multigraph(directed):
+        # a loop, two parallel edges given out of id order, vertices unsorted
+        return HostGraph(directed, ("x", "b", "a"),
+                         (Edge("l", "a", "a"), Edge("p2", "a", "b"), Edge("p1", "a", "b"),
+                          Edge("q", "b", "x"), Edge("r", "x", "a"), Edge("m", "x", "x")))
+
+    @pytest.mark.parametrize("build", ["grid", "directed grid", "multigraph",
+                                       "directed multigraph"])
+    def test_index_is_built_once_and_agrees_with_adjacency(self, build):
+        g = {"grid": lambda: grid_graph(4), "directed grid": lambda: directed_grid_graph(3),
+             "multigraph": lambda: self.multigraph(False),
+             "directed multigraph": lambda: self.multigraph(True)}[build]()
+        index, neighbors = g.indexed_adjacency
+        assert g.indexed_adjacency is g.indexed_adjacency
+        assert list(index) == list(g.vertices) and list(index.values()) == list(range(len(g.vertices)))
+        assert len(neighbors) == len(g.vertices)
+        for v, i in index.items():
+            assert [(g.vertices[w], eid) for w, eid in neighbors[i]] == list(g.adjacency[v])
 
 
 class TestDirectedHeuristics:

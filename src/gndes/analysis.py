@@ -29,6 +29,7 @@ from .instance import (
     Routing,
     StrategyProfile,
     check_profile,
+    left_sum,
     rep_cost,
     total_cost,
     validate_reply,
@@ -42,6 +43,11 @@ ABS_TOL = 1e-12
 
 def _close(a: float, b: float) -> bool:
     return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
+
+
+def _check_position(instance: Instance, position: int):
+    if position not in range(instance.n_requests):
+        raise InstanceError(f"position {position} is outside range({instance.n_requests})")
 
 
 class ProfileState:
@@ -70,7 +76,9 @@ class ProfileState:
         self._regroup(frozenset().union(*self.profile))
 
     def move(self, position: int, reply: frozenset[str]):
-        """Replace the reply at ``position``; it may name only the instance's resources."""
+        """Replace the reply at ``position``, one of ``range(n_requests)``; it
+        may name only the instance's resources."""
+        _check_position(self.instance, position)
         self.instance.check_reply_resources(reply)
         old = self.profile[position]
         self.profile = self.profile[:position] + (reply,) + self.profile[position + 1:]
@@ -104,7 +112,7 @@ class ProfileState:
                 term = res.sigma * harmonic(n)
                 for k in range(1, n + 1):
                     coeff = 1.0 / (math.comb(n, k) * k)
-                    term += coeff * sum(count * h[s] for s, count in table[k].items())
+                    term += coeff * left_sum(count * h[s] for s, count in table[k].items())
                 self._terms[res.id] = term
             total += self._terms[res.id]
         return total
@@ -201,6 +209,7 @@ def potential_exactness_check(instance: Instance, profile: StrategyProfile,
                               position: int, new_reply: frozenset[str]) -> ExactnessCheck:
     """Under exact Shapley shares a unilateral deviation changes the potential
     by exactly the deviator's cost change."""
+    _check_position(instance, position)
     deviated = tuple(new_reply if i == position else r for i, r in enumerate(profile))
     dphi = potential(instance, deviated) - potential(instance, profile)
     dcost = (player_cost(instance, "shapley-exact", deviated, position)

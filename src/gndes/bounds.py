@@ -22,12 +22,12 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .instance import Instance
+from .instance import Instance, left_sum
 from .sharing import RepExpansionConstants
 
 
 def harmonic(n: int) -> float:
-    return sum(1.0 / k for k in range(1, n + 1))
+    return left_sum(1.0 / k for k in range(1, n + 1))
 
 
 def gamma_alpha(instance: Instance) -> float:

@@ -42,7 +42,7 @@ from typing import Callable, Optional
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
-from .instance import Instance, StrategyProfile, rep_cost, total_cost
+from .instance import Instance, StrategyProfile, left_sum, rep_cost, total_cost
 from .oracles import OracleAnswer, clamp_toll, oracle_rho, reply_oracle
 from .rng import keyed_rng
 from .sharing import (
@@ -287,7 +287,7 @@ def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnsw
     """
     tolls = view.tolls(position)
     answer = reply_oracle(view.instance, view.instance.requests[position], tolls)
-    current = sum(tolls[e] for e in sorted(view.profile[position]))
+    current = left_sum(tolls[e] for e in sorted(view.profile[position]))
     return answer, current
 
 
@@ -325,7 +325,7 @@ def delta_vector(view: PassView) -> DeltaPass:
             abrs.append(abrs[leader])
             rows.share(pos, leader)
     deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)
-    return DeltaPass(deltas=deltas, total=sum(deltas),
+    return DeltaPass(deltas=deltas, total=left_sum(deltas),
                      proposals=tuple(answer for answer, _ in abrs))
 
 

@@ -29,6 +29,7 @@ from .instance import (
     ResourceParams,
     Routing,
     StrategyProfile,
+    left_sum,
     load_vector,
     rep_cost,
     total_cost,
@@ -171,11 +172,7 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         costs: dict[tuple[str, int], float] = {}
         for pos, req in enumerate(scaled.requests):
             row = _proportional_toll_row(scaled, loads, profile, pos, costs)
-            # a left fold, not sum(): from CPython 3.12 sum() adds floats
-            # with compensation, which would change the regrets' last bits
-            toll = 0.0
-            for e in sorted(profile[pos]):
-                toll += row[e]
+            toll = left_sum(row[e] for e in sorted(profile[pos]))
             realized[pos] += toll
             for e, tau in row.items():
                 cumulative[pos][e] += tau

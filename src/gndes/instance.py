@@ -88,6 +88,19 @@ class ResourceParams:
             raise InstanceError(f"resource {self.id!r}: needs at least one positive factor")
 
 
+def left_sum(values: Iterable[float]) -> float:
+    """The values added one at a time from the left, starting at 0.0.
+
+    The library takes its float totals with this fold, over terms in an
+    order each caller fixes.  It is what ``sum()`` computes on CPython 3.10
+    and 3.11; from 3.12 ``sum()`` adds floats with compensation, so a total
+    taken with it would move in its last bits with the interpreter."""
+    total = 0.0
+    for v in values:
+        total += v
+    return total
+
+
 def rep_cost(params: ResourceParams, exponents: ExponentProfile, load: int) -> float:
     """Cost of a resource at an integer load; exactly 0 at load 0."""
     if load < 0:
@@ -422,7 +435,7 @@ def load_vector(instance: Instance, profile: StrategyProfile) -> LoadVector:
 
 def total_cost(instance: Instance, profile: StrategyProfile) -> float:
     loads = load_vector(instance, profile)
-    return sum(
+    return left_sum(
         rep_cost(r, instance.exponents, loads[r.id]) for r in instance.resources)
 
 

@@ -3,9 +3,10 @@
 Every oracle takes a strictly positive toll per resource and returns a
 feasible reply whose total toll is within its guaranteed factor rho of the
 minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) and toll
-totals over a reply are summed in a fixed order (sorted resource ids, or
-the order a path or the grown forest lists its edges), so runs are
-reproducible whatever the interpreter's hash seed.
+totals over a reply are summed in a fixed order, as one left fold
+(``instance.left_sum`` over sorted resource ids, or the order a path or the
+grown forest lists its edges), so runs are reproducible whatever the
+interpreter's hash seed or version.
 
 Every graph oracle searches with :func:`shortest_paths`, one Dijkstra over
 vertex indices with parent links from a source that stops once all its
@@ -54,6 +55,7 @@ from .instance import (
     Request,
     Routing,
     SetConnectivity,
+    left_sum,
 )
 
 TOLL_FLOOR = 1e-12
@@ -227,7 +229,7 @@ def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAn
         raise InstanceError("empty reply list")
     best_reply, best_total = None, None
     for rep in replies:
-        total = sum(_toll(tolls, e) for e in sorted(rep))
+        total = left_sum(_toll(tolls, e) for e in sorted(rep))
         if best_total is None or total < best_total:
             best_reply, best_total = rep, total
     return OracleAnswer(reply=frozenset(best_reply), toll_total=best_total)
@@ -297,7 +299,7 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
     tree = [edge[:3] for edge in _mst_edges(sub_edges)]
     kept = _forest_paths(tree, [(terms[0], t) for t in terms[1:]])
 
-    total = sum(_toll(tolls, e) for e in sorted(kept))
+    total = left_sum(_toll(tolls, e) for e in sorted(kept))
     return OracleAnswer(reply=frozenset(kept), toll_total=total)
 
 
@@ -367,7 +369,7 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
     used = _forest_paths(forest, pair_list)
     kept = [eid for eid, _, _ in forest if eid in used]
 
-    total = sum(_toll(tolls, e) for e in kept)
+    total = left_sum(_toll(tolls, e) for e in kept)
     return OracleAnswer(reply=frozenset(kept), toll_total=total)
 
 
@@ -408,7 +410,7 @@ def _union_of_shortest_paths(graph: HostGraph, pairs: Sequence[tuple[str, str]],
     for s, t in pairs:
         _, edges, _ = shortest_path(graph, s, t, tolls)
         union.update(edges)
-    total = sum(_toll(tolls, e) for e in sorted(union))
+    total = left_sum(_toll(tolls, e) for e in sorted(union))
     return OracleAnswer(reply=frozenset(union), toll_total=total)
 
 

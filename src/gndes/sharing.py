@@ -41,7 +41,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InstanceError
-from .instance import ExponentProfile, ResourceParams, rep_cost
+from .instance import ExponentProfile, ResourceParams, left_sum, rep_cost
 
 logger = logging.getLogger(__name__)
 
@@ -102,8 +102,8 @@ def h_value(resource: ResourceParams, exponents: ExponentProfile, weight_sum: fl
     if weight_sum == 0:
         return 0.0
     try:
-        value = sum(xi * float(weight_sum) ** a
-                    for xi, a in zip(resource.xis, exponents.alphas) if xi)
+        value = left_sum(xi * float(weight_sum) ** a
+                         for xi, a in zip(resource.xis, exponents.alphas) if xi)
     except OverflowError:
         value = math.inf
     if value == math.inf:
@@ -447,6 +447,6 @@ def rep_expansion_check(mechanism: str, query: ShareQuery) -> ExpansionCheck:
     for xi, terms_j in zip(res.xis, constants.terms):
         if not xi:
             continue
-        bound += xi * sum(t.z * rest ** t.x * w ** t.y for t in terms_j)
+        bound += xi * left_sum(t.z * rest ** t.x * w ** t.y for t in terms_j)
     return ExpansionCheck(share=share, bound=bound)
 

@@ -223,6 +223,13 @@ class TestPotentialExactness:
         check = potential_exactness_check(inst, shared, 0, frozenset({"e1"}))
         assert check.delta_potential == 0.0 and check.delta_cost == 0.0
 
+    @pytest.mark.parametrize("position", [-1, 2])
+    def test_a_position_outside_the_requests_raises(self, position):
+        inst = parallel_edges_instance()
+        shared = (frozenset({"e1"}), frozenset({"e1"}))
+        with pytest.raises(InstanceError, match=rf"^position {position} is outside range\(2\)$"):
+            potential_exactness_check(inst, shared, position, frozenset({"e2"}))
+
     def test_random_unilateral_deviations(self):
         rng = rng_for(59)
         for _ in range(15):

@@ -2,15 +2,22 @@
 
 Each case renders one seeded run or report and compares it with its golden
 file byte for byte, once with the interpreter's own ``sum()`` and once with
-``compensated_sum``, the float summation of CPython 3.12 and 3.13, so the
-files hold whichever way the interpreter adds floats.  After a deliberate change of
-output, rewrite the files, the demos' outputs (``tests/test_demos.py``)
-included, with ``PYTHONPATH=src python tests/test_golden.py`` and review
-the diff.
+``compensated_sum``, the float summation of CPython 3.12 and 3.13.  The
+library adds floats only with ``instance.left_sum``, so the files hold
+whichever way the interpreter's ``sum()`` adds floats.  Traces and reports
+print 9 digits, so one case, ``full_precision.txt``, prints what a run
+decides on as ``float.hex``: every step's cost, deltas and potential, the
+best cost, t* and the selected players of the golden ABRD cases and of the
+first instance of each ABRD benchmark workload at seed 1
+(``bench/workloads.py``), the FPL regrets and costs, and H_n for n < 60.
+After a deliberate change of output, rewrite the files, the demos' outputs
+(``tests/test_demos.py``) included, with ``PYTHONPATH=src python
+tests/test_golden.py`` and review the diff.
 """
 
 import builtins
 import math
+import runpy
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +26,7 @@ import pytest
 from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, MachineChoice,
                    Request, ResourceParams, Routing, run_abrd, sharing)
 from gndes.analysis import nash_report_csv, poa_lower_bound_instance, smoothness_report_csv
-from gndes.bounds import gamma_alpha, lambda_alpha
+from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
 from gndes.engine import run_report, trace_to_csv
 from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from gndes.sharing import rep_expansion_constants
@@ -28,18 +35,56 @@ from helpers import grid_graph, seeded_case
 from test_demos import DEMOS, demo_output, golden_name
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
+
+
+def _abrd_run(case):
+    inst, mechanism = seeded_case(case)
+    return inst, run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=4))
 
 
 def _abrd(case):
-    inst, mechanism = seeded_case(case)
-    result = run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=4))
+    inst, result = _abrd_run(case)
     return trace_to_csv(result) + run_report(inst, result)
 
 
-def _fpl():
+def _fpl_run():
     inst, _ = seeded_case("fpl")
-    result = run_l_apx(inst, FplConfig(seed=1, rounds=3), collect_trace=True)
+    return run_l_apx(inst, FplConfig(seed=1, rounds=3), collect_trace=True)
+
+
+def _fpl():
+    result = _fpl_run()
     return repr(result.regrets) + "\n" + regret_trace_to_csv(result)
+
+
+def _hex(x):
+    return "" if x is None else float.hex(x)
+
+
+def _full_precision():
+    workloads = runpy.run_path(str(WORKLOADS), run_name="bench_workloads")["WORKLOADS"]
+    runs = [(f"abrd {case}", _abrd_run(case)[1])
+            for case in ("routing", "steiner", "forest", "directed", "explicit")]
+    for name in ("grid-prop", "steiner-shapley", "machines-sampled"):
+        job = workloads[name](1)[0]
+        runs.append((f"bench {name} seed 1 {job.label}", run_abrd(job.instance, job.config)))
+    lines = []
+    for label, result in runs:
+        lines.append(f"{label}: step,player,delta_selected,delta_total,cost,potential")
+        for rec in result.trace:
+            lines.append(f"{rec.step},{'' if rec.player is None else rec.player},"
+                         f"{_hex(rec.delta_selected)},{_hex(rec.delta_total)},"
+                         f"{_hex(rec.cost)},{_hex(rec.potential)}")
+        lines.append(f"best_cost {_hex(result.best_cost)} t* {result.t_star}")
+    fpl_job = workloads["fpl-grid"](1)[0]
+    for label, result in (("fpl routing", _fpl_run()),
+                          (f"bench fpl-grid seed 1 {fpl_job.label}",
+                           run_l_apx(fpl_job.instance, fpl_job.config))):
+        lines.append(f"{label}: cost {_hex(result.cost)} regrets "
+                     + " ".join(_hex(r) for r in result.regrets))
+    lines += [f"H_{n} {_hex(harmonic(n))}" for n in range(1, 60)]
+    return "\n".join(lines) + "\n"
 
 
 def _sampled_capped():
@@ -134,6 +179,7 @@ CASES = {
     "sampled_capped.txt": _sampled_capped,
     "sampled_randomized.txt": _sampled_randomized,
     "duplicate_players.txt": _duplicate_players,
+    "full_precision.txt": _full_precision,
     "poa_n2_nash.csv": lambda: _poa_n2("nash"),
     "poa_n2_smoothness.csv": lambda: _poa_n2("smoothness"),
 }

@@ -297,6 +297,20 @@ def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
     assert state.profile == (frozenset({"m2"}), frozenset({"m2"}), frozenset({"m3"}))
 
 
+@pytest.mark.parametrize("position", [-1, 3, 7])
+def test_a_move_outside_the_requests_raises_and_changes_nothing(position):
+    exp = ExponentProfile((2.0,))
+    ids = ("m1", "m2", "m3")
+    instance = Instance(exp, tuple(ResourceParams(m, 1.0, (0.5,)) for m in ids),
+                        tuple(Request(id=i, kind=MachineChoice(ids)) for i in (1, 2, 3)))
+    start = tuple(frozenset({m}) for m in ids)
+    state = ProfileState(instance, start)
+    users = dict(state.users)
+    with pytest.raises(InstanceError, match=rf"^position {position} is outside range\(3\)$"):
+        state.move(position, frozenset({"m2"}))
+    assert state.profile == start and state.users == users
+
+
 def row_hex(row):
     """A toll row, in its order, with every toll as ``float.hex``."""
     return [(e, toll.hex()) for e, toll in row.items()]

@@ -49,6 +49,6 @@ for eps in (0.3, 0.1, 0.03):
     print(f"  eps={eps:<5} samples={m:<6} estimate={est:.4f}")
 
 print("\nshare bound certificate (the inequality behind the smoothness proof):")
-for mech in ("proportional", "shapley"):
+for label, mech in (("proportional", "proportional"), ("shapley", "shapley-exact")):
     chk = rep_expansion_check(mech, q)
-    print(f"  {mech}: share {chk.share:g} <= bound {chk.bound:g} -> {chk.ok}")
+    print(f"  {label}: share {chk.share:g} <= bound {chk.bound:g} -> {chk.ok}")

@@ -21,8 +21,7 @@ from gndes.analysis import (
     potential_exactness_check,
     smoothness_check,
 )
-from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
-from gndes.sharing import rep_expansion_constants
+from gndes.bounds import harmonic, smoothness_constants
 
 instance = Instance(
     exponents=ExponentProfile((2.0,)),
@@ -64,9 +63,8 @@ print(f"\npotential bounds C/{b} <= Phi <= {a:g}*C on {report.profiles_tested} "
       f"profiles: {'ok' if report.ok else 'VIOLATED'}")
 
 for mechanism in ("proportional", "shapley-exact"):
-    constants = rep_expansion_constants(mechanism, instance.exponents)
-    lam = gamma_alpha(instance) + lambda_alpha(constants, 2.0)
-    rep = smoothness_check(instance, mechanism, lam, 0.5)
+    lam, mu = smoothness_constants(instance, mechanism)
+    rep = smoothness_check(instance, mechanism, lam, mu)
     print(f"smoothness ({mechanism}): {rep.pairs_tested} pairs, "
           f"max ratio {rep.max_ratio:.3f} vs lambda {lam:.0f} -> "
           f"{'ok' if rep.ok else 'VIOLATED'}")

@@ -1,7 +1,8 @@
 """Network design under (dis)economies of scale: cost-sharing games,
 approximate best-response dynamics and their verification toolkit."""
 
-from .bounds import TheoreticalBounds, gamma_alpha, harmonic, lambda_alpha, theoretical_bounds
+from .bounds import (TheoreticalBounds, gamma_alpha, harmonic, smoothness_constants,
+                     theoretical_bounds)
 from .engine import (
     AbrdConfig,
     PassView,

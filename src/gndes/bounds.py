@@ -6,7 +6,10 @@ rho, the induced game is (lambda, mu)-smooth with
     lambda = gamma_alpha + lambda_alpha * rho**alpha_max,   mu = 1 / (2 rho),
 
 where gamma_alpha = max_e min_j (sigma_e / ((alpha_j - 1) xi_{e,j}))**(1/alpha_j)
-and lambda_alpha = max_j (2 K_j ceil(max z))**(alpha_max + 1).  With the
+and lambda_alpha = max_j (2 K_j ceil(max z))**(alpha_max + 1).  Both
+mechanisms have K_j = 2 (``sharing.rep_expansion_constants``), so
+lambda_alpha = (4 ceil(max z))**(alpha_max + 1); rho is the largest factor
+``oracles.oracle_rho`` reports over the instance's requests.  With the
 (A, B)-bounded potential (A = H_N, B = ceil(alpha_max)) the step budget is
 T = ceil(Q ln(A B N**alpha_max)) for Q = 2 eps1 N A / (1 - rho eps1^2 mu),
 and the best profile seen within T steps costs at most
@@ -23,7 +26,8 @@ from dataclasses import dataclass
 
 from .errors import ConfigError
 from .instance import Instance, left_sum
-from .sharing import RepExpansionConstants
+from .oracles import oracle_rho
+from .sharing import RepExpansionConstants, rep_expansion_constants
 
 
 def harmonic(n: int) -> float:
@@ -37,12 +41,17 @@ def gamma_alpha(instance: Instance) -> float:
     best = 0.0
     alphas = instance.exponents.alphas
     for res in instance.resources:
-        candidates = [
-            (res.sigma / ((a - 1.0) * xi)) ** (1.0 / a)
-            for xi, a in zip(res.xis, alphas) if xi > 0
-        ]
-        best = max(best, min(candidates))
+        best = max(best, min(_gamma_term(res.sigma, xi, a)
+                             for xi, a in zip(res.xis, alphas) if xi > 0))
     return best
+
+
+def _gamma_term(sigma: float, xi: float, alpha: float) -> float:
+    scale = (alpha - 1.0) * xi
+    if scale == 0.0:
+        # a subnormal xi underflowed: sigma / scale is +inf, or 0 at sigma = 0
+        return math.inf if sigma > 0.0 else 0.0
+    return (sigma / scale) ** (1.0 / alpha)
 
 
 def _finite(name: str, alpha_max: float, compute) -> float:
@@ -56,11 +65,22 @@ def _finite(name: str, alpha_max: float, compute) -> float:
     return value
 
 
-def lambda_alpha(constants: RepExpansionConstants, alpha_max: float) -> float:
-    return _finite("lambda_alpha", alpha_max, lambda: max(
-        (2.0 * k * math.ceil(constants.z_max)) ** (alpha_max + 1.0)
-        for k in constants.k_values()
-    ))
+def _lambda(instance: Instance, constants: RepExpansionConstants,
+            rho: float) -> tuple[float, float, float]:
+    """gamma_alpha, lambda_alpha and lambda at oracle ratio ``rho``."""
+    alpha_max = instance.exponents.alpha_max
+    g = gamma_alpha(instance)
+    la = _finite("lambda_alpha", alpha_max,
+                 lambda: (4.0 * math.ceil(constants.z_max)) ** (alpha_max + 1.0))
+    lam = _finite("lambda", alpha_max, lambda: g + la * rho ** alpha_max)
+    return g, la, lam
+
+
+def smoothness_constants(instance: Instance, mechanism: str) -> tuple[float, float]:
+    """(lambda, mu) of the game under exact best responses: the lambda of
+    :func:`theoretical_bounds` at rho = 1, and mu = 1/(2 rho) = 1/2."""
+    constants = rep_expansion_constants(mechanism, instance.exponents)
+    return _lambda(instance, constants, 1.0)[2], 0.5
 
 
 @dataclass(frozen=True)
@@ -78,10 +98,10 @@ class TheoreticalBounds:
     rho: float
 
 
-def theoretical_bounds(instance: Instance, rho: float, epsilon: float,
-                       constants: RepExpansionConstants) -> TheoreticalBounds:
-    if rho < 1.0:
-        raise ConfigError("oracle ratio rho must be >= 1")
+def theoretical_bounds(instance: Instance, mechanism: str, epsilon: float) -> TheoreticalBounds:
+    """The guarantee of an ABRD run on ``instance`` under ``mechanism``."""
+    constants = rep_expansion_constants(mechanism, instance.exponents)
+    rho = max(oracle_rho(instance, req) for req in instance.requests)
     if not 0.0 < epsilon < 1.0:
         raise ConfigError("epsilon must lie in (0, 1)")
     eps1 = (1.0 + epsilon) / (1.0 - epsilon)
@@ -93,9 +113,7 @@ def theoretical_bounds(instance: Instance, rho: float, epsilon: float,
 
     alpha_max = instance.exponents.alpha_max
     n = instance.n_requests
-    g = gamma_alpha(instance)
-    la = lambda_alpha(constants, alpha_max)
-    lam = _finite("lambda", alpha_max, lambda: g + la * rho ** alpha_max)
+    g, la, lam = _lambda(instance, constants, rho)
     ratio_bound = _finite("the ratio bound", alpha_max,
                           lambda: 2.0 * rho * eps1 * eps1 * lam / denom)
     a = harmonic(n)

@@ -21,9 +21,8 @@ from .analysis import (
     smoothness_check,
     smoothness_report_csv,
 )
-from .bounds import gamma_alpha, lambda_alpha, theoretical_bounds
-from .engine import (AbrdConfig, derived_rho, result_to_json_dict, run_abrd, run_report,
-                     trace_to_csv)
+from .bounds import smoothness_constants, theoretical_bounds
+from .engine import AbrdConfig, result_to_json_dict, run_abrd, run_report, trace_to_csv
 from .errors import (
     ConfigError,
     EnumerationLimitError,
@@ -34,7 +33,6 @@ from .errors import (
 )
 from .fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from .io import parse_instance, write_instance
-from .sharing import rep_expansion_constants
 
 CSM_CHOICES = ("proportional", "shapley", "shapley-sampled")
 
@@ -126,9 +124,7 @@ def _cmd_nash(args) -> int:
 def _cmd_smooth(args) -> int:
     instance = parse_instance(args.instance)
     mechanism = _MECHANISM[args.csm]
-    constants = rep_expansion_constants(mechanism, instance.exponents)
-    lam = gamma_alpha(instance) + lambda_alpha(constants, instance.exponents.alpha_max)
-    mu = 0.5
+    lam, mu = smoothness_constants(instance, mechanism)
     if args.csv:
         report, text = smoothness_report_csv(instance, mechanism, lam, mu,
                                              max_pairs=args.pairs, seed=args.seed)
@@ -201,9 +197,7 @@ def _cmd_fpl(args) -> int:
 
 def _cmd_bounds(args) -> int:
     instance = parse_instance(args.instance)
-    mechanism = _MECHANISM[args.csm]
-    constants = rep_expansion_constants(mechanism, instance.exponents)
-    b = theoretical_bounds(instance, derived_rho(instance), args.epsilon, constants)
+    b = theoretical_bounds(instance, _MECHANISM[args.csm], args.epsilon)
     if args.json:
         print(json.dumps({
             "epsilon1": b.epsilon1, "gamma_alpha": b.gamma_alpha,

@@ -36,6 +36,7 @@ one ("last"), the full per-step trace, and the theoretical constants.
 
 from __future__ import annotations
 
+import sys
 from dataclasses import dataclass, replace
 from typing import Callable, Optional
 
@@ -43,16 +44,9 @@ from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import Instance, StrategyProfile, left_sum, rep_cost, total_cost
-from .oracles import OracleAnswer, clamp_toll, oracle_rho, reply_oracle
+from .oracles import OracleAnswer, clamp_toll, reply_oracle
 from .rng import keyed_rng
-from .sharing import (
-    MECHANISMS,
-    ShareQuery,
-    cost_share,
-    rep_expansion_constants,
-    samples_needed,
-    whp_delta,
-)
+from .sharing import MECHANISMS, ShareQuery, cost_share, samples_needed, whp_delta
 
 
 @dataclass(frozen=True)
@@ -116,10 +110,6 @@ class RunResult:
         if self.opt_cost is None:
             return None
         return self.output_cost / self.opt_cost
-
-
-def derived_rho(instance: Instance) -> float:
-    return max(oracle_rho(instance, req) for req in instance.requests)
 
 
 def initial_profile(instance: Instance) -> StrategyProfile:
@@ -344,14 +334,16 @@ def _select(config: AbrdConfig, dpass: DeltaPass, step: int) -> Optional[int]:
 def run_abrd(instance: Instance, config: AbrdConfig,
              brute_force: Optional[Callable[[Instance], tuple[StrategyProfile, float]]] = None,
              ) -> RunResult:
-    constants = rep_expansion_constants(config.mechanism, instance.exponents)
-    bounds = theoretical_bounds(instance, derived_rho(instance), config.epsilon, constants)
+    bounds = theoretical_bounds(instance, config.mechanism, config.epsilon)
 
     planned = bounds.T
     if config.selection == "randomized":
         planned = instance.n_requests * bounds.T ** 2
     budget = planned if config.step_budget_override is None else config.step_budget_override
     delta = whp_delta(budget, instance.n_requests, len(instance.resources))
+    if config.mechanism == "shapley-sampled" and delta < sys.float_info.min:
+        raise ConfigError("the step budget is too large for shapley-sampled: "
+                          "the per-share failure probability underflows")
     # proportional sharing has no potential to track
     tracks_potential = config.mechanism != "proportional"
 
@@ -451,8 +443,11 @@ def run_report(instance: Instance, result: RunResult) -> str:
         + ("  (override; ratio guarantee void)" if result.budget_overridden else ""),
     ]
     if config.mechanism == "shapley-sampled":
-        fail = 1.0 / (2.0 * max(1, result.step_budget)
-                      * instance.n_requests * len(instance.resources))
+        budget, n, m = max(1, result.step_budget), instance.n_requests, len(instance.resources)
+        try:
+            fail = 1.0 / (2.0 * budget * n * m)
+        except OverflowError:
+            fail = 1 / (2 * budget * n * m)   # a budget past the largest double
         lines.append(f"  sampling failure probability <= {_fmt(fail)}")
         if result.sample_cap_hits:
             lines.append(f"  epsilon guarantee void on {result.sample_cap_hits}"

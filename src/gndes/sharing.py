@@ -192,10 +192,6 @@ class CountingTables:
         self._old_tables, self._tables = self._tables, {}
         self._old_h, self._h = self._h, {}
 
-    def weight_multisets(self) -> set[tuple[int, ...]]:
-        """The sorted weight tuples whose tables the store holds."""
-        return set(self._tables) | set(self._old_tables)
-
 
 def shapley_exact(query: ShareQuery, tables: Optional[CountingTables] = None) -> float:
     """Exact Shapley share via the subset-coefficient formula.
@@ -343,8 +339,13 @@ def shapley_sampled(query: ShareQuery, rng: np.random.Generator, samples: int) -
 
 def whp_delta(steps: int, n_requests: int, n_resources: int) -> float:
     """Per-share failure probability so that all T*N*|E| shares of a run are
-    within band with high probability."""
-    return 1.0 / (2.0 * (max(1, steps) * n_requests * n_resources) ** 2)
+    within band with high probability.  When 2 (T N |E|)^2 is past the
+    largest double, the exact quotient rounds to a subnormal or to 0.0."""
+    count = max(1, steps) * n_requests * n_resources
+    try:
+        return 1.0 / (2.0 * count ** 2)
+    except OverflowError:
+        return 1 / (2 * count ** 2)
 
 
 def cost_share(mechanism: str, query: ShareQuery,
@@ -365,30 +366,20 @@ def cost_share(mechanism: str, query: ShareQuery,
 # ---------------------------------------------------------------------------
 
 @dataclass(frozen=True)
-class ExpansionTerm:
-    x: float
-    y: float
-    z: float
-
-
-@dataclass(frozen=True)
 class RepExpansionConstants:
-    """Per-exponent constants certifying the share bound
+    """Per-exponent constants (z_1, z_2) certifying the share bound
 
-        f_{i,e} <= sigma_e + sum_j xi_j sum_k z_k (l - w_i)^{x_k} w_i^{y_k}
+        f_{i,e} <= sigma_e + sum_j xi_j (z_1 w_i^alpha_j + z_2 (l - w_i)^(alpha_j - 1) w_i),
 
-    with 0 <= x_k <= alpha_j - 1, 1 <= y_k <= alpha_j and x_k + y_k = alpha_j.
+    the expansion with K_j = 2 terms, (x, y) = (0, alpha_j) and
+    (alpha_j - 1, 1), that both mechanisms have.
     """
 
-    mechanism: str
-    terms: tuple[tuple[ExpansionTerm, ...], ...]
+    z: tuple[tuple[float, float], ...]
 
     @property
     def z_max(self) -> float:
-        return max(t.z for terms_j in self.terms for t in terms_j)
-
-    def k_values(self) -> tuple[int, ...]:
-        return tuple(len(terms_j) for terms_j in self.terms)
+        return max(max(z_j) for z_j in self.z)
 
 
 def _binom_real(alpha: float, k: int) -> float:
@@ -399,29 +390,24 @@ def _binom_real(alpha: float, k: int) -> float:
 
 
 def rep_expansion_constants(mechanism: str, exponents: ExponentProfile) -> RepExpansionConstants:
-    """Expansion constants for the two supported mechanisms, named as in
-    :data:`MECHANISMS` or as plain ``"shapley"``.
+    """Expansion constants of a mechanism of :data:`MECHANISMS`.
 
     proportional: z_1 = z_2 = 2^{alpha-1};
-    shapley: z_1 = 3^alpha, z_2 = 2 * binom(alpha, floor((alpha+1)/2)),
-    both with (x_1, y_1) = (0, alpha) and (x_2, y_2) = (alpha-1, 1).
+    Shapley, exact or sampled: z_1 = 3^alpha, z_2 = 2 * binom(alpha, floor((alpha+1)/2)).
     """
-    if mechanism not in MECHANISMS and mechanism != "shapley":
+    if mechanism not in MECHANISMS:
         raise ConfigError(f"unknown mechanism {mechanism!r}")
-    base = mechanism.split("-")[0]
-    per_j = []
+    z = []
     for a in exponents.alphas:
         try:
-            if base == "proportional":
-                z1 = z2 = 2.0 ** (a - 1.0)
+            if mechanism == "proportional":
+                z.append((2.0 ** (a - 1.0),) * 2)
             else:
-                z1 = 3.0 ** a
-                z2 = 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))
+                z.append((3.0 ** a, 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))))
         except OverflowError:
             raise ConfigError(
                 f"expansion constants exceed the largest double at alpha = {a:g}") from None
-        per_j.append((ExpansionTerm(0.0, a, z1), ExpansionTerm(a - 1.0, 1.0, z2)))
-    return RepExpansionConstants(mechanism=base, terms=tuple(per_j))
+    return RepExpansionConstants(tuple(z))
 
 
 @dataclass(frozen=True)
@@ -435,18 +421,16 @@ class ExpansionCheck:
 
 
 def rep_expansion_check(mechanism: str, query: ShareQuery) -> ExpansionCheck:
-    """Evaluate both sides of the expansion inequality on one query; any
+    """Evaluate both sides of the expansion inequality on one query; a
     Shapley mechanism is checked with its exact share."""
     constants = rep_expansion_constants(mechanism, query.exponents)
-    exact = "shapley-exact" if constants.mechanism == "shapley" else "proportional"
-    share = cost_share(exact, query)
+    share = cost_share("proportional" if mechanism == "proportional" else "shapley-exact",
+                       query)
     res = query.resource
     w = float(query.target_weight)
     rest = float(query.load - query.target_weight)
     bound = res.sigma
-    for xi, terms_j in zip(res.xis, constants.terms):
-        if not xi:
-            continue
-        bound += xi * left_sum(t.z * rest ** t.x * w ** t.y for t in terms_j)
+    for xi, a, (z1, z2) in zip(res.xis, query.exponents.alphas, constants.z):
+        if xi:
+            bound += xi * (z1 * w ** a + z2 * rest ** (a - 1.0) * w)
     return ExpansionCheck(share=share, bound=bound)
-

@@ -24,7 +24,7 @@ from gndes.analysis import (
     potential_exactness_check,
     smoothness_check,
 )
-from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
+from gndes.bounds import harmonic, smoothness_constants
 from gndes.engine import run_abrd, trace_to_csv
 from gndes.fpl import FplConfig, run_l_apx
 from gndes.instance import (
@@ -43,7 +43,6 @@ from gndes.sharing import (
     ShareQuery,
     hoeffding_sample_count,
     proportional_share,
-    rep_expansion_constants,
     shapley_exact,
     shapley_sampled,
 )
@@ -181,9 +180,8 @@ def test_criterion_04_smoothness():
     pairs_total = 0
     for inst in instances:
         for mechanism in ("proportional", "shapley-exact"):
-            constants = rep_expansion_constants(mechanism, inst.exponents)
-            lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-            rep = smoothness_check(inst, mechanism, lam, 0.5, max_pairs=10_000)
+            lam, mu = smoothness_constants(inst, mechanism)
+            rep = smoothness_check(inst, mechanism, lam, mu, max_pairs=10_000)
             assert rep.ok
             pairs_total += rep.pairs_tested
     report(4, f"{pairs_total} ordered profile pairs over {len(instances)} instances, "
@@ -220,9 +218,8 @@ def test_criterion_07_poa_family():
             rep = enumerate_nash(inst, mechanism)
             assert direct in rep.nash_profiles
             assert rep.poa >= n / 3.0
-            constants = rep_expansion_constants(mechanism, inst.exponents)
-            lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-            assert rep.poa <= lam / (1 - 0.5)
+            lam, mu = smoothness_constants(inst, mechanism)
+            assert rep.poa <= lam / (1 - mu)
     report(7, "N in {2,3,4,5}: all-direct is a NE under both mechanisms, "
               "PoA >= N/3 and below the smoothness ceiling")
 

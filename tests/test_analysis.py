@@ -39,8 +39,7 @@ from gndes.analysis import (
     smoothness_check,
     smoothness_report_csv,
 )
-from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
-from gndes.sharing import rep_expansion_constants
+from gndes.bounds import harmonic, smoothness_constants
 
 from helpers import grid_graph, random_explicit_instance, rng_for
 
@@ -327,13 +326,11 @@ class TestNash:
                 twins = replace(inst, requests=tuple(
                     replace(inst.requests[0], id=req.id) for req in inst.requests))
                 for inst in (inst, twins):
-                    constants = rep_expansion_constants(mechanism, inst.exponents)
-                    lam = gamma_alpha(inst) + lambda_alpha(constants,
-                                                           inst.exponents.alpha_max)
+                    lam, mu = smoothness_constants(inst, mechanism)
                     report = enumerate_nash(inst, mechanism)
                     assert report.opt_cost == brute_force_opt(inst)[1]
                     if report.worst_nash_cost is not None:
-                        assert report.worst_nash_cost <= (lam / 0.5) * report.opt_cost
+                        assert report.worst_nash_cost <= (lam / mu) * report.opt_cost
                     costs = [total_cost(inst, p) for p in product(
                         *(candidate_replies(inst, req) for req in inst.requests))]
                     ties += costs.count(min(costs)) > 1
@@ -349,9 +346,8 @@ class TestSmoothness:
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
     def test_parallel_edges_exhaustive(self, mechanism):
         inst = parallel_edges_instance()
-        constants = rep_expansion_constants(mechanism, inst.exponents)
-        lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-        report = smoothness_check(inst, mechanism, lam, 0.5)
+        lam, mu = smoothness_constants(inst, mechanism)
+        report = smoothness_check(inst, mechanism, lam, mu)
         assert report.pairs_tested == 16
         assert report.ok
         assert report.max_ratio <= lam
@@ -384,9 +380,8 @@ class TestSmoothness:
         for mechanism in ("proportional", "shapley-exact"):
             for _ in range(6):
                 inst = random_explicit_instance(rng, max_players=3, max_resources=4)
-                constants = rep_expansion_constants(mechanism, inst.exponents)
-                lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-                report = smoothness_check(inst, mechanism, lam, 0.5, max_pairs=400,
+                lam, mu = smoothness_constants(inst, mechanism)
+                report = smoothness_check(inst, mechanism, lam, mu, max_pairs=400,
                                           seed=int(rng.integers(10_000)))
                 assert report.ok
 

@@ -86,6 +86,32 @@ class TestSolve:
         assert "output cost      5" in out
         assert "ratio guarantee void" in out
 
+    # 201 digits, and the 4300 digits that int() reads at most
+    HUGE_BUDGETS = ["1" + "0" * 200, "1" + "0" * 4299]
+
+    @pytest.mark.parametrize("budget", HUGE_BUDGETS, ids=["201-digits", "4300-digits"])
+    @pytest.mark.parametrize("csm", ["proportional", "shapley"])
+    def test_huge_max_steps_runs_as_usual(self, capsys, parallel_file, csm, budget):
+        code, out, err = run_cli(capsys, "solve", "--instance", parallel_file, "--csm", csm,
+                                 "--max-steps", budget, "--json")
+        assert code == 0 and err == ""
+        huge = json.loads(out)
+        code, out, _ = run_cli(capsys, "solve", "--instance", parallel_file, "--csm", csm,
+                               "--json")
+        usual = json.loads(out)
+        assert huge.pop("step_budget") == int(budget) and huge.pop("budget_overridden")
+        del usual["step_budget"], usual["budget_overridden"]
+        assert huge == usual
+
+    @pytest.mark.parametrize("budget", HUGE_BUDGETS, ids=["201-digits", "4300-digits"])
+    def test_huge_max_steps_under_sampling_exit_2(self, capsys, parallel_file, budget):
+        code, out, err = run_cli(capsys, "solve", "--instance", parallel_file,
+                                 "--csm", "shapley-sampled", "--max-steps", budget)
+        assert code == 2
+        assert out == ""
+        assert err == ("error: the step budget is too large for shapley-sampled: "
+                       "the per-share failure probability underflows\n")
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  \"alphas\": [2.0,\n}", encoding="utf-8")
@@ -261,8 +287,7 @@ class TestSmoothBoundsFpl:
 
     def test_smooth_violation_exit_1(self, capsys, monkeypatch, parallel_file):
         # lambda = 0 fails every pair with a positive deviation sum
-        monkeypatch.setattr(cli, "gamma_alpha", lambda instance: 0.0)
-        monkeypatch.setattr(cli, "lambda_alpha", lambda constants, alpha_max: 0.0)
+        monkeypatch.setattr(cli, "smoothness_constants", lambda instance, mechanism: (0.0, 0.5))
         code, out, _ = run_cli(capsys, "smooth", "--instance", parallel_file)
         assert code == 1
         assert "  lambda        0\n" in out and "FAIL" in out
@@ -389,9 +414,9 @@ class TestPoaGen:
         assert code == 2 and "16" in err
 
 
-def one_machine(alpha, weight_all=1):
+def one_machine(alpha, weight_all=1, sigma=1.0, xi=1.0):
     """One request on one machine, so a constant or cost grows only with alpha."""
-    return {"alphas": [alpha], "resources": [{"id": "m", "sigma": 1.0, "xis": [1.0]}],
+    return {"alphas": [alpha], "resources": [{"id": "m", "sigma": sigma, "xis": [xi]}],
             "requests": [{"id": 1, "weight_all": weight_all,
                           "kind": {"type": "machine_choice", "machines": ["m"]}}]}
 
@@ -443,6 +468,25 @@ class TestBeyondADouble:
         assert code == 2
         assert out == ""
         assert err == "error: lambda exceeds the largest double at alpha_max = 24\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "solve", "smooth"])
+    @pytest.mark.parametrize("alpha", [1.5, 3])
+    def test_subnormal_factor_exit_2(self, capsys, tmp_path, command, alpha):
+        # (alpha - 1) xi is 0.0 at alpha 1.5 and subnormal at 3, so gamma_alpha
+        # is infinite either way
+        path = instance_file(tmp_path, one_machine(alpha, xi=5e-324))
+        code, out, err = run_cli(capsys, command, "--instance", path)
+        assert code == 2
+        assert out == ""
+        assert err == f"error: lambda exceeds the largest double at alpha_max = {alpha}\n"
+
+    @pytest.mark.parametrize("command", ["bounds", "solve", "smooth"])
+    def test_subnormal_factor_without_startup_cost_runs(self, capsys, tmp_path, command):
+        path = instance_file(tmp_path, one_machine(1.5, sigma=0.0, xi=5e-324))
+        code, out, _ = run_cli(capsys, command, "--instance", path, "--json")
+        assert code == 0
+        if command == "bounds":
+            assert json.loads(out)["gamma_alpha"] == 0.0
 
     @pytest.mark.parametrize("command", ["brute", "nash"])
     def test_cost_beyond_a_double_exit_2(self, capsys, tmp_path, command):

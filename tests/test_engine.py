@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import pytest
 
@@ -21,7 +22,7 @@ from gndes import (
     total_cost,
 )
 from gndes.analysis import brute_force_opt
-from gndes.bounds import harmonic
+from gndes.bounds import harmonic, theoretical_bounds
 from gndes.engine import (
     result_to_json_dict,
     run_report,
@@ -286,7 +287,6 @@ class TestRunAbrd:
 
     def test_directed_instance_uses_heuristic_rho(self):
         from gndes import Edge, HostGraph, MultiRouting, SetConnectivity, validate_reply
-        from gndes.engine import derived_rho
 
         g = HostGraph(True, ("a", "b", "c", "d"),
                       (Edge("ab", "a", "b"), Edge("bc", "b", "c"),
@@ -299,7 +299,8 @@ class TestRunAbrd:
              Request(id=2, kind=SetConnectivity(("a", "b", "c")))),
             g,
         )
-        assert derived_rho(inst) == 3.0   # max(2 pairs, 3 cycle legs)
+        # max(2 pairs, 3 cycle legs)
+        assert theoretical_bounds(inst, "shapley-exact", 0.01).rho == 3.0
         result = run_abrd(inst, AbrdConfig(seed=0), brute_force=brute_force_opt)
         assert result.bounds.rho == 3.0
         assert result.ratio <= result.bounds.ratio_bound
@@ -392,6 +393,33 @@ class TestSampledRuns:
         exact = run_abrd(small, AbrdConfig())
         assert "sampled_shares" not in result_to_json_dict(small, exact)
         assert "epsilon guarantee void" not in run_report(small, exact)
+
+    @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
+    def test_a_budget_past_a_double_runs_as_usual_without_sampling(self, mechanism):
+        inst = parallel_edges_instance()
+        huge = run_abrd(inst, AbrdConfig(mechanism=mechanism, step_budget_override=10 ** 400))
+        usual = run_abrd(inst, AbrdConfig(mechanism=mechanism))
+        assert huge.step_budget == 10 ** 400
+        assert huge.trace == usual.trace and huge.converged_at is not None
+
+    def test_a_sampled_run_whose_failure_probability_underflows_is_refused(self):
+        # on two players and two resources 1 / (2 (T N |E|)^2) falls below
+        # the least normal double from T = 10^154 on, and to 0.0 from 10^162
+        inst = parallel_edges_instance()
+        for budget in (10 ** 154, 10 ** 162, 10 ** 400):
+            config = AbrdConfig(mechanism="shapley-sampled", step_budget_override=budget)
+            with pytest.raises(ConfigError, match="^the step budget is too large for "
+                                                  "shapley-sampled"):
+                run_abrd(inst, config)
+        result = run_abrd(inst, replace(config, step_budget_override=10 ** 153))
+        assert result.converged_at is not None
+
+    def test_report_of_a_budget_past_a_double(self):
+        inst = parallel_edges_instance()
+        result = run_abrd(inst, AbrdConfig(mechanism="shapley-sampled", step_budget_override=2))
+        for budget, fail in ((10 ** 400, "0"), (10 ** 320, "1.24998608e-321")):
+            text = run_report(inst, replace(result, step_budget=budget))
+            assert f"  sampling failure probability <= {fail}\n" in text
 
 
 class TestTraceCsv:

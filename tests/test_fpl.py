@@ -17,7 +17,7 @@ from gndes import (
     rep_cost,
 )
 from gndes.analysis import brute_force_opt, candidate_replies
-from gndes.bounds import gamma_alpha, lambda_alpha
+from gndes.bounds import smoothness_constants
 from gndes.fpl import (
     ROUNDS_CAP,
     FplConfig,
@@ -28,7 +28,6 @@ from gndes.fpl import (
 )
 from gndes.instance import total_cost
 from gndes.rng import keyed_rng
-from gndes.sharing import rep_expansion_constants
 
 from helpers import random_exponents, random_resource, rng_for
 
@@ -245,7 +244,8 @@ class TestRunLApx:
 
     def test_two_player_cost_within_smooth_bound(self):
         # average output cost over seeds against the conditional guarantee
-        # 2 (gamma + lambda_alpha + 1/LB) C'* with LB = C'* known by brute force
+        # 2 (lambda + 1/LB) C'*, lambda = gamma_alpha + lambda_alpha of the
+        # exact game, with LB = C'* known by brute force
         g = HostGraph(False, ("s", "t"), (Edge("e1", "s", "t"), Edge("e2", "s", "t")))
         inst = Instance(
             ExponentProfile((2.0,)),
@@ -255,8 +255,8 @@ class TestRunLApx:
         )
         scaled, scale = normalize_costs(inst)
         _, opt_scaled = brute_force_opt(scaled)
-        constants = rep_expansion_constants("proportional", inst.exponents)
-        bound = 2 * (gamma_alpha(inst) + lambda_alpha(constants, 2.0) + 1 / opt_scaled)
+        lam, _ = smoothness_constants(inst, "proportional")
+        bound = 2 * (lam + 1 / opt_scaled)
         costs = [run_l_apx(inst, FplConfig(seed=s, rounds=200)).cost / scale
                  for s in range(10)]
         assert sum(costs) / len(costs) <= bound * opt_scaled

@@ -10,28 +10,35 @@ decides on as ``float.hex``: every step's cost, deltas and potential, the
 best cost, t* and the selected players of the golden ABRD cases and of the
 first instance of each ABRD benchmark workload at seed 1
 (``bench/workloads.py``), the FPL regrets and costs, and H_n for n < 60.
+Another, ``guarantees.txt``, pins what a user reads of a guarantee.
 After a deliberate change of output, rewrite the files, the demos' outputs
 (``tests/test_demos.py``) included, with ``PYTHONPATH=src python
 tests/test_golden.py`` and review the diff.
 """
 
 import builtins
+import contextlib
+import dataclasses
+import io
+import json
 import math
 import runpy
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, MachineChoice,
-                   Request, ResourceParams, Routing, run_abrd, sharing)
+                   Request, ResourceParams, Routing, cli, run_abrd, sharing)
 from gndes.analysis import nash_report_csv, poa_lower_bound_instance, smoothness_report_csv
-from gndes.bounds import gamma_alpha, harmonic, lambda_alpha
+from gndes.bounds import harmonic, smoothness_constants, theoretical_bounds
 from gndes.engine import run_report, trace_to_csv
 from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
-from gndes.sharing import rep_expansion_constants
+from gndes.io import parse_instance_text
+from gndes.sharing import MECHANISMS, rep_expansion_check
 
-from helpers import grid_graph, seeded_case
+from helpers import grid_graph, random_share_query, rng_for, seeded_case
 from test_demos import DEMOS, demo_output, golden_name
 
 GOLDEN = Path(__file__).resolve().parent / "golden"
@@ -164,9 +171,120 @@ def _poa_n2(kind):
     mechanism = "shapley-exact"
     if kind == "nash":
         return nash_report_csv(inst, mechanism)[1]
-    constants = rep_expansion_constants(mechanism, inst.exponents)
-    lam = gamma_alpha(inst) + lambda_alpha(constants, inst.exponents.alpha_max)
-    return smoothness_report_csv(inst, mechanism, lam, 0.5)[1]
+    return smoothness_report_csv(inst, mechanism, *smoothness_constants(inst, mechanism))[1]
+
+
+def _resources(*specs):
+    return [{"id": rid, "sigma": sigma, "xis": xis} for rid, sigma, xis in specs]
+
+
+_SQUARE = {"directed": False, "vertices": ["p", "q", "r", "s"],
+           "edges": [{"id": e, "tail": e[0], "head": e[1]}
+                     for e in ("pq", "qr", "rs", "sp", "pr")]}
+_ONE_WAY_SQUARE = {"directed": True, "vertices": ["a", "b", "c", "d"],
+                   "edges": [{"id": e, "tail": e[0], "head": e[1]}
+                             for e in ("ab", "bc", "cd", "da", "ac", "ca")]}
+_SQUARE_RESOURCES = _resources(("pq", 1.0, [0.5, 0.0]), ("qr", 3.0, [0.25, 0.75]),
+                               ("rs", 0.0, [1.5, 0.1]), ("sp", 2.5, [0.0, 0.3]),
+                               ("pr", 6.0, [0.2, 0.2]))
+_ONE_WAY_RESOURCES = _resources(("ab", 1.0, [0.3, 0.6]), ("bc", 2.0, [0.7, 0.0]),
+                                ("cd", 0.5, [0.0, 1.2]), ("da", 4.0, [0.9, 0.4]),
+                                ("ac", 7.0, [0.1, 0.1]), ("ca", 3.0, [0.6, 2.0]))
+
+# instance files whose oracle ratio rho is 1, 2 and 3 or more, by label
+GUARANTEE_INSTANCES = {
+    "machines, rho 1": {
+        "alphas": [2.0, 3.0],
+        "resources": _resources(("m1", 3.0, [1.0, 0.0]), ("m2", 0.5, [0.2, 0.4]),
+                                ("m3", 2.0, [0.0, 0.7])),
+        "requests": [
+            {"id": 1, "kind": {"type": "machine_choice", "machines": ["m1", "m2", "m3"]}},
+            {"id": 2, "weight_all": 2,
+             "kind": {"type": "machine_choice", "machines": ["m1", "m2"]}},
+            {"id": 3, "weights": {"m2": 3},
+             "kind": {"type": "machine_choice", "machines": ["m2", "m3"]}}]},
+    "explicit replies, rho 1": {
+        "alphas": [1.5],
+        "resources": _resources(("a", 1.0, [1.0]), ("b", 4.0, [0.5]), ("c", 0.0, [2.0])),
+        "requests": [
+            {"id": 1, "kind": {"type": "explicit", "replies": [["a"], ["b", "c"]]}},
+            {"id": 2, "weight_all": 2,
+             "kind": {"type": "explicit", "replies": [["a", "b"], ["c"]]}}]},
+    "set connectivity, rho 2": {
+        "alphas": [2.5, 1.25], "resources": _SQUARE_RESOURCES, "graph": _SQUARE,
+        "requests": [
+            {"id": 1, "kind": {"type": "set_connectivity", "terminals": ["p", "q", "r"]}},
+            {"id": 2, "weight_all": 2,
+             "kind": {"type": "set_connectivity", "terminals": ["q", "s"]}}]},
+    "multi-routing, rho 2": {
+        "alphas": [2.0, 3.5], "resources": _SQUARE_RESOURCES, "graph": _SQUARE,
+        "requests": [
+            {"id": 1, "kind": {"type": "multi_routing", "pairs": [["p", "r"], ["q", "s"]]}},
+            {"id": 2, "weight_all": 2,
+             "kind": {"type": "multi_routing", "pairs": [["p", "q"]]}}]},
+    "directed multi-routing with 3 pairs, rho 3": {
+        "alphas": [2.0, 1.5], "resources": _ONE_WAY_RESOURCES, "graph": _ONE_WAY_SQUARE,
+        "requests": [
+            {"id": 1, "kind": {"type": "multi_routing",
+                               "pairs": [["a", "c"], ["b", "d"], ["c", "a"]]}},
+            {"id": 2, "weight_all": 3,
+             "kind": {"type": "routing", "source": "a", "target": "d"}}]},
+    "strong connectivity of 4 terminals, rho 4": {
+        "alphas": [1.8, 2.2], "resources": _ONE_WAY_RESOURCES, "graph": _ONE_WAY_SQUARE,
+        "requests": [
+            {"id": 1, "kind": {"type": "set_connectivity", "terminals": ["a", "b", "c", "d"]}},
+            {"id": 2, "weight_all": 2,
+             "kind": {"type": "set_connectivity", "terminals": ["a", "c"]}}]},
+}
+
+
+def _cli_output(*argv):
+    """Exit code, stdout and stderr of one ``gndes`` command."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = cli.main(list(argv))
+    return f"exit {code}\n{out.getvalue()}{err.getvalue()}"
+
+
+def _bounds_fields(inst, mechanism, epsilon):
+    b = theoretical_bounds(inst, mechanism, epsilon)
+    return " ".join(f"{f.name}={getattr(b, f.name)}" if f.name == "T"
+                    else f"{f.name}={float.hex(getattr(b, f.name))}"
+                    for f in dataclasses.fields(b))
+
+
+def _guarantees():
+    """Every guarantee a user can read: ``gndes bounds`` and ``gndes smooth``
+    as text and JSON under both --csm choices, the ``TheoreticalBounds``
+    fields as ``float.hex`` under every mechanism, and both sides of the
+    expansion inequality on seeded queries with one and two exponents."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        path = str(Path(tmp) / "instance.json")
+        for label, doc in GUARANTEE_INSTANCES.items():
+            text = json.dumps(doc)
+            Path(path).write_text(text, encoding="utf-8")
+            lines.append(f"== {label}")
+            for csm in ("proportional", "shapley"):
+                for command, extra in (("bounds", ()), ("smooth", ("--pairs", "400"))):
+                    for fmt in ((), ("--json",)):
+                        argv = (command, "--instance", path, "--csm", csm, *extra, *fmt)
+                        lines.append("$ gndes " + " ".join(argv).replace(path, "FILE"))
+                        lines.append(_cli_output(*argv).rstrip("\n"))
+            inst = parse_instance_text(text)
+            for mechanism in MECHANISMS:
+                for epsilon in (0.01, 0.1):
+                    lines.append(f"{mechanism} eps {epsilon}: "
+                                 + _bounds_fields(inst, mechanism, epsilon))
+    rng = rng_for(22)
+    queries = [random_share_query(rng) for _ in range(24)]
+    assert {q.exponents.q for q in queries} == {1, 2}
+    for k, q in enumerate(queries):
+        for mechanism in MECHANISMS:
+            chk = rep_expansion_check(mechanism, q)
+            lines.append(f"query {k} q={q.exponents.q} {mechanism}: share {float.hex(chk.share)}"
+                         f" bound {float.hex(chk.bound)} ok {chk.ok}")
+    return "\n".join(lines) + "\n"
 
 
 CASES = {
@@ -180,6 +298,7 @@ CASES = {
     "sampled_randomized.txt": _sampled_randomized,
     "duplicate_players.txt": _duplicate_players,
     "full_precision.txt": _full_precision,
+    "guarantees.txt": _guarantees,
     "poa_n2_nash.csv": lambda: _poa_n2("nash"),
     "poa_n2_smoothness.csv": lambda: _poa_n2("smoothness"),
 }

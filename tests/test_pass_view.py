@@ -13,6 +13,8 @@ and an independent regrouping of the others' users for every player.
 with classes of two to four identical players check that sharing too.
 """
 
+import copy
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -267,12 +269,23 @@ def test_after_each_move_the_store_holds_only_tables_used_since_the_move_before(
     instance = make(rng)
     moves = moves_of_a_run(instance, AbrdConfig(mechanism="shapley-exact"), rng, 6)
     state = next(moves)
-    used = set()
+    used, built, ever = set(), [], set()
     lookup = state.tables.table
     state.tables.table = lambda weights: used.add(tuple(sorted(weights))) or lookup(weights)
-    for state in moves:
-        assert used and state.tables.weight_multisets() == used
-        used.clear()
+    build = sharing.subset_sums_by_size
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sharing, "subset_sums_by_size",
+                      lambda weights: built.append(weights) or build(weights))
+        for state in moves:
+            # a lookup in a copy of the store builds exactly what it dropped
+            ever.update(built)
+            built.clear()
+            probe = copy.deepcopy(state.tables)
+            for weights in ever:
+                sharing.CountingTables.table(probe, weights)
+            assert used and set(built) == ever - used
+            built.clear()
+            used.clear()
 
 
 def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):

@@ -12,6 +12,7 @@ from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, PassV
                    ProfileState, Request, ResourceParams, TollRows, rep_cost, sharing)
 from gndes.analysis import budget_balance_check
 from gndes.errors import ConfigError, InstanceError
+from gndes.instance import left_sum
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     MAX_SAMPLES,
@@ -28,6 +29,7 @@ from gndes.sharing import (
     shapley_sampled,
     subset_sums_by_size,
     table_cells_bound,
+    whp_delta,
 )
 
 from helpers import random_share_query, rng_for
@@ -264,17 +266,30 @@ class TestCountingTables:
         shapley_exact(query(1.0, [1.0], [2.0], [1, 2, 2], target=1), store)
         shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 1], target=3), store)
         assert built == [(2, 2)]
-        assert store.weight_multisets() == {(2, 2)}
-        store.age()
         # a table used since the last age() survives the next one
-        shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 3], target=3), store)
+        for _ in range(2):
+            store.age()
+            shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 3], target=3), store)
+        assert built == [(2, 2)]
+        # one not used between two calls of age() is dropped and built again
         store.age()
-        assert store.weight_multisets() == {(2, 2)} and built == [(2, 2)]
-        # one not used between two calls of age() is dropped
         store.age()
-        assert store.weight_multisets() == set()
         shapley_exact(query(1.0, [1.0], [2.0], [2, 2, 3], target=3), store)
         assert built == [(2, 2), (2, 2)]
+
+
+class TestWhpDelta:
+    def test_budgets_within_a_double_keep_their_bits(self):
+        for steps, n, m in ((0, 1, 1), (32, 2, 2), (65_326, 200, 480),
+                            (200 * 65_326 ** 2, 200, 480), (10 ** 150, 3, 7)):
+            expected = 1.0 / (2.0 * (max(1, steps) * n * m) ** 2)
+            assert whp_delta(steps, n, m).hex() == expected.hex()
+
+    def test_a_budget_past_a_double_rounds_the_exact_quotient(self):
+        # 2 (T N |E|)^2 is past the largest double in each
+        assert whp_delta(10 ** 154, 2, 2) == 1 / (2 * (4 * 10 ** 154) ** 2) > 0.0
+        assert whp_delta(10 ** 161, 1, 1) == 5e-323
+        assert whp_delta(10 ** 200, 2, 2) == whp_delta(int("1" + "0" * 4299), 3, 3) == 0.0
 
 
 class TestCostShare:
@@ -514,46 +529,61 @@ class TestShapleySampled:
 class TestExpansion:
     def test_proportional_constants_alpha2(self):
         c = rep_expansion_constants("proportional", ExponentProfile((2.0,)))
-        assert [t.z for t in c.terms[0]] == [2.0, 2.0]
+        assert c.z == ((2.0, 2.0),)
 
     def test_shapley_constants_alpha2(self):
-        c = rep_expansion_constants("shapley", ExponentProfile((2.0,)))
-        assert [t.z for t in c.terms[0]] == [9.0, 4.0]
+        c = rep_expansion_constants("shapley-exact", ExponentProfile((2.0,)))
+        assert c.z == ((9.0, 4.0),)
 
     def test_shapley_constants_alpha3(self):
-        c = rep_expansion_constants("shapley", ExponentProfile((3.0,)))
-        assert [t.z for t in c.terms[0]] == [27.0, 6.0]
+        c = rep_expansion_constants("shapley-exact", ExponentProfile((3.0,)))
+        assert c.z == ((27.0, 6.0),) and c.z_max == 27.0
 
     def test_exponents_pair_up(self):
-        c = rep_expansion_constants("shapley", ExponentProfile((2.5,)))
-        for t in c.terms[0]:
-            assert t.x + t.y == pytest.approx(2.5)
-            assert 0.0 <= t.x <= 1.5
-            assert 1.0 <= t.y <= 2.5
+        # the bound is the general expansion's left fold over the terms
+        # (x, y) = (0, alpha) and (alpha - 1, 1), which pair up to alpha,
+        # bit for bit
+        rng = rng_for(23)
+        for _ in range(200):
+            q = random_share_query(rng)
+            res, w = q.resource, float(q.target_weight)
+            rest = float(q.load - q.target_weight)
+            for mechanism in MECHANISMS:
+                c = rep_expansion_constants(mechanism, q.exponents)
+                bound = res.sigma
+                for xi, a, (z1, z2) in zip(res.xis, q.exponents.alphas, c.z):
+                    terms = ((0.0, a, z1), (a - 1.0, 1.0, z2))
+                    for x, y, _ in terms:
+                        assert x + y == a and 0.0 <= x <= a - 1.0 and 1.0 <= y <= a
+                    if xi:
+                        bound += xi * left_sum(z * rest ** x * w ** y for x, y, z in terms)
+                assert rep_expansion_check(mechanism, q).bound.hex() == bound.hex()
 
     def test_check_examples(self):
         q = query(6.0, [1.0], [2.0], [1, 2], target=1)
         prop = rep_expansion_check("proportional", q)
         assert prop.share == pytest.approx(5.0)
         assert prop.bound == pytest.approx(12.0)
-        shap = rep_expansion_check("shapley", q)
+        shap = rep_expansion_check("shapley-exact", q)
         assert shap.share == pytest.approx(6.0)
         assert shap.bound == pytest.approx(23.0)
         assert prop.ok and shap.ok
 
-    @pytest.mark.parametrize("name", MECHANISMS + ("shapley",))
+    @pytest.mark.parametrize("name", MECHANISMS)
     def test_mechanism_names_accepted(self, name):
         c = rep_expansion_constants(name, ExponentProfile((2.0,)))
-        assert c.mechanism == name.split("-")[0]
+        assert c.z == (((2.0, 2.0),) if name == "proportional" else ((9.0, 4.0),))
 
-    @pytest.mark.parametrize("name", ["shapley-bogus", "proportional-x", "shapley-", "bogus"])
+    @pytest.mark.parametrize("name", ["shapley-bogus", "proportional-x", "shapley-", "bogus",
+                                      "shapley"])
     def test_unknown_mechanism_names_rejected(self, name):
         with pytest.raises(ConfigError, match=f"unknown mechanism '{name}'"):
             rep_expansion_constants(name, ExponentProfile((2.0,)))
         with pytest.raises(ConfigError, match=f"unknown mechanism '{name}'"):
             rep_expansion_check(name, query(6.0, [1.0], [2.0], [1, 2], target=1))
 
-    @pytest.mark.parametrize("mechanism", ["proportional", "shapley"])
+    @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"],
+                             ids=["proportional", "shapley"])
     @pytest.mark.parametrize("alphas,xis,sigma", [
         ((2.5,), (0.7,), 1.5),
         ((2.0, 3.5), (1.2, 0.3), 0.0),

@@ -11,7 +11,10 @@ derived expected values stay trustworthy.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
+from fractions import Fraction
+from functools import reduce
 from itertools import product
 from typing import Iterable, Optional, Sequence
 
@@ -29,6 +32,7 @@ from .instance import (
     Routing,
     StrategyProfile,
     check_profile,
+    float_or_exact,
     left_sum,
     rep_cost,
     total_cost,
@@ -111,8 +115,13 @@ class ProfileState:
                 h = self.tables.h_values(res, self.instance.exponents, set().union(*table))
                 term = res.sigma * harmonic(n)
                 for k in range(1, n + 1):
-                    coeff = 1.0 / (math.comb(n, k) * k)
-                    term += coeff * left_sum(count * h[s] for s, count in table[k].items())
+                    # past 1,020 users C(n, k) k and a count can be past a
+                    # double, though this size's term is at most h(L)
+                    orders, sums = math.comb(n, k) * k, table[k].items()
+                    term += float_or_exact(
+                        lambda: 1.0 / orders * left_sum(count * h[s] for s, count in sums),
+                        lambda: float(reduce(operator.add, (count * Fraction(h[s])
+                                                            for s, count in sums)) / orders))
                 self._terms[res.id] = term
             total += self._terms[res.id]
         return total

@@ -25,7 +25,7 @@ import math
 from dataclasses import dataclass
 
 from .errors import ConfigError
-from .instance import Instance, left_sum
+from .instance import Instance, finite, left_sum
 from .oracles import oracle_rho
 from .sharing import RepExpansionConstants, rep_expansion_constants
 
@@ -54,15 +54,9 @@ def _gamma_term(sigma: float, xi: float, alpha: float) -> float:
     return (sigma / scale) ** (1.0 / alpha)
 
 
-def _finite(name: str, alpha_max: float, compute) -> float:
-    """``compute()``, or ConfigError when it exceeds the largest double."""
-    try:
-        value = compute()
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise ConfigError(f"{name} exceeds the largest double at alpha_max = {alpha_max:g}")
-    return value
+def _past_a_double(name: str, alpha_max: float):
+    """The refusal :func:`instance.finite` raises when ``name`` does not fit."""
+    return lambda: ConfigError(f"{name} exceeds the largest double at alpha_max = {alpha_max:g}")
 
 
 def _lambda(instance: Instance, constants: RepExpansionConstants,
@@ -70,9 +64,9 @@ def _lambda(instance: Instance, constants: RepExpansionConstants,
     """gamma_alpha, lambda_alpha and lambda at oracle ratio ``rho``."""
     alpha_max = instance.exponents.alpha_max
     g = gamma_alpha(instance)
-    la = _finite("lambda_alpha", alpha_max,
-                 lambda: (4.0 * math.ceil(constants.z_max)) ** (alpha_max + 1.0))
-    lam = _finite("lambda", alpha_max, lambda: g + la * rho ** alpha_max)
+    la = finite(lambda: (4.0 * math.ceil(constants.z_max)) ** (alpha_max + 1.0),
+                _past_a_double("lambda_alpha", alpha_max))
+    lam = finite(lambda: g + la * rho ** alpha_max, _past_a_double("lambda", alpha_max))
     return g, la, lam
 
 
@@ -114,13 +108,13 @@ def theoretical_bounds(instance: Instance, mechanism: str, epsilon: float) -> Th
     alpha_max = instance.exponents.alpha_max
     n = instance.n_requests
     g, la, lam = _lambda(instance, constants, rho)
-    ratio_bound = _finite("the ratio bound", alpha_max,
-                          lambda: 2.0 * rho * eps1 * eps1 * lam / denom)
+    ratio_bound = finite(lambda: 2.0 * rho * eps1 * eps1 * lam / denom,
+                         _past_a_double("the ratio bound", alpha_max))
     a = harmonic(n)
     b = float(math.ceil(alpha_max))
     q = 2.0 * eps1 * n * a / denom
-    log_term = _finite("the log term of T", alpha_max,
-                       lambda: math.log(a * b * float(n) ** alpha_max))
+    log_term = finite(lambda: math.log(a * b * float(n) ** alpha_max),
+                      _past_a_double("the log term of T", alpha_max))
     t = math.ceil(q * log_term)
     return TheoreticalBounds(
         epsilon1=eps1,

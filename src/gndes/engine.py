@@ -43,7 +43,8 @@ from typing import Callable, Optional
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
-from .instance import Instance, StrategyProfile, left_sum, rep_cost, total_cost
+from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_cost,
+                       total_cost)
 from .oracles import OracleAnswer, clamp_toll, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, ShareQuery, cost_share, samples_needed, whp_delta
@@ -444,10 +445,8 @@ def run_report(instance: Instance, result: RunResult) -> str:
     ]
     if config.mechanism == "shapley-sampled":
         budget, n, m = max(1, result.step_budget), instance.n_requests, len(instance.resources)
-        try:
-            fail = 1.0 / (2.0 * budget * n * m)
-        except OverflowError:
-            fail = 1 / (2 * budget * n * m)   # a budget past the largest double
+        fail = float_or_exact(lambda: 1.0 / (2.0 * budget * n * m),
+                              lambda: 1 / (2 * budget * n * m))
         lines.append(f"  sampling failure probability <= {_fmt(fail)}")
         if result.sample_cap_hits:
             lines.append(f"  epsilon guarantee void on {result.sample_cap_hits}"

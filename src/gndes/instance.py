@@ -22,9 +22,10 @@ import math
 from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Hashable, Iterable, Mapping, Optional, Union
+from numbers import Real
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
 
-from .errors import InstanceError
+from .errors import GndesError, InstanceError
 
 ReplySet = frozenset[str]
 StrategyProfile = tuple[ReplySet, ...]
@@ -101,23 +102,54 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+def finite(compute: Callable[..., float], refusal: Callable[..., GndesError], *args) -> float:
+    """``compute(*args)``, a float formula, where its value fits in a double;
+    where it is past one (the formula raises OverflowError or returns inf),
+    the error ``refusal(*args)`` is raised.  With :func:`float_or_exact`, the
+    library's one overflow rule."""
+    try:
+        value = compute(*args)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise refusal(*args)
+    return value
+
+
+def float_or_exact(fast: Callable[[], float], exact: Callable[[], Real]) -> Real:
+    """``fast()``, a float formula, bits and all, where its value is finite;
+    where an intermediate overflows or a divisor underflows to 0, ``exact()``:
+    the same value in int or ``Fraction`` arithmetic, rounded only once (to a
+    double, or up to a whole count by the caller)."""
+    try:
+        value = fast()
+    except (OverflowError, ZeroDivisionError):
+        return exact()
+    return value if math.isfinite(value) else exact()
+
+
+def _power_fold(start: float, params: ResourceParams, exponents: ExponentProfile, load) -> float:
+    """``start`` plus xi_j * load**alpha_j over the positive factors, from the
+    left: :func:`rep_cost` starts at sigma, ``sharing.h_value`` at 0.0."""
+    total = start
+    x = float(load)
+    for xi, alpha in zip(params.xis, exponents.alphas):
+        if xi:
+            total += xi * x ** alpha
+    return total
+
+
+def _cost_past_a_double(start, params: ResourceParams, exponents, load) -> InstanceError:
+    return InstanceError(f"cost of resource {params.id!r} at load {load} exceeds the largest double")
+
+
 def rep_cost(params: ResourceParams, exponents: ExponentProfile, load: int) -> float:
     """Cost of a resource at an integer load; exactly 0 at load 0."""
     if load < 0:
         raise InstanceError(f"negative load {load} on resource {params.id!r}")
     if load == 0:
         return 0.0
-    total = params.sigma
-    try:
-        x = float(load)
-        for xi, alpha in zip(params.xis, exponents.alphas):
-            if xi:
-                total += xi * x ** alpha
-    except OverflowError:
-        total = math.inf
-    if total == math.inf:
-        raise InstanceError(f"cost of resource {params.id!r} at load {load} exceeds the largest double")
-    return total
+    return finite(_power_fold, _cost_past_a_double, params.sigma, params, exponents, load)
 
 
 # ---------------------------------------------------------------------------

@@ -34,14 +34,17 @@ from __future__ import annotations
 import logging
 import math
 import operator
+import sys
 from collections import Counter
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Sequence
 
 import numpy as np
 
 from .errors import ConfigError, InstanceError
-from .instance import ExponentProfile, ResourceParams, left_sum, rep_cost
+from .instance import (ExponentProfile, ResourceParams, _cost_past_a_double, _power_fold, finite,
+                       float_or_exact, rep_cost)
 
 logger = logging.getLogger(__name__)
 
@@ -101,15 +104,7 @@ def h_value(resource: ResourceParams, exponents: ExponentProfile, weight_sum: fl
         raise InstanceError("weight sum must be >= 0")
     if weight_sum == 0:
         return 0.0
-    try:
-        value = left_sum(xi * float(weight_sum) ** a
-                         for xi, a in zip(resource.xis, exponents.alphas) if xi)
-    except OverflowError:
-        value = math.inf
-    if value == math.inf:
-        raise InstanceError(
-            f"cost of resource {resource.id!r} at load {weight_sum} exceeds the largest double")
-    return value
+    return finite(_power_fold, _cost_past_a_double, 0.0, resource, exponents, weight_sum)
 
 
 def proportional_share(query: ShareQuery) -> float:
@@ -231,19 +226,24 @@ def hoeffding_sample_count(query: ShareQuery, epsilon: float, delta: float) -> i
     grows with the weight s of the users before it: each sampled marginal
     lies in [h(w), h(L) - h(L - w)] for target weight w and load L.  The
     true share is at least sigma/|S_e| + h(w), so an additive error of
-    epsilon times that lower bound suffices.
+    epsilon times that lower bound suffices.  Where the float quotient
+    fails, the count is the ceiling of the exact one of the same floats.
     """
     if not 0 < epsilon < 1:
         raise ConfigError("epsilon must lie in (0, 1)")
-    if not 0 < delta < 1:
-        raise ConfigError("confidence delta must lie in (0, 1)")
-    res, exp = query.resource, query.exponents
+    if not sys.float_info.min <= delta < 1:   # ln(2/delta) overflows below a normal double
+        raise ConfigError(f"confidence delta must lie in [{sys.float_info.min!r}, 1)")
+    res, exp, n = query.resource, query.exponents, len(query.users)
     load, w = query.load, query.target_weight
-    least = h_value(res, exp, w)
-    spread = (h_value(res, exp, load) - h_value(res, exp, load - w)) - least
-    lower = res.sigma / len(query.users) + least
-    m = math.ceil(spread * spread * math.log(2.0 / delta) / (2.0 * (epsilon * lower) ** 2))
-    return max(1, m)
+
+    def quotient(h_load, h_rest, least, sigma, log_term, epsilon):
+        spread = (h_load - h_rest) - least
+        return spread * spread * log_term / (2 * (epsilon * (sigma / n + least)) ** 2)
+
+    args = (h_value(res, exp, load), h_value(res, exp, load - w), h_value(res, exp, w),
+            res.sigma, math.log(2.0 / delta), epsilon)
+    return max(1, math.ceil(float_or_exact(lambda: quotient(*args),
+                                           lambda: quotient(*map(Fraction, args)))))
 
 
 # Costs of the two ways to a share, fitted by relative least squares to
@@ -301,9 +301,11 @@ def shapley_sampled(query: ShareQuery, rng: np.random.Generator, samples: int) -
         raise ConfigError(f"a sampled share needs at least one permutation, got {samples}")
     n = len(query.users)
     res, exp = query.resource, query.exponents
+    # h at the load bounds every h drawn below, so none overflows if it fits
+    full = h_value(res, exp, query.load)
     if n == 1:
         # sole user: every permutation yields the same marginal
-        return res.sigma + h_value(res, exp, query.target_weight)
+        return res.sigma + full
     if samples > MAX_SAMPLES:
         # at debug level: a run counts its capped shares and reports them once
         logger.debug(
@@ -342,10 +344,7 @@ def whp_delta(steps: int, n_requests: int, n_resources: int) -> float:
     within band with high probability.  When 2 (T N |E|)^2 is past the
     largest double, the exact quotient rounds to a subnormal or to 0.0."""
     count = max(1, steps) * n_requests * n_resources
-    try:
-        return 1.0 / (2.0 * count ** 2)
-    except OverflowError:
-        return 1 / (2 * count ** 2)
+    return float_or_exact(lambda: 1.0 / (2.0 * count ** 2), lambda: 1 / (2 * count ** 2))
 
 
 def cost_share(mechanism: str, query: ShareQuery,
@@ -382,11 +381,16 @@ class RepExpansionConstants:
         return max(max(z_j) for z_j in self.z)
 
 
-def _binom_real(alpha: float, k: int) -> float:
-    num = 1.0
+def _binom_real(alpha, k: int):
+    """binom(alpha, k) for real alpha, in the arithmetic of alpha (float or Fraction)."""
+    num = 1
     for m in range(k):
         num *= alpha - m
     return num / math.factorial(k)
+
+
+def _constants_past_a_double(alpha: float) -> ConfigError:
+    return ConfigError(f"expansion constants exceed the largest double at alpha = {alpha:g}")
 
 
 def rep_expansion_constants(mechanism: str, exponents: ExponentProfile) -> RepExpansionConstants:
@@ -399,14 +403,14 @@ def rep_expansion_constants(mechanism: str, exponents: ExponentProfile) -> RepEx
         raise ConfigError(f"unknown mechanism {mechanism!r}")
     z = []
     for a in exponents.alphas:
-        try:
-            if mechanism == "proportional":
-                z.append((2.0 ** (a - 1.0),) * 2)
-            else:
-                z.append((3.0 ** a, 2.0 * _binom_real(a, math.floor((a + 1.0) / 2.0))))
-        except OverflowError:
-            raise ConfigError(
-                f"expansion constants exceed the largest double at alpha = {a:g}") from None
+        if mechanism == "proportional":
+            z.append((finite(lambda a: 2.0 ** (a - 1.0), _constants_past_a_double, a),) * 2)
+        else:
+            # z_2 <= z_1 = 3^alpha fits, though its binomial's running product may not
+            k = math.floor((a + 1.0) / 2.0)
+            z.append((finite(lambda a: 3.0 ** a, _constants_past_a_double, a),
+                      float_or_exact(lambda: 2.0 * _binom_real(a, k),
+                                     lambda: float(2 * _binom_real(Fraction(a), k)))))
     return RepExpansionConstants(tuple(z))
 
 

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import heapq
+import math
 
 import numpy as np
 
@@ -23,6 +24,7 @@ from gndes import (
     TollRows,
 )
 from gndes.errors import InstanceError
+from gndes.instance import left_sum
 from gndes.oracles import OracleAnswer
 from gndes.sharing import ShareQuery, whp_delta
 
@@ -373,3 +375,40 @@ def reference_steiner_forest(graph: HostGraph, pairs, tolls) -> OracleAnswer:
         if all(uf.find(s) == uf.find(t) for s, t in pairs):
             kept = trial
     return OracleAnswer(frozenset(kept), sum(float(tolls[e]) for e in kept))
+
+
+# -- the cost and power folds as rep_cost and h_value wrote them before they
+# -- shared one fold; the fold is held to these bit for bit
+
+def reference_rep_cost(params: ResourceParams, exponents: ExponentProfile, load: int) -> float:
+    if load < 0:
+        raise InstanceError(f"negative load {load} on resource {params.id!r}")
+    if load == 0:
+        return 0.0
+    total = params.sigma
+    try:
+        x = float(load)
+        for xi, alpha in zip(params.xis, exponents.alphas):
+            if xi:
+                total += xi * x ** alpha
+    except OverflowError:
+        total = math.inf
+    if total == math.inf:
+        raise InstanceError(f"cost of resource {params.id!r} at load {load} exceeds the largest double")
+    return total
+
+
+def reference_h_value(resource: ResourceParams, exponents: ExponentProfile, weight_sum) -> float:
+    if weight_sum < 0:
+        raise InstanceError("weight sum must be >= 0")
+    if weight_sum == 0:
+        return 0.0
+    try:
+        value = left_sum(xi * float(weight_sum) ** a
+                         for xi, a in zip(resource.xis, exponents.alphas) if xi)
+    except OverflowError:
+        value = math.inf
+    if value == math.inf:
+        raise InstanceError(
+            f"cost of resource {resource.id!r} at load {weight_sum} exceeds the largest double")
+    return value

@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gndes import (
+    AbrdConfig,
     ConfigError,
     Edge,
     EnumerationLimitError,
@@ -18,6 +19,7 @@ from gndes import (
     Request,
     ResourceParams,
     Routing,
+    run_abrd,
     total_cost,
 )
 from gndes import analysis
@@ -177,6 +179,30 @@ class TestPotentialManyUsers:
         profile = tuple(frozenset({f"m{k}"}) for k in picks)
         check = potential_exactness_check(inst, profile, position, frozenset({f"m{target}"}))
         assert check.ok, check
+
+
+    @staticmethod
+    def one_machine(n):
+        return Instance(ExponentProfile((2.0,)), (ResourceParams("m", 1.0, (1.0,)),),
+                        tuple(Request(id=i, kind=MachineChoice(("m",)))
+                              for i in range(1, n + 1)))
+
+    @pytest.mark.parametrize("n", [1021, 1100])
+    def test_past_1020_users_the_potential_is_exact(self, n):
+        # from n = 1,021 on, C(n, k) k and the subset counts pass a double;
+        # for unit users h(k) = k^2 and the k-term is k, so the potential
+        # is sigma H_n + xi n(n+1)/2
+        profile = (frozenset({"m"}),) * n
+        assert potential(self.one_machine(n), profile) == pytest.approx(
+            harmonic(n) + n * (n + 1) / 2, rel=1e-9)
+
+    @pytest.mark.parametrize("mechanism", ["shapley-exact", "shapley-sampled"])
+    def test_a_run_past_1020_users_completes(self, mechanism):
+        config = AbrdConfig(mechanism=mechanism, step_budget_override=1)
+        result = run_abrd(self.one_machine(1021), config)
+        assert result.output_cost == 1.0 + 1021.0 ** 2
+        assert result.trace[0].potential == pytest.approx(
+            harmonic(1021) + 1021 * 1022 / 2, rel=1e-9)
 
 
 class TestPotentialBounds:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -19,7 +20,8 @@ from gndes import (
     smoothness_constants,
     theoretical_bounds,
 )
-from gndes.sharing import RepExpansionConstants, rep_expansion_constants
+from gndes.sharing import (RepExpansionConstants, ShareQuery, rep_expansion_check,
+                           rep_expansion_constants)
 
 from helpers import random_explicit_instance, rng_for
 
@@ -133,7 +135,7 @@ ZERO_CONSTANTS = RepExpansionConstants(((0.0, 0.0),))
 
 @pytest.mark.parametrize("name, alpha, epsilon, make, constants", [
     ("lambda_alpha", 25.0, 0.01, one_machine_instance, None),
-    # the Shapley binomial factor is itself infinite here
+    # z_1 = 3^300 and z_2 fit in a double, (4 ceil z_1)^301 does not
     ("lambda_alpha", 300.0, 0.01, one_machine_instance, None),
     # rho = 2 carries lambda_alpha * rho^24 past a double
     ("lambda", 24.0, 0.01, steiner_path_instance, None),
@@ -158,6 +160,47 @@ def test_expansion_constants_beyond_a_double_raise(mechanism, alpha):
     with pytest.raises(ConfigError) as info:
         rep_expansion_constants(mechanism, ExponentProfile((alpha,)))
     assert str(info.value) == f"expansion constants exceed the largest double at alpha = {alpha:g}"
+
+
+def shapley_z2_by_running_product(alpha: float) -> float:
+    """z_2 as a float running product, the formula kept where it is finite."""
+    k = math.floor((alpha + 1.0) / 2.0)
+    num = 1.0
+    for m in range(k):
+        num *= alpha - m
+    return 2.0 * (num / math.factorial(k))
+
+
+def test_the_shapley_binomial_keeps_its_bits_up_to_alpha_268():
+    alphas = [1.05, 1.5, 2.5, 7.25, 100.5, 267.75] + [float(a) for a in range(2, 269)]
+    for alpha in alphas:
+        ((_, z2),) = rep_expansion_constants("shapley-exact", ExponentProfile((alpha,))).z
+        assert z2.hex() == shapley_z2_by_running_product(alpha).hex()
+    assert shapley_z2_by_running_product(269.0) == math.inf
+
+
+@pytest.mark.parametrize("alpha", [269.0, 300.0, 340.0, 341.0, 646.0])
+def test_the_shapley_binomial_fits_wherever_three_to_the_alpha_does(alpha):
+    ((z1, z2),) = rep_expansion_constants("shapley-exact", ExponentProfile((alpha,))).z
+    k = math.floor((alpha + 1.0) / 2.0)
+    assert z1 == 3.0 ** alpha
+    assert z2 == float(2 * math.comb(int(alpha), k)) < z1
+
+
+def test_a_real_exponent_past_the_running_product_rounds_the_exact_binomial():
+    alpha = 300.5
+    num = Fraction(1)
+    for m in range(150):
+        num *= Fraction(alpha) - m
+    ((_, z2),) = rep_expansion_constants("shapley-exact", ExponentProfile((alpha,))).z
+    assert z2 == float(2 * num / math.factorial(150))
+
+
+def test_the_expansion_check_bounds_a_share_at_alpha_300():
+    query = ShareQuery(ResourceParams("r", 1.0, (1e-100,)), ExponentProfile((300.0,)),
+                       ((1, 1), (2, 2)), target=1)
+    check = rep_expansion_check("shapley-exact", query)
+    assert check.ok and math.isfinite(check.bound)
 
 
 def test_largest_fitting_constants_are_unchanged():

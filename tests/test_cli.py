@@ -436,6 +436,17 @@ HUGE_WEIGHT = dict(TWO_MACHINES, requests=[{"id": 1, "weight_all": 10 ** 400,
                                             "kind": MACHINE_CHOICE}])
 
 
+
+def sampled_edge_machines(xi):
+    """Two machines without startup cost, two unit requests, one of which
+    may pick either: the Hoeffding quotient of a share divides by an
+    underflowed 0 at xi = 1e-170 and squares past a double at xi = 1e154."""
+    return {"alphas": [2.0],
+            "resources": [{"id": "m1", "sigma": 0.0, "xis": [xi]},
+                          {"id": "m2", "sigma": 0.0, "xis": [xi]}],
+            "requests": [{"id": 1, "kind": {"type": "machine_choice", "machines": ["m1"]}},
+                         {"id": 2, "kind": MACHINE_CHOICE}]}
+
 def instance_file(tmp_path, doc) -> str:
     path = tmp_path / "instance.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
@@ -505,6 +516,18 @@ class TestBeyondADouble:
         assert err == (f"error: cost of resource 'm1' at load {10 ** 400}"
                        " exceeds the largest double\n")
 
+
+    @pytest.mark.parametrize("xi", [1e-170, 1e154])
+    def test_sampled_counts_past_a_double_run(self, capsys, tmp_path, xi):
+        path = instance_file(tmp_path, sampled_edge_machines(xi))
+        outputs = {}
+        for csm in ("shapley", "shapley-sampled"):
+            code, out, err = run_cli(capsys, "solve", "--instance", path, "--csm", csm, "--json")
+            assert (code, err) == (0, "")
+            outputs[csm] = json.loads(out)
+        assert (outputs["shapley-sampled"]["output_cost"].hex()
+                == outputs["shapley"]["output_cost"].hex())
+        assert outputs["shapley-sampled"]["sampled_shares"] == 0
 
 def reject_constant(name):
     raise ValueError(f"{name} is not JSON")

@@ -1,4 +1,5 @@
 import math
+import sys
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
@@ -600,3 +601,61 @@ class TestExpansion:
                                    tuple((i + 1, w) for i, w in enumerate(weights)),
                                    target=target)
                     assert rep_expansion_check(mechanism, q).ok
+
+
+class TestPastADouble:
+    """Shares and counts whose float formulas leave the double range on the way."""
+
+    @staticmethod
+    def float_count(q, epsilon, delta):
+        """The count as the float formula alone gives it."""
+        res, exp, w = q.resource, q.exponents, q.target_weight
+        least = h_value(res, exp, w)
+        spread = (h_value(res, exp, q.load) - h_value(res, exp, q.load - w)) - least
+        lower = res.sigma / len(q.users) + least
+        return math.ceil(spread * spread * math.log(2.0 / delta)
+                         / (2.0 * (epsilon * lower) ** 2))
+
+    @pytest.mark.parametrize("xi, failure", [(1e-170, ZeroDivisionError), (1e154, OverflowError)],
+                             ids=["divisor-underflows", "square-overflows"])
+    def test_the_count_is_the_ceiling_of_the_exact_rational(self, xi, failure):
+        q = query(0.0, [xi], [2.0], [1, 1], target=1)
+        epsilon, delta = 0.05, 1e-6
+        with pytest.raises(failure):
+            self.float_count(q, epsilon, delta)
+
+        def h(x):
+            return Fraction(h_value(q.resource, q.exponents, x))
+
+        spread, lower = h(2) - h(1) - h(1), h(1)
+        expected = math.ceil(spread ** 2 * Fraction(math.log(2.0 / delta))
+                             / (2 * (Fraction(epsilon) * lower) ** 2))
+        assert hoeffding_sample_count(q, epsilon, delta) == expected
+        # the true share is h(1) + (h(2) - 2 h(1)) / 2 whatever the scale,
+        # so the count is the one of xi = 1 up to the rounding of the h values
+        assert abs(expected - hoeffding_sample_count(query(0.0, [1.0], [2.0], [1, 1], 1),
+                                                     epsilon, delta)) <= 1
+
+    @settings(max_examples=200, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), epsilon=st.floats(1e-3, 0.999),
+           delta=st.floats(sys.float_info.min, 0.999))
+    def test_counts_the_float_formula_gives_keep_their_bits(self, seed, epsilon, delta):
+        q = random_share_query(rng_for(seed))
+        assert hoeffding_sample_count(q, epsilon, delta) == max(
+            1, self.float_count(q, epsilon, delta))
+
+    @pytest.mark.parametrize("delta", [0.0, 5e-324, sys.float_info.min / 2, 1.0])
+    def test_a_confidence_below_the_least_normal_double_is_refused(self, delta):
+        q = query(1.0, [1.0], [2.0], [1, 2], target=1)
+        message = r"^confidence delta must lie in \[2\.2250738585072014e-308, 1\)$"
+        with pytest.raises(ConfigError, match=message):
+            hoeffding_sample_count(q, 0.1, delta)
+        assert hoeffding_sample_count(q, 0.1, sys.float_info.min) > 1
+
+    def test_a_sampled_share_past_a_double_is_refused_as_its_cost_is(self):
+        q = query(0.0, [1e306], [2.0], [30, 40], target=1)
+        with pytest.raises(InstanceError) as expected:
+            h_value(q.resource, q.exponents, q.load)
+        with pytest.raises(InstanceError) as info:
+            shapley_sampled(q, keyed_rng(1, "edge"), 100)
+        assert str(info.value) == str(expected.value)

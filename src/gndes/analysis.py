@@ -3,9 +3,14 @@ enumeration, smoothness checks and the worst-case instance family.
 
 Everything here reads an instance and a mechanism with exact shares and
 changes neither; the one mutable object is :class:`ProfileState`, a
-profile that its owner updates one reply at a time.  Enumerations refuse
-(never silently truncate) when the fixed limits would be exceeded, so
-derived expected values stay trustworthy.
+profile that its owner updates one reply at a time.  The state also holds
+the one deviation rule: a player's share on a resource is priced against
+everybody else's replies, with her joined to its users when her reply does
+not hold it (:meth:`ProfileState.share_query`).  The dynamics' tolls and
+the walks here (:meth:`ProfileState.player_cost`) both use it, so a walk
+builds one state per profile or pair, not one per deviation.  Enumerations
+refuse (never silently truncate) when the fixed limits would be exceeded,
+so derived expected values stay trustworthy.
 """
 
 from __future__ import annotations
@@ -32,6 +37,7 @@ from .instance import (
     Routing,
     StrategyProfile,
     check_profile,
+    finite,
     float_or_exact,
     left_sum,
     rep_cost,
@@ -65,9 +71,9 @@ class ProfileState:
 
     ``tables`` is the state's :class:`sharing.CountingTables`: the
     potential reads its counting tables and h values there, and so do the
-    exact shares of every pass over the state (``engine.PassView``).  Each
-    :meth:`move` ages the store, so it holds only what was used since the
-    move before.
+    exact shares of every pass over the state (``engine.PassView``) and of
+    :meth:`player_cost`.  Each :meth:`move` ages the store, so it holds
+    only what was used since the move before.
     """
 
     def __init__(self, instance: Instance, profile: StrategyProfile):
@@ -126,18 +132,21 @@ class ProfileState:
             total += self._terms[res.id]
         return total
 
+    def share_query(self, position: int, resource_id: str) -> ShareQuery:
+        """The query of the player at ``position`` on a resource, with her
+        joined to its users when her reply does not hold it."""
+        req = self.instance.requests[position]
+        users = self.users.get(resource_id, ())
+        if resource_id not in self.profile[position]:
+            users += ((req.id, req.weight(resource_id)),)
+        return ShareQuery(self.instance.resource_by_id[resource_id], self.instance.exponents,
+                          users, target=req.id)
 
-def player_cost(instance: Instance, mechanism: str, profile: StrategyProfile,
-                position: int) -> float:
-    """Individual cost of one player under an exact mechanism."""
-    users = ProfileState(instance, profile).users
-    req = instance.requests[position]
-    total = 0.0
-    for e in sorted(profile[position]):
-        query = ShareQuery(instance.resource_by_id[e], instance.exponents, users[e],
-                           target=req.id)
-        total += cost_share(mechanism, query)
-    return total
+    def player_cost(self, mechanism: str, position: int, reply: frozenset[str]) -> float:
+        """Her exact cost were she to play ``reply`` against the others."""
+        self.instance.check_reply_resources(reply)
+        return left_sum(cost_share(mechanism, self.share_query(position, e), tables=self.tables)
+                        for e in sorted(reply))
 
 
 # ---------------------------------------------------------------------------
@@ -221,8 +230,9 @@ def potential_exactness_check(instance: Instance, profile: StrategyProfile,
     _check_position(instance, position)
     deviated = tuple(new_reply if i == position else r for i, r in enumerate(profile))
     dphi = potential(instance, deviated) - potential(instance, profile)
-    dcost = (player_cost(instance, "shapley-exact", deviated, position)
-             - player_cost(instance, "shapley-exact", profile, position))
+    state = ProfileState(instance, profile)
+    dcost = (state.player_cost("shapley-exact", position, new_reply)
+             - state.player_cost("shapley-exact", position, profile[position]))
     return ExactnessCheck(delta_potential=dphi, delta_cost=dcost)
 
 
@@ -333,14 +343,14 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str):
     candidates, _ = enumerate_profiles(instance)
     for combo in product(*candidates):
         profile = tuple(combo)
+        state = ProfileState(instance, profile)
         is_nash = True
         for pos in range(instance.n_requests):
-            own = player_cost(instance, mechanism, profile, pos)
+            own = state.player_cost(mechanism, pos, profile[pos])
             for alt in candidates[pos]:
                 if alt == profile[pos]:
                     continue
-                trial = tuple(alt if i == pos else r for i, r in enumerate(profile))
-                if player_cost(instance, mechanism, trial, pos) < own - 1e-9:
+                if state.player_cost(mechanism, pos, alt) < own - 1e-9:
                     is_nash = False
                     break
             if not is_nash:
@@ -426,10 +436,9 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
         )
 
     for p, p_prime in pairs:
-        lhs = 0.0
-        for pos in range(instance.n_requests):
-            trial = tuple(p_prime[pos] if i == pos else r for i, r in enumerate(p))
-            lhs += player_cost(instance, mechanism, trial, pos)
+        state = ProfileState(instance, p)
+        lhs = left_sum(state.player_cost(mechanism, pos, p_prime[pos])
+                       for pos in range(instance.n_requests))
         c_p = total_cost(instance, p)
         c_prime = total_cost(instance, p_prime)
         slack = REL_TOL * max(lhs, lam * c_prime + mu * c_p, 1.0)
@@ -538,10 +547,11 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     if n > MAX_POA_REQUESTS:
         raise ConfigError(f"N = {n_real:.6g} exceeds the cap of {MAX_POA_REQUESTS} requests")
     if n < 2 or abs(n_real - n) > 1e-9 * max(1.0, n):
-        suggestion = xi * max(2, round(n_real)) ** alpha
-        raise ConfigError(
-            f"(sigma/xi)^(1/alpha) = {n_real:.6g} is not an integer >= 2; "
-            f"nearest valid sigma is {suggestion:.9g}")
+        reason = f"(sigma/xi)^(1/alpha) = {n_real:.6g} is not an integer >= 2"
+        suggestion = finite(lambda k: xi * k ** alpha, lambda k: ConfigError(
+            f"{reason}; the nearest valid sigma, xi * {k}^alpha, exceeds the largest double"),
+            max(2, n))
+        raise ConfigError(f"{reason}; nearest valid sigma is {suggestion:.9g}")
 
     tail_alphas = [1.0 + (alpha - 1.0) / 2.0] * (q - 1)
 

@@ -23,9 +23,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from decimal import Decimal, localcontext
+from fractions import Fraction
 
 from .errors import ConfigError
-from .instance import Instance, finite, left_sum
+from .instance import Instance, finite, float_or_exact, left_sum
 from .oracles import oracle_rho
 from .sharing import RepExpansionConstants, rep_expansion_constants
 
@@ -47,11 +49,17 @@ def gamma_alpha(instance: Instance) -> float:
 
 
 def _gamma_term(sigma: float, xi: float, alpha: float) -> float:
-    scale = (alpha - 1.0) * xi
-    if scale == 0.0:
-        # a subnormal xi underflowed: sigma / scale is +inf, or 0 at sigma = 0
-        return math.inf if sigma > 0.0 else 0.0
-    return (sigma / scale) ** (1.0 / alpha)
+    """(sigma / ((alpha - 1) xi))^(1/alpha); where a subnormal xi makes the
+    float quotient overflow or divide by 0, the quotient is taken exactly
+    and its root to 60 digits, then rounded once (to inf past a double)."""
+    def exact() -> float:
+        quotient = Fraction(sigma) / ((Fraction(alpha) - 1) * Fraction(xi))
+        with localcontext() as ctx:
+            ctx.prec = 60
+            root = (Decimal(quotient.numerator) / quotient.denominator) ** (1 / Decimal(alpha))
+        return float(root)
+
+    return float_or_exact(lambda: (sigma / ((alpha - 1.0) * xi)) ** (1.0 / alpha), exact)
 
 
 def _past_a_double(name: str, alpha_max: float):

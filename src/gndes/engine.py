@@ -47,7 +47,7 @@ from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_
                        total_cost)
 from .oracles import OracleAnswer, clamp_toll, reply_oracle
 from .rng import keyed_rng
-from .sharing import MECHANISMS, ShareQuery, cost_share, samples_needed, whp_delta
+from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
 
 
 @dataclass(frozen=True)
@@ -177,9 +177,10 @@ class TollRows:
 class PassView:
     """One delta pass: every player's tolls against one frozen profile.
 
-    ``users`` maps a resource id to its (request id, weight) pairs in request
-    order.  It is the run state's own map, so the view is valid until the
-    state's next move.  ``shares`` memoizes exact shares by (resource,
+    ``state`` is the run's ``analysis.ProfileState``, read, not copied: a
+    toll prices the query of ``ProfileState.share_query``, the one place a
+    player's share against the others is formed, so the view is valid until
+    the state's next move.  ``shares`` memoizes exact shares by (resource,
     whether the player is on it, the player's weight there).  An exact share
     depends on the other users only through their weight multiset, bit for
     bit.  Every player off a resource sees all of its users as the others,
@@ -207,8 +208,7 @@ class PassView:
         self.instance = state.instance
         self.config = config
         self.profile = state.profile
-        self.users = state.users
-        self.tables = state.tables
+        self.state = state
         self.step = step
         self.delta = delta
         self.sampled = config.mechanism == "shapley-sampled"
@@ -224,8 +224,9 @@ class PassView:
         the others there.  For resources in her own reply this is exactly
         her current (estimated) share.  Only the stale entries of her kept
         row are computed, each only when no earlier player of the pass
-        computed it.  Each toll is clamped as it is written
-        (``oracles.clamp_toll``)."""
+        computed it, and then on the state's query
+        (``analysis.ProfileState.share_query``).  Each toll is clamped as it
+        is written (``oracles.clamp_toll``)."""
         instance, config, rows = self.instance, self.config, self.rows
         row = rows.tolls.get(position)
         if row is None:
@@ -246,11 +247,7 @@ class PassView:
             key = (e, on, w)
             share = memo.get(key)
             if share is None:
-                users = self.users.get(e, ())
-                if not on:
-                    users += ((req.id, w),)
-                query = ShareQuery(instance.resource_by_id[e], instance.exponents, users,
-                                   target=req.id)
+                query = self.state.share_query(position, e)
                 needed = samples_needed(query, config.epsilon, self.delta) if self.sampled else 0
                 if needed:
                     stale.add(e)
@@ -264,7 +261,7 @@ class PassView:
                     # a sampled share that needs no samples is the exact
                     # Shapley share, so it is memoized like any exact share
                     share = memo[key] = cost_share(self.exact_mechanism, query,
-                                                   tables=self.tables)
+                                                   tables=self.state.tables)
             row[e] = clamp_toll(share)
         rows.tolls[position], rows.stale[position] = row, stale
         return row

@@ -13,7 +13,7 @@ from typing import Any
 
 from .errors import InstanceError, ParseError
 from .instance import (Edge, ExplicitReplies, ExponentProfile, HostGraph, Instance, MachineChoice,
-                       MultiRouting, Request, ResourceParams, Routing, SetConnectivity)
+                       MultiRouting, Request, ResourceParams, Routing, SetConnectivity, finite)
 
 # ---------------------------------------------------------------------------
 # shape readers: each owns one check and its message
@@ -58,7 +58,11 @@ def _int(value, path: str) -> int:
 def _number(value, path: str) -> float:
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ParseError(f"{path}: expected a number")
-    return float(value)
+    if isinstance(value, float):
+        return value
+    # an integer literal can be past a double, where a float one reads as inf
+    return finite(float, lambda _: ParseError(f"{path}: integer exceeds the largest double"),
+                  value)
 
 
 # ---------------------------------------------------------------------------

@@ -26,7 +26,7 @@ from gndes import (
 from gndes.errors import InstanceError
 from gndes.instance import left_sum
 from gndes.oracles import OracleAnswer
-from gndes.sharing import ShareQuery, whp_delta
+from gndes.sharing import ShareQuery, cost_share, whp_delta
 
 
 def rng_for(seed: int) -> np.random.Generator:
@@ -412,3 +412,17 @@ def reference_h_value(resource: ResourceParams, exponents: ExponentProfile, weig
         raise InstanceError(
             f"cost of resource {resource.id!r} at load {weight_sum} exceeds the largest double")
     return value
+
+
+# -- a player's cost as analysis priced it before ProfileState held the
+# -- deviation rule: a fresh state of the deviated profile per call
+
+def reference_player_cost(instance: Instance, mechanism: str, profile, position: int) -> float:
+    users = ProfileState(instance, profile).users
+    req = instance.requests[position]
+    total = 0.0
+    for e in sorted(profile[position]):
+        query = ShareQuery(instance.resource_by_id[e], instance.exponents, users[e],
+                           target=req.id)
+        total += cost_share(mechanism, query)
+    return total

@@ -2,7 +2,7 @@ from dataclasses import replace
 from itertools import product
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from gndes import (
     AbrdConfig,
@@ -16,9 +16,12 @@ from gndes import (
     Instance,
     InstanceError,
     MachineChoice,
+    MultiRouting,
+    ProfileState,
     Request,
     ResourceParams,
     Routing,
+    SetConnectivity,
     run_abrd,
     total_cost,
 )
@@ -32,7 +35,6 @@ from gndes.analysis import (
     enumerate_nash,
     enumerate_profiles,
     nash_report_csv,
-    player_cost,
     poa_lower_bound_instance,
     potential,
     potential_bounds_check,
@@ -43,7 +45,15 @@ from gndes.analysis import (
 )
 from gndes.bounds import harmonic, smoothness_constants
 
-from helpers import grid_graph, random_explicit_instance, rng_for
+from helpers import (
+    grid_graph,
+    random_connected_graph,
+    random_explicit_instance,
+    random_exponents,
+    random_resource,
+    reference_player_cost,
+    rng_for,
+)
 
 
 def one_edge_instance(weights=(1, 2), sigma=6.0):
@@ -119,7 +129,7 @@ M = frozenset({"m"})
 ], ids=["short", "unknown-resource", "long"])
 @pytest.mark.parametrize("evaluate", [
     potential,
-    lambda inst, p: player_cost(inst, "shapley-exact", p, 0),
+    lambda inst, p: ProfileState(inst, p).player_cost("shapley-exact", 0, p[0]),
     potential_by_prefix,
 ], ids=["potential", "player_cost", "potential_by_prefix"])
 def test_malformed_profile_is_refused_like_total_cost(profile, message, evaluate):
@@ -363,9 +373,9 @@ class TestNash:
         assert ties > 0
 
     def test_sampled_mechanism_rejected(self):
+        state = ProfileState(parallel_edges_instance(), (frozenset({"e1"}), frozenset({"e1"})))
         with pytest.raises(ConfigError):
-            player_cost(parallel_edges_instance(), "shapley-sampled",
-                        (frozenset({"e1"}), frozenset({"e1"})), 0)
+            state.player_cost("shapley-sampled", 0, frozenset({"e1"}))
 
 
 class TestSmoothness:
@@ -410,6 +420,91 @@ class TestSmoothness:
                 report = smoothness_check(inst, mechanism, lam, mu, max_pairs=400,
                                           seed=int(rng.integers(10_000)))
                 assert report.ok
+
+
+def random_five_kind_instance(rng, directed):
+    """Routing, multi-routing, set-connectivity, machine-choice and
+    explicit-reply players on a small graph's edges, one of each kind first;
+    a directed graph has both orientations of every edge, so every routing
+    player has a path and set connectivity asks for strong connectivity."""
+    exp = random_exponents(rng)
+    graph = random_connected_graph(rng, n_vertices=4, n_extra_edges=1)
+    if directed:
+        graph = HostGraph(True, graph.vertices, graph.edges + tuple(
+            Edge(f"r{e.id}", e.head, e.tail) for e in graph.edges))
+    ids = [e.id for e in graph.edges]
+    requests = []
+    for i in range(1, int(rng.integers(5, 7)) + 1):
+        v = [graph.vertices[k] for k in rng.choice(4, size=4, replace=False)]
+        picks = [rng.choice(ids, size=int(rng.integers(1, 3)), replace=False).tolist()
+                 for _ in range(2)]
+        kind = [Routing(v[0], v[1]), MultiRouting(((v[0], v[1]), (v[2], v[3]))),
+                SetConnectivity(tuple(v[:3])), MachineChoice(tuple(picks[0])),
+                ExplicitReplies(tuple(dict.fromkeys(frozenset(r) for r in picks)))
+                ][i - 1 if i <= 5 else int(rng.integers(5))]
+        requests.append(Request(id=i, kind=kind, weights={
+            e: int(rng.integers(1, 5)) for e in ids if rng.random() < 0.5},
+            default_weight=int(rng.integers(1, 4))))
+    return Instance(exp, tuple(random_resource(rng, e, exp.q) for e in ids),
+                    tuple(requests), graph)
+
+
+class TestDeviationRule:
+    """``ProfileState.player_cost`` prices a player on any reply against one
+    state of the others' replies, bit for bit as a fresh state of the
+    deviated profile did (``helpers.reference_player_cost``)."""
+
+    @settings(max_examples=40, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), directed=st.booleans(),
+           mechanism=st.sampled_from(["proportional", "shapley-exact"]))
+    def test_every_reply_is_priced_as_by_a_fresh_deviated_state(self, seed, directed,
+                                                                mechanism):
+        rng = rng_for(seed)
+        inst = random_five_kind_instance(rng, directed)
+        candidates = [candidate_replies(inst, req) for req in inst.requests]
+        assume(all(candidates))
+        profile = tuple(c[int(rng.integers(len(c)))] for c in candidates)
+        state = ProfileState(inst, profile)
+        for pos, alternatives in enumerate(candidates):
+            for alt in alternatives:
+                trial = profile[:pos] + (alt,) + profile[pos + 1:]
+                assert (float.hex(state.player_cost(mechanism, pos, alt))
+                        == float.hex(reference_player_cost(inst, mechanism, trial, pos)))
+
+    def test_a_reply_naming_an_unknown_resource_is_refused(self):
+        state = ProfileState(parallel_edges_instance(), (frozenset({"e1"}),) * 2)
+        with pytest.raises(InstanceError, match="^reply uses unknown resource 'zz'$"):
+            state.player_cost("shapley-exact", 0, frozenset({"e1", "zz"}))
+
+    @staticmethod
+    def count_builds(monkeypatch):
+        builds = []
+        init = ProfileState.__init__
+
+        def counted(self, *args):
+            builds.append(args[1])
+            init(self, *args)
+
+        monkeypatch.setattr(ProfileState, "__init__", counted)
+        return builds
+
+    @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
+    def test_nash_builds_one_state_per_profile(self, monkeypatch, mechanism):
+        inst = machines_instance([2.0, 3.0, 5.0], [1.0, 0.5, 0.2], 2.0, [1, 2, 3, 4])
+        _, count = enumerate_profiles(inst)
+        builds = self.count_builds(monkeypatch)
+        report = enumerate_nash(inst, mechanism)
+        assert len(builds) == count == 81
+        assert builds == list(product(*(candidate_replies(inst, r) for r in inst.requests)))
+        assert report.nash_profiles
+
+    @pytest.mark.parametrize("pairs", [81 * 81, 500])
+    def test_smoothness_builds_one_state_per_pair(self, monkeypatch, pairs):
+        inst = machines_instance([2.0, 3.0, 5.0], [1.0, 0.5, 0.2], 2.0, [1, 2, 3, 4])
+        lam, mu = smoothness_constants(inst, "shapley-exact")
+        builds = self.count_builds(monkeypatch)
+        report = smoothness_check(inst, "shapley-exact", lam, mu, max_pairs=pairs, seed=3)
+        assert len(builds) == report.pairs_tested == pairs
 
 
 class TestBudgetBalanceCheck:

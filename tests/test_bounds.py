@@ -257,14 +257,16 @@ def one_factor_instance(sigma, xi, alpha):
 
 @pytest.mark.parametrize("alpha", [1.5, 3.0])
 def test_a_subnormal_factor_makes_gamma_infinite(alpha):
-    # at alpha 1.5, (alpha - 1) * xi underflows to 0
+    # (alpha - 1) * xi underflows to 0 at alpha 1.5 and to a subnormal at 3,
+    # so the float quotient is inf, yet gamma_alpha fits in a double: the
+    # expected values are (1 / ((alpha - 1) 5e-324))^(1/alpha) worked out in
+    # mpmath at 50 digits and rounded once
     inst = one_factor_instance(1.0, 5e-324, alpha)
-    assert gamma_alpha(inst) == math.inf
-    message = f"^lambda exceeds the largest double at alpha_max = {alpha:g}$"
-    with pytest.raises(ConfigError, match=message):
-        theoretical_bounds(inst, "proportional", 0.01)
-    with pytest.raises(ConfigError, match=message):
-        smoothness_constants(inst, "proportional")
+    expected = {1.5: 5.472220127961797e215, 3.0: 4.660098708109119e107}[alpha]
+    assert gamma_alpha(inst) == expected
+    b = theoretical_bounds(inst, "proportional", 0.01)
+    assert b.gamma_alpha == expected and math.isfinite(b.lam)
+    assert smoothness_constants(inst, "proportional") == (b.gamma_alpha + b.lambda_alpha, 0.5)
 
 
 def test_a_subnormal_factor_without_startup_cost_adds_nothing():

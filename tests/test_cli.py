@@ -413,6 +413,15 @@ class TestPoaGen:
                                "--alpha", "2", "--out", str(tmp_path / "x.json"))
         assert code == 2 and "16" in err
 
+    def test_a_nearest_sigma_past_a_double_exit_2(self, capsys, tmp_path):
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "poa-gen", "--sigma", "1.79e308", "--xi", "1",
+                                 "--alpha", "200", "--out", str(out_path))
+        assert (code, out) == (2, "")
+        assert err == ("error: (sigma/xi)^(1/alpha) = 34.7748 is not an integer >= 2; the"
+                       " nearest valid sigma, xi * 35^alpha, exceeds the largest double\n")
+        assert not out_path.exists()
+
 
 def one_machine(alpha, weight_all=1, sigma=1.0, xi=1.0):
     """One request on one machine, so a constant or cost grows only with alpha."""
@@ -483,13 +492,15 @@ class TestBeyondADouble:
     @pytest.mark.parametrize("command", ["bounds", "solve", "smooth"])
     @pytest.mark.parametrize("alpha", [1.5, 3])
     def test_subnormal_factor_exit_2(self, capsys, tmp_path, command, alpha):
-        # (alpha - 1) xi is 0.0 at alpha 1.5 and subnormal at 3, so gamma_alpha
-        # is infinite either way
+        # (alpha - 1) xi is 0.0 at alpha 1.5 and subnormal at 3, so the float
+        # quotient is inf either way, yet gamma_alpha and lambda fit in a
+        # double (test_bounds holds the value against mpmath)
         path = instance_file(tmp_path, one_machine(alpha, xi=5e-324))
-        code, out, err = run_cli(capsys, command, "--instance", path)
-        assert code == 2
-        assert out == ""
-        assert err == f"error: lambda exceeds the largest double at alpha_max = {alpha}\n"
+        code, out, err = run_cli(capsys, command, "--instance", path, "--json")
+        assert (code, err) == (0, "")
+        if command == "bounds":
+            assert json.loads(out)["gamma_alpha"] == {1.5: 5.472220127961797e215,
+                                                      3: 4.660098708109119e107}[alpha]
 
     @pytest.mark.parametrize("command", ["bounds", "solve", "smooth"])
     def test_subnormal_factor_without_startup_cost_runs(self, capsys, tmp_path, command):
@@ -515,6 +526,26 @@ class TestBeyondADouble:
         assert out == ""
         assert err == (f"error: cost of resource 'm1' at load {10 ** 400}"
                        " exceeds the largest double\n")
+
+    @pytest.mark.parametrize("field, doc", [
+        ("resources[0].sigma", dict(TWO_MACHINES, resources=[
+            dict(TWO_MACHINES["resources"][0], sigma=10 ** 400), TWO_MACHINES["resources"][1]])),
+        ("resources[1].xis[0]", dict(TWO_MACHINES, resources=[
+            TWO_MACHINES["resources"][0], dict(TWO_MACHINES["resources"][1], xis=[10 ** 400])])),
+        ("alphas[0]", dict(TWO_MACHINES, alphas=[10 ** 400])),
+    ], ids=["sigma", "xis", "alphas"])
+    def test_an_integer_literal_past_a_double_exit_2(self, capsys, tmp_path, field, doc):
+        code, out, err = run_cli(capsys, "solve", "--instance", instance_file(tmp_path, doc))
+        assert (code, out) == (2, "")
+        assert err == f"error: {field}: integer exceeds the largest double\n"
+
+    def test_a_float_literal_past_a_double_stays_not_finite(self, capsys, tmp_path):
+        path = instance_file(tmp_path, TWO_MACHINES)
+        text = Path(path).read_text(encoding="utf-8").replace('"sigma": 1.0', '"sigma": 1e400', 1)
+        Path(path).write_text(text, encoding="utf-8")
+        code, out, err = run_cli(capsys, "solve", "--instance", path)
+        assert (code, out) == (2, "")
+        assert err == "error: resource 'm1': sigma must be finite\n"
 
 
     @pytest.mark.parametrize("xi", [1e-170, 1e154])

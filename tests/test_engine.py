@@ -30,7 +30,7 @@ from gndes.engine import (
 )
 from gndes.errors import ConfigError
 from gndes.rng import keyed_rng
-from gndes.sharing import ShareQuery, samples_needed, shapley_sampled, whp_delta
+from gndes.sharing import samples_needed, shapley_sampled, whp_delta
 
 from helpers import pass_view, random_explicit_instance, rng_for
 
@@ -384,7 +384,7 @@ class TestSampledRuns:
         view = pass_view(inst, config, profile, 1, 2)
         tolls = view.tolls(0)
         assert view.sampled_shares == 1 and view.sample_cap_hits == 0
-        query = ShareQuery(inst.resources[0], inst.exponents, view.users["e1"], target=1)
+        query = view.state.share_query(0, "e1")
         share = shapley_sampled(query, keyed_rng(2, "share", 1, 1, "e1"),
                                 samples_needed(query, 0.15, whp_delta(2, 12, 2)))
         assert tolls["e1"] == share

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 import operator
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import reduce
@@ -63,11 +64,12 @@ def _check_position(instance: Instance, position: int):
 class ProfileState:
     """One profile grouped by resource, kept current as single replies change.
 
-    ``users`` maps each resource in use to its (request id, weight) pairs in
-    request order.  The potential is kept as one cached term per resource:
-    :meth:`move` regroups only the resources that the new reply enters or
-    the old one leaves and drops their terms, and :meth:`potential`
-    recomputes only the missing terms.
+    ``users`` maps each resource in use to its (request id, weight) pairs,
+    sorted by request id (an instance keeps its requests in id order).  The
+    potential is kept as one cached term per resource: :meth:`move`
+    regroups only the resources that the new reply enters or the old one
+    leaves and drops their terms, and :meth:`potential` recomputes only the
+    missing terms.
 
     ``tables`` is the state's :class:`sharing.CountingTables`: the
     potential reads its counting tables and h values there, and so do the
@@ -138,9 +140,12 @@ class ProfileState:
         req = self.instance.requests[position]
         users = self.users.get(resource_id, ())
         if resource_id not in self.profile[position]:
-            users += ((req.id, req.weight(resource_id)),)
-        return ShareQuery(self.instance.resource_by_id[resource_id], self.instance.exponents,
-                          users, target=req.id)
+            at = bisect_left(users, (req.id,))  # she joins in id order
+            users = users[:at] + ((req.id, req.weight(resource_id)),) + users[at:]
+        # Request checked that ids and weights are integers and weights at
+        # least 1, and Instance that the ids are distinct
+        return ShareQuery._of_checked(self.instance.resource_by_id[resource_id],
+                                      self.instance.exponents, users, req.id)
 
     def player_cost(self, mechanism: str, position: int, reply: frozenset[str]) -> float:
         """Her exact cost were she to play ``reply`` against the others."""

@@ -213,6 +213,21 @@ class HostGraph:
         return index, tuple(tuple((index[w], eid) for w, eid in adjacency[v])
                             for v in self.vertices)
 
+    @cached_property
+    def indexed_incidence(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
+        """The edges over indices: per index into :attr:`edges` (sorted, so
+        index order is id order) its (tail, head) vertex indices as in
+        :attr:`indexed_adjacency`, and per vertex index the indices of the
+        edges at either end of it, in edge order, self-loops left out."""
+        index = self.indexed_adjacency[0]
+        ends = tuple((index[e.tail], index[e.head]) for e in self.edges)
+        incident: list[list[int]] = [[] for _ in self.vertices]
+        for i, (u, v) in enumerate(ends):
+            if u != v:
+                incident[u].append(i)
+                incident[v].append(i)
+        return ends, tuple(map(tuple, incident))
+
     def restricted_adjacency(self, edge_ids: Iterable[str]) -> dict[str, list[tuple[str, str]]]:
         """Adjacency of the subgraph spanned by the given edges (loops dropped)."""
         allowed = set(edge_ids)
@@ -290,7 +305,8 @@ GRAPH_KINDS = (Routing, MultiRouting, SetConnectivity)
 
 @dataclass(frozen=True)
 class Request:
-    """One request: integer weights per resource plus a reply collection kind.
+    """One request: an integer id, integer weights per resource plus a reply
+    collection kind.
 
     ``weights`` holds explicit per-resource weights; resources absent from the
     map weigh ``default_weight`` (the file format's "weight_all", 1 if
@@ -303,6 +319,8 @@ class Request:
     default_weight: int = 1
 
     def __post_init__(self):
+        if not isinstance(self.id, int) or isinstance(self.id, bool):
+            raise InstanceError(f"request id {self.id!r} must be an integer")
         object.__setattr__(self, "weights", dict(self.weights))
         for e, w in self.weights.items():
             if not isinstance(w, int) or isinstance(w, bool) or w < 1:

@@ -26,15 +26,22 @@ reports the other.
   on k terminals takes k - 1 searches, and the tree is trimmed to the
   paths between terminals.
 * multi-routing (undirected): primal-dual moat growing with reverse
-  deletion, rho = 2.  The grown edges form a forest, so reverse deletion
-  keeps exactly the union of the pairs' paths in it.
+  deletion, rho = 2.  A growth round examines only the borders of the
+  active components, not every edge: an edge left out has rate 0 that
+  round, so its toll left does not change, and the decrement it owes from
+  the last round it was a candidate is applied when it is next examined.
+  Each edge thus meets the same float operations in the same order as in a
+  full scan, and the forest is bit for bit the one a full scan grows.  The
+  grown edges form a forest, so reverse deletion keeps exactly the union of
+  the pairs' paths in it.
 * directed multi-routing / set strong connectivity: union of pairwise
   shortest paths, a heuristic whose only guarantee is the trivial factor
   equal to the number of pairs.
 
 Both Steiner oracles merge components with one helper (Kruskal's merge
-and the moats' merge are the same relabelling of the smaller component)
-and keep the edges of a forest that lie on some pair's path with one walk.
+and the moats' merge are the same relabelling of the smaller component; the
+moats' merge also joins their borders) and keep the edges of a forest that
+lie on some pair's path with one walk.
 """
 
 from __future__ import annotations
@@ -239,10 +246,12 @@ def explicit_oracle(replies: Sequence[frozenset[str]], tolls: Tolls) -> OracleAn
 # Steiner tree (metric-closure MST)
 # ---------------------------------------------------------------------------
 
-def _merge(label: dict[str, str], members: dict[str, list[str]], a: str, b: str) -> bool:
+def _merge(label, members: dict, a, b, *joined: dict) -> bool:
     """Merge the components of a and b (vertex -> component label, label ->
     its vertices), relabelling the smaller one; False if they are one
-    component already.  Kruskal and the forest's moats both merge here."""
+    component already.  Each of ``joined`` maps labels to lists that are
+    joined as the members are.  Kruskal and the forest's moats both merge
+    here."""
     big, small = label[a], label[b]
     if big == small:
         return False
@@ -250,7 +259,8 @@ def _merge(label: dict[str, str], members: dict[str, list[str]], a: str, b: str)
         big, small = small, big
     for x in members[small]:
         label[x] = big
-    members[big] += members.pop(small)
+    for parts in (members, *joined):
+        parts[big] += parts.pop(small)
     return True
 
 
@@ -313,8 +323,21 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
 
     Duals grow at unit rate around every active component (one containing
     exactly one endpoint of some pair); the edge that goes tight first is
-    added and its endpoints' components merged.  An edge inside one component
-    never goes tight again, so it leaves the scan for good.
+    added and its endpoints' components merged.  Each edge keeps the toll
+    it has left to pay, and a round lowers it by the round's step times its
+    rate (how many of its ends lie in active components), never below 0;
+    the edge with the least (left / rate, edge id) is chosen.
+
+    A round examines only the borders of the active components: each
+    component keeps the edges at its vertices, joined on merge, and drops
+    those that have fallen inside it when it next scans them.  An edge with
+    both ends active is met from both and handled once.  The rounds an
+    edge is not examined are exactly those in which it has rate 0 and its
+    toll left does not change, so each edge stores the round it was last a
+    candidate in and its rate then, and its pending decrement is applied
+    when it is next examined.  Every edge thus goes through the same float
+    operations in the same order as in a scan of every edge per round, and
+    the grown forest and its toll total are bit for bit the same.
 
     Reverse deletion (drop the grown edges in reverse order whenever every
     pair stays connected) is taken in closed form: it keeps exactly the edges
@@ -334,57 +357,79 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
         for v in pair:
             _check_endpoint(graph, v)
 
-    # component label of each vertex; members of each label
-    label = {v: v for v in graph.vertices}
-    members = {v: [v] for v in graph.vertices}
-    live = [(e.id, e.tail, e.head) for e in graph.edges if e.tail != e.head]
-    remaining = {eid: _toll(tolls, eid) for eid, _, _ in live}
+    # over vertex and edge indices; edge index order is id order
+    index = graph.indexed_adjacency[0]
+    ends, incident = graph.indexed_incidence
+    edges = graph.edges
+    edge_toll = [_toll(tolls, e.id) if u != v else 0.0 for e, (u, v) in zip(edges, ends)]
+    remaining = list(edge_toll)
+    label = list(range(len(incident)))  # component label of each vertex
+    members = {v: [v] for v in label}  # label -> its vertices
+    borders = {v: list(at) for v, at in enumerate(incident)}  # label -> edges at it
+    steps: list[float] = []  # each round's step
+    last = [-1] * len(edges)  # the round each edge was last a candidate in
+    rates = [0] * len(edges)  # and its rate then
 
-    forest: list[tuple[str, str, str]] = []
-    apart = pair_list  # the pairs whose endpoints lie in different components
+    forest: list[int] = []
+    terminal_pairs = [(index[s], index[t]) for s, t in pair_list]
+    apart = terminal_pairs  # the pairs whose endpoints lie in different components
     while apart:
+        now = len(steps)
         active = {label[v] for pair in apart for v in pair}
-        candidates = []
-        crossing = []
-        for edge in live:
-            eid, u, v = edge
-            lu, lv = label[u], label[v]
-            if lu == lv:
-                continue
-            crossing.append(edge)
-            rate = (lu in active) + (lv in active)
-            if rate:
-                candidates.append((remaining[eid] / rate, eid, rate))
-        live = crossing
-        if not candidates:
+        step, chosen = math.inf, len(edges)
+        for c in active:
+            border = []
+            for i in borders[c]:
+                u, v = ends[i]
+                lu, lv = label[u], label[v]
+                if lu == lv:
+                    continue
+                border.append(i)
+                j = last[i]
+                if j == now:
+                    continue
+                left = remaining[i]
+                if j >= 0:
+                    # the decrement pending since round j, then max(0.0, left)
+                    # bit for bit (it too gives 0.0 for nan and -0.0)
+                    left -= steps[j] * rates[i]
+                    left = remaining[i] = left if left > 0.0 else 0.0
+                last[i] = now
+                if (lv if lu == c else lu) in active:  # both ends grow
+                    rates[i] = 2
+                    key = left / 2
+                else:
+                    rates[i] = 1
+                    key = left  # left / 1, the same double
+                if key < step or key == step and i < chosen:
+                    step, chosen = key, i
+            borders[c] = border
+        if chosen == len(edges):
             raise InfeasibleError("some terminal pair is not connected in the graph")
-        step, chosen, _ = min(candidates)
-        for _, eid, rate in candidates:
-            remaining[eid] = max(0.0, remaining[eid] - step * rate)
-        e = graph.edge_by_id[chosen]
-        _merge(label, members, e.tail, e.head)
-        forest.append((chosen, e.tail, e.head))
+        steps.append(step)
+        _merge(label, members, *ends[chosen], borders)
+        forest.append(chosen)
         apart = [(s, t) for s, t in apart if label[s] != label[t]]
 
-    used = _forest_paths(forest, pair_list)
-    kept = [eid for eid, _, _ in forest if eid in used]
+    used = _forest_paths(((i, *ends[i]) for i in forest), terminal_pairs)
+    kept = [i for i in forest if i in used]
 
-    total = left_sum(_toll(tolls, e) for e in kept)
-    return OracleAnswer(reply=frozenset(kept), toll_total=total)
+    total = left_sum(edge_toll[i] for i in kept)
+    return OracleAnswer(reply=frozenset(edges[i].id for i in kept), toll_total=total)
 
 
-def _forest_paths(forest: Iterable[tuple[str, str, str]],
-                  pairs: Iterable[tuple[str, str]]) -> set[str]:
+def _forest_paths(forest: Iterable[tuple[Hashable, Hashable, Hashable]],
+                  pairs: Iterable[tuple[Hashable, Hashable]]) -> set:
     """Edge ids on the unique path between the ends of each pair in a forest
     of (id, u, v) edges that connects every pair."""
-    adjacency: dict[str, list[tuple[str, str]]] = {}
+    adjacency: dict = {}
     for eid, u, v in forest:
         adjacency.setdefault(u, []).append((v, eid))
         adjacency.setdefault(v, []).append((u, eid))
     # one depth-first search per source, resumed for each of its pairs; in a
     # forest the search's parent links give the unique path back to it
-    searches: dict[str, tuple[dict[str, tuple[str, str]], list[str]]] = {}
-    used: set[str] = set()
+    searches: dict = {}
+    used = set()
     for s, t in pairs:
         via, stack = searches.setdefault(s, ({s: (s, "")}, [s]))
         while t not in via:

@@ -86,6 +86,22 @@ class ShareQuery:
             if w < 1:
                 raise InstanceError("weights must be >= 1")
 
+    @classmethod
+    def _of_checked(cls, resource: ResourceParams, exponents: ExponentProfile,
+                    users: tuple[tuple[int, int], ...], target: int) -> ShareQuery:
+        """The query on users already checked as ``__post_init__`` checks
+        them: integer (request id, weight) pairs sorted by id, the ids
+        distinct, every weight at least 1 and ``target`` among them.  Such
+        users are not sorted or checked again (``analysis.ProfileState``
+        keeps them so), and the query equals ``ShareQuery`` of the same
+        fields."""
+        query = object.__new__(cls)
+        object.__setattr__(query, "resource", resource)
+        object.__setattr__(query, "exponents", exponents)
+        object.__setattr__(query, "users", users)
+        object.__setattr__(query, "target", target)
+        return query
+
     @property
     def target_weight(self) -> int:
         for i, w in self.users:

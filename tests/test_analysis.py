@@ -22,6 +22,7 @@ from gndes import (
     ResourceParams,
     Routing,
     SetConnectivity,
+    ShareQuery,
     run_abrd,
     total_cost,
 )
@@ -470,6 +471,32 @@ class TestDeviationRule:
                 trial = profile[:pos] + (alt,) + profile[pos + 1:]
                 assert (float.hex(state.player_cost(mechanism, pos, alt))
                         == float.hex(reference_player_cost(inst, mechanism, trial, pos)))
+
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), directed=st.booleans())
+    def test_state_built_queries_equal_checked_ones(self, seed, directed):
+        # ShareQuery sorts and checks the users it is given; the state builds
+        # its queries from users it keeps sorted by id, without those checks
+        rng = rng_for(seed)
+        inst = random_five_kind_instance(rng, directed)
+        ids = rng.choice(range(-40, 40), size=inst.n_requests, replace=False)
+        inst = replace(inst, requests=tuple(replace(req, id=int(i))
+                                            for req, i in zip(inst.requests, ids)))
+        candidates = [candidate_replies(inst, req) for req in inst.requests]
+        assume(all(candidates))
+        state = ProfileState(inst, tuple(c[int(rng.integers(len(c)))] for c in candidates))
+        for _ in range(3):
+            for pos, req in enumerate(inst.requests):
+                for res in inst.resources:
+                    users = [(other.id, other.weight(res.id))
+                             for other, reply in zip(inst.requests, state.profile)
+                             if res.id in reply or other is req]
+                    shuffled = [users[k] for k in rng.permutation(len(users))]
+                    checked = ShareQuery(res, inst.exponents, shuffled, target=req.id)
+                    built = state.share_query(pos, res.id)
+                    assert built == checked and built.users == tuple(users)
+            pos = int(rng.integers(inst.n_requests))
+            state.move(pos, candidates[pos][int(rng.integers(len(candidates[pos])))])
 
     def test_a_reply_naming_an_unknown_resource_is_refused(self):
         state = ProfileState(parallel_edges_instance(), (frozenset({"e1"}),) * 2)

@@ -284,6 +284,11 @@ class TestInstanceValidation:
         with pytest.raises(InstanceError):
             Request(id=1, kind=MachineChoice(("m",)), weights={"m": 0})
 
+    @pytest.mark.parametrize("rid", ["1", 1.0, True, None])
+    def test_request_ids_are_integers(self, rid):
+        with pytest.raises(InstanceError, match="^request id .* must be an integer$"):
+            Request(id=rid, kind=MachineChoice(("m",)))
+
     def test_xis_need_a_positive_entry(self):
         with pytest.raises(InstanceError):
             ResourceParams("e", 1.0, (0.0, 0.0))

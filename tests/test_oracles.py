@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -487,6 +488,38 @@ class TestAgainstEarlierImplementations:
             infeasible += not isinstance(ref, OracleAnswer)
         assert 100 < infeasible < 2000
 
+    def test_forest_matches_reverse_deletion_on_grids(self):
+        # 6x6 to 10x10 grids, where a growth round examines far fewer edges
+        # than there are: real tolls, integer tolls that tie, and tolls with
+        # +inf on one row's downward edges and on some others, so a pair
+        # across that row makes a step of +inf, which sends every
+        # candidate's toll left to 0; a pair shares an endpoint with the
+        # one before it a quarter of the time
+        rng = rng_for(83)
+        infinite = 0
+        for case in range(240):
+            k = int(rng.integers(6, 11))
+            g = grid_graph(k)
+            if case % 3 == 1:
+                tolls = {e.id: float(rng.integers(1, 4)) for e in g.edges}
+            else:
+                tolls = random_tolls(rng, g)
+            if case % 3 == 2:
+                row = int(rng.integers(k - 1))
+                tolls.update((e.id, math.inf) for e in g.edges
+                             if e.id.startswith(f"d{row}") or rng.random() < 0.1)
+            pairs = random_pairs(rng, g, 1, 4)
+            for k in range(1, len(pairs)):
+                if rng.random() < 0.25:
+                    s, t = pairs[k]
+                    shared = pairs[k - 1][int(rng.integers(2))]
+                    pairs[k] = (shared, t if t != shared else s)
+            new = outcome(steiner_forest_oracle, g, pairs, tolls)
+            ref = outcome(reference_steiner_forest, g, pairs, tolls)
+            assert isinstance(ref, OracleAnswer) and same_answer(new, ref), (case, pairs)
+            infinite += ref.toll_total == math.inf
+        assert 40 < infinite < 80
+
     @pytest.mark.parametrize("directed", [False, True])
     def test_shortest_paths_match_one_search_per_target(self, directed):
         # a third of the cases have absorbing tolls on up to 9 vertices
@@ -660,6 +693,18 @@ class TestSearchInputs:
         assert len(neighbors) == len(g.vertices)
         for v, i in index.items():
             assert [(g.vertices[w], eid) for w, eid in neighbors[i]] == list(g.adjacency[v])
+        # the incidence over edge indices, for the Steiner forest's borders
+        ends, incident = g.indexed_incidence
+        assert g.indexed_incidence is g.indexed_incidence
+        assert ends == tuple((index[e.tail], index[e.head]) for e in g.edges)
+        assert len(incident) == len(g.vertices)
+        for v, i in index.items():
+            # every edge at v by index, in edge (so id) order, loops left out
+            assert list(incident[i]) == [k for k, e in enumerate(g.edges)
+                                         if v in (e.tail, e.head) and e.tail != e.head]
+        loops = {k for k, e in enumerate(g.edges) if e.tail == e.head}
+        assert loops == ({0, 1} if "multigraph" in build else set())
+        assert not loops & {k for at in incident for k in at}
 
 
 class TestDirectedHeuristics:

@@ -45,6 +45,7 @@ from .instance import (
     total_cost,
     validate_reply,
 )
+from .io import csv_text, fmt
 from .rng import keyed_rng
 from .sharing import CountingTables, ShareQuery, cost_share, shapley_exact
 
@@ -231,14 +232,15 @@ class ExactnessCheck:
 def potential_exactness_check(instance: Instance, profile: StrategyProfile,
                               position: int, new_reply: frozenset[str]) -> ExactnessCheck:
     """Under exact Shapley shares a unilateral deviation changes the potential
-    by exactly the deviator's cost change."""
+    by exactly the deviator's cost change.  Both potentials and both costs
+    are priced on one :class:`ProfileState`, moved once."""
     _check_position(instance, position)
-    deviated = tuple(new_reply if i == position else r for i, r in enumerate(profile))
-    dphi = potential(instance, deviated) - potential(instance, profile)
     state = ProfileState(instance, profile)
+    before = state.potential()
     dcost = (state.player_cost("shapley-exact", position, new_reply)
              - state.player_cost("shapley-exact", position, profile[position]))
-    return ExactnessCheck(delta_potential=dphi, delta_cost=dcost)
+    state.move(position, new_reply)
+    return ExactnessCheck(delta_potential=state.potential() - before, delta_cost=dcost)
 
 
 # ---------------------------------------------------------------------------
@@ -390,11 +392,8 @@ def nash_report_csv(instance: Instance, mechanism: str) -> tuple[PoaReport, str]
     """One row per enumerated profile: its cost and whether it is a NE.
     Returns the :func:`enumerate_nash` report of the same walk beside it."""
     rows = list(_iter_equilibrium_rows(instance, mechanism))
-    lines = ["profile,cost,is_nash"]
-    for profile, cost, is_nash in rows:
-        lines.append(f"{_profile_label(profile)},{format(cost, '.9g')},"
-                     f"{'true' if is_nash else 'false'}")
-    return _poa_report(rows), "\n".join(lines) + "\n"
+    return _poa_report(rows), csv_text("profile,cost,is_nash", (
+        (_profile_label(profile), cost, is_nash) for profile, cost, is_nash in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -479,13 +478,9 @@ def smoothness_report_csv(instance: Instance, mechanism: str, lam: float, mu: fl
     """One row per checked pair: deviation sum, both costs, verdict.
     Returns the :func:`smoothness_check` report of the same pairs beside it."""
     rows = list(_iter_smoothness_rows(instance, mechanism, lam, mu, max_pairs, seed))
-    lines = ["profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok"]
-    for p, p_prime, lhs, c_p, c_prime, ok in rows:
-        lines.append(
-            f"{_profile_label(p)},{_profile_label(p_prime)},"
-            f"{format(lhs, '.9g')},{format(c_p, '.9g')},{format(c_prime, '.9g')},"
-            f"{'true' if ok else 'false'}")
-    return _smoothness_report(lam, mu, rows), "\n".join(lines) + "\n"
+    return _smoothness_report(lam, mu, rows), csv_text(
+        "profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok",
+        ((_profile_label(p), _profile_label(p_prime), *rest) for p, p_prime, *rest in rows))
 
 
 # ---------------------------------------------------------------------------
@@ -556,7 +551,8 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
         suggestion = finite(lambda k: xi * k ** alpha, lambda k: ConfigError(
             f"{reason}; the nearest valid sigma, xi * {k}^alpha, exceeds the largest double"),
             max(2, n))
-        raise ConfigError(f"{reason}; nearest valid sigma is {suggestion:.9g}")
+        # integer xi and alpha give an integer, printed as a real all the same
+        raise ConfigError(f"{reason}; nearest valid sigma is {fmt(float(suggestion))}")
 
     tail_alphas = [1.0 + (alpha - 1.0) / 2.0] * (q - 1)
 

@@ -22,7 +22,7 @@ times the optimum, with eps1 = (1 + eps) / (1 - eps).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from decimal import Decimal, localcontext
 from fractions import Fraction
 
@@ -98,6 +98,18 @@ class TheoreticalBounds:
     T: int                # step budget
     ratio_bound: float
     rho: float
+
+    def named(self) -> list[tuple[str, float]]:
+        """(name, value) of each constant in field order; a name is the
+        constant's JSON key, ``lambda`` for ``lam``."""
+        return [("lambda" if f.name == "lam" else f.name, getattr(self, f.name))
+                for f in fields(self)]
+
+    def labelled(self, **labels: str) -> list[tuple[str, float]]:
+        """The constants as reports list them: rho first, then the rest of
+        :meth:`named` in order, a name replaced by its label in ``labels``."""
+        *rest, rho = self.named()
+        return [(labels.get(name, name), value) for name, value in [rho, *rest]]
 
 
 def theoretical_bounds(instance: Instance, mechanism: str, epsilon: float) -> TheoreticalBounds:

@@ -45,6 +45,7 @@ from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_cost,
                        total_cost)
+from .io import csv_text, report_text
 from .oracles import OracleAnswer, clamp_toll, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
@@ -396,74 +397,53 @@ def run_abrd(instance: Instance, config: AbrdConfig,
 # trace and report emission
 # ---------------------------------------------------------------------------
 
-def _fmt(value: float) -> str:
-    return format(value, ".9g")
-
-
 def trace_to_csv(result: RunResult) -> str:
     """Columns: step, player, delta_selected, Delta, cost, potential,
     converged.  The step-0 row and rows without an update leave the player
     and delta_selected fields empty."""
-    lines = ["step,player,delta_selected,Delta,cost,potential,converged"]
-    for rec in result.trace:
-        player = "" if rec.player is None else str(rec.player)
-        delta_sel = "" if rec.delta_selected is None else _fmt(rec.delta_selected)
-        delta_total = "" if rec.delta_total is None else _fmt(rec.delta_total)
-        pot = "" if rec.potential is None else _fmt(rec.potential)
-        lines.append(",".join([
-            str(rec.step), player, delta_sel, delta_total,
-            _fmt(rec.cost), pot, "true" if rec.converged else "false"]))
-    return "\n".join(lines) + "\n"
+    return csv_text("step,player,delta_selected,Delta,cost,potential,converged",
+                    ((rec.step, rec.player, rec.delta_selected, rec.delta_total, rec.cost,
+                      rec.potential, rec.converged) for rec in result.trace))
 
 
 def run_report(instance: Instance, result: RunResult) -> str:
-    b, config = result.bounds, result.config
-    lines = [
-        "abrd run report",
-        f"  mechanism        {config.mechanism}",
-        f"  selection        {config.selection}",
-        f"  output mode      {config.output}",
-        f"  seed             {config.seed}",
-        f"  players          {instance.n_requests}",
-        f"  resources        {len(instance.resources)}",
-        f"  rho              {_fmt(b.rho)}",
-        f"  epsilon1         {_fmt(b.epsilon1)}",
-        f"  gamma_alpha      {_fmt(b.gamma_alpha)}",
-        f"  lambda_alpha     {_fmt(b.lambda_alpha)}",
-        f"  lambda           {_fmt(b.lam)}",
-        f"  mu               {_fmt(b.mu)}",
-        f"  A (harmonic)     {_fmt(b.A)}",
-        f"  B (ceil alpha)   {_fmt(b.B)}",
-        f"  Q                {_fmt(b.Q)}",
-        f"  T (step budget)  {b.T}",
-        f"  ratio bound      {_fmt(b.ratio_bound)}",
-        f"  budget used      {result.step_budget}"
-        + ("  (override; ratio guarantee void)" if result.budget_overridden else ""),
+    config = result.config
+    rows = [
+        ("mechanism", config.mechanism),
+        ("selection", config.selection),
+        ("output mode", config.output),
+        ("seed", config.seed),
+        ("players", instance.n_requests),
+        ("resources", len(instance.resources)),
+        *result.bounds.labelled(A="A (harmonic)", B="B (ceil alpha)", T="T (step budget)",
+                                ratio_bound="ratio bound"),
+        ("budget used", f"{result.step_budget}"
+         + ("  (override; ratio guarantee void)" if result.budget_overridden else "")),
     ]
     if config.mechanism == "shapley-sampled":
         budget, n, m = max(1, result.step_budget), instance.n_requests, len(instance.resources)
         fail = float_or_exact(lambda: 1.0 / (2.0 * budget * n * m),
                               lambda: 1 / (2 * budget * n * m))
-        lines.append(f"  sampling failure probability <= {_fmt(fail)}")
+        rows.append(("sampling failure probability <= ", fail))
         if result.sample_cap_hits:
-            lines.append(f"  epsilon guarantee void on {result.sample_cap_hits}"
-                         f" of {result.sampled_shares} sampled shares")
-    lines.append(f"  steps recorded   {len(result.trace) - 1}")
-    lines.append("  converged        "
-                 + (f"at step {result.converged_at}" if result.converged_at else "no"))
-    lines.append(f"  t*               {result.t_star}")
-    lines.append(f"  initial cost     {_fmt(result.trace[0].cost)}")
-    lines.append(f"  best cost        {_fmt(result.best_cost)}")
-    lines.append(f"  output cost      {_fmt(result.output_cost)}")
+            rows.append(("epsilon guarantee void on ",
+                         f"{result.sample_cap_hits} of {result.sampled_shares} sampled shares"))
+    rows += [
+        ("steps recorded", len(result.trace) - 1),
+        ("converged", f"at step {result.converged_at}" if result.converged_at else "no"),
+        ("t*", result.t_star),
+        ("initial cost", result.trace[0].cost),
+        ("best cost", result.best_cost),
+        ("output cost", result.output_cost),
+    ]
     if result.opt_cost is not None:
-        lines.append(f"  brute-force opt  {_fmt(result.opt_cost)}")
-        lines.append(f"  empirical ratio  {_fmt(result.ratio)}")
-    return "\n".join(lines) + "\n"
+        rows += [("brute-force opt", result.opt_cost), ("empirical ratio", result.ratio)]
+    return report_text("abrd run report", rows, 17)
 
 
 def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
     """Machine-readable mirror of the plain-text run report."""
-    b, config = result.bounds, result.config
+    config = result.config
     out = {
         "mechanism": config.mechanism,
         "selection": config.selection,
@@ -471,11 +451,7 @@ def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
         "seed": config.seed,
         "players": instance.n_requests,
         "resources": len(instance.resources),
-        "bounds": {
-            "rho": b.rho, "epsilon1": b.epsilon1, "gamma_alpha": b.gamma_alpha,
-            "lambda_alpha": b.lambda_alpha, "lambda": b.lam, "mu": b.mu,
-            "A": b.A, "B": b.B, "Q": b.Q, "T": b.T, "ratio_bound": b.ratio_bound,
-        },
+        "bounds": dict(result.bounds.labelled()),
         "step_budget": result.step_budget,
         "budget_overridden": result.budget_overridden,
         "steps_recorded": len(result.trace) - 1,

@@ -34,6 +34,7 @@ from .instance import (
     rep_cost,
     total_cost,
 )
+from .io import csv_text
 from .oracles import clamp_toll, routing_oracle
 from .rng import keyed_rng
 
@@ -198,8 +199,6 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
 
 
 def regret_trace_to_csv(result: LApxResult) -> str:
-    lines = ["round,player,realized_toll,best_fixed_toll"]
-    for row in result.trace:
-        lines.append(f"{row.round},{row.player},"
-                     f"{format(row.realized_toll, '.9g')},{format(row.best_fixed_toll, '.9g')}")
-    return "\n".join(lines) + "\n"
+    return csv_text("round,player,realized_toll,best_fixed_toll",
+                    ((row.round, row.player, row.realized_toll, row.best_fixed_toll)
+                     for row in result.trace))

@@ -1,15 +1,25 @@
-"""Instance files: a JSON document with top-level keys "alphas", "resources",
-optional "graph" and "requests".  Unknown keys are rejected at every level, and
-every malformed file raises ParseError naming the offending field or line.  One
-table gives each request kind its tag and each field's reader and writer.  The
-writer's canonical form (fixed key order, two-space indent, sorted collections,
-a trailing newline) makes write(parse(file)) byte-identical for such files.
+"""Instance files and the one output rule.
+
+Instance files are a JSON document with top-level keys "alphas",
+"resources", optional "graph" and "requests".  Unknown keys are rejected at
+every level, and every malformed file raises ParseError naming the offending
+field or line.  One table gives each request kind its tag and each field's
+reader and writer.  The writer's canonical form (fixed key order, sorted
+collections) makes write(parse(file)) byte-identical for such files.
+
+The output rule: every number, report, CSV row, JSON document and file the
+package writes goes through the helpers at the end of this module.
+:func:`fmt` prints one value (a real to 9 significant digits, ``None``
+empty, a bool ``true``/``false``, anything else by ``str``), and
+:func:`report_text`, :func:`csv_text` (LF-ended rows) and :func:`json_text`
+(two-space indent, a trailing newline) build on it; :func:`write_text`
+writes UTF-8 with LF line endings whatever the platform.
 """
 
 from __future__ import annotations
 
 import json
-from typing import Any
+from typing import Any, Iterable
 
 from .errors import InstanceError, ParseError
 from .instance import (Edge, ExplicitReplies, ExponentProfile, HostGraph, Instance, MachineChoice,
@@ -224,10 +234,47 @@ def instance_to_dict(instance: Instance) -> dict[str, Any]:
 
 
 def instance_to_text(instance: Instance) -> str:
-    return json.dumps(instance_to_dict(instance), indent=2) + "\n"
+    return json_text(instance_to_dict(instance))
 
 
 def write_instance(instance: Instance, path: str):
+    write_text(path, instance_to_text(instance))
+
+
+# ---------------------------------------------------------------------------
+# the output rule
+# ---------------------------------------------------------------------------
+
+def fmt(value) -> str:
+    """One printed value: a real to 9 significant digits, ``None`` empty, a
+    bool ``true`` or ``false``, anything else by ``str``."""
+    if value is None:
+        return ""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if isinstance(value, float):
+        return format(value, ".9g")
+    return str(value)
+
+
+def report_text(title: str, rows: Iterable[tuple[str, Any]], width: int) -> str:
+    """A titled report, one line per (label, value) row: two spaces, the
+    label padded to ``width``, then the value.  A label of ``width`` or more
+    characters is not padded, so it carries its own space."""
+    lines = [title, *(f"  {label:<{width}}{fmt(value)}" for label, value in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def csv_text(header: str, rows: Iterable[Iterable[Any]]) -> str:
+    """A CSV document: the header line, then one line per row of values."""
+    lines = [header, *(",".join(map(fmt, row)) for row in rows)]
+    return "\n".join(lines) + "\n"
+
+
+def json_text(doc) -> str:
+    return json.dumps(doc, indent=2) + "\n"
+
+
+def write_text(path: str, text: str):
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        json.dump(instance_to_dict(instance), fh, indent=2)
-        fh.write("\n")
+        fh.write(text)

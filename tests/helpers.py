@@ -123,15 +123,18 @@ def random_tolls(rng, graph: HostGraph, low: float = 0.2, high: float = 3.0) -> 
 
 
 def grid_graph(k: int) -> HostGraph:
-    """The undirected k x k grid on vertices v00 .. v(k-1)(k-1)."""
-    v = lambda i, j: f"v{i}{j}"
+    """The undirected k x k grid on vertices v00 .. v(k-1)(k-1).  Past k = 10
+    an underscore separates the two indices (v0_0 .. v11_11 at k = 12), so
+    that no two vertices or edges share a name."""
+    sep = "" if k <= 10 else "_"
+    v = lambda i, j: f"v{i}{sep}{j}"
     edges = []
     for i in range(k):
         for j in range(k):
             if j + 1 < k:
-                edges.append(Edge(f"h{i}{j}", v(i, j), v(i, j + 1)))
+                edges.append(Edge(f"h{i}{sep}{j}", v(i, j), v(i, j + 1)))
             if i + 1 < k:
-                edges.append(Edge(f"d{i}{j}", v(i, j), v(i + 1, j)))
+                edges.append(Edge(f"d{i}{sep}{j}", v(i, j), v(i + 1, j)))
     return HostGraph(False, tuple(v(i, j) for i in range(k) for j in range(k)), tuple(edges))
 
 

@@ -1,5 +1,7 @@
+import runpy
 from dataclasses import replace
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -23,6 +25,7 @@ from gndes import (
     Routing,
     SetConnectivity,
     ShareQuery,
+    initial_profile,
     run_abrd,
     total_cost,
 )
@@ -55,6 +58,9 @@ from helpers import (
     reference_player_cost,
     rng_for,
 )
+
+
+WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads.py"
 
 
 def one_edge_instance(weights=(1, 2), sigma=6.0):
@@ -274,6 +280,36 @@ class TestPotentialExactness:
             for pos, req in enumerate(inst.requests):
                 for alt in req.kind.replies:
                     assert potential_exactness_check(inst, profile, pos, alt).ok
+
+    @pytest.mark.parametrize("workload", ["steiner-shapley", "machines-sampled"])
+    def test_one_state_gives_the_bits_of_three(self, workload):
+        # the check prices both potentials and both costs on one state that
+        # it moves; the reference builds a state for each potential and one
+        # for the costs.  60 deviations on a walk over the first instance of
+        # the benchmark workload at seed 1: another player's reply or a
+        # random set of resources
+        workloads = runpy.run_path(str(WORKLOADS), run_name="bench_workloads")["WORKLOADS"]
+        inst = workloads[workload](1)[0].instance
+        profile = initial_profile(inst)
+        ids = [res.id for res in inst.resources]
+        rng = rng_for(61)
+        for _ in range(60):
+            pos = int(rng.integers(inst.n_requests))
+            if rng.random() < 0.5:
+                reply = profile[int(rng.integers(inst.n_requests))]
+            else:
+                reply = frozenset(rng.choice(ids, size=int(rng.integers(1, 4)),
+                                             replace=False).tolist())
+            check = potential_exactness_check(inst, profile, pos, reply)
+            deviated = profile[:pos] + (reply,) + profile[pos + 1:]
+            state = ProfileState(inst, profile)
+            expected = (potential(inst, deviated) - potential(inst, profile),
+                        state.player_cost("shapley-exact", pos, reply)
+                        - state.player_cost("shapley-exact", pos, profile[pos]))
+            assert (check.delta_potential.hex(), check.delta_cost.hex()) == tuple(
+                x.hex() for x in expected)
+            assert check.ok
+            profile = deviated
 
 
 class TestBruteForce:

@@ -10,7 +10,9 @@ decides on as ``float.hex``: every step's cost, deltas and potential, the
 best cost, t* and the selected players of the golden ABRD cases and of the
 first instance of each ABRD benchmark workload at seed 1
 (``bench/workloads.py``), the FPL regrets and costs, and H_n for n < 60.
-Another, ``guarantees.txt``, pins what a user reads of a guarantee.
+Another, ``guarantees.txt``, pins what a user reads of a guarantee, and
+the ``cli_*.txt`` cases pin what the other commands print and every file
+they write, as a session of ``gndes`` commands in one temporary directory.
 After a deliberate change of output, rewrite the files, the demos' outputs
 (``tests/test_demos.py``) included, with ``PYTHONPATH=src python
 tests/test_golden.py`` and review the diff.
@@ -35,7 +37,7 @@ from gndes.analysis import nash_report_csv, poa_lower_bound_instance, smoothness
 from gndes.bounds import harmonic, smoothness_constants, theoretical_bounds
 from gndes.engine import run_report, trace_to_csv
 from gndes.fpl import FplConfig, regret_trace_to_csv, run_l_apx
-from gndes.io import parse_instance_text
+from gndes.io import instance_to_text, parse_instance_text
 from gndes.sharing import MECHANISMS, rep_expansion_check
 
 from helpers import grid_graph, random_share_query, rng_for, seeded_case
@@ -287,6 +289,79 @@ def _guarantees():
     return "\n".join(lines) + "\n"
 
 
+def _session(instances, commands):
+    """Each command's exit code, stdout and stderr (``_cli_output``) and then
+    every file it wrote, run in one temporary directory that holds the
+    instance files ``instances`` names; ``DIR`` stands for that directory
+    in the commands and in what they print."""
+    lines = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, inst in instances.items():
+            Path(tmp, name).write_text(instance_to_text(inst), encoding="utf-8")
+        seen = set(instances)
+        for command in commands:
+            lines.append(f"$ gndes {command}")
+            lines.append(_cli_output(*command.replace("DIR", tmp).split())
+                         .replace(tmp, "DIR").rstrip("\n"))
+            for name in sorted(p.name for p in Path(tmp).iterdir() if p.name not in seen):
+                seen.add(name)
+                lines.append(f"--- DIR/{name}")
+                lines.append(Path(tmp, name).read_text(encoding="utf-8").rstrip("\n"))
+    return "\n".join(lines) + "\n"
+
+
+def _guarantee_instance(label):
+    return parse_instance_text(json.dumps(GUARANTEE_INSTANCES[label]))
+
+
+def _cli_solve():
+    """``gndes solve`` as text and JSON, with the trace it writes, under
+    every mechanism, both selections and output modes, a step cap and the
+    brute-force optimum."""
+    return _session(
+        {"routing.json": seeded_case("routing")[0], "steiner.json": seeded_case("steiner")[0],
+         "explicit.json": seeded_case("explicit")[0],
+         "machines.json": _guarantee_instance("machines, rho 1")},
+        ["solve --instance DIR/routing.json --csm proportional --max-steps 4"
+         " --trace DIR/routing.csv",
+         "solve --instance DIR/routing.json --csm proportional --max-steps 4 --json",
+         "solve --instance DIR/steiner.json --max-steps 3 --epsilon 0.05 --trace DIR/steiner.csv",
+         "solve --instance DIR/explicit.json --brute",
+         "solve --instance DIR/explicit.json --brute --json",
+         "solve --instance DIR/machines.json --csm shapley-sampled --seed 3"
+         " --selection rand --output last --trace DIR/machines.csv",
+         "solve --instance DIR/machines.json --csm shapley-sampled --seed 3"
+         " --selection rand --output last --json",
+         "solve --instance DIR/machines.json --max-steps 0 --json",
+         "solve --instance DIR/missing.json"])
+
+
+def _cli_enumeration():
+    """``gndes brute``, ``nash`` and ``smooth --csv`` as text and JSON with
+    the CSV files they write, and ``poa-gen`` with the instance it writes."""
+    return _session(
+        {"explicit.json": seeded_case("explicit")[0],
+         "machines.json": _guarantee_instance("machines, rho 1")},
+        ["brute --instance DIR/explicit.json",
+         "brute --instance DIR/explicit.json --json",
+         "nash --instance DIR/machines.json --csv DIR/nash.csv",
+         "nash --instance DIR/machines.json --csm proportional --json",
+         "nash --instance DIR/explicit.json",
+         "smooth --instance DIR/machines.json --pairs 30 --seed 5 --csv DIR/smooth.csv",
+         "poa-gen --sigma 4 --xi 1 --alpha 2 --q 2 --out DIR/poa.json",
+         "nash --instance DIR/poa.json --json"])
+
+
+def _cli_fpl():
+    """``gndes fpl`` as text and JSON, with and without a lower bound, and
+    the regret trace it writes."""
+    return _session(
+        {"routing.json": seeded_case("fpl")[0]},
+        ["fpl --instance DIR/routing.json --seed 1 --rounds 3 --trace DIR/regret.csv",
+         "fpl --instance DIR/routing.json --seed 1 --rounds 3 --lb 2.5",
+         "fpl --instance DIR/routing.json --seed 2 --rounds 2 --json"])
+
+
 CASES = {
     "abrd_routing.txt": lambda: _abrd("routing"),
     "abrd_steiner.txt": lambda: _abrd("steiner"),
@@ -299,6 +374,9 @@ CASES = {
     "duplicate_players.txt": _duplicate_players,
     "full_precision.txt": _full_precision,
     "guarantees.txt": _guarantees,
+    "cli_solve.txt": _cli_solve,
+    "cli_enumeration.txt": _cli_enumeration,
+    "cli_fpl.txt": _cli_fpl,
     "poa_n2_nash.csv": lambda: _poa_n2("nash"),
     "poa_n2_smoothness.csv": lambda: _poa_n2("smoothness"),
 }

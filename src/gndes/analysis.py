@@ -8,9 +8,11 @@ the one deviation rule: a player's share on a resource is priced against
 everybody else's replies, with her joined to its users when her reply does
 not hold it (:meth:`ProfileState.share_query`).  The dynamics' tolls and
 the walks here (:meth:`ProfileState.player_cost`) both use it, so a walk
-builds one state per profile or pair, not one per deviation.  Enumerations
-refuse (never silently truncate) when the fixed limits would be exceeded,
-so derived expected values stay trustworthy.
+builds one state per profile or pair, not one per deviation.  Every verdict
+compares floats by ``instance.exceeds``, against the magnitudes compared and
+never an absolute slack, so no verdict depends on the unit of cost.
+Enumerations refuse (never silently truncate) when the fixed limits would
+be exceeded, so derived expected values stay trustworthy.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ from typing import Iterable, Optional, Sequence
 from .bounds import harmonic
 from .errors import ConfigError, EnumerationLimitError, InfeasibleError, InstanceError
 from .instance import (
+    REL_TOL,
     Edge,
     ExplicitReplies,
     ExponentProfile,
@@ -38,6 +41,7 @@ from .instance import (
     Routing,
     StrategyProfile,
     check_profile,
+    exceeds,
     finite,
     float_or_exact,
     left_sum,
@@ -48,14 +52,6 @@ from .instance import (
 from .io import csv_text, fmt
 from .rng import keyed_rng
 from .sharing import CountingTables, ShareQuery, cost_share, shapley_exact
-
-REL_TOL = 1e-9
-ABS_TOL = 1e-12
-
-
-def _close(a: float, b: float) -> bool:
-    return abs(a - b) <= max(REL_TOL * max(abs(a), abs(b)), ABS_TOL)
-
 
 def _check_position(instance: Instance, position: int):
     if position not in range(instance.n_requests):
@@ -213,9 +209,7 @@ def potential_bounds_check(instance: Instance,
         tested += 1
         c = total_cost(instance, p)
         phi = potential(instance, p)
-        slack = REL_TOL * max(c, phi, 1.0)
-        if not (c / b <= phi + slack and phi <= a * c + slack):
-            violations += 1
+        violations += exceeds(c / b, phi, c) or exceeds(phi, a * c)
     return PotentialBoundsReport(profiles_tested=tested, violations=violations)
 
 
@@ -223,10 +217,11 @@ def potential_bounds_check(instance: Instance,
 class ExactnessCheck:
     delta_potential: float
     delta_cost: float
+    magnitude: float      # the largest of the potentials and costs subtracted
 
     @property
     def ok(self) -> bool:
-        return _close(self.delta_potential, self.delta_cost)
+        return not exceeds(abs(self.delta_potential - self.delta_cost), 0.0, self.magnitude)
 
 
 def potential_exactness_check(instance: Instance, profile: StrategyProfile,
@@ -237,10 +232,12 @@ def potential_exactness_check(instance: Instance, profile: StrategyProfile,
     _check_position(instance, position)
     state = ProfileState(instance, profile)
     before = state.potential()
-    dcost = (state.player_cost("shapley-exact", position, new_reply)
-             - state.player_cost("shapley-exact", position, profile[position]))
+    new_cost = state.player_cost("shapley-exact", position, new_reply)
+    old_cost = state.player_cost("shapley-exact", position, profile[position])
     state.move(position, new_reply)
-    return ExactnessCheck(delta_potential=state.potential() - before, delta_cost=dcost)
+    after = state.potential()
+    return ExactnessCheck(delta_potential=after - before, delta_cost=new_cost - old_cost,
+                          magnitude=max(before, after, new_cost, old_cost))
 
 
 # ---------------------------------------------------------------------------
@@ -357,7 +354,7 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str):
             for alt in candidates[pos]:
                 if alt == profile[pos]:
                     continue
-                if state.player_cost(mechanism, pos, alt) < own - 1e-9:
+                if exceeds(own, state.player_cost(mechanism, pos, alt)):
                     is_nash = False
                     break
             if not is_nash:
@@ -445,9 +442,7 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
                        for pos in range(instance.n_requests))
         c_p = total_cost(instance, p)
         c_prime = total_cost(instance, p_prime)
-        slack = REL_TOL * max(lhs, lam * c_prime + mu * c_p, 1.0)
-        ok = lhs <= lam * c_prime + mu * c_p + slack
-        yield p, p_prime, lhs, c_p, c_prime, ok
+        yield p, p_prime, lhs, c_p, c_prime, not exceeds(lhs, lam * c_prime + mu * c_p)
 
 
 def _smoothness_report(lam: float, mu: float, rows) -> SmoothnessReport:
@@ -510,7 +505,8 @@ def budget_balance_check(mechanism: str,
         for rid, _ in users:
             total += cost_share(mechanism, ShareQuery(res, exp, users, target=rid))
         full = rep_cost(res, exp, sum(w for _, w in users))
-        worst = max(worst, abs(total - full) / max(abs(full), ABS_TOL))
+        # an unused resource costs 0 and balances; any other costs more than 0
+        worst = max(worst, abs(total - full) / full if users else 0.0)
     return BudgetBalanceReport(queries_tested=tested, max_rel_gap=worst)
 
 
@@ -546,7 +542,7 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     n = round(n_real)
     if n > MAX_POA_REQUESTS:
         raise ConfigError(f"N = {n_real:.6g} exceeds the cap of {MAX_POA_REQUESTS} requests")
-    if n < 2 or abs(n_real - n) > 1e-9 * max(1.0, n):
+    if n < 2 or exceeds(abs(n_real - n), 0.0, n_real, n):
         reason = f"(sigma/xi)^(1/alpha) = {n_real:.6g} is not an integer >= 2"
         suggestion = finite(lambda k: xi * k ** alpha, lambda k: ConfigError(
             f"{reason}; the nearest valid sigma, xi * {k}^alpha, exceeds the largest double"),

@@ -46,7 +46,7 @@ from .errors import ConfigError
 from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_cost,
                        total_cost)
 from .io import csv_text, report_text
-from .oracles import OracleAnswer, clamp_toll, reply_oracle
+from .oracles import OracleAnswer, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
 
@@ -201,7 +201,9 @@ class PassView:
     resources whose users changed since her row was built and on those where
     her share was sampled.  Exact shares read their counting tables and h
     values from the state's ``tables`` store, which outlives the pass and is
-    shared with the state's potential.
+    shared with the state's potential.  A toll is the share itself, so a run
+    on an instance with every cost multiplied by a power of two makes the
+    same moves, its costs, deltas and potentials multiplied by that power.
     """
 
     def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,
@@ -226,8 +228,9 @@ class PassView:
         her current (estimated) share.  Only the stale entries of her kept
         row are computed, each only when no earlier player of the pass
         computed it, and then on the state's query
-        (``analysis.ProfileState.share_query``).  Each toll is clamped as it
-        is written (``oracles.clamp_toll``)."""
+        (``analysis.ProfileState.share_query``).  A toll is the share as it
+        is, nonnegative and in the instance's cost unit; the oracles take a
+        zero toll as it is."""
         instance, config, rows = self.instance, self.config, self.rows
         row = rows.tolls.get(position)
         if row is None:
@@ -263,7 +266,7 @@ class PassView:
                     # Shapley share, so it is memoized like any exact share
                     share = memo[key] = cost_share(self.exact_mechanism, query,
                                                    tables=self.state.tables)
-            row[e] = clamp_toll(share)
+            row[e] = share
         rows.tolls[position], rows.stale[position] = row, stale
         return row
 

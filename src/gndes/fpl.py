@@ -35,7 +35,7 @@ from .instance import (
     total_cost,
 )
 from .io import csv_text
-from .oracles import clamp_toll, routing_oracle
+from .oracles import routing_oracle
 from .rng import keyed_rng
 
 ROUNDS_CAP = 100_000
@@ -77,17 +77,16 @@ def theoretical_round_count(instance: Instance) -> int:
 
 def normalize_costs(instance: Instance) -> tuple[Instance, float]:
     """Divide every sigma and factor by S = max_e F_e(sum_i max_e' w_i(e'))
-    (clamped to >= 1) so any conceivable per-edge share lies in [0, 1]."""
+    so any conceivable per-edge share lies in [0, 1], the largest reaching
+    1 whatever the instance's cost unit: multiplying every cost by a power
+    of two multiplies S by it and leaves the scaled instance unchanged."""
     for req in instance.requests:
         if not isinstance(req.kind, Routing):
             raise ConfigError("cost normalization applies to routing-only instances")
     worst_load = sum(
         max(req.weight(res.id) for res in instance.resources)
         for req in instance.requests)
-    scale = max(
-        (rep_cost(res, instance.exponents, worst_load) for res in instance.resources),
-        default=1.0)
-    scale = max(scale, 1.0)
+    scale = max(rep_cost(res, instance.exponents, worst_load) for res in instance.resources)
     scaled = Instance(
         exponents=instance.exponents,
         resources=tuple(
@@ -108,7 +107,7 @@ def fpl_step(graph: HostGraph, source: str, target: str,
     # HostGraph keeps its edges sorted by id, so the noise lands on the
     # same edge whatever order the graph was built in
     tolls = {
-        e.id: clamp_toll(cumulative.get(e.id, 0.0) + float(u))
+        e.id: cumulative.get(e.id, 0.0) + float(u)
         for e, u in zip(graph.edges, noise)
     }
     return routing_oracle(graph, source, target, tolls).reply
@@ -151,8 +150,9 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         raise InfeasibleError(f"no path from {kind.source!r} to {kind.target!r}")
     theoretical = theoretical_round_count(scaled)
     rounds = config.rounds if config.rounds is not None else min(theoretical, ROUNDS_CAP)
-    if rounds < 1:
-        raise ConfigError("round count must be >= 1")
+    # the output round is drawn as a 64-bit integer
+    if not 1 <= rounds < 2 ** 63:
+        raise ConfigError(f"round count must lie in [1, 2^63 - 1], got {rounds}")
     eta = (rounds / m) ** 0.5
 
     chosen = int(keyed_rng(config.seed, "output").integers(1, rounds + 1))

@@ -102,6 +102,18 @@ def left_sum(values: Iterable[float]) -> float:
     return total
 
 
+REL_TOL = 1e-9
+
+
+def exceeds(a: float, b: float, *scale: float) -> bool:
+    """Whether ``a`` is above ``b`` by more than REL_TOL of the largest
+    magnitude among ``a``, ``b`` and ``scale``: the library's one tolerance
+    rule.  Costs have no unit, so no verdict compares them with an absolute
+    threshold, and multiplying every cost by a power of two changes none.
+    Two values differ when ``exceeds(abs(a - b), 0.0, a, b)``."""
+    return a - b > REL_TOL * max(abs(a), abs(b), *map(abs, scale))
+
+
 def finite(compute: Callable[..., float], refusal: Callable[..., GndesError], *args) -> float:
     """``compute(*args)``, a float formula, where its value fits in a double;
     where it is past one (the formula raises OverflowError or returns inf),

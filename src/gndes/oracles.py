@@ -1,6 +1,6 @@
 """Toll-minimizing reply oracles, one per request kind.
 
-Every oracle takes a strictly positive toll per resource and returns a
+Every oracle takes a nonnegative toll per resource and returns a
 feasible reply whose total toll is within its guaranteed factor rho of the
 minimum.  Tie-breaking is fixed (lexicographic paths, smallest ids) and toll
 totals over a reply are summed in a fixed order, as one left fold
@@ -65,8 +65,6 @@ from .instance import (
     left_sum,
 )
 
-TOLL_FLOOR = 1e-12
-
 Tolls = Mapping[str, float]
 
 
@@ -74,12 +72,6 @@ Tolls = Mapping[str, float]
 class OracleAnswer:
     reply: frozenset[str]
     toll_total: float
-
-
-def clamp_toll(toll: float) -> float:
-    """Tolls must be strictly positive, and sampled shares can round to 0;
-    this raises a toll to at least TOLL_FLOOR."""
-    return toll if toll > TOLL_FLOOR else TOLL_FLOOR
 
 
 def _toll(tolls: Tolls, edge_id: str) -> float:

@@ -43,8 +43,8 @@ from typing import Optional, Sequence
 import numpy as np
 
 from .errors import ConfigError, InstanceError
-from .instance import (ExponentProfile, ResourceParams, _cost_past_a_double, _power_fold, finite,
-                       float_or_exact, rep_cost)
+from .instance import (ExponentProfile, ResourceParams, _cost_past_a_double, _power_fold, exceeds,
+                       finite, float_or_exact, rep_cost)
 
 logger = logging.getLogger(__name__)
 
@@ -437,7 +437,7 @@ class ExpansionCheck:
 
     @property
     def ok(self) -> bool:
-        return self.share <= self.bound * (1.0 + 1e-9) + 1e-12
+        return not exceeds(self.share, self.bound)
 
 
 def rep_expansion_check(mechanism: str, query: ShareQuery) -> ExpansionCheck:

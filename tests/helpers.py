@@ -213,6 +213,12 @@ def random_toll_multigraph(rng, directed: bool = False, max_vertices: int = 7,
     return graph, tolls
 
 
+def with_zero_tolls(rng, tolls: dict[str, float]) -> dict[str, float]:
+    """The tolls with about a quarter of them set to 0.0: a share can be 0,
+    and the oracles take a zero toll as it is."""
+    return {e: 0.0 if rng.random() < 0.25 else t for e, t in tolls.items()}
+
+
 def absorbing_tolls(rng, graph: HostGraph) -> dict[str, float]:
     """Tolls of 1e5 and 2e5 mixed with 1e-12, which a distance of 1e5 or
     more absorbs (d + 1e-12 == d), so paths through different parents tie

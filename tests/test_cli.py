@@ -356,6 +356,16 @@ class TestSmoothBoundsFpl:
         assert code == 2 and "--lb must be a finite number >= 0" in err
         assert out == ""
 
+    @pytest.mark.parametrize("rounds", ["0", str(2 ** 63), "100000000000000000000"])
+    def test_fpl_rejects_a_round_count_outside_64_bits(self, capsys, tmp_path, rounds):
+        # the output round is drawn as a 64-bit integer, which once ended
+        # in numpy's "high is out of bounds for int64" and a traceback
+        path = tmp_path / "routing.json"
+        path.write_text(json.dumps(TWO_ROUTES), encoding="utf-8")
+        code, out, err = run_cli(capsys, "fpl", "--instance", str(path), "--rounds", rounds)
+        assert code == 2 and f"round count must lie in [1, 2^63 - 1], got {rounds}" in err
+        assert out == ""
+
     def test_fpl_on_graph_without_edges_exit_3(self, capsys, tmp_path):
         doc = {
             "alphas": [2.0],

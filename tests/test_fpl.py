@@ -134,7 +134,8 @@ class TestNormalization:
         assert scale == pytest.approx(15.0)
         assert rep_cost(scaled.resources[0], scaled.exponents, 3) == pytest.approx(1.0)
 
-    def test_already_small_instance_unchanged(self):
+    def test_small_instance_is_scaled_up(self):
+        # the largest conceivable cost reaches 1 whatever the cost unit
         g = HostGraph(False, ("s", "t"), (Edge("e", "s", "t"),))
         inst = Instance(
             ExponentProfile((2.0,)),
@@ -143,8 +144,9 @@ class TestNormalization:
             g,
         )
         scaled, scale = normalize_costs(inst)
-        assert scale == 1.0
-        assert scaled.resources[0].sigma == pytest.approx(0.1)
+        assert scale == pytest.approx(0.15)
+        assert scaled.resources[0].sigma == pytest.approx(2.0 / 3.0)
+        assert rep_cost(scaled.resources[0], scaled.exponents, 1) == pytest.approx(1.0)
 
     def test_scale_comes_from_worst_edge(self):
         inst = two_edge_instance()

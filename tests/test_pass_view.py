@@ -43,7 +43,7 @@ from gndes import (
 from gndes.analysis import REL_TOL
 from gndes.errors import InstanceError
 from gndes.engine import DeltaPass
-from gndes.oracles import clamp_toll, reply_oracle
+from gndes.oracles import reply_oracle
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     MECHANISMS,
@@ -87,7 +87,7 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
             share = (shapley_sampled(query, keyed_rng(config.seed, "share", step, req.id, res.id),
                                      needed)
                      if needed else cost_share("shapley-exact", query))
-        tolls[res.id] = clamp_toll(share)
+        tolls[res.id] = share
     answer = reply_oracle(instance, req, tolls)
     return answer, sum(tolls[e] for e in sorted(profile[position]))
 

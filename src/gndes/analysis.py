@@ -251,23 +251,29 @@ MAX_PROFILES = 10_000_000
 
 
 def _simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[str]]:
+    """Every simple path from ``source`` to another vertex ``target``, as its
+    edge set, in depth-first order over the adjacency lists.  The search
+    keeps its own stack, so a path may be as long as the graph."""
     out: list[frozenset[str]] = []
-
-    def dfs(u: str, visited: set[str], edges: tuple[str, ...]):
-        if u == target:
-            out.append(frozenset(edges))
-            if len(out) > MAX_PATHS:
-                raise EnumerationLimitError(
-                    f"more than {MAX_PATHS} simple paths from {source!r} to {target!r}")
-            return
-        for v, eid in graph.adjacency[u]:
-            if v in visited:
-                continue
-            visited.add(v)
-            dfs(v, visited, edges + (eid,))
-            visited.remove(v)
-
-    dfs(source, {source}, ())
+    visited = {source}
+    # the current path: its edges, and each vertex with its untried neighbours
+    edges: list[str] = []
+    frames = [(source, iter(graph.adjacency[source]))]
+    while frames:
+        for v, eid in frames[-1][1]:
+            if v == target:
+                out.append(frozenset(edges + [eid]))
+                if len(out) > MAX_PATHS:
+                    raise EnumerationLimitError(
+                        f"more than {MAX_PATHS} simple paths from {source!r} to {target!r}")
+            elif v not in visited:
+                visited.add(v)
+                edges.append(eid)
+                frames.append((v, iter(graph.adjacency[v])))
+                break
+        else:
+            visited.remove(frames.pop()[0])
+            del edges[-1:]  # the source's frame has no edge
     # a simple path is determined by its edge set, so no two paths repeat
     return out
 
@@ -425,24 +431,25 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
         raise ConfigError(f"the number of pairs must be >= 1, got {max_pairs}")
     candidates, count = enumerate_profiles(instance)
 
+    def rows(p, c_p, deviations):
+        state = ProfileState(instance, p)
+        for p_prime, c_prime in deviations:
+            lhs = left_sum(state.player_cost(mechanism, pos, p_prime[pos])
+                           for pos in range(instance.n_requests))
+            yield p, p_prime, lhs, c_p, c_prime, not exceeds(lhs, lam * c_prime + mu * c_p)
+
     if count * count <= max_pairs:
-        profiles = [tuple(c) for c in product(*candidates)]
-        pairs = ((p, p2) for p in profiles for p2 in profiles)
+        # p leads, so each profile gets one state and one pricing
+        priced = [(tuple(c), total_cost(instance, c)) for c in product(*candidates)]
+        for p, c_p in priced:
+            yield from rows(p, c_p, priced)
     else:
         rng = keyed_rng(seed, "smoothness")
-        pairs = (
-            (_profile_at(candidates, int(rng.integers(count))),
-             _profile_at(candidates, int(rng.integers(count))))
-            for _ in range(max_pairs)
-        )
-
-    for p, p_prime in pairs:
-        state = ProfileState(instance, p)
-        lhs = left_sum(state.player_cost(mechanism, pos, p_prime[pos])
-                       for pos in range(instance.n_requests))
-        c_p = total_cost(instance, p)
-        c_prime = total_cost(instance, p_prime)
-        yield p, p_prime, lhs, c_p, c_prime, not exceeds(lhs, lam * c_prime + mu * c_p)
+        for _ in range(max_pairs):
+            p = _profile_at(candidates, int(rng.integers(count)))
+            p_prime = _profile_at(candidates, int(rng.integers(count)))
+            yield from rows(p, total_cost(instance, p),
+                            [(p_prime, total_cost(instance, p_prime))])
 
 
 def _smoothness_report(lam: float, mu: float, rows) -> SmoothnessReport:

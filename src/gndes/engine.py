@@ -204,6 +204,10 @@ class PassView:
     shared with the state's potential.  A toll is the share itself, so a run
     on an instance with every cost multiplied by a power of two makes the
     same moves, its costs, deltas and potentials multiplied by that power.
+
+    A round of FPL (``fpl.run_l_apx``) is a toll pass of the proportional
+    game: one view per round over that round's state, with one store for
+    the run.
     """
 
     def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,

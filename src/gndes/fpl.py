@@ -7,6 +7,12 @@ simultaneously, and the output is the profile of a uniformly random round.
 Costs are pre-scaled so every per-edge share lies in [0, 1], which the
 regret bound needs.
 
+A round of FPL is a toll pass of the proportional game: one
+``engine.PassView`` over the round's ``analysis.ProfileState``, with one
+``engine.TollRows`` store for the run, so a player's tolls are her
+proportional shares with her joined to each edge's users, recomputed only
+on the edges whose users changed since the round before.
+
 Regret is measured against the best fixed path in hindsight.  A fixed
 path's hindsight total is the sum of the player's cumulative per-edge tolls
 along it, so that minimum is one shortest-path query on the cumulative
@@ -21,6 +27,8 @@ from typing import Optional
 
 import numpy as np
 
+from .analysis import ProfileState
+from .engine import AbrdConfig, PassView, TollRows
 from .errors import ConfigError, InfeasibleError
 from .instance import (
     HostGraph,
@@ -30,7 +38,6 @@ from .instance import (
     Routing,
     StrategyProfile,
     left_sum,
-    load_vector,
     rep_cost,
     total_cost,
 )
@@ -39,6 +46,9 @@ from .oracles import routing_oracle
 from .rng import keyed_rng
 
 ROUNDS_CAP = 100_000
+
+# the settings of a round's toll pass
+PROPORTIONAL = AbrdConfig(mechanism="proportional")
 
 
 @dataclass(frozen=True)
@@ -113,25 +123,6 @@ def fpl_step(graph: HostGraph, source: str, target: str,
     return routing_oracle(graph, source, target, tolls).reply
 
 
-def _proportional_toll_row(scaled: Instance, loads: dict[str, int],
-                           profile: StrategyProfile, position: int,
-                           costs: dict[tuple[str, int], float]) -> dict[str, float]:
-    """tau_i(e) = player i's proportional share on e with i joined to the
-    round's users of e, given the round's loads.  ``costs`` holds the
-    round's F_e(joined load) by (resource id, joined load), filled here, so
-    players who see the same load on a resource share one evaluation."""
-    req = scaled.requests[position]
-    row = {}
-    for res in scaled.resources:
-        w = req.weight(res.id)
-        joined = loads[res.id] + (0 if res.id in profile[position] else w)
-        cost = costs.get((res.id, joined))
-        if cost is None:
-            cost = costs[res.id, joined] = rep_cost(res, scaled.exponents, joined)
-        row[res.id] = (w / joined) * cost
-    return row
-
-
 def _best_fixed_toll(graph: HostGraph, req: Request, cumulative: dict[str, float]) -> float:
     """Hindsight total of the player's best fixed path."""
     return routing_oracle(graph, req.kind.source, req.kind.target, cumulative).toll_total
@@ -159,6 +150,7 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
     cumulative = [{res.id: 0.0 for res in scaled.resources} for _ in range(n)]
     realized = [0.0] * n
     trace: list[RegretTraceRow] = []
+    rows = TollRows()
 
     for t in range(1, rounds + 1):
         replies = []
@@ -169,10 +161,10 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
         profile = tuple(replies)
         if t == chosen:
             out_profile = profile
-        loads = load_vector(scaled, profile)
-        costs: dict[tuple[str, int], float] = {}
+        # delta is read only under shapley-sampled
+        view = PassView(ProfileState(scaled, profile), PROPORTIONAL, t, 0.1, rows)
         for pos, req in enumerate(scaled.requests):
-            row = _proportional_toll_row(scaled, loads, profile, pos, costs)
+            row = view.tolls(pos)
             toll = left_sum(row[e] for e in sorted(profile[pos]))
             realized[pos] += toll
             for e, tau in row.items():

@@ -272,6 +272,10 @@ def _reachable(adj: Mapping[str, list[tuple[str, str]]], source: str) -> set[str
 # requests
 # ---------------------------------------------------------------------------
 
+# a repeated entry of a request kind adds no strategy and no connection
+# demand, so each kind keeps it once: terminals sorted, pairs, machines and
+# replies in first-seen order
+
 @dataclass(frozen=True)
 class Routing:
     source: str
@@ -283,7 +287,7 @@ class MultiRouting:
     pairs: tuple[tuple[str, str], ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "pairs", tuple((s, t) for s, t in self.pairs))
+        object.__setattr__(self, "pairs", tuple(dict.fromkeys((s, t) for s, t in self.pairs)))
 
 
 @dataclass(frozen=True)
@@ -299,7 +303,7 @@ class MachineChoice:
     machines: tuple[str, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "machines", tuple(self.machines))
+        object.__setattr__(self, "machines", tuple(dict.fromkeys(self.machines)))
 
 
 @dataclass(frozen=True)
@@ -307,7 +311,7 @@ class ExplicitReplies:
     replies: tuple[ReplySet, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "replies", tuple(frozenset(r) for r in self.replies))
+        object.__setattr__(self, "replies", tuple(dict.fromkeys(map(frozenset, self.replies))))
 
 
 RequestKind = Union[Routing, MultiRouting, SetConnectivity, MachineChoice, ExplicitReplies]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from itertools import product
 
 import numpy as np
 
@@ -23,8 +24,9 @@ from gndes import (
     SetConnectivity,
     TollRows,
 )
-from gndes.errors import InstanceError
-from gndes.instance import left_sum
+from gndes import analysis
+from gndes.errors import EnumerationLimitError, InstanceError
+from gndes.instance import exceeds, left_sum, load_vector, rep_cost, total_cost
 from gndes.oracles import OracleAnswer
 from gndes.sharing import ShareQuery, cost_share, whp_delta
 
@@ -435,3 +437,70 @@ def reference_player_cost(instance: Instance, mechanism: str, profile, position:
                            target=req.id)
         total += cost_share(mechanism, query)
     return total
+
+
+# -- simple paths as analysis enumerated them before the search kept its own
+# -- stack: one recursive call per vertex of the path
+
+def reference_simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[str]]:
+    out: list[frozenset[str]] = []
+
+    def dfs(u: str, visited: set[str], edges: tuple[str, ...]):
+        if u == target:
+            out.append(frozenset(edges))
+            if len(out) > analysis.MAX_PATHS:
+                raise EnumerationLimitError(
+                    f"more than {analysis.MAX_PATHS} simple paths from {source!r} to {target!r}")
+            return
+        for v, eid in graph.adjacency[u]:
+            if v in visited:
+                continue
+            visited.add(v)
+            dfs(v, visited, edges + (eid,))
+            visited.remove(v)
+
+    dfs(source, {source}, ())
+    return out
+
+
+# -- an FPL round's toll row as fpl priced it before a round was a toll pass
+# -- of the proportional game: loads grouped per round, F_e memoized by
+# -- (resource, joined load)
+
+def reference_proportional_toll_row(scaled: Instance, loads: dict[str, int], profile,
+                                    position: int,
+                                    costs: dict[tuple[str, int], float]) -> dict[str, float]:
+    req = scaled.requests[position]
+    row = {}
+    for res in scaled.resources:
+        w = req.weight(res.id)
+        joined = loads[res.id] + (0 if res.id in profile[position] else w)
+        cost = costs.get((res.id, joined))
+        if cost is None:
+            cost = costs[res.id, joined] = rep_cost(res, scaled.exponents, joined)
+        row[res.id] = (w / joined) * cost
+    return row
+
+
+def reference_proportional_toll_rows(scaled: Instance, profile) -> list[dict[str, float]]:
+    """Every player's row of one round, sharing the round's memo."""
+    loads = load_vector(scaled, profile)
+    costs: dict[tuple[str, int], float] = {}
+    return [reference_proportional_toll_row(scaled, loads, profile, pos, costs)
+            for pos in range(scaled.n_requests)]
+
+
+# -- the exhaustive smoothness walk as it ran before it built one state per
+# -- leading profile: a fresh state and two pricings per ordered pair
+
+def reference_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: float):
+    candidates, _ = analysis.enumerate_profiles(instance)
+    profiles = [tuple(c) for c in product(*candidates)]
+    for p in profiles:
+        for p_prime in profiles:
+            state = ProfileState(instance, p)
+            lhs = left_sum(state.player_cost(mechanism, pos, p_prime[pos])
+                           for pos in range(instance.n_requests))
+            c_p = total_cost(instance, p)
+            c_prime = total_cost(instance, p_prime)
+            yield p, p_prime, lhs, c_p, c_prime, not exceeds(lhs, lam * c_prime + mu * c_p)

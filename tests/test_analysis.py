@@ -48,6 +48,7 @@ from gndes.analysis import (
     smoothness_report_csv,
 )
 from gndes.bounds import harmonic, smoothness_constants
+from gndes.io import csv_text
 
 from helpers import (
     grid_graph,
@@ -55,7 +56,10 @@ from helpers import (
     random_explicit_instance,
     random_exponents,
     random_resource,
+    random_toll_multigraph,
     reference_player_cost,
+    reference_simple_paths,
+    reference_smoothness_rows,
     rng_for,
 )
 
@@ -347,6 +351,30 @@ class TestBruteForce:
         with pytest.raises(EnumerationLimitError, match=f"more than {MAX_PATHS} simple paths"):
             candidate_replies(inst, inst.requests[0])
 
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), directed=st.booleans())
+    def test_simple_paths_match_the_recursive_search(self, seed, directed):
+        # parallel edges, self-loops and unreachable targets included
+        graph, _ = random_toll_multigraph(rng_for(seed), directed)
+        for s in graph.vertices:
+            for t in graph.vertices:
+                if s != t:
+                    assert (analysis._simple_paths(graph, s, t)
+                            == reference_simple_paths(graph, s, t))
+
+    @pytest.mark.parametrize("cap", [0, 1, 5, 11, 12, 13])
+    def test_the_path_cap_refuses_as_the_recursive_search_did(self, monkeypatch, cap):
+        g = grid_graph(3)
+        monkeypatch.setattr(analysis, "MAX_PATHS", cap)
+        outcomes = []
+        for search in (analysis._simple_paths, reference_simple_paths):
+            try:
+                outcomes.append(search(g, "v00", "v22"))
+            except EnumerationLimitError as exc:
+                outcomes.append(str(exc))
+        assert outcomes[0] == outcomes[1]
+        assert isinstance(outcomes[0], list) == (cap >= 12)
+
 
 class TestEnumerateProfiles:
     def test_request_without_a_reply_is_infeasible(self):
@@ -563,11 +591,38 @@ class TestDeviationRule:
 
     @pytest.mark.parametrize("pairs", [81 * 81, 500])
     def test_smoothness_builds_one_state_per_pair(self, monkeypatch, pairs):
+        # a sampled pair builds a state of its own; the exhaustive walk runs
+        # p' fastest, so its pairs of one p share that p's state
         inst = machines_instance([2.0, 3.0, 5.0], [1.0, 0.5, 0.2], 2.0, [1, 2, 3, 4])
         lam, mu = smoothness_constants(inst, "shapley-exact")
+        _, count = enumerate_profiles(inst)
         builds = self.count_builds(monkeypatch)
         report = smoothness_check(inst, "shapley-exact", lam, mu, max_pairs=pairs, seed=3)
-        assert len(builds) == report.pairs_tested == pairs
+        assert report.pairs_tested == pairs
+        if pairs == count * count:
+            assert builds == list(product(*(candidate_replies(inst, r) for r in inst.requests)))
+        else:
+            assert len(builds) == pairs
+
+    @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])
+    def test_exhaustive_smoothness_rows_are_the_pairwise_walk(self, monkeypatch, mechanism):
+        # two weighted players on five machines: 625 pairs from 25 states,
+        # each row the one a fresh state and pricing per pair gives
+        rng = rng_for(3)
+        inst = machines_instance([float(rng.uniform(0.5, 3.0)) for _ in range(5)],
+                                 [float(rng.uniform(0.5, 2.0)) for _ in range(5)], 2.5, [2, 3])
+        priced = []
+        real = analysis.total_cost
+        monkeypatch.setattr(analysis, "total_cost",
+                            lambda i, p: priced.append(p) or real(i, p))
+        report, text = smoothness_report_csv(inst, mechanism, 2.0, 0.5)
+        assert len(priced) == 25 and report.pairs_tested == 625
+        reference = list(reference_smoothness_rows(inst, mechanism, 2.0, 0.5))
+        label = lambda p: ";".join("|".join(sorted(r)) for r in p)
+        assert text == csv_text(
+            "profile,deviation_profile,deviation_sum,cost_p,cost_p_prime,ok",
+            ((label(p), label(p_prime), *rest) for p, p_prime, *rest in reference))
+        assert report.violations == sum(not ok for *_, ok in reference)
 
 
 class TestBudgetBalanceCheck:

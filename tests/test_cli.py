@@ -246,6 +246,91 @@ class TestNoFeasibleReply:
         assert err == "infeasible: request 1 has no feasible reply\n"
 
 
+# one routing request along a path of 1,200 edges: its one simple path is
+# longer than Python's recursion limit
+LONG_PATH = {
+    "alphas": [2.0],
+    "resources": [{"id": f"e{k}", "sigma": 1.0, "xis": [1.0]} for k in range(1200)],
+    "graph": {"directed": False, "vertices": [f"v{k}" for k in range(1201)],
+              "edges": [{"id": f"e{k}", "tail": f"v{k}", "head": f"v{k + 1}"}
+                        for k in range(1200)]},
+    "requests": [{"id": 1, "kind": {"type": "routing", "source": "v0", "target": "v1200"}}],
+}
+
+
+class TestLongPath:
+    @pytest.mark.parametrize("command, verdict", [
+        ("brute", "  cost  2400\n"), ("nash", "  equilibria      1\n"),
+        ("smooth", "  pairs tested  1\n"),
+    ])
+    def test_enumerating_commands_take_the_one_path(self, capsys, tmp_path, command, verdict):
+        code, out, err = run_cli(capsys, command, "--instance",
+                                 instance_file(tmp_path, LONG_PATH))
+        assert (code, err) == (0, "")
+        assert verdict in out
+
+
+# repeated machines, replies and directed pairs add no strategy and no demand
+REPEATED_MACHINES = {
+    "alphas": [2.0],
+    "resources": [{"id": "m1", "sigma": 1.0, "xis": [1.0]},
+                  {"id": "m2", "sigma": 2.0, "xis": [1.0]}],
+    "requests": [{"id": 1, "kind": {"type": "machine_choice", "machines": ["m1", "m1", "m2"]}},
+                 {"id": 2, "kind": {"type": "explicit", "replies": [["m1"], ["m2"], ["m2"]]}}],
+}
+REPEATED_PAIR = {
+    "alphas": [2.0],
+    "resources": [{"id": "su", "sigma": 1.0, "xis": [1.0]},
+                  {"id": "ut", "sigma": 1.0, "xis": [1.0]}],
+    "graph": {"directed": True, "vertices": ["s", "u", "t"],
+              "edges": [{"id": "su", "tail": "s", "head": "u"},
+                        {"id": "ut", "tail": "u", "head": "t"}]},
+    "requests": [{"id": 1, "kind": {"type": "multi_routing",
+                                    "pairs": [["s", "u"], ["s", "u"]]}}],
+}
+
+
+def without_repeats(doc):
+    """``doc`` with each request kind's repeated entries dropped."""
+    requests = []
+    for req in doc["requests"]:
+        kind = dict(req["kind"])
+        for name in ("machines", "replies", "pairs"):
+            if name in kind:
+                kind[name] = [x for k, x in enumerate(kind[name]) if x not in kind[name][:k]]
+        requests.append(dict(req, kind=kind))
+    return dict(doc, requests=requests)
+
+
+class TestRepeatedEntries:
+    @pytest.mark.parametrize("command, verdict", [
+        ("nash", "  equilibria      1\n"), ("smooth", "  pairs tested  16\n"),
+    ])
+    def test_a_repeated_machine_or_reply_is_one_strategy(self, capsys, tmp_path,
+                                                          command, verdict):
+        code, out, _ = run_cli(capsys, command, "--instance",
+                               instance_file(tmp_path, REPEATED_MACHINES))
+        assert code == 0 and verdict in out
+        plain = instance_file(tmp_path, without_repeats(REPEATED_MACHINES))
+        assert run_cli(capsys, command, "--instance", plain) == (0, out, "")
+
+    def test_a_repeated_directed_pair_is_one_demand(self, capsys, tmp_path):
+        code, out, _ = run_cli(capsys, "bounds", "--instance",
+                               instance_file(tmp_path, REPEATED_PAIR))
+        assert code == 0 and "  rho           1\n" in out
+        plain = instance_file(tmp_path, without_repeats(REPEATED_PAIR))
+        assert run_cli(capsys, "bounds", "--instance", plain) == (0, out, "")
+
+    @pytest.mark.parametrize("doc", [REPEATED_MACHINES, REPEATED_PAIR])
+    def test_writing_a_parsed_file_drops_the_repeats(self, tmp_path, doc):
+        written = json.loads(instance_to_text(parse_instance(instance_file(tmp_path, doc))))
+        assert written == json.loads(instance_to_text(parse_instance(
+            instance_file(tmp_path, without_repeats(doc)))))
+        kinds = [req["kind"] for req in written["requests"]]
+        assert all(len(set(map(json.dumps, kind.get(name, [])))) == len(kind.get(name, []))
+                   for kind in kinds for name in ("machines", "replies", "pairs"))
+
+
 class TestCsvWalks:
     @pytest.mark.parametrize("command", ["nash", "smooth"])
     def test_csv_walks_the_profiles_once(self, capsys, monkeypatch, tmp_path,

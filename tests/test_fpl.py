@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from gndes import (
     ConfigError,
@@ -15,6 +16,7 @@ from gndes import (
     Routing,
     fpl,
     rep_cost,
+    sharing,
 )
 from gndes.analysis import brute_force_opt, candidate_replies
 from gndes.bounds import smoothness_constants
@@ -26,10 +28,16 @@ from gndes.fpl import (
     run_l_apx,
     theoretical_round_count,
 )
-from gndes.instance import total_cost
+from gndes.instance import _reachable, total_cost
 from gndes.rng import keyed_rng
 
-from helpers import random_exponents, random_resource, rng_for
+from helpers import (
+    random_connected_graph,
+    random_exponents,
+    random_resource,
+    reference_proportional_toll_rows,
+    rng_for,
+)
 
 
 def single_edge_instance():
@@ -271,13 +279,82 @@ class TestRunLApx:
                         tuple(Request(id=r.id, kind=r.kind) for r in inst.requests), inst.graph)
         expected = run_l_apx(inst, FplConfig(seed=4, rounds=5), collect_trace=True)
         priced = []
-        monkeypatch.setattr(fpl, "rep_cost",
+        monkeypatch.setattr(sharing, "rep_cost",
                             lambda res, exp, load: priced.append(load) or rep_cost(res, exp, load))
         result = run_l_apx(inst, FplConfig(seed=4, rounds=5), collect_trace=True)
         edges = len(inst.graph.edges)
-        # normalize_costs prices each resource once more
-        assert len(priced) <= edges + 2 * edges * 5 < edges + 6 * edges * 5
+        assert 0 < len(priced) <= edges + 2 * edges * 5 < edges + 6 * edges * 5
         assert result.regrets == expected.regrets and result.trace == expected.trace
+
+
+def small_routing_instance(rng, directed):
+    """Three to six vertices, one to five players, every weight in 1..3;
+    a directed pair is drawn among the vertices its source reaches."""
+    exp = random_exponents(rng)
+    graph = random_connected_graph(rng, int(rng.integers(3, 7)), int(rng.integers(0, 5)),
+                                   directed)
+    requests = []
+    for i in range(1, int(rng.integers(1, 6)) + 1):
+        source = graph.vertices[int(rng.integers(len(graph.vertices)))]
+        targets = sorted(_reachable(graph.adjacency, source) - {source})
+        if not targets:
+            return None
+        weights = {e.id: int(rng.integers(1, 4)) for e in graph.edges if rng.random() < 0.5}
+        target = targets[int(rng.integers(len(targets)))]
+        requests.append(Request(id=i, kind=Routing(source, target), weights=weights,
+                                default_weight=int(rng.integers(1, 4))))
+    resources = tuple(random_resource(rng, e.id, exp.q) for e in graph.edges)
+    return Instance(exp, resources, tuple(requests), graph)
+
+
+def run_digest(result):
+    return (result.profile, result.cost.hex(), [r.hex() for r in result.regrets],
+            result.scale.hex(), result.chosen_round,
+            [(row.round, row.player, row.realized_toll.hex(), row.best_fixed_toll.hex())
+             for row in result.trace])
+
+
+class CheckedView(fpl.PassView):
+    """A round's toll pass that checks each row against the proportional
+    rows FPL priced itself before (``helpers.reference_proportional_toll_rows``)."""
+
+    rows_checked = 0
+
+    def tolls(self, position):
+        row = super().tolls(position)
+        expected = reference_proportional_toll_rows(self.instance, self.profile)[position]
+        assert {e: t.hex() for e, t in row.items()} == {e: t.hex() for e, t in expected.items()}
+        CheckedView.rows_checked += 1
+        return row
+
+
+class ReferenceView:
+    """A round priced by the reference rows alone."""
+
+    def __init__(self, state, config, step, delta, rows):
+        self.rows = reference_proportional_toll_rows(state.instance, state.profile)
+
+    def tolls(self, position):
+        return self.rows[position]
+
+
+class TestOneTollPass:
+    @settings(max_examples=60, deadline=None)
+    @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1), directed=st.booleans(),
+           rounds=st.integers(min_value=1, max_value=6))
+    def test_each_round_prices_the_reference_rows(self, seed, directed, rounds):
+        inst = small_routing_instance(rng_for(seed), directed)
+        assume(inst is not None)
+        config = FplConfig(seed=seed % 97, rounds=rounds)
+        plain = run_l_apx(inst, config, collect_trace=True)
+        with pytest.MonkeyPatch.context() as patch:
+            CheckedView.rows_checked = 0
+            patch.setattr(fpl, "PassView", CheckedView)
+            checked = run_l_apx(inst, config, collect_trace=True)
+            assert CheckedView.rows_checked == rounds * inst.n_requests
+            patch.setattr(fpl, "PassView", ReferenceView)
+            reference = run_l_apx(inst, config, collect_trace=True)
+        assert run_digest(plain) == run_digest(checked) == run_digest(reference)
 
 
 class TestHindsightByShortestPath:

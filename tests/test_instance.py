@@ -247,6 +247,19 @@ INVALID = [
 ]
 
 
+class TestRepeatedEntries:
+    @pytest.mark.parametrize("kind, field, kept", [
+        (MachineChoice(("m2", "m1", "m2", "m1")), "machines", ("m2", "m1")),
+        (ExplicitReplies(({"b"}, {"a", "b"}, frozenset("ba"), {"b"})), "replies",
+         (frozenset("b"), frozenset("ab"))),
+        (MultiRouting((("s", "u"), ("u", "s"), ["s", "u"])), "pairs", (("s", "u"), ("u", "s"))),
+        (SetConnectivity(("c", "a", "c")), "terminals", ("a", "c")),
+    ])
+    def test_a_kind_keeps_each_entry_once_in_first_seen_order(self, kind, field, kept):
+        assert getattr(kind, field) == kept
+        assert kind == type(kind)(kept)
+
+
 class TestInstanceValidation:
     @pytest.mark.parametrize("resources, requests, graph, message", INVALID)
     def test_each_rule_has_its_message(self, resources, requests, graph, message):

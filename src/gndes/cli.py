@@ -1,11 +1,14 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 smoothness violation found by ``smooth``,
-2 parse/configuration error, 3 infeasibility, 4 enumeration refusal.  Every
-command prints and writes through the output rule of ``gndes.io``: reals to
-9 significant digits, an empty field for a missing value, ``true``/``false``,
-CSV with '.' decimals and LF line endings regardless of locale, and JSON
-with a two-space indent.
+Exit codes, as ``main`` decides them: 0 success, 1 a smoothness violation
+found by ``smooth``, 3 an ``InfeasibleError``, 4 an ``EnumerationLimitError``
+(a refused enumeration), and 2 any other ``GndesError`` (a parse or
+configuration error, a constant past the largest double) or ``OSError`` (a
+file that cannot be read or written); argparse also exits 2 on a malformed
+command line.  Every command prints and writes through the output rule of
+``gndes.io``: reals to 9 significant digits, an empty field for a missing
+value, ``true``/``false``, CSV with '.' decimals and LF line endings
+regardless of locale, and JSON with a two-space indent.
 """
 
 from __future__ import annotations
@@ -25,30 +28,39 @@ from .analysis import (
 )
 from .bounds import smoothness_constants, theoretical_bounds
 from .engine import AbrdConfig, result_to_json_dict, run_abrd, run_report, trace_to_csv
-from .errors import (
-    ConfigError,
-    EnumerationLimitError,
-    GndesError,
-    InfeasibleError,
-    InstanceError,
-    ParseError,
-)
+from .errors import ConfigError, EnumerationLimitError, GndesError, InfeasibleError
 from .fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from .io import json_text, parse_instance, report_text, write_instance, write_text
 
-CSM_CHOICES = ("proportional", "shapley", "shapley-sampled")
-
+# the --csm names and the mechanism each selects; nash, smooth and bounds take
+# the exact ones
 _MECHANISM = {
     "proportional": "proportional",
     "shapley": "shapley-exact",
     "shapley-sampled": "shapley-sampled",
 }
+_EXACT_CSM = tuple(name for name, mechanism in _MECHANISM.items()
+                   if mechanism != "shapley-sampled")
 
 BIG_BUDGET_WARNING = 1_000_000
 
 
-def _cmd_solve(args) -> int:
-    instance = parse_instance(args.instance)
+def _emit(args, doc: dict, report: str):
+    """The command's JSON document under ``--json``, else its text report."""
+    sys.stdout.write(json_text(doc) if args.json else report)
+
+
+def _walk(args, report_csv, check, *inputs, **options):
+    """The report of a verification walk, ``check(*inputs, **options)``; under
+    ``--csv`` the same walk, through ``report_csv``, also writes its rows there."""
+    if not args.csv:
+        return check(*inputs, **options)
+    report, text = report_csv(*inputs, **options)
+    write_text(args.csv, text)
+    return report
+
+
+def _cmd_solve(args, instance) -> int:
     config = AbrdConfig(
         epsilon=args.epsilon,
         seed=args.seed,
@@ -64,34 +76,23 @@ def _cmd_solve(args) -> int:
               "consider --max-steps (voids the ratio guarantee)", file=sys.stderr)
     if args.trace:
         write_text(args.trace, trace_to_csv(result))
-    sys.stdout.write(json_text(result_to_json_dict(instance, result)) if args.json
-                     else run_report(instance, result))
+    _emit(args, result_to_json_dict(instance, result), run_report(instance, result))
     return 0
 
 
-def _emit(args, doc: dict, title: str, rows, width: int):
-    """The command's JSON document under ``--json``, else its titled report."""
-    sys.stdout.write(json_text(doc) if args.json else report_text(title, rows, width))
-
-
-def _cmd_brute(args) -> int:
-    instance = parse_instance(args.instance)
+def _cmd_brute(args, instance) -> int:
     profile, cost = brute_force_opt(instance)
     _emit(args, {"opt_cost": cost, "opt_profile": [sorted(r) for r in profile]},
-           "brute-force optimum",
-           [("cost", cost), *((f"request {req.id}: ", "{" + ", ".join(sorted(reply)) + "}")
-                              for req, reply in zip(instance.requests, profile))], 6)
+          report_text("brute-force optimum", [
+              ("cost", cost),
+              *((f"request {req.id}: ", "{" + ", ".join(sorted(reply)) + "}")
+                for req, reply in zip(instance.requests, profile))], 6))
     return 0
 
 
-def _cmd_nash(args) -> int:
-    instance = parse_instance(args.instance)
+def _cmd_nash(args, instance) -> int:
     mechanism = _MECHANISM[args.csm]
-    if args.csv:
-        report, text = nash_report_csv(instance, mechanism)
-        write_text(args.csv, text)
-    else:
-        report = enumerate_nash(instance, mechanism)
+    report = _walk(args, nash_report_csv, enumerate_nash, instance, mechanism)
     rows = [("mechanism", mechanism), ("equilibria", len(report.nash_profiles)),
             ("worst NE cost", report.worst_nash_cost), ("optimum", report.opt_cost),
             ("PoA", report.poa)]
@@ -100,37 +101,31 @@ def _cmd_nash(args) -> int:
         "worst_nash_cost": report.worst_nash_cost,
         "opt_cost": report.opt_cost,
         "poa": report.poa,
-    }, "pure equilibria",
-        # a report without equilibria has no worst NE cost and no PoA
-        [row for row in rows if row[1] is not None], 16)
+    }, report_text("pure equilibria",
+                   # a report without equilibria has no worst NE cost and no PoA
+                   [row for row in rows if row[1] is not None], 16))
     return 0
 
 
-def _cmd_smooth(args) -> int:
-    instance = parse_instance(args.instance)
+def _cmd_smooth(args, instance) -> int:
     mechanism = _MECHANISM[args.csm]
     lam, mu = smoothness_constants(instance, mechanism)
-    if args.csv:
-        report, text = smoothness_report_csv(instance, mechanism, lam, mu,
-                                             max_pairs=args.pairs, seed=args.seed)
-        write_text(args.csv, text)
-    else:
-        report = smoothness_check(instance, mechanism, lam, mu,
-                                  max_pairs=args.pairs, seed=args.seed)
+    report = _walk(args, smoothness_report_csv, smoothness_check, instance, mechanism,
+                   lam, mu, max_pairs=args.pairs, seed=args.seed)
     _emit(args, {
         "lambda": report.lam, "mu": report.mu,
         "pairs_tested": report.pairs_tested,
         "max_ratio": report.max_ratio,
         "violations": report.violations,
         "pass": report.ok,
-    }, "smoothness check", [
+    }, report_text("smoothness check", [
         ("mechanism", mechanism),
         ("lambda", report.lam),
         ("mu", report.mu),
         ("pairs tested", report.pairs_tested),
         ("max ratio", report.max_ratio),
         ("result", "pass" if report.ok else "FAIL"),
-    ], 14)
+    ], 14))
     return 0 if report.ok else 1
 
 
@@ -142,10 +137,9 @@ def _cmd_poa_gen(args) -> int:
     return 0
 
 
-def _cmd_fpl(args) -> int:
+def _cmd_fpl(args, instance) -> int:
     if args.lb is not None and not (math.isfinite(args.lb) and args.lb >= 0):
         raise ConfigError(f"--lb must be a finite number >= 0, got {args.lb}")
-    instance = parse_instance(args.instance)
     result = run_l_apx(instance, FplConfig(seed=args.seed, rounds=args.rounds),
                        collect_trace=bool(args.trace))
     if args.trace:
@@ -163,7 +157,7 @@ def _cmd_fpl(args) -> int:
         "cost": result.cost,
         "regrets": list(result.regrets),
         "profile": [sorted(r) for r in result.profile],
-    }, "perturbed-leader run", [
+    }, report_text("perturbed-leader run", [
         ("rounds", f"{result.rounds} (theoretical {result.theoretical_rounds})"),
         ("eta", result.eta),
         ("cost scale", result.scale),
@@ -171,29 +165,29 @@ def _cmd_fpl(args) -> int:
         ("output cost", result.cost),
         *((f"regret[{req.id}]", reg) for req, reg in zip(instance.requests, result.regrets)),
         caveat,
-    ], 19)
+    ], 19))
     return 0
 
 
-def _cmd_bounds(args) -> int:
-    instance = parse_instance(args.instance)
+def _cmd_bounds(args, instance) -> int:
     b = theoretical_bounds(instance, _MECHANISM[args.csm], args.epsilon)
-    _emit(args, dict(b.named()), "theoretical constants", b.labelled(ratio_bound="ratio bound"),
-           14)
+    _emit(args, dict(b.named()),
+          report_text("theoretical constants", b.labelled(ratio_bound="ratio bound"), 14))
     return 0
 
 
 @contextmanager
 def _command(sub, name: str, func, about: str, csm=None):
     """Declare a command that reads ``--instance``, and ``--csm`` when ``csm``
-    names its choices; the options the body adds follow, then ``--json``."""
+    names its choices; the options the body adds follow, then ``--json``.
+    The command runs as ``func(args, instance)`` on the parsed instance."""
     p = sub.add_parser(name, help=about)
     p.add_argument("--instance", required=True)
     if csm is not None:
         p.add_argument("--csm", choices=csm, default="shapley")
     yield p
     p.add_argument("--json", action="store_true")
-    p.set_defaults(func=func)
+    p.set_defaults(func=lambda args: func(args, parse_instance(args.instance)))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -202,10 +196,9 @@ def build_parser() -> argparse.ArgumentParser:
         description="Cost-sharing games and best-response dynamics for "
                     "network design with startup-plus-power costs.")
     sub = parser.add_subparsers(dest="command", required=True)
-    exact_csm = ("proportional", "shapley")
 
     with _command(sub, "solve", _cmd_solve, "run the dynamics on an instance file",
-                  CSM_CHOICES) as p:
+                  tuple(_MECHANISM)) as p:
         p.add_argument("--epsilon", type=float, default=0.01)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--selection", choices=("det", "rand"), default="det")
@@ -219,10 +212,10 @@ def build_parser() -> argparse.ArgumentParser:
         pass
 
     with _command(sub, "nash", _cmd_nash, "enumerate pure equilibria and the PoA",
-                  exact_csm) as p:
+                  _EXACT_CSM) as p:
         p.add_argument("--csv", default=None, help="write one row per profile here")
 
-    with _command(sub, "smooth", _cmd_smooth, "check the smoothness inequality", exact_csm) as p:
+    with _command(sub, "smooth", _cmd_smooth, "check the smoothness inequality", _EXACT_CSM) as p:
         p.add_argument("--pairs", type=int, default=10_000)
         p.add_argument("--seed", type=int, default=0)
         p.add_argument("--csv", default=None, help="write one row per checked pair here")
@@ -243,27 +236,23 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--trace", default=None, help="write the regret trace CSV here")
 
     with _command(sub, "bounds", _cmd_bounds,
-                  "print the theoretical constants that solve guarantees", exact_csm) as p:
+                  "print the theoretical constants that solve guarantees", _EXACT_CSM) as p:
         p.add_argument("--epsilon", type=float, default=0.01)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, ConfigError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except InfeasibleError as exc:
         print(f"infeasible: {exc}", file=sys.stderr)
         return 3
     except EnumerationLimitError as exc:
         print(f"refused: {exc}", file=sys.stderr)
         return 4
-    except (InstanceError, GndesError, OSError) as exc:
+    except (GndesError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

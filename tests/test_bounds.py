@@ -12,6 +12,7 @@ from gndes import (
     HostGraph,
     Instance,
     MachineChoice,
+    MultiRouting,
     Request,
     ResourceParams,
     SetConnectivity,
@@ -219,6 +220,23 @@ def test_rho_is_the_largest_factor_the_oracles_report():
     for mechanism in ("proportional", "shapley-exact", "shapley-sampled"):
         b = theoretical_bounds(inst, mechanism, 0.01)
         assert b.rho == 2.0 and b.mu == 0.25
+
+
+@pytest.mark.parametrize("directed, pairs, rho", [
+    (False, (("s", "u"), ("u", "s")), 2.0),
+    (False, (("s", "u"),), 2.0),
+    (True, (("s", "u"), ("u", "s")), 2.0),
+    (True, (("s", "u"),), 1.0),
+], ids=["undirected-both-ways", "undirected-once", "directed-both-ways", "directed-once"])
+def test_a_reversed_pair_counts_only_on_a_directed_graph(directed, pairs, rho):
+    # undirected, any pair set takes the moat oracle's factor 2, so listing
+    # (u, s) beside (s, u) loosens nothing; directed, (u, s) is a second
+    # demand with a path of its own, and the union heuristic's factor is the
+    # number of pairs
+    g = HostGraph(directed, ("s", "u"), (Edge("su", "s", "u"), Edge("us", "u", "s")))
+    res = tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges)
+    inst = Instance(ExponentProfile((2.0,)), res, (Request(id=1, kind=MultiRouting(pairs)),), g)
+    assert theoretical_bounds(inst, "shapley-exact", 0.01).rho == rho
 
 
 def test_sampled_shapley_has_the_exact_shapley_guarantee():

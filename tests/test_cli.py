@@ -678,3 +678,35 @@ class TestStrictJson:
             assert out == ""
         else:
             assert isinstance(json.loads(out, parse_constant=reject_constant), dict)
+
+
+class TestOnePath:
+    """Every command that reads ``--instance`` reads it in one place, before
+    its own options are checked, and ``main`` turns a file it cannot read or
+    parse into exit 2 with one ``error:`` line and no report."""
+
+    COMMANDS = ["solve", "brute", "nash", "smooth", "fpl", "bounds"]
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    def test_a_missing_file_exit_2(self, capsys, tmp_path, command):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, command, "--instance", missing)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and missing in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("command", COMMANDS)
+    @pytest.mark.parametrize("text, message", [
+        ("{\n  \"alphas\": [2.0,\n}", "error: invalid JSON at line 3, column 1: Expecting value\n"),
+        ("[]", "error: top level: expected an object\n"),
+    ], ids=["invalid-json", "not-an-object"])
+    def test_a_malformed_file_exit_2(self, capsys, tmp_path, command, text, message):
+        bad = tmp_path / "bad.json"
+        bad.write_text(text, encoding="utf-8")
+        for extra in ((), ("--json",)):
+            assert run_cli(capsys, command, "--instance", str(bad), *extra) == (2, "", message)
+
+    def test_the_instance_is_read_before_an_option_is_checked(self, capsys, tmp_path):
+        missing = str(tmp_path / "missing.json")
+        code, out, err = run_cli(capsys, "fpl", "--instance", missing, "--lb", "nan")
+        assert code == 2 and out == ""
+        assert missing in err and "--lb" not in err

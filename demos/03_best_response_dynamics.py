@@ -27,7 +27,7 @@ parallel = Instance(
     graph=HostGraph(False, ("s", "t"), (Edge("e1", "s", "t"), Edge("e2", "s", "t"))),
 )
 
-result = run_abrd(parallel, AbrdConfig(epsilon=0.01, seed=0), brute_force=brute_force_opt)
+result = run_abrd(parallel, AbrdConfig(epsilon=0.01, seed=0))
 print("parallel edges, exact Shapley shares:")
 print(trace_to_csv(result))
 print(f"initial profile shares one edge at cost {result.trace[0].cost:g}; "
@@ -58,9 +58,9 @@ instance = Instance(
     graph=mesh,
 )
 
-result = run_abrd(instance, AbrdConfig(epsilon=0.01, seed=7), brute_force=brute_force_opt)
+result = run_abrd(instance, AbrdConfig(epsilon=0.01, seed=7))
 print("routing mesh, three weighted requests:")
-print(run_report(instance, result))
+print(run_report(instance, result, brute_force_opt(instance)[1]))
 
 print("the same run with randomized player selection (budget N*T^2):")
 rand = run_abrd(instance, AbrdConfig(epsilon=0.01, seed=7, selection="randomized"))

@@ -27,7 +27,8 @@ from .analysis import (
     smoothness_report_csv,
 )
 from .bounds import smoothness_constants, theoretical_bounds
-from .engine import AbrdConfig, result_to_json_dict, run_abrd, run_report, trace_to_csv
+from .engine import (AbrdConfig, result_to_json_dict, run_abrd, run_report, step_budget,
+                     trace_to_csv)
 from .errors import ConfigError, EnumerationLimitError, GndesError, InfeasibleError
 from .fpl import FplConfig, regret_trace_to_csv, run_l_apx
 from .io import json_text, parse_instance, report_text, write_instance, write_text
@@ -69,14 +70,17 @@ def _cmd_solve(args, instance) -> int:
         output=args.output,
         step_budget_override=args.max_steps,
     )
-    hook = brute_force_opt if args.brute else None
-    result = run_abrd(instance, config, brute_force=hook)
-    if result.step_budget > BIG_BUDGET_WARNING and not result.budget_overridden:
-        print(f"warning: step budget {result.step_budget} is very large; "
+    budget = step_budget(instance, config,
+                         theoretical_bounds(instance, config.mechanism, config.epsilon))
+    if budget > BIG_BUDGET_WARNING and args.max_steps is None:
+        print(f"warning: step budget {budget} is very large; "
               "consider --max-steps (voids the ratio guarantee)", file=sys.stderr)
+    result = run_abrd(instance, config)
+    opt_cost = brute_force_opt(instance)[1] if args.brute else None
     if args.trace:
         write_text(args.trace, trace_to_csv(result))
-    _emit(args, result_to_json_dict(instance, result), run_report(instance, result))
+    _emit(args, result_to_json_dict(instance, result, opt_cost),
+          run_report(instance, result, opt_cost))
     return 0
 
 

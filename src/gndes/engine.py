@@ -37,8 +37,8 @@ one ("last"), the full per-step trace, and the theoretical constants.
 from __future__ import annotations
 
 import sys
-from dataclasses import dataclass, replace
-from typing import Callable, Optional
+from dataclasses import dataclass
+from typing import Optional
 
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
@@ -94,7 +94,6 @@ class RunResult:
     bounds: TheoreticalBounds
     step_budget: int
     config: AbrdConfig
-    opt_cost: Optional[float] = None
     sampled_shares: int = 0                   # shares estimated by sampling
     sample_cap_hits: int = 0                  # of those, shares whose count was capped
 
@@ -106,12 +105,6 @@ class RunResult:
     @property
     def budget_overridden(self) -> bool:
         return self.config.step_budget_override is not None
-
-    @property
-    def ratio(self) -> Optional[float]:
-        if self.opt_cost is None:
-            return None
-        return self.output_cost / self.opt_cost
 
 
 def initial_profile(instance: Instance) -> StrategyProfile:
@@ -337,15 +330,17 @@ def _select(config: AbrdConfig, dpass: DeltaPass, step: int) -> Optional[int]:
     return pick if deltas[pick] > 0.0 else None
 
 
-def run_abrd(instance: Instance, config: AbrdConfig,
-             brute_force: Optional[Callable[[Instance], tuple[StrategyProfile, float]]] = None,
-             ) -> RunResult:
-    bounds = theoretical_bounds(instance, config.mechanism, config.epsilon)
+def step_budget(instance: Instance, config: AbrdConfig, bounds: TheoreticalBounds) -> int:
+    """The steps a run may take: the override if the config sets one, else
+    T under deterministic selection and N*T^2 under randomized selection."""
+    if config.step_budget_override is not None:
+        return config.step_budget_override
+    return instance.n_requests * bounds.T ** 2 if config.selection == "randomized" else bounds.T
 
-    planned = bounds.T
-    if config.selection == "randomized":
-        planned = instance.n_requests * bounds.T ** 2
-    budget = planned if config.step_budget_override is None else config.step_budget_override
+
+def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
+    bounds = theoretical_bounds(instance, config.mechanism, config.epsilon)
+    budget = step_budget(instance, config, bounds)
     delta = whp_delta(budget, instance.n_requests, len(instance.resources))
     if config.mechanism == "shapley-sampled" and delta < sys.float_info.min:
         raise ConfigError("the step budget is too large for shapley-sampled: "
@@ -383,7 +378,7 @@ def run_abrd(instance: Instance, config: AbrdConfig,
             break
 
     best = config.output == "best"
-    result = RunResult(
+    return RunResult(
         output_profile=best_profile if best else state.profile,
         output_cost=best_cost if best else cost,
         t_star=t_star,
@@ -395,9 +390,6 @@ def run_abrd(instance: Instance, config: AbrdConfig,
         sampled_shares=sampled_shares,
         sample_cap_hits=sample_cap_hits,
     )
-    if brute_force is not None:
-        result = replace(result, opt_cost=brute_force(instance)[1])
-    return result
 
 
 # ---------------------------------------------------------------------------
@@ -413,7 +405,9 @@ def trace_to_csv(result: RunResult) -> str:
                       rec.potential, rec.converged) for rec in result.trace))
 
 
-def run_report(instance: Instance, result: RunResult) -> str:
+def run_report(instance: Instance, result: RunResult, opt_cost: Optional[float] = None) -> str:
+    """The run's text report; given the optimum ``opt_cost``, it also
+    reports the empirical ratio of the output cost to it."""
     config = result.config
     rows = [
         ("mechanism", config.mechanism),
@@ -443,12 +437,13 @@ def run_report(instance: Instance, result: RunResult) -> str:
         ("best cost", result.best_cost),
         ("output cost", result.output_cost),
     ]
-    if result.opt_cost is not None:
-        rows += [("brute-force opt", result.opt_cost), ("empirical ratio", result.ratio)]
+    if opt_cost is not None:
+        rows += [("brute-force opt", opt_cost), ("empirical ratio", result.output_cost / opt_cost)]
     return report_text("abrd run report", rows, 17)
 
 
-def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
+def result_to_json_dict(instance: Instance, result: RunResult,
+                        opt_cost: Optional[float] = None) -> dict:
     """Machine-readable mirror of the plain-text run report."""
     config = result.config
     out = {
@@ -472,7 +467,7 @@ def result_to_json_dict(instance: Instance, result: RunResult) -> dict:
     if config.mechanism == "shapley-sampled":
         out["sampled_shares"] = result.sampled_shares
         out["sample_cap_hits"] = result.sample_cap_hits
-    if result.opt_cost is not None:
-        out["opt_cost"] = result.opt_cost
-        out["ratio"] = result.ratio
+    if opt_cost is not None:
+        out["opt_cost"] = opt_cost
+        out["ratio"] = result.output_cost / opt_cost
     return out

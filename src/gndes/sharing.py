@@ -17,6 +17,9 @@ here:
   otherwise the share is the exact one, which meets the band with
   probability 1.  The dynamics (``engine.PassView.tolls``) make that
   choice per share; :func:`cost_share` prices the exact mechanisms only.
+  A count past ``MAX_SAMPLES`` is capped, which voids that share's
+  guarantee; the dynamics count such shares, and a run reports them once
+  (``engine.RunResult.sample_cap_hits``).
 
 Both exact mechanisms are budget balanced: the shares on a resource sum to
 its cost.  Both depend on the other users only through their weight
@@ -31,7 +34,6 @@ a store uses a fresh one.
 
 from __future__ import annotations
 
-import logging
 import math
 import operator
 import sys
@@ -45,8 +47,6 @@ import numpy as np
 from .errors import ConfigError, InstanceError
 from .instance import (ExponentProfile, ResourceParams, _cost_past_a_double, _power_fold, exceeds,
                        finite, float_or_exact, rep_cost)
-
-logger = logging.getLogger(__name__)
 
 MAX_SAMPLES = 200_000
 # permutation entries (samples x users) a sampled share holds in memory at once
@@ -311,8 +311,9 @@ def samples_needed(query: ShareQuery, epsilon: float, delta: float) -> int:
 def shapley_sampled(query: ShareQuery, rng: np.random.Generator, samples: int) -> float:
     """Sampled Shapley share: sigma/|S_e| plus the mean marginal of the power
     part over ``samples`` uniform random permutations, at most
-    ``MAX_SAMPLES`` of them; a capped count voids the epsilon guarantee and
-    is logged at debug level."""
+    ``MAX_SAMPLES`` of them.  A capped count voids the epsilon guarantee;
+    the dynamics count each capped share (``engine.PassView.tolls``) and a
+    run reports them once."""
     if samples < 1:
         raise ConfigError(f"a sampled share needs at least one permutation, got {samples}")
     n = len(query.users)
@@ -322,11 +323,6 @@ def shapley_sampled(query: ShareQuery, rng: np.random.Generator, samples: int) -
     if n == 1:
         # sole user: every permutation yields the same marginal
         return res.sigma + full
-    if samples > MAX_SAMPLES:
-        # at debug level: a run counts its capped shares and reports them once
-        logger.debug(
-            "sample count %d for resource %r capped at %d; the epsilon guarantee is void",
-            samples, res.id, MAX_SAMPLES)
     m = min(samples, MAX_SAMPLES)
 
     weights = np.array([w for _, w in query.users], dtype=np.float64)

@@ -94,8 +94,8 @@ def ratio_runs():
         else:
             inst = random_routing_instance(rng, max_players=3)
         config = AbrdConfig(mechanism="shapley-exact", epsilon=0.01, seed=1000 + k)
-        result = run_abrd(inst, config, brute_force=brute_force_opt)
-        runs.append((inst, config, result))
+        result = run_abrd(inst, config)
+        runs.append((inst, config, result, brute_force_opt(inst)[1]))
     return runs
 
 
@@ -190,10 +190,10 @@ def test_criterion_04_smoothness():
 
 def test_criterion_05_end_to_end_ratio(ratio_runs):
     ratios = []
-    for inst, config, result in ratio_runs:
+    for inst, config, result, opt_cost in ratio_runs:
         assert result.bounds.rho == 1.0
         limit = result.bounds.ratio_bound
-        ratio = result.output_cost / result.opt_cost
+        ratio = result.output_cost / opt_cost
         assert ratio <= limit * (1 + REL)
         ratios.append(ratio)
     median = statistics.median(ratios)
@@ -203,9 +203,9 @@ def test_criterion_05_end_to_end_ratio(ratio_runs):
 
 
 def test_criterion_06_initialization_bound(ratio_runs):
-    for inst, _, result in ratio_runs:
+    for inst, _, result, opt_cost in ratio_runs:
         p0_cost = result.trace[0].cost
-        limit = inst.n_requests ** inst.exponents.alpha_max * result.opt_cost
+        limit = inst.n_requests ** inst.exponents.alpha_max * opt_cost
         assert p0_cost <= limit * (1 + REL)
     report(6, f"C(p0) <= N^alpha_max * C* on all {len(ratio_runs)} instances")
 
@@ -344,8 +344,8 @@ def test_criterion_10_fpl_regret():
 
 
 def test_criterion_11_determinism(ratio_runs):
-    for inst, config, result in ratio_runs:
-        rerun = run_abrd(inst, config, brute_force=brute_force_opt)
+    for inst, config, result, _ in ratio_runs:
+        rerun = run_abrd(inst, config)
         assert trace_to_csv(rerun) == trace_to_csv(result)
     elapsed = time.monotonic() - _SUITE_START
     assert elapsed < 300.0

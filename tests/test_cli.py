@@ -112,6 +112,44 @@ class TestSolve:
         assert err == ("error: the step budget is too large for shapley-sampled: "
                        "the per-share failure probability underflows\n")
 
+    WARNING = ("warning: step budget 32 is very large; "
+               "consider --max-steps (voids the ratio guarantee)\n")
+
+    @pytest.fixture
+    def stderr_at_run(self, capsys, monkeypatch):
+        """Lower the warning threshold below the parallel instance's T = 32
+        and record what stderr held when ``run_abrd`` started."""
+        monkeypatch.setattr(cli, "BIG_BUDGET_WARNING", 31)
+        seen, run = [], cli.run_abrd
+
+        def spy(instance, config):
+            seen.append(capsys.readouterr().err)
+            return run(instance, config)
+
+        monkeypatch.setattr(cli, "run_abrd", spy)
+        return seen
+
+    def test_big_budget_warning_comes_before_the_run(self, capsys, parallel_file,
+                                                     stderr_at_run):
+        code, out, err = run_cli(capsys, "solve", "--instance", parallel_file)
+        assert code == 0 and "output cost      4" in out
+        assert stderr_at_run == [self.WARNING] and err == ""
+
+    def test_no_big_budget_warning_under_max_steps(self, capsys, parallel_file,
+                                                   stderr_at_run):
+        code, _, err = run_cli(capsys, "solve", "--instance", parallel_file,
+                               "--max-steps", "40")
+        assert code == 0
+        assert stderr_at_run == [""] and err == ""
+
+    def test_big_budget_warning_precedes_a_failed_run(self, capsys, monkeypatch, tmp_path):
+        # one routing request with no s-t path, T = 3
+        monkeypatch.setattr(cli, "BIG_BUDGET_WARNING", 2)
+        code, out, err = run_cli(capsys, "solve", "--instance", instance_file(tmp_path, ONE_WAY))
+        assert code == 3 and out == ""
+        assert err == (self.WARNING.replace("32", "3")
+                       + "infeasible: no path from 's' to 't'\n")
+
     def test_malformed_file_exit_2(self, capsys, tmp_path):
         bad = tmp_path / "bad.json"
         bad.write_text("{\n  \"alphas\": [2.0,\n}", encoding="utf-8")
@@ -194,27 +232,42 @@ class TestSolve:
         assert "  epsilon guarantee void on 24 of 24 sampled shares\n" in done.stdout
 
 
+# one set-connectivity request over 14 parallel edges, past the 12 edges whose
+# subsets the brute force enumerates (analysis.MAX_SUBSET_EDGES)
+WIDE = {
+    "alphas": [2.0],
+    "resources": [{"id": f"p{k}", "sigma": 1.0, "xis": [1.0]} for k in range(14)],
+    "graph": {"directed": False, "vertices": ["s", "t"],
+              "edges": [{"id": f"p{k}", "tail": "s", "head": "t"} for k in range(14)]},
+    "requests": [{"id": 1, "kind": {"type": "set_connectivity", "terminals": ["s", "t"]}}],
+}
+
+
 class TestBruteAndNash:
     def test_brute(self, capsys, parallel_file):
         code, out, _ = run_cli(capsys, "brute", "--instance", parallel_file)
         assert code == 0 and "cost  4" in out
 
     def test_brute_refusal_exit_4(self, capsys, tmp_path):
-        doc = {
-            "alphas": [2.0],
-            "resources": [{"id": f"p{k}", "sigma": 1.0, "xis": [1.0]}
-                          for k in range(14)],
-            "graph": {"directed": False, "vertices": ["s", "t"],
-                      "edges": [{"id": f"p{k}", "tail": "s", "head": "t"}
-                                for k in range(14)]},
-            "requests": [{"id": 1,
-                          "kind": {"type": "set_connectivity", "terminals": ["s", "t"]}}],
-        }
-        path = tmp_path / "wide.json"
-        path.write_text(json.dumps(doc), encoding="utf-8")
-        code, _, err = run_cli(capsys, "brute", "--instance", str(path))
+        code, _, err = run_cli(capsys, "brute", "--instance", instance_file(tmp_path, WIDE))
         assert code == 4
         assert "refused" in err
+
+    def test_solve_brute_refused_after_the_run_exit_4(self, capsys, monkeypatch, tmp_path):
+        # the run finishes, then the enumeration of the optimum is refused:
+        # nothing is printed and no trace is written
+        finished, run = [], cli.run_abrd
+
+        def spy(instance, config):
+            finished.append(run(instance, config))
+            return finished[-1]
+
+        monkeypatch.setattr(cli, "run_abrd", spy)
+        trace = tmp_path / "trace.csv"
+        code, out, err = run_cli(capsys, "solve", "--instance", instance_file(tmp_path, WIDE),
+                                 "--brute", "--trace", str(trace))
+        assert (code, out, len(finished)) == (4, "", 1)
+        assert err.startswith("refused: ") and not trace.exists()
 
     def test_nash_poa_one(self, capsys, parallel_file):
         code, out, _ = run_cli(capsys, "nash", "--instance", parallel_file,

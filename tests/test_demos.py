@@ -1,7 +1,11 @@
 """Every demo script runs to completion against the library in this checkout
 and prints exactly its golden output, ``tests/golden/demo_NN.txt`` for
 ``demos/NN_*.py``.  ``PYTHONPATH=src python tests/test_golden.py`` rewrites
-these files along with the other golden files."""
+these files along with the other golden files.
+
+A demo runs in a process of its own, which the suite's ``filterwarnings``
+does not reach, so it runs under ``-W error::RuntimeWarning`` (a numpy
+overflow fails it as it fails a test) and must leave stderr empty."""
 
 import os
 import subprocess
@@ -22,12 +26,14 @@ def golden_name(demo: Path) -> str:
 
 
 def demo_output(demo: Path) -> str:
-    """The demo's standard output; fails if the demo exits nonzero."""
+    """The demo's standard output; fails if the demo exits nonzero or
+    writes to stderr."""
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join(filter(None, [SRC, os.environ.get("PYTHONPATH")])))
-    done = subprocess.run([sys.executable, str(demo)], env=env, capture_output=True,
-                          text=True, timeout=120)
+    done = subprocess.run([sys.executable, "-W", "error::RuntimeWarning", str(demo)], env=env,
+                          capture_output=True, text=True, timeout=120)
     assert done.returncode == 0, done.stderr
+    assert done.stderr == ""
     return done.stdout
 
 

@@ -26,6 +26,7 @@ from gndes.bounds import harmonic, theoretical_bounds
 from gndes.engine import (
     result_to_json_dict,
     run_report,
+    step_budget,
     trace_to_csv,
 )
 from gndes.errors import ConfigError
@@ -133,12 +134,11 @@ class TestDeltaVector:
 class TestRunAbrd:
     def test_parallel_edges_reach_optimum(self):
         inst = parallel_edges_instance()
-        result = run_abrd(inst, AbrdConfig(epsilon=0.01), brute_force=brute_force_opt)
+        result = run_abrd(inst, AbrdConfig(epsilon=0.01))
         assert result.trace[0].cost == pytest.approx(5.0)
         assert result.trace[1].player == 1          # smallest index moves first
         assert result.output_cost == pytest.approx(4.0)
-        assert result.opt_cost == pytest.approx(4.0)
-        assert result.ratio == pytest.approx(1.0)
+        assert brute_force_opt(inst)[1] == pytest.approx(4.0)
         assert result.converged_at == 2
 
     @pytest.mark.parametrize("n_players, mechanism, optimum", [
@@ -175,8 +175,8 @@ class TestRunAbrd:
         res = (ResourceParams("a", 1.0, (1.0,)),)
         inst = Instance(exp, res, (
             Request(id=1, kind=ExplicitReplies((frozenset({"a"}),))),))
-        result = run_abrd(inst, AbrdConfig(), brute_force=brute_force_opt)
-        assert result.ratio == pytest.approx(1.0)
+        result = run_abrd(inst, AbrdConfig())
+        assert result.output_cost == pytest.approx(brute_force_opt(inst)[1])
 
     def test_budget_zero_reports_initial_profile(self):
         inst = parallel_edges_instance()
@@ -241,13 +241,13 @@ class TestRunAbrd:
         rng = rng_for(29)
         for _ in range(10):
             inst = random_explicit_instance(rng, max_players=3, max_resources=4)
-            result = run_abrd(inst, AbrdConfig(seed=4), brute_force=brute_force_opt)
+            result = run_abrd(inst, AbrdConfig(seed=4))
             if result.converged_at is not None:
                 b = result.bounds
                 limit = (b.rho * b.epsilon1 ** 2 * b.lam
                          / (1 - b.rho * b.epsilon1 ** 2 * b.mu))
                 final_cost = result.trace[-1].cost
-                assert final_cost <= limit * result.opt_cost * (1 + 1e-9)
+                assert final_cost <= limit * brute_force_opt(inst)[1] * (1 + 1e-9)
 
     def test_initial_profile_bound(self):
         rng = rng_for(33)
@@ -265,6 +265,18 @@ class TestRunAbrd:
         assert result.converged_at is not None
         assert result.best_cost == pytest.approx(4.0)
 
+    @pytest.mark.parametrize("config, budget", [
+        (AbrdConfig(), 32),
+        (AbrdConfig(selection="randomized"), 2 * 32 ** 2),
+        (AbrdConfig(selection="randomized", step_budget_override=5), 5),
+        (AbrdConfig(step_budget_override=0), 0),
+    ])
+    def test_one_rule_sets_the_step_budget(self, config, budget):
+        inst = parallel_edges_instance()
+        bounds = theoretical_bounds(inst, config.mechanism, config.epsilon)
+        assert step_budget(inst, config, bounds) == budget
+        assert run_abrd(inst, config).step_budget == budget
+
     def test_deterministic_traces_are_byte_identical(self):
         inst = parallel_edges_instance()
         for mech in ("proportional", "shapley-exact", "shapley-sampled"):
@@ -275,9 +287,8 @@ class TestRunAbrd:
 
     def test_sampled_mechanism_still_finds_optimum(self):
         inst = parallel_edges_instance()
-        result = run_abrd(inst, AbrdConfig(mechanism="shapley-sampled", seed=7),
-                          brute_force=brute_force_opt)
-        assert result.ratio == pytest.approx(1.0)
+        result = run_abrd(inst, AbrdConfig(mechanism="shapley-sampled", seed=7))
+        assert result.output_cost == pytest.approx(brute_force_opt(inst)[1])
 
     def test_report_mentions_override(self):
         inst = parallel_edges_instance()
@@ -301,9 +312,9 @@ class TestRunAbrd:
         )
         # max(2 pairs, 3 cycle legs)
         assert theoretical_bounds(inst, "shapley-exact", 0.01).rho == 3.0
-        result = run_abrd(inst, AbrdConfig(seed=0), brute_force=brute_force_opt)
+        result = run_abrd(inst, AbrdConfig(seed=0))
         assert result.bounds.rho == 3.0
-        assert result.ratio <= result.bounds.ratio_bound
+        assert result.output_cost / brute_force_opt(inst)[1] <= result.bounds.ratio_bound
         for req, reply in zip(inst.requests, result.output_profile):
             assert validate_reply(inst, req, reply)
 

@@ -7,6 +7,12 @@ a bool ``true``/``false``, anything else by ``str``); ``io.report_text``,
 ``io.write_text`` writes a file.  No other module of the package holds a
 ``.9g`` format, a ``"true"`` or ``"false"`` literal, a ``json.dump`` or
 ``json.dumps`` call, or an ``open`` for writing.
+
+Only ``cli`` talks to the terminal: no other module imports ``logging`` or
+``warnings``, calls ``print`` or names ``sys.stdout`` or ``sys.stderr``.  A
+library call reports what it did through what it returns (a capped sampled
+share is counted in the run's record, ``RunResult.sample_cap_hits``) or
+refuses through a ``GndesError``.
 """
 
 import ast
@@ -83,6 +89,62 @@ def test_the_scan_sees_each_forbidden_form():
         ("m.py", ".9g", 3), ("m.py", ".9g", 4), ("m.py", "'true'", 5), ("m.py", "'false'", 5),
         ("m.py", "dump", 6), ("m.py", "dumps", 7), ("m.py", "open for writing", 8),
         ("m.py", "open for writing", 10), ("m.py", "open for writing", 12)]
+
+
+STREAM_MODULES = frozenset({"logging", "warnings"})
+STREAMS = frozenset({"stdout", "stderr"})
+
+
+def stream_forms(source: str, filename: str) -> list[tuple[str, str, int]]:
+    """(file, form, line) of every form that reaches the terminal itself
+    (an import of ``logging`` or ``warnings``, a ``print`` call, a
+    ``sys.stdout`` or ``sys.stderr``), in line order."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            found += [(filename, f"import {alias.name.split('.')[0]}", node.lineno)
+                      for alias in node.names if alias.name.split(".")[0] in STREAM_MODULES]
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            top = node.module.split(".")[0]
+            if top in STREAM_MODULES:
+                found.append((filename, f"import {top}", node.lineno))
+            elif top == "sys":
+                found += [(filename, f"sys.{alias.name}", node.lineno)
+                          for alias in node.names if alias.name in STREAMS]
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "print":
+            found.append((filename, "print", node.lineno))
+        elif (isinstance(node, ast.Attribute) and node.attr in STREAMS
+              and getattr(node.value, "id", None) == "sys"):
+            found.append((filename, f"sys.{node.attr}", node.lineno))
+    return sorted(found, key=lambda form: form[2])
+
+
+def test_only_cli_talks_to_the_terminal():
+    found = [form for path in sorted(PACKAGE.glob("*.py"))
+             for form in stream_forms(path.read_text(encoding="utf-8"), path.name)]
+    assert [form for form in found if form[0] != "cli.py"] == []
+    assert {form[1] for form in found} == {"print", "sys.stdout", "sys.stderr"}
+
+
+def test_the_scan_sees_each_terminal_form():
+    source = ("import logging\n"
+              "import logging.handlers, os\n"
+              "from logging import getLogger\n"
+              "import warnings as w\n"
+              "from warnings import warn\n"
+              "from sys import stderr, argv\n"
+              "import sys\n"
+              "def f(x):\n"
+              "    print(x)\n"
+              "    sys.stdout.write(x)\n"
+              "    out = sys.stderr\n"
+              "    x.print(x)\n"
+              "    return sys.argv, sys.float_info\n")
+    assert stream_forms(source, "m.py") == [
+        ("m.py", "import logging", 1), ("m.py", "import logging", 2),
+        ("m.py", "import logging", 3), ("m.py", "import warnings", 4),
+        ("m.py", "import warnings", 5), ("m.py", "sys.stderr", 6), ("m.py", "print", 9),
+        ("m.py", "sys.stdout", 10), ("m.py", "sys.stderr", 11)]
 
 
 class TestFmt:

@@ -172,16 +172,21 @@ def potential_by_prefix(instance: Instance, profile: StrategyProfile,
                         orders: Optional[dict[str, Sequence[int]]] = None) -> float:
     """Potential by the prefix definition: for an arbitrary fixed order of
     each resource's users, sum each user's exact share within the prefix
-    ending at her.  Agrees with :func:`potential` for every order."""
+    ending at her.  Agrees with :func:`potential` for every order.  An
+    order for an id that is no resource, or one that does not permute its
+    resource's users (an unused resource has none), is refused."""
     state = ProfileState(instance, profile)
+    orders = orders or {}
+    for res_id, order in orders.items():
+        if res_id not in instance.resource_by_id:
+            raise InstanceError(f"order for unknown resource {res_id!r}")
+        users = dict(state.users.get(res_id, ()))
+        if len(order) != len(users) or set(order) != users.keys():
+            raise InstanceError(f"order for resource {res_id!r} must permute its users")
     total = 0.0
     for res in instance.resources:
         users = dict(state.users.get(res.id, ()))
-        if not users:
-            continue
-        order = tuple(orders[res.id]) if orders and res.id in orders else tuple(sorted(users))
-        if sorted(order) != sorted(users):
-            raise InstanceError(f"order for resource {res.id!r} must permute its users")
+        order = tuple(orders.get(res.id, sorted(users)))
         for m, rid in enumerate(order):
             prefix = tuple((j, users[j]) for j in order[:m + 1])
             query = ShareQuery(res, instance.exponents, prefix, target=rid)
@@ -522,6 +527,7 @@ def budget_balance_check(mechanism: str,
 # ---------------------------------------------------------------------------
 
 MAX_POA_REQUESTS = 100_000
+MAX_POA_EXPONENTS = 100
 
 
 def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) -> Instance:
@@ -532,13 +538,15 @@ def poa_lower_bound_instance(sigma: float, xi: float, alpha: float, q: int = 1) 
     through the hub (edge estar priced at N/(N+1) of (sigma, xi), then f{i}
     priced at sigma/(N+1) with factor 3 xi/(N+1)).  All going direct is an
     equilibrium; all going through the hub costs less than 3(sigma + xi).
-    An N above MAX_POA_REQUESTS is refused.
+    An N above MAX_POA_REQUESTS or a q above MAX_POA_EXPONENTS is refused.
 
     For q >= 2 the q-1 extra exponents are 1 + (alpha-1)/2, with factors at
     0.1 of the strict admissibility bound xi_1/(q N^alpha_j (N+1)).
     """
     if q < 1:
         raise ConfigError(f"q must be >= 1, got {q}")
+    if q > MAX_POA_EXPONENTS:
+        raise ConfigError(f"q = {q} exceeds the cap of {MAX_POA_EXPONENTS} exponents")
     if sigma <= 0 or xi <= 0:
         raise ConfigError("sigma and xi must be positive")
     if alpha <= 1:

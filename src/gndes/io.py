@@ -1,11 +1,15 @@
 """Instance files and the one output rule.
 
 Instance files are a JSON document with top-level keys "alphas",
-"resources", optional "graph" and "requests".  Unknown keys are rejected at
-every level, and every malformed file raises ParseError naming the offending
-field or line.  One table gives each request kind its tag and each field's
-reader and writer.  The writer's canonical form (fixed key order, sorted
-collections) makes write(parse(file)) byte-identical for such files.
+"resources", optional "graph" and "requests".  One table per record (the
+top level, a resource, the graph, an edge, a request and each request kind)
+lists its keys in file order, each with its reader, its writer, the model
+attribute it fills and, for an optional key, the default the reader
+supplies and the writer leaves out; one reader and one writer walk those
+rows.  Unknown keys are rejected at every level, and every malformed file
+raises ParseError naming the offending field or line.  The writer's
+canonical form (fixed key order, sorted collections) makes
+write(parse(file)) byte-identical for such files.
 
 The output rule: every number, report, CSV row, JSON document and file the
 package writes goes through the helpers at the end of this module.
@@ -18,7 +22,9 @@ writes UTF-8 with LF line endings whatever the platform.
 
 from __future__ import annotations
 
+import dataclasses
 import json
+from functools import partial
 from typing import Any, Iterable
 
 from .errors import InstanceError, ParseError
@@ -28,11 +34,6 @@ from .instance import (Edge, ExplicitReplies, ExponentProfile, HostGraph, Instan
 # ---------------------------------------------------------------------------
 # shape readers: each owns one check and its message
 # ---------------------------------------------------------------------------
-
-def _keys(*required: str, optional: tuple[str, ...] = ()) -> tuple[frozenset, frozenset]:
-    """The (allowed, required) key sets of an object."""
-    return frozenset(required + optional), frozenset(required)
-
 
 def _object(value, path: str, keys: tuple[frozenset, frozenset] | None = None) -> dict:
     if not isinstance(value, dict):
@@ -53,9 +54,20 @@ def _list(value, path: str, item) -> list:
     return [item(v, f"{path}[{i}]") for i, v in enumerate(value)]
 
 
+def _tuple_of(item):
+    """A reader of a list whose elements ``item`` reads, giving a tuple."""
+    return lambda value, path: tuple(_list(value, path, item))
+
+
 def _str(value, path: str) -> str:
     if not isinstance(value, str):
         raise ParseError(f"{path}: expected a string")
+    return value
+
+
+def _bool(value, path: str) -> bool:
+    if not isinstance(value, bool):
+        raise ParseError(f"{path}: expected a boolean")
     return value
 
 
@@ -75,13 +87,14 @@ def _number(value, path: str) -> float:
                   value)
 
 
-# ---------------------------------------------------------------------------
-# request kinds
-# ---------------------------------------------------------------------------
+def _alphas(value, path: str) -> ExponentProfile:
+    if not isinstance(value, list) or not value:
+        raise ParseError(f"{path}: expected a nonempty list of numbers")
+    return ExponentProfile(tuple(_list(value, path, _number)))
 
-def _tuple_of(item):
-    """A reader of a list whose elements ``item`` reads, giving a tuple."""
-    return lambda value, path: tuple(_list(value, path, item))
+
+def _weights(value, path: str) -> dict[str, int]:
+    return {e: _int(w, f"{path}[{e!r}]") for e, w in _object(value, path).items()}
 
 
 def _pair(value, path: str) -> tuple[str, str]:
@@ -96,95 +109,121 @@ def _reply(value, path: str) -> frozenset[str]:
     return frozenset(_str(e, path) for e in value)
 
 
-def _kind(tag: str, *fields) -> tuple:
-    """A table row: the tag, the (name, read, write) fields in order, the key sets."""
-    return tag, fields, _keys(*(name for name, _, _ in fields), optional=("type",))
+# ---------------------------------------------------------------------------
+# one table per record, walked by one reader and one writer
+# ---------------------------------------------------------------------------
+
+_REQUIRED = object()
 
 
-_KINDS = {
-    Routing: _kind("routing", ("source", _str, str), ("target", _str, str)),
-    MultiRouting: _kind("multi_routing", ("pairs", _tuple_of(_pair),
-                                          lambda pairs: [[s, t] for s, t in pairs])),
-    SetConnectivity: _kind("set_connectivity", ("terminals", _tuple_of(_str), list)),
-    MachineChoice: _kind("machine_choice", ("machines", _tuple_of(_str), list)),
-    ExplicitReplies: _kind("explicit", ("replies", _tuple_of(_reply),
-                                        lambda replies: [sorted(rep) for rep in replies])),
-}
+def _same(value):
+    return value
 
 
-def _parse_kind(obj, path: str):
+def _field(key: str, read, write=_same, attr: str | None = None, default=_REQUIRED) -> tuple:
+    """One key of a record: its reader, its writer, the model attribute it
+    fills (the key itself unless named) and, for an optional key, the
+    default the reader supplies and the writer leaves out."""
+    return key, attr or key, read, write, default
+
+
+def _record(cls, *fields, extra: tuple[str, ...] = ()) -> tuple:
+    """A table row: the model class, its fields in file order, the
+    (allowed, required) key sets (``extra`` keys are allowed and not read),
+    and for the reader each field's (key, position among the class's
+    attributes, reader) and the arguments that hold every default."""
+    attrs = [f.name for f in dataclasses.fields(cls)]
+    reads = tuple((key, attrs.index(attr), read) for key, attr, read, _, _ in fields)
+    defaults = [default for *_, default in sorted(fields, key=lambda f: attrs.index(f[1]))]
+    required = [key for key, _, _, _, default in fields if default is _REQUIRED]
+    keys = frozenset([key for key, *_ in fields] + list(extra)), frozenset(required)
+    return cls, fields, keys, reads, defaults
+
+
+def _read(row, obj, path: str):
+    """The record ``row`` describes, read from ``obj`` at ``path`` ("" at the top level)."""
+    cls, _, keys, reads, defaults = row
+    _object(obj, path or "top level", keys)
+    prefix = path + "." if path else ""
+    # a positional call builds a dataclass faster than a keyword call
+    args = defaults.copy()
+    for key, slot, read in reads:
+        if key in obj:
+            args[slot] = read(obj[key], prefix + key)
+    return cls(*args)
+
+
+def _write(row, record) -> dict[str, Any]:
+    """``record`` as the object ``row`` describes, without the keys that hold their default."""
+    doc = {}
+    for key, attr, _, write, default in row[1]:
+        value = getattr(record, attr)
+        if default is _REQUIRED or value != default:
+            doc[key] = write(value)
+    return doc
+
+
+def _records(row) -> tuple:
+    """The reader and the writer of a list of ``row`` records."""
+    return _tuple_of(partial(_read, row)), lambda records: [_write(row, r) for r in records]
+
+
+def _kind(cls, tag: str, *fields) -> tuple:
+    """A request kind: its class, then its "type" tag and its table row."""
+    return cls, (tag, _record(cls, *fields, extra=("type",)))
+
+
+_KINDS = dict([
+    _kind(Routing, "routing", _field("source", _str, str), _field("target", _str, str)),
+    _kind(MultiRouting, "multi_routing",
+          _field("pairs", _tuple_of(_pair), lambda pairs: [[s, t] for s, t in pairs])),
+    _kind(SetConnectivity, "set_connectivity", _field("terminals", _tuple_of(_str), list)),
+    _kind(MachineChoice, "machine_choice", _field("machines", _tuple_of(_str), list)),
+    _kind(ExplicitReplies, "explicit",
+          _field("replies", _tuple_of(_reply), lambda replies: [sorted(rep) for rep in replies])),
+])
+
+
+def _read_kind(obj, path: str):
     tag = _object(obj, path).get("type")
-    for cls, (kind_tag, fields, keys) in _KINDS.items():
+    for kind_tag, row in _KINDS.values():
         if kind_tag == tag:
-            _object(obj, path, keys)
-            return cls(*[read(obj[name], f"{path}.{name}") for name, read, _ in fields])
+            return _read(row, obj, path)
     raise ParseError(f"{path}.type: unknown request kind {tag!r}")
 
 
-def _kind_to_dict(kind) -> dict[str, Any]:
-    tag, fields, _ = _KINDS[type(kind)]
-    return {"type": tag, **{name: write(getattr(kind, name)) for name, _, write in fields}}
+def _write_kind(kind) -> dict[str, Any]:
+    tag, row = _KINDS[type(kind)]
+    return {"type": tag, **_write(row, kind)}
+
+
+_REQUEST = _record(
+    Request,
+    _field("id", _int),
+    _field("weight_all", _int, attr="default_weight", default=1),
+    _field("weights", _weights, lambda weights: {e: weights[e] for e in sorted(weights)},
+           default={}),
+    _field("kind", _read_kind, _write_kind))
+_EDGE = _record(Edge, _field("id", _str), _field("tail", _str), _field("head", _str))
+_GRAPH = _record(HostGraph, _field("directed", _bool), _field("vertices", _tuple_of(_str), list),
+                 _field("edges", *_records(_EDGE)))
+_RESOURCE = _record(ResourceParams, _field("id", _str), _field("sigma", _number),
+                    _field("xis", _tuple_of(_number), list))
+_TOP = _record(
+    Instance,
+    _field("alphas", _alphas, lambda exponents: list(exponents.alphas), attr="exponents"),
+    _field("resources", *_records(_RESOURCE)),
+    _field("graph", partial(_read, _GRAPH), partial(_write, _GRAPH), default=None),
+    _field("requests", *_records(_REQUEST)))
 
 
 # ---------------------------------------------------------------------------
-# reader
+# reader and writer of a whole file
 # ---------------------------------------------------------------------------
-
-_TOP_KEYS = _keys("alphas", "resources", "requests", optional=("graph",))
-_RESOURCE_KEYS = _keys("id", "sigma", "xis")
-_GRAPH_KEYS = _keys("directed", "vertices", "edges")
-_EDGE_KEYS = _keys("id", "tail", "head")
-_REQUEST_KEYS = _keys("id", "kind", optional=("weights", "weight_all"))
-
-
-def _resource(obj, path: str) -> ResourceParams:
-    _object(obj, path, _RESOURCE_KEYS)
-    return ResourceParams(_str(obj["id"], path + ".id"), _number(obj["sigma"], path + ".sigma"),
-                          tuple(_list(obj["xis"], path + ".xis", _number)))
-
-
-def _edge(obj, path: str) -> Edge:
-    _object(obj, path, _EDGE_KEYS)
-    return Edge(_str(obj["id"], path + ".id"), _str(obj["tail"], path + ".tail"),
-                _str(obj["head"], path + ".head"))
-
-
-def _graph(obj) -> HostGraph:
-    _object(obj, "graph", _GRAPH_KEYS)
-    if not isinstance(obj["directed"], bool):
-        raise ParseError("graph.directed: expected a boolean")
-    return HostGraph(obj["directed"], tuple(_list(obj["vertices"], "graph.vertices", _str)),
-                     tuple(_list(obj["edges"], "graph.edges", _edge)))
-
-
-def _request(obj, path: str) -> Request:
-    _object(obj, path, _REQUEST_KEYS)
-    weights = {}
-    if "weights" in obj:
-        weights = {e: _int(w, f"{path}.weights[{e!r}]")
-                   for e, w in _object(obj["weights"], path + ".weights").items()}
-    return Request(
-        weights=weights,
-        default_weight=_int(obj["weight_all"], path + ".weight_all") if "weight_all" in obj else 1,
-        id=_int(obj["id"], path + ".id"),
-        kind=_parse_kind(obj["kind"], path + ".kind"),
-    )
-
-
-def _instance(doc) -> Instance:
-    _object(doc, "top level", _TOP_KEYS)
-    if not isinstance(doc["alphas"], list) or not doc["alphas"]:
-        raise ParseError("alphas: expected a nonempty list of numbers")
-    alphas = _list(doc["alphas"], "alphas", _number)
-    resources = _list(doc["resources"], "resources", _resource)
-    graph = _graph(doc["graph"]) if "graph" in doc else None
-    requests = _list(doc["requests"], "requests", _request)
-    return Instance(ExponentProfile(tuple(alphas)), tuple(resources), tuple(requests), graph)
-
 
 def parse_instance_text(text: str) -> Instance:
     try:
-        return _instance(json.loads(text))
+        return _read(_TOP, json.loads(text), "")
     except json.JSONDecodeError as exc:
         raise ParseError(f"invalid JSON at line {exc.lineno}, column {exc.colno}: {exc.msg}") from exc
     except RecursionError:
@@ -202,35 +241,8 @@ def parse_instance(path: str) -> Instance:
     return parse_instance_text(text)
 
 
-# ---------------------------------------------------------------------------
-# writer
-# ---------------------------------------------------------------------------
-
-def _request_to_dict(req: Request) -> dict[str, Any]:
-    out: dict[str, Any] = {"id": req.id}
-    if req.default_weight != 1:
-        out["weight_all"] = req.default_weight
-    if req.weights:
-        out["weights"] = {e: req.weights[e] for e in sorted(req.weights)}
-    out["kind"] = _kind_to_dict(req.kind)
-    return out
-
-
 def instance_to_dict(instance: Instance) -> dict[str, Any]:
-    doc: dict[str, Any] = {
-        "alphas": list(instance.exponents.alphas),
-        "resources": [{"id": r.id, "sigma": r.sigma, "xis": list(r.xis)}
-                      for r in instance.resources],
-    }
-    graph = instance.graph
-    if graph is not None:
-        doc["graph"] = {
-            "directed": graph.directed,
-            "vertices": list(graph.vertices),
-            "edges": [{"id": e.id, "tail": e.tail, "head": e.head} for e in graph.edges],
-        }
-    doc["requests"] = [_request_to_dict(req) for req in instance.requests]
-    return doc
+    return _write(_TOP, instance)
 
 
 def instance_to_text(instance: Instance) -> str:

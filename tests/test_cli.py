@@ -540,6 +540,14 @@ class TestPoaGen:
                                "--alpha", "2", "--q", "0", "--out", str(tmp_path / "x.json"))
         assert code == 2 and "q must be >= 1" in err
 
+    def test_refuses_more_exponents_than_the_cap(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_POA_EXPONENTS", 3)
+        out_path = tmp_path / "x.json"
+        code, out, err = run_cli(capsys, "poa-gen", "--sigma", "16", "--xi", "1",
+                                 "--alpha", "2", "--q", "4", "--out", str(out_path))
+        assert (code, out, err) == (2, "", "error: q = 4 exceeds the cap of 3 exponents\n")
+        assert not out_path.exists()
+
     @pytest.mark.parametrize("sigma", ["inf", "1e400", "nan"])
     def test_rejects_sigma_without_a_finite_ratio(self, capsys, tmp_path, sigma):
         out_path = tmp_path / "x.json"

@@ -110,9 +110,9 @@ FIVE_KINDS = {
 _DELETE = object()
 
 
-def edited(path: str, value):
-    """FIVE_KINDS with the value at a dotted path replaced (or deleted)."""
-    doc = copy.deepcopy(FIVE_KINDS)
+def edited(path: str, value, doc=FIVE_KINDS):
+    """A copy of ``doc`` with the value at a dotted path replaced (or deleted)."""
+    doc = copy.deepcopy(doc)
     if not path:
         return value
     *parents, last = [int(p) if p.isdigit() else p for p in path.split(".")]
@@ -288,3 +288,32 @@ def test_each_kind_is_written_canonically(index):
     single["requests"] = [FIVE_KINDS["requests"][index]]
     one = parse_instance_text(json.dumps(single))
     assert parse_instance_text(instance_to_text(one)) == one
+
+
+
+# a document with two faults names the one the reader meets first: a record's
+# keys are read in file order (a request's id, weight_all, weights, kind), and
+# the exponents are built as soon as "alphas" is read, before the resources
+FIRST_OF_TWO_FAULTS = {
+    "id-before-weights": (edited("requests.0.id", True, edited("requests.0.weights", [])),
+                          "requests[0].id: expected an integer"),
+    "weight-all-before-weights": (edited("requests.0.weight_all", "2",
+                                         edited("requests.0.weights", [])),
+                                  "requests[0].weight_all: expected an integer"),
+    "id-before-weight-all": (edited("requests.3.id", "4", edited("requests.3.weight_all", "4")),
+                             "requests[3].id: expected an integer"),
+    "alpha-before-resource": (edited("alphas.0", 1.0, edited("resources.1.sigma", "x")),
+                              "every exponent must exceed 1, got 1.0"),
+    "alpha-before-edge": (edited("alphas.1", math.inf, edited("graph.edges.2.head", "e")),
+                          "every exponent must be finite, got inf"),
+    "alpha-before-request": (edited("alphas.0", 1.0, edited("requests.0.weights.ab", 0)),
+                             "every exponent must exceed 1, got 1.0"),
+}
+
+
+@pytest.mark.parametrize("doc, message", FIRST_OF_TWO_FAULTS.values(),
+                         ids=FIRST_OF_TWO_FAULTS.keys())
+def test_the_first_fault_in_file_order_is_named(doc, message):
+    with pytest.raises(ParseError) as info:
+        parse_instance_text(json.dumps(doc))
+    assert str(info.value) == message

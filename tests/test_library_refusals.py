@@ -6,7 +6,7 @@ import re
 import pytest
 
 from gndes import (AbrdConfig, Edge, ExponentProfile, HostGraph, Instance, MachineChoice,
-                   Request, ResourceParams, validate_reply)
+                   Request, ResourceParams, analysis, validate_reply)
 from gndes.analysis import poa_lower_bound_instance, potential_by_prefix
 from gndes.bounds import theoretical_bounds
 from gndes.errors import ConfigError, InstanceError
@@ -103,10 +103,24 @@ class TestConfigAndInstance:
 class TestAnalysis:
     PROFILE = (frozenset({"m1"}), frozenset({"m1"}))
 
-    @pytest.mark.parametrize("order", [[1], [1, 3], [1, 2, 2], [2, 2]])
+    @pytest.mark.parametrize("order", [[1], [1, 3], [1, 2, 2], [2, 2], [1, "2"]])
     def test_potential_by_prefix_on_an_order_that_is_not_a_permutation(self, order):
         with refused(InstanceError, "order for resource 'm1' must permute its users"):
             potential_by_prefix(TWO_MACHINES, self.PROFILE, {"m1": order})
+
+    def test_potential_by_prefix_on_an_order_for_an_unused_resource(self):
+        with refused(InstanceError, "order for resource 'm2' must permute its users"):
+            potential_by_prefix(TWO_MACHINES, self.PROFILE, {"m2": [7, 8, 9]})
+
+    def test_potential_by_prefix_on_an_order_for_an_id_that_is_no_resource(self):
+        with refused(InstanceError, "order for unknown resource 'nowhere'"):
+            potential_by_prefix(TWO_MACHINES, self.PROFILE, {"m1": [2, 1], "nowhere": [1]})
+
+    def test_poa_instance_with_q_above_the_cap(self, monkeypatch):
+        monkeypatch.setattr(analysis, "MAX_POA_EXPONENTS", 3)
+        assert poa_lower_bound_instance(4.0, 1.0, 2.0, q=3).exponents.q == 3
+        with refused(ConfigError, "q = 4 exceeds the cap of 3 exponents"):
+            poa_lower_bound_instance(4.0, 1.0, 2.0, q=4)
 
     @pytest.mark.parametrize("sigma, xi", [(0.0, 1.0), (4.0, 0.0), (-4.0, 1.0), (4.0, -1.0)])
     def test_poa_instance_without_positive_sigma_and_xi(self, sigma, xi):

@@ -8,7 +8,10 @@ file that cannot be read or written); argparse also exits 2 on a malformed
 command line.  Every command prints and writes through the output rule of
 ``gndes.io``: reals to 9 significant digits, an empty field for a missing
 value, ``true``/``false``, CSV with '.' decimals and LF line endings
-regardless of locale, and JSON with a two-space indent.
+regardless of locale, and strict JSON with a two-space indent.  Each
+command's report is one list of (JSON key, text label, value) facts, which
+:func:`_emit` prints as its text report or, under ``--json``, its JSON
+document.
 """
 
 from __future__ import annotations
@@ -27,11 +30,10 @@ from .analysis import (
     smoothness_report_csv,
 )
 from .bounds import smoothness_constants, theoretical_bounds
-from .engine import (AbrdConfig, result_to_json_dict, run_abrd, run_report, step_budget,
-                     trace_to_csv)
+from .engine import RUN_REPORT, AbrdConfig, run_abrd, run_facts, step_budget, trace_to_csv
 from .errors import ConfigError, EnumerationLimitError, GndesError, InfeasibleError
 from .fpl import FplConfig, regret_trace_to_csv, run_l_apx
-from .io import json_text, parse_instance, report_text, write_instance, write_text
+from .io import facts_doc, facts_text, json_text, parse_instance, write_instance, write_text
 
 # the --csm names and the mechanism each selects; nash, smooth and bounds take
 # the exact ones
@@ -46,9 +48,11 @@ _EXACT_CSM = tuple(name for name, mechanism in _MECHANISM.items()
 BIG_BUDGET_WARNING = 1_000_000
 
 
-def _emit(args, doc: dict, report: str):
-    """The command's JSON document under ``--json``, else its text report."""
-    sys.stdout.write(json_text(doc) if args.json else report)
+def _emit(args, title: str, width: int, facts: list[tuple]):
+    """Print the command's report, a list of (JSON key, text label, value)
+    facts: its JSON document under ``--json``, else its text report."""
+    sys.stdout.write(json_text(facts_doc(facts)) if args.json
+                     else facts_text(title, width, facts))
 
 
 def _walk(args, report_csv, check, *inputs, **options):
@@ -79,35 +83,32 @@ def _cmd_solve(args, instance) -> int:
     opt_cost = brute_force_opt(instance)[1] if args.brute else None
     if args.trace:
         write_text(args.trace, trace_to_csv(result))
-    _emit(args, result_to_json_dict(instance, result, opt_cost),
-          run_report(instance, result, opt_cost))
+    _emit(args, *RUN_REPORT, run_facts(instance, result, opt_cost))
     return 0
 
 
 def _cmd_brute(args, instance) -> int:
     profile, cost = brute_force_opt(instance)
-    _emit(args, {"opt_cost": cost, "opt_profile": [sorted(r) for r in profile]},
-          report_text("brute-force optimum", [
-              ("cost", cost),
-              *((f"request {req.id}: ", "{" + ", ".join(sorted(reply)) + "}")
-                for req, reply in zip(instance.requests, profile))], 6))
+    _emit(args, "brute-force optimum", 6, [
+        ("opt_cost", "cost", cost),
+        ("opt_profile", None, [sorted(r) for r in profile]),
+        *((None, f"request {req.id}: ", "{" + ", ".join(sorted(reply)) + "}")
+          for req, reply in zip(instance.requests, profile))])
     return 0
 
 
 def _cmd_nash(args, instance) -> int:
     mechanism = _MECHANISM[args.csm]
     report = _walk(args, nash_report_csv, enumerate_nash, instance, mechanism)
-    rows = [("mechanism", mechanism), ("equilibria", len(report.nash_profiles)),
-            ("worst NE cost", report.worst_nash_cost), ("optimum", report.opt_cost),
-            ("PoA", report.poa)]
-    _emit(args, {
-        "nash_count": len(report.nash_profiles),
-        "worst_nash_cost": report.worst_nash_cost,
-        "opt_cost": report.opt_cost,
-        "poa": report.poa,
-    }, report_text("pure equilibria",
-                   # a report without equilibria has no worst NE cost and no PoA
-                   [row for row in rows if row[1] is not None], 16))
+    # a report without equilibria prints no worst NE cost and no PoA line
+    some = report.worst_nash_cost is not None
+    _emit(args, "pure equilibria", 16, [
+        (None, "mechanism", mechanism),
+        ("nash_count", "equilibria", len(report.nash_profiles)),
+        ("worst_nash_cost", "worst NE cost" if some else None, report.worst_nash_cost),
+        ("opt_cost", "optimum", report.opt_cost),
+        ("poa", "PoA" if some else None, report.poa),
+    ])
     return 0
 
 
@@ -116,20 +117,16 @@ def _cmd_smooth(args, instance) -> int:
     lam, mu = smoothness_constants(instance, mechanism)
     report = _walk(args, smoothness_report_csv, smoothness_check, instance, mechanism,
                    lam, mu, max_pairs=args.pairs, seed=args.seed)
-    _emit(args, {
-        "lambda": report.lam, "mu": report.mu,
-        "pairs_tested": report.pairs_tested,
-        "max_ratio": report.max_ratio,
-        "violations": report.violations,
-        "pass": report.ok,
-    }, report_text("smoothness check", [
-        ("mechanism", mechanism),
-        ("lambda", report.lam),
-        ("mu", report.mu),
-        ("pairs tested", report.pairs_tested),
-        ("max ratio", report.max_ratio),
-        ("result", "pass" if report.ok else "FAIL"),
-    ], 14))
+    _emit(args, "smoothness check", 14, [
+        (None, "mechanism", mechanism),
+        ("lambda", "lambda", report.lam),
+        ("mu", "mu", report.mu),
+        ("pairs_tested", "pairs tested", report.pairs_tested),
+        ("max_ratio", "max ratio", report.max_ratio),
+        ("violations", None, report.violations),
+        ("pass", None, report.ok),
+        (None, "result", "pass" if report.ok else "FAIL"),
+    ])
     return 0 if report.ok else 1
 
 
@@ -152,31 +149,31 @@ def _cmd_fpl(args, instance) -> int:
         caveat = ("guarantee conditional on scaled optimum >= ", args.lb)
     else:
         caveat = ("no optimum lower bound given; the approximation guarantee is conditional", None)
-    _emit(args, {
-        "rounds": result.rounds,
-        "theoretical_rounds": result.theoretical_rounds,
-        "eta": result.eta,
-        "scale": result.scale,
-        "chosen_round": result.chosen_round,
-        "cost": result.cost,
-        "regrets": list(result.regrets),
-        "profile": [sorted(r) for r in result.profile],
-    }, report_text("perturbed-leader run", [
-        ("rounds", f"{result.rounds} (theoretical {result.theoretical_rounds})"),
-        ("eta", result.eta),
-        ("cost scale", result.scale),
-        ("chosen round", result.chosen_round),
-        ("output cost", result.cost),
-        *((f"regret[{req.id}]", reg) for req, reg in zip(instance.requests, result.regrets)),
-        caveat,
-    ], 19))
+    _emit(args, "perturbed-leader run", 19, [
+        ("rounds", None, result.rounds),
+        ("theoretical_rounds", None, result.theoretical_rounds),
+        (None, "rounds", f"{result.rounds} (theoretical {result.theoretical_rounds})"),
+        ("eta", "eta", result.eta),
+        ("scale", "cost scale", result.scale),
+        ("chosen_round", "chosen round", result.chosen_round),
+        ("cost", "output cost", result.cost),
+        ("regrets", None, list(result.regrets)),
+        ("profile", None, [sorted(r) for r in result.profile]),
+        *((None, f"regret[{req.id}]", reg) for req, reg in zip(instance.requests, result.regrets)),
+        (None, *caveat),
+    ])
     return 0
 
 
 def _cmd_bounds(args, instance) -> int:
     b = theoretical_bounds(instance, _MECHANISM[args.csm], args.epsilon)
-    _emit(args, dict(b.named()),
-          report_text("theoretical constants", b.labelled(ratio_bound="ratio bound"), 14))
+    # the text lists rho first (labelled), the JSON last (named)
+    (_, rho), *rest = b.labelled(ratio_bound="ratio bound")
+    _emit(args, "theoretical constants", 14, [
+        (None, "rho", rho),
+        *((key, label, value) for (key, value), (label, _) in zip(b.named(), rest)),
+        ("rho", None, rho),
+    ])
     return 0
 
 

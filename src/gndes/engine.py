@@ -31,7 +31,9 @@ ABR of its own.  The starting profile likewise runs the oracle once per
 class.
 
 The run returns the cheapest profile seen (output mode "best") or the final
-one ("last"), the full per-step trace, and the theoretical constants.
+one ("last"), the full per-step trace, and the theoretical constants.  Its
+report is one list of facts (:func:`run_facts`), whose text and JSON
+projections are :func:`run_report` and :func:`result_to_json_dict`.
 """
 
 from __future__ import annotations
@@ -45,7 +47,7 @@ from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_cost,
                        total_cost)
-from .io import csv_text, report_text
+from .io import csv_text, facts_doc, facts_text
 from .oracles import OracleAnswer, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
@@ -405,69 +407,68 @@ def trace_to_csv(result: RunResult) -> str:
                       rec.potential, rec.converged) for rec in result.trace))
 
 
-def run_report(instance: Instance, result: RunResult, opt_cost: Optional[float] = None) -> str:
-    """The run's text report; given the optimum ``opt_cost``, it also
-    reports the empirical ratio of the output cost to it."""
+# the run report's title and label width
+RUN_REPORT = "abrd run report", 17
+
+
+def run_facts(instance: Instance, result: RunResult,
+              opt_cost: Optional[float] = None) -> list[tuple]:
+    """The run report as one list of (JSON key, text label, value) facts,
+    which ``io.facts_doc`` and ``io.facts_text`` project; given the optimum
+    ``opt_cost``, it also reports the empirical ratio of the output cost to
+    it.  The JSON nests the constants under "bounds"; the text lists them
+    one per line."""
     config = result.config
-    rows = [
-        ("mechanism", config.mechanism),
-        ("selection", config.selection),
-        ("output mode", config.output),
-        ("seed", config.seed),
-        ("players", instance.n_requests),
-        ("resources", len(instance.resources)),
-        *result.bounds.labelled(A="A (harmonic)", B="B (ceil alpha)", T="T (step budget)",
-                                ratio_bound="ratio bound"),
-        ("budget used", f"{result.step_budget}"
+    sampled = config.mechanism == "shapley-sampled"
+    facts = [
+        ("mechanism", "mechanism", config.mechanism),
+        ("selection", "selection", config.selection),
+        ("output_mode", "output mode", config.output),
+        ("seed", "seed", config.seed),
+        ("players", "players", instance.n_requests),
+        ("resources", "resources", len(instance.resources)),
+        ("bounds", None, dict(result.bounds.labelled())),
+        *((None, label, value) for label, value in result.bounds.labelled(
+            A="A (harmonic)", B="B (ceil alpha)", T="T (step budget)",
+            ratio_bound="ratio bound")),
+        ("step_budget", None, result.step_budget),
+        ("budget_overridden", None, result.budget_overridden),
+        (None, "budget used", f"{result.step_budget}"
          + ("  (override; ratio guarantee void)" if result.budget_overridden else "")),
     ]
-    if config.mechanism == "shapley-sampled":
+    if sampled:
         budget, n, m = max(1, result.step_budget), instance.n_requests, len(instance.resources)
         fail = float_or_exact(lambda: 1.0 / (2.0 * budget * n * m),
                               lambda: 1 / (2 * budget * n * m))
-        rows.append(("sampling failure probability <= ", fail))
+        facts.append((None, "sampling failure probability <= ", fail))
         if result.sample_cap_hits:
-            rows.append(("epsilon guarantee void on ",
-                         f"{result.sample_cap_hits} of {result.sampled_shares} sampled shares"))
-    rows += [
-        ("steps recorded", len(result.trace) - 1),
-        ("converged", f"at step {result.converged_at}" if result.converged_at else "no"),
-        ("t*", result.t_star),
-        ("initial cost", result.trace[0].cost),
-        ("best cost", result.best_cost),
-        ("output cost", result.output_cost),
+            facts.append((None, "epsilon guarantee void on ",
+                          f"{result.sample_cap_hits} of {result.sampled_shares} sampled shares"))
+    facts += [
+        ("steps_recorded", "steps recorded", len(result.trace) - 1),
+        ("converged_at", None, result.converged_at),
+        (None, "converged", f"at step {result.converged_at}" if result.converged_at else "no"),
+        ("t_star", "t*", result.t_star),
+        ("initial_cost", "initial cost", result.trace[0].cost),
+        ("best_cost", "best cost", result.best_cost),
+        ("output_cost", "output cost", result.output_cost),
+        ("output_profile", None, [sorted(r) for r in result.output_profile]),
     ]
+    if sampled:
+        facts += [("sampled_shares", None, result.sampled_shares),
+                  ("sample_cap_hits", None, result.sample_cap_hits)]
     if opt_cost is not None:
-        rows += [("brute-force opt", opt_cost), ("empirical ratio", result.output_cost / opt_cost)]
-    return report_text("abrd run report", rows, 17)
+        facts += [("opt_cost", "brute-force opt", opt_cost),
+                  ("ratio", "empirical ratio", result.output_cost / opt_cost)]
+    return facts
+
+
+def run_report(instance: Instance, result: RunResult, opt_cost: Optional[float] = None) -> str:
+    """The run's text report, the text projection of :func:`run_facts`."""
+    return facts_text(*RUN_REPORT, run_facts(instance, result, opt_cost))
 
 
 def result_to_json_dict(instance: Instance, result: RunResult,
                         opt_cost: Optional[float] = None) -> dict:
-    """Machine-readable mirror of the plain-text run report."""
-    config = result.config
-    out = {
-        "mechanism": config.mechanism,
-        "selection": config.selection,
-        "output_mode": config.output,
-        "seed": config.seed,
-        "players": instance.n_requests,
-        "resources": len(instance.resources),
-        "bounds": dict(result.bounds.labelled()),
-        "step_budget": result.step_budget,
-        "budget_overridden": result.budget_overridden,
-        "steps_recorded": len(result.trace) - 1,
-        "converged_at": result.converged_at,
-        "t_star": result.t_star,
-        "initial_cost": result.trace[0].cost,
-        "best_cost": result.best_cost,
-        "output_cost": result.output_cost,
-        "output_profile": [sorted(r) for r in result.output_profile],
-    }
-    if config.mechanism == "shapley-sampled":
-        out["sampled_shares"] = result.sampled_shares
-        out["sample_cap_hits"] = result.sample_cap_hits
-    if opt_cost is not None:
-        out["opt_cost"] = opt_cost
-        out["ratio"] = result.output_cost / opt_cost
-    return out
+    """The run's JSON document, the JSON projection of :func:`run_facts`."""
+    return facts_doc(run_facts(instance, result, opt_cost))

@@ -16,8 +16,16 @@ package writes goes through the helpers at the end of this module.
 :func:`fmt` prints one value (a real to 9 significant digits, ``None``
 empty, a bool ``true``/``false``, anything else by ``str``), and
 :func:`report_text`, :func:`csv_text` (LF-ended rows) and :func:`json_text`
-(two-space indent, a trailing newline) build on it; :func:`write_text`
-writes UTF-8 with LF line endings whatever the platform.
+(strict JSON with a two-space indent and a trailing newline; a non-finite
+number raises ``ValueError``) build on it; :func:`write_text` writes UTF-8
+with LF line endings whatever the platform.
+
+A command's report is one list of facts, each a (JSON key, text label,
+value) triple, with two projections: :func:`facts_doc`, its JSON document,
+holds the facts that have a key, and :func:`facts_text`, its text report,
+prints the facts that have a label, each in list order.  A key of ``None``
+marks a line only the text prints, a label of ``None`` a field only the
+JSON holds; a fact with both prints as the ``fmt`` of its JSON value.
 """
 
 from __future__ import annotations
@@ -277,6 +285,19 @@ def report_text(title: str, rows: Iterable[tuple[str, Any]], width: int) -> str:
     return "\n".join(lines) + "\n"
 
 
+def facts_doc(facts: Iterable[tuple[str | None, str | None, Any]]) -> dict[str, Any]:
+    """The JSON projection of a report: the facts that have a key, in list order."""
+    return {key: value for key, _, value in facts if key is not None}
+
+
+def facts_text(title: str, width: int,
+               facts: Iterable[tuple[str | None, str | None, Any]]) -> str:
+    """The text projection of a report: :func:`report_text` of the facts
+    that have a label, in list order."""
+    return report_text(title, ((label, value) for _, label, value in facts
+                               if label is not None), width)
+
+
 def csv_text(header: str, rows: Iterable[Iterable[Any]]) -> str:
     """A CSV document: the header line, then one line per row of values."""
     lines = [header, *(",".join(map(fmt, row)) for row in rows)]
@@ -284,7 +305,9 @@ def csv_text(header: str, rows: Iterable[Iterable[Any]]) -> str:
 
 
 def json_text(doc) -> str:
-    return json.dumps(doc, indent=2) + "\n"
+    """``doc`` as strict JSON: a nan or an infinity raises ``ValueError``
+    instead of printing ``NaN`` or ``Infinity``."""
+    return json.dumps(doc, indent=2, allow_nan=False) + "\n"
 
 
 def write_text(path: str, text: str):

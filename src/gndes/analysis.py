@@ -62,11 +62,13 @@ class ProfileState:
     """One profile grouped by resource, kept current as single replies change.
 
     ``users`` maps each resource in use to its (request id, weight) pairs,
-    sorted by request id (an instance keeps its requests in id order).  The
-    potential is kept as one cached term per resource: :meth:`move`
-    regroups only the resources that the new reply enters or the old one
-    leaves and drops their terms, and :meth:`potential` recomputes only the
-    missing terms.
+    sorted by request id (an instance keeps its requests in id order).
+    :meth:`move` takes the mover's pair off the resources her old reply
+    leaves and puts it on those her new reply enters, in id order, and
+    touches no other resource.  The potential and the cost are kept as one
+    cached term per resource: a move drops the potential terms of the
+    resources it changes and reprices their costs, and :meth:`potential`
+    recomputes only the missing terms.
 
     ``tables`` is the state's :class:`sharing.CountingTables`: the
     potential reads its counting tables and h values there, and so do the
@@ -79,10 +81,15 @@ class ProfileState:
         check_profile(instance, profile)
         self.instance = instance
         self.profile = tuple(profile)
-        self.users: dict[str, tuple[tuple[int, int], ...]] = {}
+        grouped: dict[str, list[tuple[int, int]]] = {}
+        for req, reply in zip(instance.requests, self.profile):
+            for e in reply:
+                grouped.setdefault(e, []).append((req.id, req.weight(e)))
+        self.users: dict[str, tuple[tuple[int, int], ...]] = {
+            e: tuple(users) for e, users in grouped.items()}
         self.tables = CountingTables()
         self._terms: dict[str, float] = {}
-        self._regroup(frozenset().union(*self.profile))
+        self._costs = {e: self._price(e) for e in self.users}
 
     def move(self, position: int, reply: frozenset[str]):
         """Replace the reply at ``position``, one of ``range(n_requests)``; it
@@ -91,21 +98,31 @@ class ProfileState:
         self.instance.check_reply_resources(reply)
         old = self.profile[position]
         self.profile = self.profile[:position] + (reply,) + self.profile[position + 1:]
-        self._regroup(old ^ reply)
-        self.tables.age()
-
-    def _regroup(self, resource_ids: frozenset[str]):
-        grouped: dict[str, list[tuple[int, int]]] = {e: [] for e in resource_ids}
-        for req, reply in zip(self.instance.requests, self.profile):
-            for e in reply:
-                if e in grouped:
-                    grouped[e].append((req.id, req.weight(e)))
-        for e, users in grouped.items():
-            self._terms.pop(e, None)
-            if users:
-                self.users[e] = tuple(users)
+        req = self.instance.requests[position]
+        for e in old ^ reply:
+            users = self.users.get(e, ())
+            at = bisect_left(users, (req.id,))
+            if e in reply:
+                self.users[e] = users[:at] + ((req.id, req.weight(e)),) + users[at:]
+            elif len(users) > 1:
+                self.users[e] = users[:at] + users[at + 1:]
             else:
                 del self.users[e]
+            self._terms.pop(e, None)
+            self._costs[e] = self._price(e)
+        self.tables.age()
+
+    def _price(self, resource_id: str) -> float:
+        load = 0
+        for _, w in self.users.get(resource_id, ()):
+            load += w
+        return rep_cost(self.instance.resource_by_id[resource_id], self.instance.exponents, load)
+
+    def cost(self) -> float:
+        """The profile's total cost, bit for bit as ``instance.total_cost``
+        prices it: the kept per-resource costs folded in instance order."""
+        costs = self._costs
+        return left_sum(costs.get(res.id, 0.0) for res in self.instance.resources)
 
     def potential(self) -> float:
         """:func:`potential`, summed over the resources in instance order."""

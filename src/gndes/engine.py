@@ -19,7 +19,9 @@ One step is one ``PassView`` over the run's ``analysis.ProfileState``: the
 frozen profile, its resources' users read from the state (so a view is
 valid until the state's next move) and the shares already computed against
 them, shared by every player's ABR.  Each move regroups and reprices only
-the resources it changed.  Toll rows are kept per run and patched per move
+the resources it changed, and the state keeps the run's cost
+(``ProfileState.cost``); the starting profile is priced with
+``total_cost``.  Toll rows are kept per run and patched per move
 (``TollRows``): a pass computes a player's tolls again only on the
 resources whose users changed since her row was built and on those where
 her toll was sampled, since a sampled toll holds for one pass.  Players of
@@ -29,6 +31,20 @@ answer and row to the others; the exception is a row with a sampled entry,
 drawn from its own player's stream, so each player of such a group runs an
 ABR of its own.  The starting profile likewise runs the oracle once per
 class.
+
+A pass runs in two sweeps (:func:`delta_vector`).  The first decides who
+runs an ABR and builds each such row once; the entry-wise least of the
+routing players' rows is a lower row L, at most every row searched in the
+pass.  Per routing target one reverse Dijkstra under L
+(``oracles.lower_bound_tree``) gives every vertex a lower bound on its
+distance to the target and a tree path to it.  The second sweep runs the
+ABRs, and each routing search carries its target's tree
+(``oracles.GuidedTolls``): it folds its own tolls along the tree path from
+its source, an upper bound on its answer's toll, and pushes no vertex
+whose distance plus lower bound exceeds that bound by more than a float
+margin of 5 |V| unit roundoffs.  The ``oracles`` module docstring proves
+that such a vertex lies on no shortest path, so every reply and toll total
+is bit for bit the unguided one; only the searched vertices are fewer.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.  Its
@@ -45,10 +61,10 @@ from typing import Optional
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
-from .instance import (Instance, StrategyProfile, float_or_exact, left_sum, rep_cost,
-                       total_cost)
+from .instance import (Instance, Routing, StrategyProfile, float_or_exact, left_sum,
+                       rep_cost, total_cost)
 from .io import csv_text, facts_doc, facts_text
-from .oracles import OracleAnswer, reply_oracle
+from .oracles import Guide, GuidedTolls, OracleAnswer, lower_bound_tree, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
 
@@ -114,19 +130,51 @@ def initial_profile(instance: Instance) -> StrategyProfile:
 
     The tolls are priced once per weight row (``Instance.weight_rows``) and
     the oracle runs once per request class (``Instance.request_classes``):
-    the members of a class get the reply of its first member."""
+    the members of a class get the reply of its first member.  The routing
+    searches are guided as those of a pass are (:func:`delta_vector`)."""
     tolls_by_row: dict[int, dict[str, float]] = {}
-    replies: dict[int, frozenset[str]] = {}
-    for req, row, cls in zip(instance.requests, instance.weight_rows,
-                             instance.request_classes):
-        if cls not in replies:
+    first: dict[int, int] = {}   # class -> its first position
+    for pos, (req, row, cls) in enumerate(zip(instance.requests, instance.weight_rows,
+                                              instance.request_classes)):
+        if cls not in first:
+            first[cls] = pos
             if row not in tolls_by_row:
                 tolls_by_row[row] = {
                     res.id: rep_cost(res, instance.exponents, req.weight(res.id))
                     for res in instance.resources
                 }
-            replies[cls] = reply_oracle(instance, req, tolls_by_row[row]).reply
+    searched = {pos: tolls_by_row[instance.weight_rows[pos]] for pos in first.values()}
+    guides = _lower_bound_trees(instance, searched)
+    replies = {cls: reply_oracle(instance, instance.requests[pos],
+                                 _guided(searched[pos], guides.get(pos))).reply
+               for cls, pos in first.items()}
     return tuple(replies[cls] for cls in instance.request_classes)
+
+
+def _lower_bound_trees(instance: Instance, rows: dict[int, dict[str, float]]
+                       ) -> dict[int, Guide]:
+    """Lower-bound trees for the routing players among the positions of
+    ``rows``, each mapped to her row: one tree per target, under the
+    entry-wise least of their rows (each lists the resources in instance
+    order), which is at most every row searched; each routing player maps
+    to her target's tree."""
+    routing = [pos for pos in rows if isinstance(instance.requests[pos].kind, Routing)]
+    if not routing:
+        return {}
+    distinct = {id(rows[pos]): rows[pos] for pos in routing}.values()
+    lower = dict(zip([res.id for res in instance.resources],
+                     map(min, zip(*(row.values() for row in distinct)))))
+    trees: dict[str, Guide] = {}
+    for pos in routing:
+        target = instance.requests[pos].kind.target
+        if target not in trees:
+            trees[target] = lower_bound_tree(instance.graph, target, lower)
+    return {pos: trees[instance.requests[pos].kind.target] for pos in routing}
+
+
+def _guided(tolls: dict[str, float], guide: Optional[Guide]):
+    """The tolls a search reads: with its guide when it has one."""
+    return tolls if guide is None else GuidedTolls(tolls, guide)
 
 
 class TollRows:
@@ -194,7 +242,11 @@ class PassView:
     Rows are kept per run and patched per move: ``rows`` is the run's
     :class:`TollRows`, so a player's entries are computed again only on the
     resources whose users changed since her row was built and on those where
-    her share was sampled.  Exact shares read their counting tables and h
+    her share was sampled; ``built`` holds the positions whose rows this
+    pass brought up to date.  ``guides`` maps routing players to the
+    lower-bound trees of their searches, which :func:`delta_vector` builds
+    (empty otherwise: the searches are then unguided, with the same
+    answers).  Exact shares read their counting tables and h
     values from the state's ``tables`` store, which outlives the pass and is
     shared with the state's potential.  A toll is the share itself, so a run
     on an instance with every cost multiplied by a power of two makes the
@@ -220,6 +272,8 @@ class PassView:
         self.sample_cap_hits = 0
         self.rows = rows
         self.rows.advance(self.profile)
+        self.built: set[int] = set()
+        self.guides: dict[int, Guide] = {}
 
     def tolls(self, position: int) -> dict[str, float]:
         """Tolls for one player: her share on each resource if she joined
@@ -229,8 +283,11 @@ class PassView:
         computed it, and then on the state's query
         (``analysis.ProfileState.share_query``).  A toll is the share as it
         is, nonnegative and in the instance's cost unit; the oracles take a
-        zero toll as it is."""
+        zero toll as it is.  A row built in this pass is handed out again as
+        it is, so its sampled entries are drawn and counted once."""
         instance, config, rows = self.instance, self.config, self.rows
+        if position in self.built:
+            return rows.tolls[position]
         row = rows.tolls.get(position)
         if row is None:
             row, changed = {}, [res.id for res in instance.resources]
@@ -267,6 +324,7 @@ class PassView:
                                                    tables=self.state.tables)
             row[e] = share
         rows.tolls[position], rows.stale[position] = row, stale
+        self.built.add(position)
         return row
 
 
@@ -274,10 +332,13 @@ def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnsw
     """ABR of one player to everybody else's replies in the pass's profile.
 
     Returns the oracle answer (whose toll_total is the player's estimated
-    cost at the new reply) together with her estimated current cost.
+    cost at the new reply) together with her estimated current cost.  A
+    routing player the pass has a guide for (``view.guides``) hands it to
+    her search with her tolls (``oracles.GuidedTolls``).
     """
     tolls = view.tolls(position)
-    answer = reply_oracle(view.instance, view.instance.requests[position], tolls)
+    answer = reply_oracle(view.instance, view.instance.requests[position],
+                          _guided(tolls, view.guides.get(position)))
     current = left_sum(tolls[e] for e in sorted(view.profile[position]))
     return answer, current
 
@@ -294,27 +355,40 @@ def delta_vector(view: PassView) -> DeltaPass:
 
     Players of one request class (``Instance.request_classes``) that hold
     equal replies face equal toll rows and so get equal ABRs: the first of
-    them runs ``approximate_best_response`` and the others take its answer,
-    its current cost and its row (:meth:`TollRows.share`).  A sampled entry
-    is drawn from its player's own stream, so an ABR is reused only when
-    its row came out with nothing sampled; then no other row of the group
-    samples either (``sharing.samples_needed`` reads only the weight
-    multiset), and the view's sampled-share counters count what a pass over
-    every player would."""
+    them, the leader, runs ``approximate_best_response`` and the others
+    take its answer, its current cost and its row (:meth:`TollRows.share`).
+    A sampled entry is drawn from its player's own stream, so an ABR is
+    reused only when its row came out with nothing sampled; then no other
+    row of the group samples either (``sharing.samples_needed`` reads only
+    the weight multiset), and the view's sampled-share counters count what
+    a pass over every player would.
+
+    The pass runs in two sweeps.  The first decides the leaders and builds
+    each leader's row, once.  From those rows it builds one lower-bound
+    tree per routing target (``oracles.lower_bound_tree``) under their
+    entry-wise least, so under a row at most every row searched in the
+    pass.  The second runs the leaders' ABRs, each routing search guided by
+    its target's tree, which prunes it to the vertices that can lie on a
+    shortest path and leaves its answer bit for bit as it was."""
     eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
     rows = view.rows
     first: dict[tuple[int, frozenset[str]], int] = {}   # (class, reply) -> who answered
-    abrs = []
+    answered_by = []
     for pos, cls in enumerate(view.instance.request_classes):
         key = (cls, view.profile[pos])
         leader = first.get(key)
         if leader is None:
-            abrs.append(approximate_best_response(view, pos))
+            view.tolls(pos)
             if not rows.stale[pos]:
                 first[key] = pos
+            answered_by.append(pos)
         else:
-            abrs.append(abrs[leader])
             rows.share(pos, leader)
+            answered_by.append(leader)
+    leaders = [pos for pos, leader in enumerate(answered_by) if pos == leader]
+    view.guides = _lower_bound_trees(view.instance, {pos: rows.tolls[pos] for pos in leaders})
+    answers = {pos: approximate_best_response(view, pos) for pos in leaders}
+    abrs = [answers[leader] for leader in answered_by]
     deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)
     return DeltaPass(deltas=deltas, total=left_sum(deltas),
                      proposals=tuple(answer for answer, _ in abrs))
@@ -368,7 +442,7 @@ def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
         chosen = None if converged else _select(config, dpass, t)
         if chosen is not None:
             state.move(chosen, dpass.proposals[chosen].reply)
-            cost = total_cost(instance, state.profile)
+            cost = state.cost()
             potential = state.potential() if tracks_potential else None
             if cost < best_cost:
                 best_profile, best_cost, t_star = state.profile, cost, t

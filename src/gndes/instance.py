@@ -226,6 +226,20 @@ class HostGraph:
                             for v in self.vertices)
 
     @cached_property
+    def indexed_predecessors(self) -> tuple[tuple[tuple[int, str], ...], ...]:
+        """Per vertex index the (neighbor index, edge id) pairs of the arcs
+        into it, which a search toward the vertex walks backward; loops are
+        dropped.  An undirected graph's are its :attr:`indexed_adjacency`."""
+        neighbors = self.indexed_adjacency[1]
+        if not self.directed:
+            return neighbors
+        into: list[list[tuple[int, str]]] = [[] for _ in neighbors]
+        for u, arcs in enumerate(neighbors):
+            for v, eid in arcs:
+                into[v].append((u, eid))
+        return tuple(map(tuple, into))
+
+    @cached_property
     def indexed_incidence(self) -> tuple[tuple[tuple[int, int], ...], tuple[tuple[int, ...], ...]]:
         """The edges over indices: per index into :attr:`edges` (sorted, so
         index order is id order) its (tail, head) vertex indices as in

@@ -16,6 +16,39 @@ for it alone would.  Its paths are the least by (distance, vertex path,
 edge path): an offer at equal distance reparents a vertex when its full
 key is smaller, and vertices waiting at one distance settle by full key.
 
+A routing search can be guided (:class:`GuidedTolls`).  A guide
+(:func:`lower_bound_tree`) is one reverse Dijkstra from the target t
+under a lower row L, at most the searched tolls on every resource: it
+gives each vertex v a bound h(v) and a tree path from v to t.  The search
+folds its own tolls from the left along the tree path from its source s,
+an upper bound UB on the distance of t, and never pushes a vertex v at a
+distance nd with nd + h(v) > UB * (1 + 5 * |V| * u), u the unit roundoff.
+Its answer is the unguided one bit for bit:
+
+1. Rounding is monotone and tolls are nonnegative, so the distance d(x)
+   the search gives a vertex is the least left fold of the tolls over the
+   s-x walks, and UB, one such fold for t, is at least d(t).  Likewise
+   h(x) is at most the right fold of L, so of the tolls, over any x-t
+   walk.
+2. Call x relevant when some s-t walk through x has the left fold d(t).
+   Cutting a cycle out of the walk's part before x or after it leaves a
+   fold of at most d(t), so of d(t), so the walk can be taken with at most
+   n = 2|V| - 2 edges.  A fold of k nonnegative terms lies within a factor
+   (1 +- u)^(k-1) of their exact sum, so fl(d(x) + h(x)) is at most
+   d(t) ((1+u)/(1-u))^(n-1), and that is at most the computed bound,
+   which is at least UB (1 + 5|V|u)(1-u)^2, whenever 13|V|u <= 1, that is
+   for every graph under 2^49 vertices.  No offer of d(x) to a relevant x
+   is dropped.
+3. An offer that reaches a vertex y at d(y) comes from a vertex whose
+   parent path, that offer and a walk on from a relevant y form a walk as
+   in 2, so from a relevant vertex, and an offer the guide drops or that a
+   dropped vertex never makes is above the distance it would reach.  So,
+   in the unguided settle order, each relevant vertex gets the same offers
+   at its distance from the same relevant vertices, and the same
+   distance, parent and full key, in both searches; relevant vertices
+   settle in the same order.  The target is relevant when it is
+   reachable, and a guided search finds no path the unguided one does not.
+
 One dispatch maps each request to its oracle and to the factor rho that
 oracle guarantees: :func:`reply_oracle` runs the one and :func:`oracle_rho`
 reports the other.
@@ -48,9 +81,10 @@ from __future__ import annotations
 
 import heapq
 import math
+import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping, Sequence
+from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, InfeasibleError, InstanceError
 from .instance import (
@@ -93,8 +127,67 @@ def _check_endpoint(graph: HostGraph, vertex: str) -> None:
         raise InstanceError("unknown endpoint vertex")
 
 
+@dataclass(frozen=True)
+class Guide:
+    """A lower-bound tree toward one target, over the vertex indices of
+    :attr:`HostGraph.indexed_adjacency`: ``target``'s index, per vertex a
+    lower bound ``h`` on its toll distance to the target, and ``toward``,
+    its next (vertex, edge id) on a tree path to it, None where there is
+    no path or at the target."""
+    target: int
+    h: list[float]
+    toward: list[Optional[tuple[int, str]]]
+
+
+def lower_bound_tree(graph: HostGraph, target: str, lower: Tolls) -> Guide:
+    """One Dijkstra from ``target`` along the arcs reversed
+    (:attr:`HostGraph.indexed_predecessors`) under the row ``lower``.  It
+    guides every search toward ``target`` whose tolls are at least
+    ``lower`` on every resource (the module docstring proves the answer
+    unchanged)."""
+    _check_endpoint(graph, target)
+    into = graph.indexed_predecessors
+    root = graph.indexed_adjacency[0][target]
+    h = [math.inf] * len(into)
+    h[root] = 0.0
+    toward: list[Optional[tuple[int, str]]] = [None] * len(into)
+    heap = [(0.0, root)]
+    pop, push = heapq.heappop, heapq.heappush
+    try:
+        while heap:
+            d, v = pop(heap)
+            if d > h[v]:
+                continue  # pushed before v's bound dropped
+            for u, eid in into[v]:
+                nd = d + float(lower[eid])
+                if nd < h[u]:
+                    h[u] = nd
+                    toward[u] = (v, eid)
+                    push(heap, (nd, u))
+    except KeyError:
+        raise InstanceError(f"no toll given for resource {eid!r}") from None
+    return Guide(root, h, toward)
+
+
+class GuidedTolls(dict):
+    """A toll row that carries the :class:`Guide` of its routing search.
+    Every oracle reads it as tolls; :func:`routing_oracle` hands the guide
+    to its search, which needs the guide's lower row to be at most these
+    tolls on every resource."""
+
+    __slots__ = ("guide",)
+
+    def __init__(self, tolls: Tolls, guide: Guide):
+        super().__init__(tolls)
+        self.guide = guide
+
+
+# the unit roundoff of a double, for the guided search's margin
+_UNIT_ROUNDOFF = sys.float_info.epsilon / 2
+
+
 def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
-                   tolls: Tolls) -> dict[str, Path]:
+                   tolls: Tolls, guide: Optional[Guide] = None) -> dict[str, Path]:
     """Minimum-toll simple paths from one source to several targets; ties
     resolved by lexicographic vertex order, then by edge ids (relevant for
     parallel edges).
@@ -112,6 +205,11 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
     all.  The order of settlement does not depend on the targets, so each
     path is exactly the one a search for that target alone would return.
 
+    A ``guide`` (:func:`lower_bound_tree`) for the one target searched
+    leaves out the vertices that lie on no shortest path to it and changes
+    nothing else (see the module docstring); its lower row must be at most
+    ``tolls`` on every resource.
+
     Returns target -> (vertex sequence, edge ids, total toll) for the targets
     that are reachable; a target that is the source gets the empty path.
     """
@@ -119,6 +217,20 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
     index, neighbors = graph.indexed_adjacency
     names = graph.vertices
     pending = {index[t] for t in targets if t in index}
+    if guide is None:
+        h, bound = [0.0] * len(neighbors), math.inf
+    else:
+        if pending != {guide.target}:
+            raise ConfigError("a guide serves one search, for its own target")
+        # the tolls folded along the tree path: at least the target's distance
+        h, upper, v = guide.h, 0.0, index[source]
+        while v != guide.target and upper < math.inf:
+            if guide.toward[v] is None:
+                upper = math.inf
+            else:
+                v, eid = guide.toward[v]
+                upper += _toll(tolls, eid)
+        bound = upper * (1.0 + 5 * len(neighbors) * _UNIT_ROUNDOFF)
     found: dict[str, Path] = {}
     root = index[source]
     dist = [math.inf] * len(neighbors)
@@ -176,6 +288,8 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
                     continue
                 nd = d + float(tolls[eid])
                 if nd < dist[v]:
+                    if nd + h[v] > bound:
+                        continue  # on no shortest path to the guide's target
                     dist[v] = nd
                     parent[v] = (u, eid)
                     push(heap, (nd, v))
@@ -196,23 +310,25 @@ def shortest_paths(graph: HostGraph, source: str, targets: Iterable[str],
     return found
 
 
-def shortest_path(graph: HostGraph, source: str, target: str, tolls: Tolls) -> Path:
+def shortest_path(graph: HostGraph, source: str, target: str, tolls: Tolls,
+                  guide: Optional[Guide] = None) -> Path:
     """Minimum-toll simple path from source to target, by the tie rule of
-    :func:`shortest_paths`.
+    :func:`shortest_paths`, which the ``guide`` is handed to.
 
     Returns (vertex sequence, edge ids, total toll).
     """
     if source == target:
         raise InstanceError("source equals target")
     _check_endpoint(graph, target)
-    found = shortest_paths(graph, source, (target,), tolls)
+    found = shortest_paths(graph, source, (target,), tolls, guide)
     if target not in found:
         raise InfeasibleError(f"no path from {source!r} to {target!r}")
     return found[target]
 
 
 def routing_oracle(graph: HostGraph, source: str, target: str, tolls: Tolls) -> OracleAnswer:
-    _, edges, total = shortest_path(graph, source, target, tolls)
+    """The shortest path, guided when the tolls are :class:`GuidedTolls`."""
+    _, edges, total = shortest_path(graph, source, target, tolls, getattr(tolls, "guide", None))
     return OracleAnswer(reply=frozenset(edges), toll_total=total)
 
 

@@ -9,8 +9,9 @@ print 9 digits, so one case, ``full_precision.txt``, prints what a run
 decides on as ``float.hex``: every step's cost, deltas and potential, the
 best cost, t* and the selected players of the golden ABRD cases and of the
 first instance of each ABRD benchmark workload at seed 1
-(``bench/workloads.py``), the FPL regrets and costs, and H_n for n < 60.
-Another, ``guarantees.txt``, pins what a user reads of a guarantee, and
+(``bench/workloads.py``), the FPL regrets and costs, and H_n for n < 60;
+``grid_prop_convergence.txt`` does the same for every ``grid-prop`` job at
+seeds 1 and 7, each run to convergence.  Another, ``guarantees.txt``, pins what a user reads of a guarantee, and
 the ``cli_*.txt`` cases pin what the other commands print and every file
 they write, as a session of ``gndes`` commands in one temporary directory.
 After a deliberate change of output, rewrite the files, the demos' outputs
@@ -71,21 +72,29 @@ def _hex(x):
     return "" if x is None else float.hex(x)
 
 
+def _hex_trace(label, result):
+    """A run's trace and best cost as ``float.hex`` lines."""
+    lines = [f"{label}: step,player,delta_selected,delta_total,cost,potential"]
+    for rec in result.trace:
+        lines.append(f"{rec.step},{'' if rec.player is None else rec.player},"
+                     f"{_hex(rec.delta_selected)},{_hex(rec.delta_total)},"
+                     f"{_hex(rec.cost)},{_hex(rec.potential)}")
+    lines.append(f"best_cost {_hex(result.best_cost)} t* {result.t_star}")
+    return lines
+
+
+def _bench_workloads():
+    return runpy.run_path(str(WORKLOADS), run_name="bench_workloads")["WORKLOADS"]
+
+
 def _full_precision():
-    workloads = runpy.run_path(str(WORKLOADS), run_name="bench_workloads")["WORKLOADS"]
+    workloads = _bench_workloads()
     runs = [(f"abrd {case}", _abrd_run(case)[1])
             for case in ("routing", "steiner", "forest", "directed", "explicit")]
     for name in ("grid-prop", "steiner-shapley", "machines-sampled"):
         job = workloads[name](1)[0]
         runs.append((f"bench {name} seed 1 {job.label}", run_abrd(job.instance, job.config)))
-    lines = []
-    for label, result in runs:
-        lines.append(f"{label}: step,player,delta_selected,delta_total,cost,potential")
-        for rec in result.trace:
-            lines.append(f"{rec.step},{'' if rec.player is None else rec.player},"
-                         f"{_hex(rec.delta_selected)},{_hex(rec.delta_total)},"
-                         f"{_hex(rec.cost)},{_hex(rec.potential)}")
-        lines.append(f"best_cost {_hex(result.best_cost)} t* {result.t_star}")
+    lines = [line for label, result in runs for line in _hex_trace(label, result)]
     fpl_job = workloads["fpl-grid"](1)[0]
     for label, result in (("fpl routing", _fpl_run()),
                           (f"bench fpl-grid seed 1 {fpl_job.label}",
@@ -93,6 +102,20 @@ def _full_precision():
         lines.append(f"{label}: cost {_hex(result.cost)} regrets "
                      + " ".join(_hex(r) for r in result.regrets))
     lines += [f"H_{n} {_hex(harmonic(n))}" for n in range(1, 60)]
+    return "\n".join(lines) + "\n"
+
+
+def _grid_prop_convergence():
+    """Every ``grid-prop`` benchmark job at seeds 1 and 7, run to
+    convergence with its mechanism and seed, as ``float.hex`` traces: the
+    routing searches decide every step of these runs."""
+    lines = []
+    for seed in (1, 7):
+        for job in _bench_workloads()["grid-prop"](seed):
+            result = run_abrd(job.instance,
+                              AbrdConfig(mechanism="proportional", seed=job.config.seed))
+            assert result.converged_at is not None
+            lines += _hex_trace(f"grid-prop seed {seed} {job.label}", result)
     return "\n".join(lines) + "\n"
 
 
@@ -373,6 +396,7 @@ CASES = {
     "sampled_randomized.txt": _sampled_randomized,
     "duplicate_players.txt": _duplicate_players,
     "full_precision.txt": _full_precision,
+    "grid_prop_convergence.txt": _grid_prop_convergence,
     "guarantees.txt": _guarantees,
     "cli_solve.txt": _cli_solve,
     "cli_enumeration.txt": _cli_enumeration,

@@ -11,8 +11,8 @@ from gndes.analysis import poa_lower_bound_instance, potential_by_prefix
 from gndes.bounds import theoretical_bounds
 from gndes.errors import ConfigError, InstanceError
 from gndes.oracles import (_dispatch, directed_multi_routing_oracle, explicit_oracle,
-                           steiner_forest_oracle, steiner_tree_oracle,
-                           strong_connectivity_oracle)
+                           lower_bound_tree, shortest_paths, steiner_forest_oracle,
+                           steiner_tree_oracle, strong_connectivity_oracle)
 from gndes.sharing import ShareQuery, h_value, hoeffding_sample_count
 
 EXPONENTS = ExponentProfile((2.0,))
@@ -37,6 +37,16 @@ class TestOracles:
     def test_a_missing_toll(self):
         with refused(InstanceError, "no toll given for resource 'x'"):
             explicit_oracle([frozenset({"x"})], {"y": 1.0})
+
+    def test_a_lower_row_without_a_toll(self):
+        with refused(InstanceError, "no toll given for resource 'bc'"):
+            lower_bound_tree(path_graph(False), "a", {"ab": 1.0})
+
+    @pytest.mark.parametrize("targets", [["b"], ["b", "c"], []])
+    def test_a_guide_for_another_search(self, targets):
+        guide = lower_bound_tree(path_graph(False), "c", self.TOLLS)
+        with refused(ConfigError, "a guide serves one search, for its own target"):
+            shortest_paths(path_graph(False), "a", targets, self.TOLLS, guide)
 
     def test_explicit_oracle_without_replies(self):
         with refused(InstanceError, "empty reply list"):

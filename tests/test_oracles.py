@@ -1,5 +1,7 @@
+import heapq
 import math
 from itertools import combinations
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -16,14 +18,17 @@ from gndes import (
     ResourceParams,
     Routing,
     SetConnectivity,
+    oracles,
     validate_reply,
 )
 from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
+    GuidedTolls,
     OracleAnswer,
     directed_multi_routing_oracle,
     explicit_oracle,
+    lower_bound_tree,
     machine_oracle,
     oracle_rho,
     reply_oracle,
@@ -546,6 +551,65 @@ class TestAgainstEarlierImplementations:
                     assert found[t][2].hex() == ref_found[t][2].hex() == ref[2].hex()
                 else:
                     assert ref[0] == "InfeasibleError"
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_a_guided_search_matches_the_unguided_one(self, directed):
+        # lower rows equal to the tolls, zero, and random in between, on
+        # the cases of the test above: the same found set, paths and bits
+        rng = rng_for(67 + directed)
+        unreachable = 0
+        for case in range(450):
+            absorbing = case % 3 == 2
+            g, tolls = random_toll_multigraph(rng, directed, 9 if absorbing else 7,
+                                              integer_tolls=case % 3 == 0)
+            if absorbing:
+                tolls = absorbing_tolls(rng, g)
+            tolls = with_zero_tolls(rng, tolls)
+            source, target = (g.vertices[int(k)] for k in
+                              rng.choice(len(g.vertices), size=2, replace=False))
+            unguided = shortest_paths(g, source, (target,), tolls)
+            unreachable += target not in unguided
+            lowers = [tolls, dict.fromkeys(tolls, 0.0),
+                      {e: t * float(rng.uniform()) if rng.random() < 0.7 else t
+                       for e, t in tolls.items()}]
+            for lower in lowers:
+                assert all(lower[e] <= tolls[e] for e in tolls)
+                guide = lower_bound_tree(g, target, lower)
+                guided = shortest_paths(g, source, (target,), tolls, guide)
+                assert guided.keys() == unguided.keys(), case
+                if target in guided:
+                    assert guided[target] == unguided[target], case
+                    assert guided[target][2].hex() == unguided[target][2].hex()
+                    answer = routing_oracle(g, source, target, GuidedTolls(tolls, guide))
+                    assert answer == routing_oracle(g, source, target, tolls)
+        assert 20 < unreachable < 400
+
+    def test_a_guide_prunes_a_grid_search(self, monkeypatch):
+        # on an 8x8 grid under tolls within 10% of each other, a search
+        # across the grid guided by its own tolls pushes only vertices near
+        # the shortest path, under a third of what the unguided one pushes
+        g = grid_graph(8)
+        rng = rng_for(73)
+        pushes = []
+
+        def push(heap, item):
+            pushes.append(item[1])
+            heapq.heappush(heap, item)
+
+        for _ in range(10):
+            tolls = {e.id: float(rng.uniform(1.0, 1.1)) for e in g.edges}
+            row, col = (int(k) for k in rng.integers(8, size=2))
+            source, target = f"v{row}0", f"v{col}7"
+            counts = []
+            for guide in (None, lower_bound_tree(g, target, tolls)):
+                pushes.clear()
+                monkeypatch.setattr(oracles, "heapq", SimpleNamespace(
+                    heappop=heapq.heappop, heappush=push))
+                found = shortest_paths(g, source, (target,), tolls, guide)
+                monkeypatch.undo()
+                counts.append(len(pushes))
+                assert found[target] == reference_shortest_path(g, source, target, tolls)
+            assert counts[1] * 3 < counts[0], counts
 
     def test_equal_distances_settle_by_full_key(self):
         # p and q both lie at 2e5, p by s-c-p and q by s-a-q, and the q-p

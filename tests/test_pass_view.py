@@ -39,6 +39,7 @@ from gndes import (
     potential,
     potential_by_prefix,
     sharing,
+    total_cost,
 )
 from gndes.analysis import REL_TOL
 from gndes.errors import InstanceError
@@ -207,7 +208,8 @@ def test_many_users_on_one_machine(mechanism, on_m1, n_players):
 
 @settings(max_examples=40, deadline=None)
 @given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
-       make=st.sampled_from([random_graph_instance, random_machine_instance]),
+       make=st.sampled_from([random_graph_instance, random_directed_instance,
+                             random_machine_instance]),
        n_moves=st.integers(min_value=1, max_value=6),
        mechanism=st.sampled_from(["shapley-exact", "proportional"]))
 def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
@@ -218,7 +220,10 @@ def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
     config = AbrdConfig(mechanism=mechanism)
     for _ in range(n_moves):
         position = int(rng.integers(instance.n_requests))
-        state.move(position, random_profile(rng, instance)[position])
+        # a move to her own reply now and then, which changes nothing
+        reply = (state.profile[position] if rng.random() < 0.2
+                 else random_profile(rng, instance)[position])
+        state.move(position, reply)
         fresh = ProfileState(instance, state.profile)
         assert (state.profile, state.users) == (fresh.profile, fresh.users)
         phi = state.potential()
@@ -228,6 +233,24 @@ def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
         fresh_view = PassView(fresh, config, 1, 0.1, TollRows())
         for pos in range(instance.n_requests):
             assert moved_view.tolls(pos) == fresh_view.tolls(pos)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(min_value=0, max_value=2 ** 32 - 1),
+       make=st.sampled_from([random_graph_instance, random_directed_instance,
+                             random_machine_instance]),
+       n_moves=st.integers(min_value=1, max_value=8))
+def test_kept_cost_is_a_fresh_total_cost(seed, make, n_moves):
+    # the graph instances hold routing, set-connectivity and multi-routing
+    # players, the machine instances explicit-reply and machine-choice ones
+    rng = rng_for(seed)
+    instance = make(rng)
+    state = ProfileState(instance, random_profile(rng, instance))
+    assert state.cost() == total_cost(instance, state.profile)
+    for _ in range(n_moves):
+        position = int(rng.integers(instance.n_requests))
+        state.move(position, random_profile(rng, instance)[position])
+        assert state.cost() == total_cost(instance, state.profile)
 
 
 def moves_of_a_run(instance, config, rng, n_moves):

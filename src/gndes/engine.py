@@ -33,18 +33,11 @@ ABR of its own.  The starting profile likewise runs the oracle once per
 class.
 
 A pass runs in two sweeps (:func:`delta_vector`).  The first decides who
-runs an ABR and builds each such row once; the entry-wise least of the
-routing players' rows is a lower row L, at most every row searched in the
-pass.  Per routing target one reverse Dijkstra under L
-(``oracles.lower_bound_tree``) gives every vertex a lower bound on its
-distance to the target and a tree path to it.  The second sweep runs the
-ABRs, and each routing search carries its target's tree
-(``oracles.GuidedTolls``): it folds its own tolls along the tree path from
-its source, an upper bound on its answer's toll, and pushes no vertex
-whose distance plus lower bound exceeds that bound by more than a float
-margin of 5 |V| unit roundoffs.  The ``oracles`` module docstring proves
-that such a vertex lies on no shortest path, so every reply and toll total
-is bit for bit the unguided one; only the searched vertices are fewer.
+runs an ABR and builds each such row once, and ``oracles.search_guides``
+builds the guides of the searches from those rows.  The second runs the
+ABRs, each handing the guides to ``reply_oracle``.  A guide only prunes a
+search; the ``oracles`` module docstring proves every reply and toll total
+bit for bit the unguided one.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.  Its
@@ -61,10 +54,9 @@ from typing import Optional
 from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
-from .instance import (Instance, Routing, StrategyProfile, float_or_exact, left_sum,
-                       rep_cost, total_cost)
+from .instance import Instance, StrategyProfile, float_or_exact, left_sum, rep_cost, total_cost
 from .io import csv_text, facts_doc, facts_text
-from .oracles import Guide, GuidedTolls, OracleAnswer, lower_bound_tree, reply_oracle
+from .oracles import Guide, OracleAnswer, reply_oracle, search_guides
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
 
@@ -105,15 +97,21 @@ class StepRecord:
 @dataclass(frozen=True)
 class RunResult:
     output_profile: StrategyProfile
-    output_cost: float
     t_star: int
-    best_cost: float
     trace: tuple[StepRecord, ...]
     bounds: TheoreticalBounds
     step_budget: int
     config: AbrdConfig
     sampled_shares: int = 0                   # shares estimated by sampling
     sample_cap_hits: int = 0                  # of those, shares whose count was capped
+
+    @property
+    def best_cost(self) -> float:
+        return self.trace[self.t_star].cost
+
+    @property
+    def output_cost(self) -> float:
+        return self.best_cost if self.config.output == "best" else self.trace[-1].cost
 
     @property
     def converged_at(self) -> Optional[int]:
@@ -144,37 +142,10 @@ def initial_profile(instance: Instance) -> StrategyProfile:
                     for res in instance.resources
                 }
     searched = {pos: tolls_by_row[instance.weight_rows[pos]] for pos in first.values()}
-    guides = _lower_bound_trees(instance, searched)
-    replies = {cls: reply_oracle(instance, instance.requests[pos],
-                                 _guided(searched[pos], guides.get(pos))).reply
+    guides = search_guides(instance, searched)
+    replies = {cls: reply_oracle(instance, instance.requests[pos], searched[pos], guides).reply
                for cls, pos in first.items()}
     return tuple(replies[cls] for cls in instance.request_classes)
-
-
-def _lower_bound_trees(instance: Instance, rows: dict[int, dict[str, float]]
-                       ) -> dict[int, Guide]:
-    """Lower-bound trees for the routing players among the positions of
-    ``rows``, each mapped to her row: one tree per target, under the
-    entry-wise least of their rows (each lists the resources in instance
-    order), which is at most every row searched; each routing player maps
-    to her target's tree."""
-    routing = [pos for pos in rows if isinstance(instance.requests[pos].kind, Routing)]
-    if not routing:
-        return {}
-    distinct = {id(rows[pos]): rows[pos] for pos in routing}.values()
-    lower = dict(zip([res.id for res in instance.resources],
-                     map(min, zip(*(row.values() for row in distinct)))))
-    trees: dict[str, Guide] = {}
-    for pos in routing:
-        target = instance.requests[pos].kind.target
-        if target not in trees:
-            trees[target] = lower_bound_tree(instance.graph, target, lower)
-    return {pos: trees[instance.requests[pos].kind.target] for pos in routing}
-
-
-def _guided(tolls: dict[str, float], guide: Optional[Guide]):
-    """The tolls a search reads: with its guide when it has one."""
-    return tolls if guide is None else GuidedTolls(tolls, guide)
 
 
 class TollRows:
@@ -243,14 +214,15 @@ class PassView:
     :class:`TollRows`, so a player's entries are computed again only on the
     resources whose users changed since her row was built and on those where
     her share was sampled; ``built`` holds the positions whose rows this
-    pass brought up to date.  ``guides`` maps routing players to the
-    lower-bound trees of their searches, which :func:`delta_vector` builds
-    (empty otherwise: the searches are then unguided, with the same
-    answers).  Exact shares read their counting tables and h
-    values from the state's ``tables`` store, which outlives the pass and is
-    shared with the state's potential.  A toll is the share itself, so a run
-    on an instance with every cost multiplied by a power of two makes the
-    same moves, its costs, deltas and potentials multiplied by that power.
+    pass brought up to date.  ``guides`` maps routing targets to the guides
+    of their searches (``oracles.search_guides``), which
+    :func:`delta_vector` builds (empty otherwise: the searches are then
+    unguided, with the same answers).  Exact shares read their counting
+    tables and h values from the state's ``tables`` store, which outlives
+    the pass and is shared with the state's potential.  A toll is the share
+    itself, so a run on an instance with every cost multiplied by a power
+    of two makes the same moves, its costs, deltas and potentials
+    multiplied by that power.
 
     A round of FPL (``fpl.run_l_apx``) is a toll pass of the proportional
     game: one view per round over that round's state, with one store for
@@ -273,7 +245,7 @@ class PassView:
         self.rows = rows
         self.rows.advance(self.profile)
         self.built: set[int] = set()
-        self.guides: dict[int, Guide] = {}
+        self.guides: dict[str, Guide] = {}
 
     def tolls(self, position: int) -> dict[str, float]:
         """Tolls for one player: her share on each resource if she joined
@@ -332,13 +304,11 @@ def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnsw
     """ABR of one player to everybody else's replies in the pass's profile.
 
     Returns the oracle answer (whose toll_total is the player's estimated
-    cost at the new reply) together with her estimated current cost.  A
-    routing player the pass has a guide for (``view.guides``) hands it to
-    her search with her tolls (``oracles.GuidedTolls``).
+    cost at the new reply) together with her estimated current cost.  The
+    pass's guides (``view.guides``) go to the oracle with her tolls.
     """
     tolls = view.tolls(position)
-    answer = reply_oracle(view.instance, view.instance.requests[position],
-                          _guided(tolls, view.guides.get(position)))
+    answer = reply_oracle(view.instance, view.instance.requests[position], tolls, view.guides)
     current = left_sum(tolls[e] for e in sorted(view.profile[position]))
     return answer, current
 
@@ -364,12 +334,10 @@ def delta_vector(view: PassView) -> DeltaPass:
     a pass over every player would.
 
     The pass runs in two sweeps.  The first decides the leaders and builds
-    each leader's row, once.  From those rows it builds one lower-bound
-    tree per routing target (``oracles.lower_bound_tree``) under their
-    entry-wise least, so under a row at most every row searched in the
-    pass.  The second runs the leaders' ABRs, each routing search guided by
-    its target's tree, which prunes it to the vertices that can lie on a
-    shortest path and leaves its answer bit for bit as it was."""
+    each leader's row, once, and the searches' guides from those rows
+    (``oracles.search_guides``).  The second runs the leaders' ABRs with
+    those guides, which prune the routing searches and leave every answer
+    bit for bit as it was."""
     eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
     rows = view.rows
     first: dict[tuple[int, frozenset[str]], int] = {}   # (class, reply) -> who answered
@@ -386,7 +354,7 @@ def delta_vector(view: PassView) -> DeltaPass:
             rows.share(pos, leader)
             answered_by.append(leader)
     leaders = [pos for pos, leader in enumerate(answered_by) if pos == leader]
-    view.guides = _lower_bound_trees(view.instance, {pos: rows.tolls[pos] for pos in leaders})
+    view.guides = search_guides(view.instance, {pos: rows.tolls[pos] for pos in leaders})
     answers = {pos: approximate_best_response(view, pos) for pos in leaders}
     abrs = [answers[leader] for leader in answered_by]
     deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)
@@ -453,12 +421,9 @@ def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
         if converged:
             break
 
-    best = config.output == "best"
     return RunResult(
-        output_profile=best_profile if best else state.profile,
-        output_cost=best_cost if best else cost,
+        output_profile=best_profile if config.output == "best" else state.profile,
         t_star=t_star,
-        best_cost=best_cost,
         trace=tuple(trace),
         bounds=bounds,
         step_budget=budget,

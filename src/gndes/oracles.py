@@ -16,14 +16,16 @@ for it alone would.  Its paths are the least by (distance, vertex path,
 edge path): an offer at equal distance reparents a vertex when its full
 key is smaller, and vertices waiting at one distance settle by full key.
 
-A routing search can be guided (:class:`GuidedTolls`).  A guide
-(:func:`lower_bound_tree`) is one reverse Dijkstra from the target t
-under a lower row L, at most the searched tolls on every resource: it
-gives each vertex v a bound h(v) and a tree path from v to t.  The search
-folds its own tolls from the left along the tree path from its source s,
-an upper bound UB on the distance of t, and never pushes a vertex v at a
-distance nd with nd + h(v) > UB * (1 + 5 * |V| * u), u the unit roundoff.
-Its answer is the unguided one bit for bit:
+A routing search can be guided: :func:`reply_oracle` takes the guides
+of :func:`search_guides`, one per routing target, and hands a routing
+request its target's guide.  A guide (:func:`lower_bound_tree`) is one
+reverse Dijkstra from the target t under a lower row L, at most the
+searched tolls on every resource: it gives each vertex v a bound h(v) and
+a tree path from v to t.  The search folds its own tolls from the left
+along the tree path from its source s, an upper bound UB on the distance
+of t, and never pushes a vertex v at a distance nd with
+nd + h(v) > UB * (1 + 5 * |V| * u), u the unit roundoff.  Its answer is
+the unguided one bit for bit:
 
 1. Rounding is monotone and tolls are nonnegative, so the distance d(x)
    the search gives a vertex is the least left fold of the tolls over the
@@ -169,17 +171,23 @@ def lower_bound_tree(graph: HostGraph, target: str, lower: Tolls) -> Guide:
     return Guide(root, h, toward)
 
 
-class GuidedTolls(dict):
-    """A toll row that carries the :class:`Guide` of its routing search.
-    Every oracle reads it as tolls; :func:`routing_oracle` hands the guide
-    to its search, which needs the guide's lower row to be at most these
-    tolls on every resource."""
-
-    __slots__ = ("guide",)
-
-    def __init__(self, tolls: Tolls, guide: Guide):
-        super().__init__(tolls)
-        self.guide = guide
+def search_guides(instance: Instance, rows: Mapping[int, Tolls]) -> dict[str, Guide]:
+    """The guides of the routing searches among the positions of ``rows``,
+    each mapped to its toll row (listing the resources in instance order):
+    one :func:`lower_bound_tree` per routing target, under the entry-wise
+    least of their distinct rows, which is at most every row searched."""
+    routing = [pos for pos in rows if isinstance(instance.requests[pos].kind, Routing)]
+    if not routing:
+        return {}
+    distinct = {id(rows[pos]): rows[pos] for pos in routing}.values()
+    lower = dict(zip([res.id for res in instance.resources],
+                     map(min, zip(*(row.values() for row in distinct)))))
+    guides: dict[str, Guide] = {}
+    for pos in routing:
+        target = instance.requests[pos].kind.target
+        if target not in guides:
+            guides[target] = lower_bound_tree(instance.graph, target, lower)
+    return guides
 
 
 # the unit roundoff of a double, for the guided search's margin
@@ -326,9 +334,10 @@ def shortest_path(graph: HostGraph, source: str, target: str, tolls: Tolls,
     return found[target]
 
 
-def routing_oracle(graph: HostGraph, source: str, target: str, tolls: Tolls) -> OracleAnswer:
-    """The shortest path, guided when the tolls are :class:`GuidedTolls`."""
-    _, edges, total = shortest_path(graph, source, target, tolls, getattr(tolls, "guide", None))
+def routing_oracle(graph: HostGraph, source: str, target: str, tolls: Tolls,
+                   guide: Optional[Guide] = None) -> OracleAnswer:
+    """The shortest path, by a search the ``guide`` is handed to."""
+    _, edges, total = shortest_path(graph, source, target, tolls, guide)
     return OracleAnswer(reply=frozenset(edges), toll_total=total)
 
 
@@ -588,13 +597,17 @@ def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _dispatch(instance: Instance, request: Request) -> tuple[Callable[[Tolls], OracleAnswer], float]:
+def _dispatch(instance: Instance, request: Request,
+              guides: Optional[Mapping[str, Guide]] = None
+              ) -> tuple[Callable[[Tolls], OracleAnswer], float]:
     """The oracle for the request kind, bound to everything but the tolls,
-    and the factor it guarantees."""
+    and the factor it guarantees; a routing search is bound to its
+    target's guide among ``guides``, if there is one."""
     kind = request.kind
     graph = instance.graph
     if isinstance(kind, Routing):
-        return partial(routing_oracle, graph, kind.source, kind.target), 1.0
+        guide = guides.get(kind.target) if guides else None
+        return partial(routing_oracle, graph, kind.source, kind.target, guide=guide), 1.0
     if isinstance(kind, MachineChoice):
         return partial(machine_oracle, kind.machines), 1.0
     if isinstance(kind, ExplicitReplies):
@@ -617,6 +630,10 @@ def oracle_rho(instance: Instance, request: Request) -> float:
     return _dispatch(instance, request)[1]
 
 
-def reply_oracle(instance: Instance, request: Request, tolls: Tolls) -> OracleAnswer:
-    """Select and run the oracle matching the request kind."""
-    return _dispatch(instance, request)[0](tolls)
+def reply_oracle(instance: Instance, request: Request, tolls: Tolls,
+                 guides: Optional[Mapping[str, Guide]] = None) -> OracleAnswer:
+    """Select and run the oracle matching the request kind.  ``guides``
+    (:func:`search_guides`) maps routing targets to the guides of their
+    searches; the guide a routing search takes needs its lower row at most
+    ``tolls`` on every resource."""
+    return _dispatch(instance, request, guides)[0](tolls)

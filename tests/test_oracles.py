@@ -8,6 +8,7 @@ import pytest
 
 from gndes import (
     Edge,
+    ExplicitReplies,
     ExponentProfile,
     HostGraph,
     InfeasibleError,
@@ -24,7 +25,6 @@ from gndes import (
 from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
-    GuidedTolls,
     OracleAnswer,
     directed_multi_routing_oracle,
     explicit_oracle,
@@ -33,6 +33,7 @@ from gndes.oracles import (
     oracle_rho,
     reply_oracle,
     routing_oracle,
+    search_guides,
     shortest_path,
     shortest_paths,
     steiner_forest_oracle,
@@ -580,7 +581,7 @@ class TestAgainstEarlierImplementations:
                 if target in guided:
                     assert guided[target] == unguided[target], case
                     assert guided[target][2].hex() == unguided[target][2].hex()
-                    answer = routing_oracle(g, source, target, GuidedTolls(tolls, guide))
+                    answer = routing_oracle(g, source, target, tolls, guide)
                     assert answer == routing_oracle(g, source, target, tolls)
         assert 20 < unreachable < 400
 
@@ -860,3 +861,114 @@ class TestDispatchAndClamping:
                 best = min(sum(tolls[e] for e in sorted(reply))
                            for reply in candidate_replies(inst, request))
                 assert ans.toll_total <= oracle_rho(inst, request) * best * (1 + 1e-12), case
+
+
+def mixed_instance(rng, directed):
+    """A graph that need not be connected, with parallel edges and
+    self-loops, and two to eight requests of the five kinds on it; the
+    routing targets are drawn from two vertices, so they repeat."""
+    while True:
+        g, _ = random_toll_multigraph(rng, directed, 7)
+        if len(g.edges) >= 2:
+            break
+    ids = [e.id for e in g.edges]
+    targets = rng.choice(len(g.vertices), size=2, replace=False)
+    requests = []
+    for _ in range(int(rng.integers(2, 9))):
+        pick = int(rng.integers(5))
+        if pick == 0:
+            target = int(targets[int(rng.integers(2))])
+            source = int(rng.choice([v for v in range(len(g.vertices)) if v != target]))
+            requests.append(Routing(g.vertices[source], g.vertices[target]))
+        elif pick == 1:
+            requests.append(MultiRouting(tuple(random_pairs(rng, g))))
+        elif pick == 2:
+            requests.append(SetConnectivity(random_terminals(rng, g)))
+        elif pick == 3:
+            machines = rng.choice(ids, size=int(rng.integers(1, len(ids) + 1)), replace=False)
+            requests.append(MachineChoice(tuple(machines.tolist())))
+        else:
+            requests.append(ExplicitReplies(tuple(
+                frozenset(rng.choice(ids, size=int(rng.integers(1, 3)), replace=False).tolist())
+                for _ in range(int(rng.integers(1, 4))))))
+    resources = tuple(ResourceParams(e, 1.0, (1.0,)) for e in ids)
+    return Instance(ExponentProfile((2.0,)), resources,
+                    tuple(Request(id=i, kind=kind) for i, kind in enumerate(requests, 1)), g)
+
+
+def random_rows(rng, inst):
+    """A toll row for a random nonempty subset of the positions, each
+    listing the resources in instance order: a row of an earlier position
+    (the same object), a base row with each toll raised by up to half, or
+    a fresh row; about a quarter of the tolls are zero.  Integer and
+    absorbed tolls make ties."""
+    mode = int(rng.integers(3))
+    graph = inst.graph
+
+    def fresh():
+        if mode == 2:
+            return with_zero_tolls(rng, absorbing_tolls(rng, graph))
+        if mode == 1:
+            return with_zero_tolls(rng, {e.id: float(rng.integers(1, 4)) for e in graph.edges})
+        return with_zero_tolls(rng, random_tolls(rng, graph))
+
+    base = fresh()
+    rows = {}
+    for pos in range(inst.n_requests):
+        if rng.random() < 0.2:
+            continue
+        pick = rng.random()
+        if rows and pick < 0.3:
+            rows[pos] = list(rows.values())[int(rng.integers(len(rows)))]
+        elif pick < 0.7:
+            rows[pos] = {e: t * float(rng.uniform(1.0, 1.5)) for e, t in base.items()}
+        else:
+            rows[pos] = fresh()
+    return rows or {0: base}
+
+
+class TestSearchGuides:
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_guided_replies_match_the_unguided_ones(self, directed):
+        # every position of the rows gets, with the guides of all of them,
+        # the reply and the toll total's bits it gets with none (or the same
+        # error), and there is one guide per routing target among them
+        rng = rng_for(97 + directed)
+        guided_searches = 0
+        for case in range(150):
+            inst = mixed_instance(rng, directed)
+            rows = random_rows(rng, inst)
+            guides = search_guides(inst, rows)
+            kinds = [inst.requests[pos].kind for pos in rows]
+            assert guides.keys() == {k.target for k in kinds if isinstance(k, Routing)}, case
+            for pos, row in rows.items():
+                request = inst.requests[pos]
+                unguided = outcome(reply_oracle, inst, request, row)
+                assert same_answer(outcome(reply_oracle, inst, request, row, guides),
+                                   unguided), case
+            guided_searches += sum(isinstance(k, Routing) for k in kinds)
+        assert guided_searches > 100
+
+    def test_a_routing_request_gets_its_targets_guide(self, monkeypatch):
+        # reply_oracle binds guides[target] into the routing search and
+        # hands no other oracle a guide
+        g = grid_graph(3)
+        kinds = [Routing("v00", "v22"), Routing("v20", "v22"), Routing("v22", "v00"),
+                 SetConnectivity(("v00", "v22"))]
+        resources = tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges)
+        inst = Instance(ExponentProfile((2.0,)), resources,
+                        tuple(Request(id=i, kind=k) for i, k in enumerate(kinds, 1)), g)
+        tolls = random_tolls(rng_for(101), g)
+        guides = search_guides(inst, dict.fromkeys(range(len(kinds)), tolls))
+        assert list(guides) == ["v22", "v00"]
+        seen = []
+        search = oracles.shortest_paths
+
+        def recorded(graph, source, targets, tolls, guide=None):
+            seen.append(guide)
+            return search(graph, source, targets, tolls, guide)
+
+        monkeypatch.setattr(oracles, "shortest_paths", recorded)
+        for request in inst.requests:
+            reply_oracle(inst, request, tolls, guides)
+        assert seen == [guides["v22"], guides["v22"], guides["v00"], None]

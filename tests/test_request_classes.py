@@ -98,10 +98,10 @@ def counted_pass(monkeypatch, state, config, step, rows, ids):
     calls = []
     oracle = engine.reply_oracle
 
-    def counted(inst, req, tolls):
+    def counted(inst, req, tolls, *args):
         if req.id in ids:
             calls.append(req.id)
-        return oracle(inst, req, tolls)
+        return oracle(inst, req, tolls, *args)
 
     monkeypatch.setattr(engine, "reply_oracle", counted)
     view = PassView(state, config, step, 0.01, rows)

@@ -229,8 +229,8 @@ def potential_bounds_check(instance: Instance,
     tested = violations = 0
     for p in profiles:
         tested += 1
-        c = total_cost(instance, p)
-        phi = potential(instance, p)
+        state = ProfileState(instance, p)
+        c, phi = state.cost(), state.potential()
         violations += exceeds(c / b, phi, c) or exceeds(phi, a * c)
     return PotentialBoundsReport(profiles_tested=tested, violations=violations)
 
@@ -387,7 +387,7 @@ def _iter_equilibrium_rows(instance: Instance, mechanism: str):
                     break
             if not is_nash:
                 break
-        yield profile, total_cost(instance, profile), is_nash
+        yield profile, state.cost(), is_nash
 
 
 def _poa_report(rows) -> PoaReport:
@@ -453,25 +453,25 @@ def _iter_smoothness_rows(instance: Instance, mechanism: str, lam: float, mu: fl
         raise ConfigError(f"the number of pairs must be >= 1, got {max_pairs}")
     candidates, count = enumerate_profiles(instance)
 
-    def rows(p, c_p, deviations):
+    def rows(p, deviations):
         state = ProfileState(instance, p)
+        c_p = state.cost()
         for p_prime, c_prime in deviations:
             lhs = left_sum(state.player_cost(mechanism, pos, p_prime[pos])
                            for pos in range(instance.n_requests))
             yield p, p_prime, lhs, c_p, c_prime, not exceeds(lhs, lam * c_prime + mu * c_p)
 
     if count * count <= max_pairs:
-        # p leads, so each profile gets one state and one pricing
+        # p leads, so each profile gets one state, and each is priced once as a p'
         priced = [(tuple(c), total_cost(instance, c)) for c in product(*candidates)]
-        for p, c_p in priced:
-            yield from rows(p, c_p, priced)
+        for p, _ in priced:
+            yield from rows(p, priced)
     else:
         rng = keyed_rng(seed, "smoothness")
         for _ in range(max_pairs):
             p = _profile_at(candidates, int(rng.integers(count)))
             p_prime = _profile_at(candidates, int(rng.integers(count)))
-            yield from rows(p, total_cost(instance, p),
-                            [(p_prime, total_cost(instance, p_prime))])
+            yield from rows(p, [(p_prime, total_cost(instance, p_prime))])
 
 
 def _smoothness_report(lam: float, mu: float, rows) -> SmoothnessReport:

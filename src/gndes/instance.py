@@ -19,11 +19,10 @@ dynamics engine mutates.  Loads are exact integers, costs are doubles.
 from __future__ import annotations
 
 import math
-from collections import deque
 from dataclasses import dataclass, field
 from functools import cached_property
 from numbers import Real
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Union
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Optional, Union
 
 from .errors import GndesError, InstanceError
 
@@ -181,6 +180,13 @@ class HostGraph:
 
     Parallel edges and self-loops are permitted.  Self-loops never help
     connectivity and are excluded from traversal.
+
+    Its views are cached on first use: :attr:`edge_by_id`,
+    :attr:`adjacency` by vertex name, and over vertex indices
+    :attr:`indexed_adjacency`, :attr:`indexed_predecessors` and
+    :attr:`indexed_incidence`.  :meth:`walk` is the one traversal of a
+    subgraph: it follows the cached arcs whose edge id it is given, so it
+    drops self-loops as they do.
     """
 
     directed: bool
@@ -254,32 +260,24 @@ class HostGraph:
                 incident[v].append(i)
         return ends, tuple(map(tuple, incident))
 
-    def restricted_adjacency(self, edge_ids: Iterable[str]) -> dict[str, list[tuple[str, str]]]:
-        """Adjacency of the subgraph spanned by the given edges (loops dropped)."""
-        allowed = set(edge_ids)
-        adj: dict[str, list[tuple[str, str]]] = {}
-        for eid in sorted(allowed):
-            e = self.edge_by_id.get(eid)
-            if e is None:
-                raise InstanceError(f"unknown edge id {eid!r}")
-            if e.tail == e.head:
-                continue
-            adj.setdefault(e.tail, []).append((e.head, e.id))
-            if not self.directed:
-                adj.setdefault(e.head, []).append((e.tail, e.id))
-        return adj
-
-
-def _reachable(adj: Mapping[str, list[tuple[str, str]]], source: str) -> set[str]:
-    seen = {source}
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v, _ in adj.get(u, ()):
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return seen
+    def walk(self, root: int, edge_ids: Collection[str],
+             backward: bool = False) -> dict[int, tuple[int, str]]:
+        """Depth-first search from the vertex index ``root`` over the arcs of
+        :attr:`indexed_adjacency` (against them, :attr:`indexed_predecessors`,
+        when ``backward``) whose edge id is in ``edge_ids``: each vertex index
+        reached, mapped to the vertex it was reached from and the edge id; the
+        root maps to ``(root, "")``.  In a forest the links lead back to the
+        root along the unique path."""
+        arcs = self.indexed_predecessors if backward else self.indexed_adjacency[1]
+        via = {root: (root, "")}
+        stack = [root]
+        while stack:
+            u = stack.pop()
+            for v, eid in arcs[u]:
+                if v not in via and eid in edge_ids:
+                    via[v] = (u, eid)
+                    stack.append(v)
+        return via
 
 
 # ---------------------------------------------------------------------------
@@ -532,15 +530,6 @@ class Feasibility:
         return self.ok
 
 
-def _subgraph_vertices(graph: HostGraph, edge_ids: Iterable[str]) -> set[str]:
-    verts = set()
-    for eid in edge_ids:
-        e = graph.edge_by_id[eid]
-        verts.add(e.tail)
-        verts.add(e.head)
-    return verts
-
-
 def validate_reply(instance: Instance, request: Request, reply: ReplySet) -> Feasibility:
     """Check one reply against the request's reply collection.
 
@@ -564,36 +553,40 @@ def validate_reply(instance: Instance, request: Request, reply: ReplySet) -> Fea
         return Feasibility(False, "reply is not one of the listed options")
 
     graph = instance.graph
-    adj = graph.restricted_adjacency(reply)
+    stray = [eid for eid in reply if eid not in graph.edge_by_id]
+    if stray:
+        raise InstanceError(f"unknown edge id {min(stray)!r}")
+    index = graph.indexed_adjacency[0]
+
+    def reaches(s: str, t: str) -> bool:
+        # a terminal that is no vertex reaches only itself
+        return s == t or s in index and index.get(t) in graph.walk(index[s], reply)
 
     if isinstance(kind, Routing):
-        if kind.target in _reachable(adj, kind.source):
+        if reaches(kind.source, kind.target):
             return Feasibility(True)
         return Feasibility(False, f"no path from {kind.source!r} to {kind.target!r}")
 
     if isinstance(kind, MultiRouting):
         for s, t in kind.pairs:
-            if t not in _reachable(adj, s):
+            if not reaches(s, t):
                 return Feasibility(False, f"pair ({s!r},{t!r}) not connected")
         return Feasibility(True)
 
     # set connectivity: the reply-induced subgraph itself must be connected
-    # (strongly connected in directed graphs) and span every terminal
-    verts = _subgraph_vertices(graph, reply)
+    # (strongly connected in directed graphs) and span every terminal; a
+    # self-loop's vertex belongs to it, though the walk never takes the loop
+    edges = [graph.edge_by_id[eid] for eid in reply]
+    verts = {e.tail for e in edges} | {e.head for e in edges}
     for t in kind.terminals:
         if t not in verts:
             return Feasibility(False, f"terminal {t!r} not covered by the reply")
     if not verts:
         return Feasibility(False, "empty reply cannot span the terminals")
-    start = min(verts)
-    fwd = _reachable(adj, start)
-    if fwd != verts:
+    spanned = {index[v] for v in verts}
+    start = min(spanned)
+    if graph.walk(start, reply).keys() != spanned:
         return Feasibility(False, "reply subgraph is not connected")
-    if graph.directed:
-        radj: dict[str, list[tuple[str, str]]] = {}
-        for u, nbrs in adj.items():
-            for v, eid in nbrs:
-                radj.setdefault(v, []).append((u, eid))
-        if _reachable(radj, start) != verts:
-            return Feasibility(False, "reply subgraph is not strongly connected")
+    if graph.directed and graph.walk(start, reply, backward=True).keys() != spanned:
+        return Feasibility(False, "reply subgraph is not strongly connected")
     return Feasibility(True)

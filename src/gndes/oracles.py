@@ -76,7 +76,9 @@ reports the other.
 Both Steiner oracles merge components with one helper (Kruskal's merge
 and the moats' merge are the same relabelling of the smaller component; the
 moats' merge also joins their borders) and keep the edges of a forest that
-lie on some pair's path with one walk.
+lie on some pair's path: one :meth:`HostGraph.walk` of the forest's edges
+per source, whose links, followed back from each target, are the unique
+path in the forest.
 """
 
 from __future__ import annotations
@@ -86,7 +88,8 @@ import math
 import sys
 from dataclasses import dataclass
 from functools import partial
-from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence
+from operator import itemgetter
+from typing import Callable, Collection, Hashable, Iterable, Mapping, Optional, Sequence
 
 from .errors import ConfigError, InfeasibleError, InstanceError
 from .instance import (
@@ -173,15 +176,20 @@ def lower_bound_tree(graph: HostGraph, target: str, lower: Tolls) -> Guide:
 
 def search_guides(instance: Instance, rows: Mapping[int, Tolls]) -> dict[str, Guide]:
     """The guides of the routing searches among the positions of ``rows``,
-    each mapped to its toll row (listing the resources in instance order):
-    one :func:`lower_bound_tree` per routing target, under the entry-wise
-    least of their distinct rows, which is at most every row searched."""
+    each mapped to its toll row (resource id -> toll, in any order): one
+    :func:`lower_bound_tree` per routing target, under the entry-wise least
+    of their distinct rows, which is at most every row searched."""
     routing = [pos for pos in rows if isinstance(instance.requests[pos].kind, Routing)]
     if not routing:
         return {}
     distinct = {id(rows[pos]): rows[pos] for pos in routing}.values()
-    lower = dict(zip([res.id for res in instance.resources],
-                     map(min, zip(*(row.values() for row in distinct)))))
+    ids = [res.id for res in instance.resources]
+    # a getter of several keys returns a tuple, a getter of one the value
+    read = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[ids[0]],)
+    try:
+        lower = dict(zip(ids, map(min, zip(*map(read, distinct)))))
+    except KeyError as missing:
+        raise InstanceError(f"no toll given for resource {missing.args[0]!r}") from None
     guides: dict[str, Guide] = {}
     for pos in routing:
         target = instance.requests[pos].kind.target
@@ -423,8 +431,9 @@ def steiner_tree_oracle(graph: HostGraph, terminals: Sequence[str], tolls: Tolls
     for eid in sorted(union_edges):
         e = graph.edge_by_id[eid]
         sub_edges.append((eid, e.tail, e.head, _toll(tolls, eid)))
-    tree = [edge[:3] for edge in _mst_edges(sub_edges)]
-    kept = _forest_paths(tree, [(terms[0], t) for t in terms[1:]])
+    tree = {edge[0] for edge in _mst_edges(sub_edges)}
+    index = graph.indexed_adjacency[0]
+    kept = _forest_paths(graph, tree, [(index[terms[0]], index[t]) for t in terms[1:]])
 
     total = left_sum(_toll(tolls, e) for e in sorted(kept))
     return OracleAnswer(reply=frozenset(kept), toll_total=total)
@@ -528,35 +537,24 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
         forest.append(chosen)
         apart = [(s, t) for s, t in apart if label[s] != label[t]]
 
-    used = _forest_paths(((i, *ends[i]) for i in forest), terminal_pairs)
-    kept = [i for i in forest if i in used]
+    used = _forest_paths(graph, {edges[i].id for i in forest}, terminal_pairs)
+    kept = [i for i in forest if edges[i].id in used]
 
     total = left_sum(edge_toll[i] for i in kept)
     return OracleAnswer(reply=frozenset(edges[i].id for i in kept), toll_total=total)
 
 
-def _forest_paths(forest: Iterable[tuple[Hashable, Hashable, Hashable]],
-                  pairs: Iterable[tuple[Hashable, Hashable]]) -> set:
-    """Edge ids on the unique path between the ends of each pair in a forest
-    of (id, u, v) edges that connects every pair."""
-    adjacency: dict = {}
-    for eid, u, v in forest:
-        adjacency.setdefault(u, []).append((v, eid))
-        adjacency.setdefault(v, []).append((u, eid))
-    # one depth-first search per source, resumed for each of its pairs; in a
-    # forest the search's parent links give the unique path back to it
-    searches: dict = {}
+def _forest_paths(graph: HostGraph, edge_ids: Collection[str],
+                  pairs: Sequence[tuple[int, int]]) -> set[str]:
+    """The ids of the edges on the unique path between the ends of each
+    pair of vertex indices in a forest of ``graph`` that connects every
+    pair: one :meth:`HostGraph.walk` per source, its links followed back
+    from each target."""
+    walks = {s: graph.walk(s, edge_ids) for s in {s for s, _ in pairs}}
     used = set()
     for s, t in pairs:
-        via, stack = searches.setdefault(s, ({s: (s, "")}, [s]))
-        while t not in via:
-            u = stack.pop()
-            for v, eid in adjacency[u]:
-                if v not in via:
-                    via[v] = (u, eid)
-                    stack.append(v)
         while t != s:
-            t, eid = via[t]
+            t, eid = walks[s][t]
             used.add(eid)
     return used
 

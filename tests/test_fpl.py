@@ -28,7 +28,7 @@ from gndes.fpl import (
     run_l_apx,
     theoretical_round_count,
 )
-from gndes.instance import _reachable, total_cost
+from gndes.instance import total_cost
 from gndes.rng import keyed_rng
 
 from helpers import (
@@ -296,7 +296,9 @@ def small_routing_instance(rng, directed):
     requests = []
     for i in range(1, int(rng.integers(1, 6)) + 1):
         source = graph.vertices[int(rng.integers(len(graph.vertices)))]
-        targets = sorted(_reachable(graph.adjacency, source) - {source})
+        root = graph.indexed_adjacency[0][source]
+        reached = graph.walk(root, {e.id for e in graph.edges})
+        targets = [graph.vertices[v] for v in sorted(reached) if v != root]
         if not targets:
             return None
         weights = {e.id: int(rng.integers(1, 4)) for e in graph.edges if rng.random() < 0.5}

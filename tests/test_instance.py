@@ -22,7 +22,8 @@ from gndes import (
     validate_reply,
 )
 
-from helpers import directed_grid_graph, grid_graph, random_explicit_instance, rng_for
+from helpers import (directed_grid_graph, grid_graph, random_explicit_instance,
+                     random_toll_multigraph, rng_for)
 
 
 def simple_instance():
@@ -210,6 +211,133 @@ class TestValidateReply:
         )
         assert validate_reply(inst, inst.requests[0], frozenset({"ab", "ba"}))
         assert not validate_reply(inst, inst.requests[0], frozenset({"ab"}))
+
+
+def reference_verdict(nx, instance, kind, reply):
+    """What ``validate_reply`` should say of a graph kind, from networkx
+    reachability and (strong) connectivity on the reply's non-loop edges."""
+    graph = instance.graph
+    unknown = reply - instance.resource_by_id.keys()
+    if unknown:
+        return "InstanceError", f"reply uses unknown resource {min(unknown)!r}"
+    stray = reply - graph.edge_by_id.keys()
+    if stray:
+        return "InstanceError", f"unknown edge id {min(stray)!r}"
+    edges = [graph.edge_by_id[eid] for eid in reply]
+    g = nx.DiGraph() if graph.directed else nx.Graph()
+    g.add_nodes_from(graph.vertices)
+    g.add_edges_from((e.tail, e.head) for e in edges if e.tail != e.head)
+
+    def reaches(s, t):
+        return s == t or s in g and t in g and nx.has_path(g, s, t)
+
+    if isinstance(kind, Routing):
+        s, t = kind.source, kind.target
+        return (True, None) if reaches(s, t) else (False, f"no path from {s!r} to {t!r}")
+    if isinstance(kind, MultiRouting):
+        for s, t in kind.pairs:
+            if not reaches(s, t):
+                return False, f"pair ({s!r},{t!r}) not connected"
+        return True, None
+    # the subgraph spans the reply's ends, a self-loop's vertex included
+    spanned = g.subgraph({v for e in edges for v in (e.tail, e.head)})
+    for t in kind.terminals:
+        if t not in spanned:
+            return False, f"terminal {t!r} not covered by the reply"
+    if not spanned:
+        return False, "empty reply cannot span the terminals"
+    start = min(spanned)
+    if nx.descendants(spanned, start) | {start} != set(spanned):
+        return False, "reply subgraph is not connected"
+    if graph.directed and not nx.is_strongly_connected(spanned):
+        return False, "reply subgraph is not strongly connected"
+    return True, None
+
+
+class TestWalk:
+    """``HostGraph.walk`` and the ``validate_reply`` verdicts it gives, on
+    random multigraphs with self-loops and parallel edges, against networkx."""
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_verdicts_match_networkx(self, directed):
+        nx = pytest.importorskip("networkx")
+        rng = rng_for(113 + directed)
+        seen = set()
+        away = 0  # requests naming a terminal that is no vertex
+        for case in range(400):
+            graph, _ = random_toll_multigraph(rng, directed, 6)
+            ids = [e.id for e in graph.edges]
+            # "m" and "n" are resources and no edges; "z" is neither
+            resources = tuple(ResourceParams(r, 1.0, (1.0,)) for r in ids + ["m", "n"])
+            instance = Instance(ExponentProfile((2.0,)), resources,
+                                (Request(id=1, kind=MachineChoice(("m",))),), graph)
+            # "x" is no vertex, so the request is built beside the instance
+            names = list(graph.vertices) + ["x"]
+
+            def terminal():
+                return names[int(rng.integers(len(names) if rng.random() < 0.2 else len(names) - 1))]
+
+            for _ in range(6):
+                pick = int(rng.integers(3))
+                if pick == 0:
+                    kind = Routing(terminal(), terminal())
+                elif pick == 1:
+                    kind = MultiRouting(tuple((terminal(), terminal())
+                                              for _ in range(int(rng.integers(1, 4)))))
+                else:
+                    kind = SetConnectivity(tuple(terminal()
+                                                 for _ in range(int(rng.integers(1, 5)))))
+                extra = [r for r in ("m", "n", "z") if rng.random() < 0.1]
+                reply = frozenset([e for e in ids if rng.random() < 0.5] + extra)
+                try:
+                    verdict = validate_reply(instance, Request(id=2, kind=kind), reply)
+                    got = verdict.ok, verdict.reason
+                except InstanceError as exc:
+                    got = "InstanceError", str(exc)
+                assert got == reference_verdict(nx, instance, kind, reply), case
+                # a reason or an error up to its first name, or the kind it accepted
+                seen.add(got[1].split("'")[0] if got[1] else type(kind).__name__)
+                away += "'x'" in repr(kind)
+        # every kind was accepted, every reason given and both errors raised
+        assert seen >= {"Routing", "MultiRouting", "SetConnectivity", "no path from ",
+                        "pair (", "terminal ", "reply subgraph is not connected",
+                        "reply uses unknown resource ", "unknown edge id "}
+        assert ("reply subgraph is not strongly connected" in seen) == directed
+        assert away > 200
+
+    @pytest.mark.parametrize("directed", [False, True])
+    def test_links_lead_back_to_the_root(self, directed):
+        nx = pytest.importorskip("networkx")
+        rng = rng_for(127 + directed)
+        for case in range(300):
+            graph, _ = random_toll_multigraph(rng, directed, 6)
+            edge_ids = {e.id for e in graph.edges if rng.random() < 0.6} | {"m"}
+            g = nx.DiGraph() if directed else nx.Graph()
+            g.add_nodes_from(range(len(graph.vertices)))
+            index = graph.indexed_adjacency[0]
+            for eid in edge_ids - {"m"}:
+                e = graph.edge_by_id[eid]
+                if e.tail != e.head:
+                    g.add_edge(index[e.tail], index[e.head])
+            for root in range(len(graph.vertices)):
+                for backward in (False, True):
+                    via = graph.walk(root, edge_ids, backward)
+                    reach = nx.ancestors(g, root) if backward else nx.descendants(g, root)
+                    assert via.keys() == reach | {root}, case
+                    assert via[root] == (root, "")
+                    for v in via:
+                        for _ in range(len(via)):
+                            if v == root:
+                                break
+                            u, eid = via[v]
+                            e = graph.edge_by_id[eid]
+                            arc = (index[e.tail], index[e.head])
+                            assert eid in edge_ids and u != v, case
+                            if backward:
+                                arc = arc[::-1]
+                            assert arc == (u, v) or not directed and arc == (v, u), case
+                            v = u
+                        assert v == root, case
 
 
 PATH = HostGraph(False, ("a", "b", "c"), (Edge("ab", "a", "b"), Edge("bc", "b", "c")))

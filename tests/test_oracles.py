@@ -972,3 +972,37 @@ class TestSearchGuides:
         for request in inst.requests:
             reply_oracle(inst, request, tolls, guides)
         assert seen == [guides["v22"], guides["v22"], guides["v00"], None]
+
+    def test_rows_are_read_by_resource_id(self):
+        # a row may list its resources in any order: two of three rows
+        # reversed still give every routing request its unguided reply
+        g = grid_graph(4)
+        resources = tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges)
+        rng = rng_for(103)
+        checked = 0
+        for case in range(100):
+            picks = [rng.choice(len(g.vertices), size=2, replace=False) for _ in range(3)]
+            inst = Instance(ExponentProfile((2.0,)), resources, tuple(
+                Request(id=i, kind=Routing(g.vertices[int(s)], g.vertices[int(t)]))
+                for i, (s, t) in enumerate(picks, 1)), g)
+            rows = {pos: random_tolls(rng, g) for pos in range(3)}
+            for pos in (1, 2):
+                rows[pos] = dict(reversed(rows[pos].items()))
+            guides = search_guides(inst, rows)
+            for pos, row in rows.items():
+                request = inst.requests[pos]
+                assert same_answer(outcome(reply_oracle, inst, request, row, guides),
+                                   outcome(reply_oracle, inst, request, row)), case
+                checked += 1
+        assert checked == 300
+
+    def test_a_row_without_a_resource_is_refused(self):
+        g = grid_graph(2)
+        inst = Instance(ExponentProfile((2.0,)),
+                        tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges),
+                        (Request(id=1, kind=Routing("v00", "v11")),), g)
+        row = random_tolls(rng_for(107), g)
+        missing = min(row)
+        del row[missing]
+        with pytest.raises(InstanceError, match=f"no toll given for resource {missing!r}"):
+            search_guides(inst, {0: row})

@@ -47,6 +47,7 @@ from .instance import (
 from .io import instance_to_text, parse_instance, parse_instance_text, write_instance
 from .oracles import (
     OracleAnswer,
+    Sweep,
     explicit_oracle,
     machine_oracle,
     oracle_rho,

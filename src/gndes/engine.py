@@ -32,12 +32,14 @@ drawn from its own player's stream, so each player of such a group runs an
 ABR of its own.  The starting profile likewise runs the oracle once per
 class.
 
-A pass runs in two sweeps (:func:`delta_vector`).  The first decides who
-runs an ABR and builds each such row once, and ``oracles.search_guides``
-builds the guides of the searches from those rows.  The second runs the
-ABRs, each handing the guides to ``reply_oracle``.  A guide only prunes a
-search; the ``oracles`` module docstring proves every reply and toll total
-bit for bit the unguided one.
+A pass runs in two loops (:func:`delta_vector`).  The first decides who
+runs an ABR and builds each such row once.  The second runs the ABRs as
+one ``oracles.Sweep`` over those rows: each ABR is ``reply_oracle`` on
+the sweep and its position, and the sweep builds the guide of a routing
+target's searches the first time it answers one.  The starting profile
+is one sweep too.  A guide only prunes a search; the ``oracles`` module
+docstring proves every reply and toll total bit for bit the unguided
+one.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.  Its
@@ -56,7 +58,7 @@ from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import Instance, StrategyProfile, float_or_exact, left_sum, rep_cost, total_cost
 from .io import csv_text, facts_doc, facts_text
-from .oracles import Guide, OracleAnswer, reply_oracle, search_guides
+from .oracles import OracleAnswer, Sweep, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
 
@@ -128,8 +130,9 @@ def initial_profile(instance: Instance) -> StrategyProfile:
 
     The tolls are priced once per weight row (``Instance.weight_rows``) and
     the oracle runs once per request class (``Instance.request_classes``):
-    the members of a class get the reply of its first member.  The routing
-    searches are guided as those of a pass are (:func:`delta_vector`)."""
+    the members of a class get the reply of its first member.  The first
+    members are answered in one ``oracles.Sweep`` over their rows, as the
+    leaders of a pass are (:func:`delta_vector`)."""
     tolls_by_row: dict[int, dict[str, float]] = {}
     first: dict[int, int] = {}   # class -> its first position
     for pos, (req, row, cls) in enumerate(zip(instance.requests, instance.weight_rows,
@@ -141,10 +144,9 @@ def initial_profile(instance: Instance) -> StrategyProfile:
                     res.id: rep_cost(res, instance.exponents, req.weight(res.id))
                     for res in instance.resources
                 }
-    searched = {pos: tolls_by_row[instance.weight_rows[pos]] for pos in first.values()}
-    guides = search_guides(instance, searched)
-    replies = {cls: reply_oracle(instance, instance.requests[pos], searched[pos], guides).reply
-               for cls, pos in first.items()}
+    sweep = Sweep(instance, {pos: tolls_by_row[instance.weight_rows[pos]]
+                             for pos in first.values()})
+    replies = {cls: reply_oracle(sweep, pos).reply for cls, pos in first.items()}
     return tuple(replies[cls] for cls in instance.request_classes)
 
 
@@ -214,12 +216,12 @@ class PassView:
     :class:`TollRows`, so a player's entries are computed again only on the
     resources whose users changed since her row was built and on those where
     her share was sampled; ``built`` holds the positions whose rows this
-    pass brought up to date.  ``guides`` maps routing targets to the guides
-    of their searches (``oracles.search_guides``), which
-    :func:`delta_vector` builds (empty otherwise: the searches are then
-    unguided, with the same answers).  Exact shares read their counting
-    tables and h values from the state's ``tables`` store, which outlives
-    the pass and is shared with the state's potential.  A toll is the share
+    pass brought up to date.  ``sweep`` is the ``oracles.Sweep`` over the
+    rows of the pass's leaders, which :func:`delta_vector` builds once its
+    rows are, and through which their ABRs are answered (None until then).
+    Exact shares read their counting tables and h values from the state's
+    ``tables`` store, which outlives the pass and is shared with the
+    state's potential.  A toll is the share
     itself, so a run on an instance with every cost multiplied by a power
     of two makes the same moves, its costs, deltas and potentials
     multiplied by that power.
@@ -245,7 +247,7 @@ class PassView:
         self.rows = rows
         self.rows.advance(self.profile)
         self.built: set[int] = set()
-        self.guides: dict[str, Guide] = {}
+        self.sweep: Optional[Sweep] = None
 
     def tolls(self, position: int) -> dict[str, float]:
         """Tolls for one player: her share on each resource if she joined
@@ -305,10 +307,13 @@ def approximate_best_response(view: PassView, position: int) -> tuple[OracleAnsw
 
     Returns the oracle answer (whose toll_total is the player's estimated
     cost at the new reply) together with her estimated current cost.  The
-    pass's guides (``view.guides``) go to the oracle with her tolls.
+    oracle runs on the pass's sweep (``view.sweep``) when that holds her
+    row, as it holds every leader's once :func:`delta_vector` has built it,
+    and otherwise on a sweep of her row alone, with the same answer.
     """
     tolls = view.tolls(position)
-    answer = reply_oracle(view.instance, view.instance.requests[position], tolls, view.guides)
+    sweep = view.sweep if view.sweep and position in view.sweep.rows else None
+    answer = reply_oracle(sweep or Sweep(view.instance, {position: tolls}), position)
     current = left_sum(tolls[e] for e in sorted(view.profile[position]))
     return answer, current
 
@@ -333,11 +338,10 @@ def delta_vector(view: PassView) -> DeltaPass:
     the weight multiset), and the view's sampled-share counters count what
     a pass over every player would.
 
-    The pass runs in two sweeps.  The first decides the leaders and builds
-    each leader's row, once, and the searches' guides from those rows
-    (``oracles.search_guides``).  The second runs the leaders' ABRs with
-    those guides, which prune the routing searches and leave every answer
-    bit for bit as it was."""
+    The pass runs in two loops.  The first decides the leaders and builds
+    each leader's row, once.  The second runs the leaders' ABRs through one
+    ``oracles.Sweep`` over those rows (``view.sweep``), whose guides prune
+    the routing searches and leave every answer bit for bit as it was."""
     eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
     rows = view.rows
     first: dict[tuple[int, frozenset[str]], int] = {}   # (class, reply) -> who answered
@@ -354,7 +358,7 @@ def delta_vector(view: PassView) -> DeltaPass:
             rows.share(pos, leader)
             answered_by.append(leader)
     leaders = [pos for pos, leader in enumerate(answered_by) if pos == leader]
-    view.guides = search_guides(view.instance, {pos: rows.tolls[pos] for pos in leaders})
+    view.sweep = Sweep(view.instance, {pos: rows.tolls[pos] for pos in leaders})
     answers = {pos: approximate_best_response(view, pos) for pos in leaders}
     abrs = [answers[leader] for leader in answered_by]
     deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)

@@ -16,16 +16,20 @@ for it alone would.  Its paths are the least by (distance, vertex path,
 edge path): an offer at equal distance reparents a vertex when its full
 key is smaller, and vertices waiting at one distance settle by full key.
 
-A routing search can be guided: :func:`reply_oracle` takes the guides
-of :func:`search_guides`, one per routing target, and hands a routing
-request its target's guide.  A guide (:func:`lower_bound_tree`) is one
-reverse Dijkstra from the target t under a lower row L, at most the
-searched tolls on every resource: it gives each vertex v a bound h(v) and
-a tree path from v to t.  The search folds its own tolls from the left
-along the tree path from its source s, an upper bound UB on the distance
-of t, and never pushes a vertex v at a distance nd with
-nd + h(v) > UB * (1 + 5 * |V| * u), u the unit roundoff.  Its answer is
-the unguided one bit for bit:
+Oracle calls are answered in sweeps.  A :class:`Sweep` holds a set of
+positions, each with its toll row, and :func:`reply_oracle` answers one
+of them under its own row; the engine runs one sweep for the starting
+profile and one per delta pass.  A sweep guides its routing searches: it
+builds one guide per routing target, the first time it answers a
+position routed there, and hands each routing search its target's guide.
+A guide (:func:`lower_bound_tree`) is one reverse Dijkstra from the
+target t under a lower row L, at most the searched tolls on every
+resource (a sweep takes the entry-wise least of its routing rows): it
+gives each vertex v a bound h(v) and a tree path from v to t.  The
+search folds its own tolls from the left along the tree path from its
+source s, an upper bound UB on the distance of t, and never pushes a
+vertex v at a distance nd with nd + h(v) > UB * (1 + 5 * |V| * u), u the
+unit roundoff.  Its answer is the unguided one bit for bit:
 
 1. Rounding is monotone and tolls are nonnegative, so the distance d(x)
    the search gives a vertex is the least left fold of the tolls over the
@@ -174,28 +178,36 @@ def lower_bound_tree(graph: HostGraph, target: str, lower: Tolls) -> Guide:
     return Guide(root, h, toward)
 
 
-def search_guides(instance: Instance, rows: Mapping[int, Tolls]) -> dict[str, Guide]:
-    """The guides of the routing searches among the positions of ``rows``,
-    each mapped to its toll row (resource id -> toll, in any order): one
-    :func:`lower_bound_tree` per routing target, under the entry-wise least
-    of their distinct rows, which is at most every row searched."""
-    routing = [pos for pos in rows if isinstance(instance.requests[pos].kind, Routing)]
-    if not routing:
-        return {}
-    distinct = {id(rows[pos]): rows[pos] for pos in routing}.values()
-    ids = [res.id for res in instance.resources]
-    # a getter of several keys returns a tuple, a getter of one the value
-    read = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[ids[0]],)
-    try:
-        lower = dict(zip(ids, map(min, zip(*map(read, distinct)))))
-    except KeyError as missing:
-        raise InstanceError(f"no toll given for resource {missing.args[0]!r}") from None
-    guides: dict[str, Guide] = {}
-    for pos in routing:
-        target = instance.requests[pos].kind.target
-        if target not in guides:
-            guides[target] = lower_bound_tree(instance.graph, target, lower)
-    return guides
+class Sweep:
+    """One sweep of oracle calls: the positions of ``rows``, each mapped to
+    its toll row (resource id -> toll, in any order), answered by
+    :func:`reply_oracle` under their own rows.  The mapping is copied.
+
+    The routing searches are guided.  The sweep takes the entry-wise least
+    of its distinct routing rows once, which is at most every row it
+    searches, and builds a routing target's :func:`lower_bound_tree` under
+    it the first time a position routed to that target is answered, so a
+    sweep builds only the trees of the targets it answers."""
+
+    def __init__(self, instance: Instance, rows: Mapping[int, Tolls]):
+        self.instance = instance
+        self.rows = dict(rows)
+        self.trees: dict[str, Guide] = {}
+        routing = {id(row): row for pos, row in self.rows.items()
+                   if isinstance(instance.requests[pos].kind, Routing)}
+        ids = [res.id for res in instance.resources]
+        # a getter of several keys returns a tuple, a getter of one the value
+        read = itemgetter(*ids) if len(ids) > 1 else lambda row: (row[ids[0]],)
+        try:
+            self.lower = dict(zip(ids, map(min, zip(*map(read, routing.values())))))
+        except KeyError as missing:
+            raise InstanceError(f"no toll given for resource {missing.args[0]!r}") from None
+
+    def guide(self, target: str) -> Guide:
+        """The guide of the searches toward ``target``, built on first use."""
+        if target not in self.trees:
+            self.trees[target] = lower_bound_tree(self.instance.graph, target, self.lower)
+        return self.trees[target]
 
 
 # the unit roundoff of a double, for the guided search's margin
@@ -595,16 +607,15 @@ def strong_connectivity_oracle(graph: HostGraph, terminals: Sequence[str],
 # dispatch
 # ---------------------------------------------------------------------------
 
-def _dispatch(instance: Instance, request: Request,
-              guides: Optional[Mapping[str, Guide]] = None
+def _dispatch(instance: Instance, request: Request, sweep: Optional[Sweep] = None
               ) -> tuple[Callable[[Tolls], OracleAnswer], float]:
     """The oracle for the request kind, bound to everything but the tolls,
-    and the factor it guarantees; a routing search is bound to its
-    target's guide among ``guides``, if there is one."""
+    and the factor it guarantees; given the ``sweep`` that answers it, a
+    routing search is bound to its target's guide there."""
     kind = request.kind
     graph = instance.graph
     if isinstance(kind, Routing):
-        guide = guides.get(kind.target) if guides else None
+        guide = sweep.guide(kind.target) if sweep else None
         return partial(routing_oracle, graph, kind.source, kind.target, guide=guide), 1.0
     if isinstance(kind, MachineChoice):
         return partial(machine_oracle, kind.machines), 1.0
@@ -628,10 +639,10 @@ def oracle_rho(instance: Instance, request: Request) -> float:
     return _dispatch(instance, request)[1]
 
 
-def reply_oracle(instance: Instance, request: Request, tolls: Tolls,
-                 guides: Optional[Mapping[str, Guide]] = None) -> OracleAnswer:
-    """Select and run the oracle matching the request kind.  ``guides``
-    (:func:`search_guides`) maps routing targets to the guides of their
-    searches; the guide a routing search takes needs its lower row at most
-    ``tolls`` on every resource."""
-    return _dispatch(instance, request, guides)[0](tolls)
+def reply_oracle(sweep: Sweep, position: int) -> OracleAnswer:
+    """Select and run the oracle matching the kind of the request at
+    ``position``, under that position's row in ``sweep``.  A routing search
+    takes its target's guide from the same sweep, whose lower row is at
+    most that row."""
+    request = sweep.instance.requests[position]
+    return _dispatch(sweep.instance, request, sweep)[0](sweep.rows[position])

@@ -17,6 +17,7 @@ from gndes import (
     approximate_best_response,
     delta_vector,
     initial_profile,
+    oracles,
     run_abrd,
     sharing,
     total_cost,
@@ -33,7 +34,7 @@ from gndes.errors import ConfigError
 from gndes.rng import keyed_rng
 from gndes.sharing import samples_needed, shapley_sampled, whp_delta
 
-from helpers import pass_view, random_explicit_instance, rng_for
+from helpers import grid_graph, pass_view, random_explicit_instance, rng_for
 
 
 def parallel_edges_instance(kind="explicit"):
@@ -103,6 +104,17 @@ class TestAbr:
             pass_view(inst, config, (frozenset({"m2"}),), 1, 1), 0)
         assert answer.reply == frozenset({"m1"})
         assert answer.toll_total == pytest.approx(2.0)
+
+    def test_a_swept_view_answers_a_player_it_did_not_sweep(self):
+        # the second routing player shares the first one's class, reply and
+        # row, so the pass's sweep holds the first alone; an ABR of the
+        # second on that view answers through a sweep of her own row
+        inst = parallel_edges_instance("routing")
+        profile = (frozenset({"e1"}), frozenset({"e1"}))
+        view = pass_view(inst, AbrdConfig(), profile, 1, 1)
+        dpass = delta_vector(view)
+        assert list(view.sweep.rows) == [0]
+        assert approximate_best_response(view, 1) == (dpass.proposals[1], pytest.approx(2.5))
 
 
 class TestDeltaVector:
@@ -177,6 +189,26 @@ class TestRunAbrd:
             Request(id=1, kind=ExplicitReplies((frozenset({"a"}),))),))
         result = run_abrd(inst, AbrdConfig())
         assert result.output_cost == pytest.approx(brute_force_opt(inst)[1])
+
+    def test_one_sweep_for_the_start_and_one_per_pass(self, monkeypatch):
+        # initial_profile answers in one oracles.Sweep and each pass in one
+        # more, and each sweep builds one tree per routing target it answers
+        ends = [("v00", "v22"), ("v20", "v22"), ("v02", "v22"), ("v22", "v00"), ("v12", "v00")]
+        g = grid_graph(3)
+        res = tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges)
+        inst = Instance(ExponentProfile((2.0,)), res, tuple(
+            Request(id=i, kind=Routing(*pair), default_weight=i)
+            for i, pair in enumerate(ends, 1)), g)
+        sweeps, trees = [], []
+        init, tree = oracles.Sweep.__init__, oracles.lower_bound_tree
+        monkeypatch.setattr(oracles.Sweep, "__init__",
+                            lambda sweep, *args: sweeps.append(1) or init(sweep, *args))
+        monkeypatch.setattr(oracles, "lower_bound_tree",
+                            lambda *args: trees.append(1) or tree(*args))
+        result = run_abrd(inst, AbrdConfig())
+        assert result.converged_at is not None and result.converged_at > 1
+        assert len(sweeps) == 1 + result.converged_at
+        assert len(trees) == 2 * len(sweeps)
 
     def test_budget_zero_reports_initial_profile(self):
         inst = parallel_edges_instance()

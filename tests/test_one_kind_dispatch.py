@@ -1,11 +1,12 @@
 """One module knows the request kinds: ``oracles``.
 
 ``oracles._dispatch`` maps a request kind to its oracle, and
-``oracles.search_guides`` picks the routing searches a pass guides and
-builds their lower-bound trees.  The run loop hands tolls and guides to
-``reply_oracle`` and names no kind, so a new kind or a new way to search
-one changes ``oracles`` alone; a kind test in the run loop would be a
-second dispatch that could disagree with the first.
+``oracles.Sweep`` owns the guides: it picks the routing searches among
+its positions and builds their lower-bound trees.  The run loop builds a
+sweep over its rows, answers each position with ``reply_oracle`` and
+names no kind, no guide and no guide builder, so a new kind or a new way
+to search one changes ``oracles`` alone; a kind test in the run loop
+would be a second dispatch that could disagree with the first.
 """
 
 import ast
@@ -17,12 +18,13 @@ PACKAGE = Path(gndes.__file__).resolve().parent
 
 CALLERS = ("engine.py",)
 KIND_NAMES = {"Routing", "MultiRouting", "SetConnectivity", "MachineChoice",
-              "ExplicitReplies", "GRAPH_KINDS", "lower_bound_tree"}
+              "ExplicitReplies", "GRAPH_KINDS", "lower_bound_tree", "search_guides",
+              "Guide"}
 
 
 def kind_uses(path: Path) -> list[tuple[str, str, int]]:
     """(file, name, line) of every name, import, attribute or called
-    attribute that is a request kind or the guide builder."""
+    attribute that is a request kind, the guide or a guide builder."""
     uses = []
     for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
         if isinstance(node, ast.Name):
@@ -45,18 +47,22 @@ def test_the_scan_finds_every_kind_of_use(tmp_path):
     source = tmp_path / "sample.py"
     source.write_text(
         "from .instance import Routing, GRAPH_KINDS as graph_kinds\n"
-        "from .oracles import lower_bound_tree as tree\n"
+        "from .oracles import lower_bound_tree as tree, Guide\n"
         "from . import instance, oracles\n"
         "x = isinstance(kind, instance.MultiRouting)\n"
         "y = oracles.lower_bound_tree(graph, target, row)\n"
-        "z = SetConnectivity, instance.MachineChoice, ExplicitReplies\n", encoding="utf-8")
+        "z = SetConnectivity, instance.MachineChoice, ExplicitReplies\n"
+        "g: dict[str, oracles.Guide] = search_guides(instance, rows)\n", encoding="utf-8")
     assert kind_uses(source) == [
         ("sample.py", "ExplicitReplies", 6),
         ("sample.py", "GRAPH_KINDS", 1),
+        ("sample.py", "Guide", 2),
+        ("sample.py", "Guide", 7),
         ("sample.py", "MachineChoice", 6),
         ("sample.py", "MultiRouting", 4),
         ("sample.py", "Routing", 1),
         ("sample.py", "SetConnectivity", 6),
         ("sample.py", "lower_bound_tree", 2),
         ("sample.py", "lower_bound_tree", 5),
+        ("sample.py", "search_guides", 7),
     ]

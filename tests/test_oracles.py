@@ -26,6 +26,7 @@ from gndes.analysis import candidate_replies
 from gndes.errors import InstanceError
 from gndes.oracles import (
     OracleAnswer,
+    Sweep,
     directed_multi_routing_oracle,
     explicit_oracle,
     lower_bound_tree,
@@ -33,7 +34,6 @@ from gndes.oracles import (
     oracle_rho,
     reply_oracle,
     routing_oracle,
-    search_guides,
     shortest_path,
     shortest_paths,
     steiner_forest_oracle,
@@ -854,7 +854,7 @@ class TestDispatchAndClamping:
             for _ in range(20):
                 inst, tolls = build(rng)
                 request = inst.requests[0]
-                ans = reply_oracle(inst, request, tolls)
+                ans = reply_oracle(Sweep(inst, {0: tolls}), 0)
                 assert validate_reply(inst, request, ans.reply), case
                 assert ans.toll_total == pytest.approx(
                     sum(tolls[e] for e in sorted(ans.reply)), rel=1e-12), case
@@ -927,40 +927,62 @@ def random_rows(rng, inst):
     return rows or {0: base}
 
 
-class TestSearchGuides:
+def unguided(inst, request, row):
+    """The reply of the request's kind's own oracle, called with the row
+    directly and no guide."""
+    kind, graph = request.kind, inst.graph
+    if isinstance(kind, Routing):
+        return routing_oracle(graph, kind.source, kind.target, row)
+    if isinstance(kind, MachineChoice):
+        return machine_oracle(kind.machines, row)
+    if isinstance(kind, ExplicitReplies):
+        return explicit_oracle(kind.replies, row)
+    if isinstance(kind, MultiRouting):
+        oracle = directed_multi_routing_oracle if graph.directed else steiner_forest_oracle
+        return oracle(graph, kind.pairs, row)
+    oracle = strong_connectivity_oracle if graph.directed else steiner_tree_oracle
+    return oracle(graph, kind.terminals, row)
+
+
+def routing_and_more():
+    """Three routing requests to two targets on a 3x3 grid, then one
+    request of each other kind."""
+    g = grid_graph(3)
+    ids = [e.id for e in g.edges]
+    kinds = [Routing("v00", "v22"), Routing("v20", "v22"), Routing("v22", "v00"),
+             SetConnectivity(("v00", "v22")), MultiRouting((("v00", "v12"),)),
+             MachineChoice(tuple(ids[:3])), ExplicitReplies((frozenset(ids[:2]),))]
+    resources = tuple(ResourceParams(e, 1.0, (1.0,)) for e in ids)
+    return Instance(ExponentProfile((2.0,)), resources,
+                    tuple(Request(id=i, kind=k) for i, k in enumerate(kinds, 1)), g)
+
+
+class TestSweep:
     @pytest.mark.parametrize("directed", [False, True])
     def test_guided_replies_match_the_unguided_ones(self, directed):
-        # every position of the rows gets, with the guides of all of them,
-        # the reply and the toll total's bits it gets with none (or the same
-        # error), and there is one guide per routing target among them
+        # every position of a sweep gets the reply and the toll total's bits
+        # its kind's oracle gives under its row with no guide (or the same
+        # error), and the sweep then holds one guide per routing target
         rng = rng_for(97 + directed)
         guided_searches = 0
         for case in range(150):
             inst = mixed_instance(rng, directed)
             rows = random_rows(rng, inst)
-            guides = search_guides(inst, rows)
+            sweep = Sweep(inst, rows)
             kinds = [inst.requests[pos].kind for pos in rows]
-            assert guides.keys() == {k.target for k in kinds if isinstance(k, Routing)}, case
             for pos, row in rows.items():
-                request = inst.requests[pos]
-                unguided = outcome(reply_oracle, inst, request, row)
-                assert same_answer(outcome(reply_oracle, inst, request, row, guides),
-                                   unguided), case
+                assert same_answer(outcome(reply_oracle, sweep, pos),
+                                   outcome(unguided, inst, inst.requests[pos], row)), case
+            assert sweep.trees.keys() == {k.target for k in kinds if isinstance(k, Routing)}, case
             guided_searches += sum(isinstance(k, Routing) for k in kinds)
         assert guided_searches > 100
 
     def test_a_routing_request_gets_its_targets_guide(self, monkeypatch):
-        # reply_oracle binds guides[target] into the routing search and
-        # hands no other oracle a guide
-        g = grid_graph(3)
-        kinds = [Routing("v00", "v22"), Routing("v20", "v22"), Routing("v22", "v00"),
-                 SetConnectivity(("v00", "v22"))]
-        resources = tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges)
-        inst = Instance(ExponentProfile((2.0,)), resources,
-                        tuple(Request(id=i, kind=k) for i, k in enumerate(kinds, 1)), g)
-        tolls = random_tolls(rng_for(101), g)
-        guides = search_guides(inst, dict.fromkeys(range(len(kinds)), tolls))
-        assert list(guides) == ["v22", "v00"]
+        # reply_oracle binds the sweep's guide of the target into the
+        # routing search and hands no other oracle a guide
+        inst = routing_and_more()
+        tolls = random_tolls(rng_for(101), inst.graph)
+        sweep = Sweep(inst, dict.fromkeys(range(4), tolls))
         seen = []
         search = oracles.shortest_paths
 
@@ -969,9 +991,31 @@ class TestSearchGuides:
             return search(graph, source, targets, tolls, guide)
 
         monkeypatch.setattr(oracles, "shortest_paths", recorded)
-        for request in inst.requests:
-            reply_oracle(inst, request, tolls, guides)
-        assert seen == [guides["v22"], guides["v22"], guides["v00"], None]
+        for pos in range(4):
+            reply_oracle(sweep, pos)
+        assert list(sweep.trees) == ["v22", "v00"]
+        assert seen == [sweep.trees["v22"], sweep.trees["v22"], sweep.trees["v00"], None]
+
+    def test_trees_are_built_lazily(self, monkeypatch):
+        # a sweep builds no tree until a routing position is answered, then
+        # one per routing target answered, and none for the other kinds; it
+        # keeps its own copy of the rows it was given
+        inst = routing_and_more()
+        built = []
+        tree = oracles.lower_bound_tree
+        monkeypatch.setattr(oracles, "lower_bound_tree",
+                            lambda graph, target, lower: built.append(target)
+                            or tree(graph, target, lower))
+        rows = dict.fromkeys(range(inst.n_requests), random_tolls(rng_for(109), inst.graph))
+        sweep = Sweep(inst, rows)
+        rows.clear()
+        assert built == []
+        for pos in range(3, inst.n_requests):
+            reply_oracle(sweep, pos)
+        assert built == []
+        for pos in (0, 1, 0, 2, 1, 2):
+            reply_oracle(sweep, pos)
+        assert built == ["v22", "v00"]
 
     def test_rows_are_read_by_resource_id(self):
         # a row may list its resources in any order: two of three rows
@@ -988,11 +1032,10 @@ class TestSearchGuides:
             rows = {pos: random_tolls(rng, g) for pos in range(3)}
             for pos in (1, 2):
                 rows[pos] = dict(reversed(rows[pos].items()))
-            guides = search_guides(inst, rows)
+            sweep = Sweep(inst, rows)
             for pos, row in rows.items():
-                request = inst.requests[pos]
-                assert same_answer(outcome(reply_oracle, inst, request, row, guides),
-                                   outcome(reply_oracle, inst, request, row)), case
+                assert same_answer(outcome(reply_oracle, sweep, pos),
+                                   outcome(unguided, inst, inst.requests[pos], row)), case
                 checked += 1
         assert checked == 300
 
@@ -1005,4 +1048,4 @@ class TestSearchGuides:
         missing = min(row)
         del row[missing]
         with pytest.raises(InstanceError, match=f"no toll given for resource {missing!r}"):
-            search_guides(inst, {0: row})
+            Sweep(inst, {0: row})

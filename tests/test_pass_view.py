@@ -44,7 +44,7 @@ from gndes import (
 from gndes.analysis import REL_TOL
 from gndes.errors import InstanceError
 from gndes.engine import DeltaPass
-from gndes.oracles import reply_oracle
+from gndes.oracles import Sweep, reply_oracle
 from gndes.rng import keyed_rng
 from gndes.sharing import (
     MECHANISMS,
@@ -89,7 +89,7 @@ def regrouped_abr(instance, config, position, profile, step, planned_budget):
                                      needed)
                      if needed else cost_share("shapley-exact", query))
         tolls[res.id] = share
-    answer = reply_oracle(instance, req, tolls)
+    answer = reply_oracle(Sweep(instance, {position: tolls}), position)
     return answer, sum(tolls[e] for e in sorted(profile[position]))
 
 
@@ -165,9 +165,9 @@ def random_profile(rng, instance):
     """Each player's oracle reply under random tolls: feasible, and spread
     over the resources more than the dynamics' start."""
     profile = []
-    for req in instance.requests:
+    for pos in range(instance.n_requests):
         tolls = {r.id: float(rng.uniform(0.2, 3.0)) for r in instance.resources}
-        profile.append(reply_oracle(instance, req, tolls).reply)
+        profile.append(reply_oracle(Sweep(instance, {pos: tolls}), pos).reply)
     return tuple(profile)
 
 

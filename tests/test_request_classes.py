@@ -32,7 +32,7 @@ from gndes import (
     initial_profile,
 )
 from gndes.instance import rep_cost
-from gndes.oracles import reply_oracle
+from gndes.oracles import Sweep, reply_oracle
 
 from helpers import grid_graph
 
@@ -73,9 +73,9 @@ def test_initial_profile_prices_each_weight_row_once(monkeypatch):
                         or rep_cost(params, exponents, load))
     profile = initial_profile(inst)
     assert len(priced) == 3 * len(res)
-    standalone = [reply_oracle(inst, req, {
-        r.id: rep_cost(r, inst.exponents, req.weight(r.id)) for r in res}).reply
-        for req in inst.requests]
+    standalone = [reply_oracle(Sweep(inst, {pos: {
+        r.id: rep_cost(r, inst.exponents, req.weight(r.id)) for r in res}}), pos).reply
+        for pos, req in enumerate(inst.requests)]
     assert profile == tuple(standalone)
 
 
@@ -98,10 +98,10 @@ def counted_pass(monkeypatch, state, config, step, rows, ids):
     calls = []
     oracle = engine.reply_oracle
 
-    def counted(inst, req, tolls, *args):
-        if req.id in ids:
-            calls.append(req.id)
-        return oracle(inst, req, tolls, *args)
+    def counted(sweep, position):
+        if sweep.instance.requests[position].id in ids:
+            calls.append(position)
+        return oracle(sweep, position)
 
     monkeypatch.setattr(engine, "reply_oracle", counted)
     view = PassView(state, config, step, 0.01, rows)

@@ -71,7 +71,8 @@ class ProfileState:
     recomputes only the missing terms.
 
     ``tables`` is the state's :class:`sharing.CountingTables`: the
-    potential reads its counting tables and h values there, and so do the
+    potential reads its counting tables and h values there (a run prices
+    it under ``shapley-exact`` only, ``engine.run_abrd``), and so do the
     exact shares of every pass over the state (``engine.PassView``) and of
     :meth:`player_cost`.  Each :meth:`move` ages the store, so it holds
     only what was used since the move before.

@@ -15,6 +15,21 @@ positive the dynamics converge; otherwise one player updates:
 * randomized selection: a uniformly random player updates iff her delta is
   positive, with the step budget inflated to N*T^2.
 
+The step budget T is bounded through the potential Phi of the exact
+Shapley game (``bounds.theoretical_bounds``, in closed form), and a run
+reads only its deltas, so no run needs Phi itself; it is tracked, one
+trace column, under ``shapley-exact`` alone, where its counting tables are
+the shares' own.  A sampled run builds a table only for a share that
+``sharing.samples_needed`` leaves exact, so its work stays polynomial
+(claim 3).  The Delta/N rule still drops Phi under sampling: if every
+share in the mover's delta lies within (1 +- eps) of the exact one, then
+Ctilde_i(S) <= (1+eps) C_i(S) and Ctilde_i(reply) >= (1-eps) C_i(reply),
+so Phi, whose change on her move is C_i(reply) - C_i(S), falls by at least
+delta_i / (1+eps) >= Delta / (N (1+eps)).  An exact share is in that band
+always, a sampled one except with the run's per-share probability
+(``sharing.whp_delta``), and a capped one (``sharing.MAX_SAMPLES``) has no
+such guarantee.
+
 One step is one ``PassView`` over the run's ``analysis.ProfileState``: the
 frozen profile, its resources' users read from the state (so a view is
 valid until the state's next move) and the shares already computed against
@@ -220,7 +235,8 @@ class PassView:
     rows of the pass's leaders, which :func:`delta_vector` builds once its
     rows are, and through which their ABRs are answered (None until then).
     Exact shares read their counting tables and h values from the state's
-    ``tables`` store, which outlives the pass and is shared with the
+    ``tables`` store, which outlives the pass and, under ``shapley-exact``,
+    the only mechanism whose run tracks the potential, is shared with the
     state's potential.  A toll is the share
     itself, so a run on an instance with every cost multiplied by a power
     of two makes the same moves, its costs, deltas and potentials
@@ -393,8 +409,10 @@ def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
     if config.mechanism == "shapley-sampled" and delta < sys.float_info.min:
         raise ConfigError("the step budget is too large for shapley-sampled: "
                           "the per-share failure probability underflows")
-    # proportional sharing has no potential to track
-    tracks_potential = config.mechanism != "proportional"
+    # only the exact Shapley game's potential is tracked: proportional
+    # sharing has none, and a sampled run reads only its deltas (module
+    # docstring), so it builds counting tables only for its exact shares
+    tracks_potential = config.mechanism == "shapley-exact"
 
     state = analysis.ProfileState(instance, initial_profile(instance))
     cost = total_cost(instance, state.profile)
@@ -444,7 +462,8 @@ def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
 def trace_to_csv(result: RunResult) -> str:
     """Columns: step, player, delta_selected, Delta, cost, potential,
     converged.  The step-0 row and rows without an update leave the player
-    and delta_selected fields empty."""
+    and delta_selected fields empty; the potential is empty unless the run
+    is ``shapley-exact``."""
     return csv_text("step,player,delta_selected,Delta,cost,potential,converged",
                     ((rec.step, rec.player, rec.delta_selected, rec.delta_total, rec.cost,
                       rec.potential, rec.converged) for rec in result.trace))
@@ -484,6 +503,8 @@ def run_facts(instance: Instance, result: RunResult,
         fail = float_or_exact(lambda: 1.0 / (2.0 * budget * n * m),
                               lambda: 1 / (2 * budget * n * m))
         facts.append((None, "sampling failure probability <= ", fail))
+        facts.append((None, "potential", "not tracked: its counting tables are the "
+                                           "work sampled shares avoid"))
         if result.sample_cap_hits:
             facts.append((None, "epsilon guarantee void on ",
                           f"{result.sample_cap_hits} of {result.sampled_shares} sampled shares"))

@@ -27,9 +27,11 @@ multiset, never through their ids or order.  The same counting table gives
 the exact potential (``analysis.potential``).
 
 A :class:`CountingTables` store keeps counting tables by weight multiset
-and h values by (resource id, weight sum), so the exact shares and the
-potential of one run count each multiset once; a share computed without
-a store uses a fresh one.
+and h values by (resource id, weight sum), so the exact shares of one run,
+and under ``shapley-exact`` its potential, count each multiset once; a
+share computed without a store uses a fresh one.  A ``shapley-sampled``
+run tracks no potential, so it builds tables only for the shares
+:func:`samples_needed` leaves exact.
 """
 
 from __future__ import annotations
@@ -234,6 +236,15 @@ def shapley_exact(query: ShareQuery, tables: Optional[CountingTables] = None) ->
     return res.sigma / n + shapley_h
 
 
+def _check_band(epsilon: float, delta: float):
+    """Refuse an epsilon outside (0, 1) or a confidence delta outside
+    [least normal double, 1)."""
+    if not 0 < epsilon < 1:
+        raise ConfigError("epsilon must lie in (0, 1)")
+    if not sys.float_info.min <= delta < 1:   # ln(2/delta) overflows below a normal double
+        raise ConfigError(f"confidence delta must lie in [{sys.float_info.min!r}, 1)")
+
+
 def hoeffding_sample_count(query: ShareQuery, epsilon: float, delta: float) -> int:
     """Permutations needed so the estimate is within (1 +- epsilon) of the
     true share with probability >= 1 - delta, before any cap.
@@ -245,10 +256,7 @@ def hoeffding_sample_count(query: ShareQuery, epsilon: float, delta: float) -> i
     epsilon times that lower bound suffices.  Where the float quotient
     fails, the count is the ceiling of the exact one of the same floats.
     """
-    if not 0 < epsilon < 1:
-        raise ConfigError("epsilon must lie in (0, 1)")
-    if not sys.float_info.min <= delta < 1:   # ln(2/delta) overflows below a normal double
-        raise ConfigError(f"confidence delta must lie in [{sys.float_info.min!r}, 1)")
+    _check_band(epsilon, delta)
     res, exp, n = query.resource, query.exponents, len(query.users)
     load, w = query.load, query.target_weight
 
@@ -297,13 +305,23 @@ def samples_needed(query: ShareQuery, epsilon: float, delta: float) -> int:
     the counting table of :func:`shapley_exact` is expected to take no
     longer than drawing :func:`hoeffding_sample_count` permutations, so the
     share is exact, and that count otherwise.  Both times come from the
-    measured costs above, with :func:`table_cells_bound` cells."""
+    measured costs above, with :func:`table_cells_bound` cells.  A bad
+    epsilon or delta is refused first, whatever the query.
+
+    The table has at most 2^(n-1) cells and every sampled share costs at
+    least ``SAMPLING_NS``, so a table whose 2^(n-1) cells take no longer
+    than that is exact before the count is computed: the answer is the
+    same, without the count's three h values and logarithm."""
+    _check_band(epsilon, delta)
     n = len(query.users)
-    m = hoeffding_sample_count(query, epsilon, delta)
     cell_ns = TABLE_NS_PER_CELL_USER * (n - 1) + TABLE_NS_PER_CELL
+    table_ns = cell_ns << (n - 1)
+    if table_ns <= SAMPLING_NS:
+        return 0
+    m = hoeffding_sample_count(query, epsilon, delta)
     sampling_ns = SAMPLING_NS + m * (SAMPLE_NS + SAMPLE_NS_PER_USER * n)
     # the bound is at most 2^(n-1), which settles most queries at no cost
-    if (cell_ns << (n - 1)) <= sampling_ns or table_cells_bound(query) * cell_ns <= sampling_ns:
+    if table_ns <= sampling_ns or table_cells_bound(query) * cell_ns <= sampling_ns:
         return 0
     return m
 

@@ -222,8 +222,12 @@ class TestPotentialManyUsers:
         config = AbrdConfig(mechanism=mechanism, step_budget_override=1)
         result = run_abrd(self.one_machine(1021), config)
         assert result.output_cost == 1.0 + 1021.0 ** 2
-        assert result.trace[0].potential == pytest.approx(
-            harmonic(1021) + 1021 * 1022 / 2, rel=1e-9)
+        if mechanism == "shapley-sampled":
+            # a sampled run does not track the potential
+            assert result.trace[0].potential is None
+        else:
+            assert result.trace[0].potential == pytest.approx(
+                harmonic(1021) + 1021 * 1022 / 2, rel=1e-9)
 
 
 class TestPotentialBounds:

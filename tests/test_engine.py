@@ -393,7 +393,9 @@ class TestSampledRuns:
         exact = run_abrd(inst, AbrdConfig(mechanism="shapley-exact", seed=3))
         sampled = run_abrd(inst, AbrdConfig(mechanism="shapley-sampled", seed=3))
         assert len(exact.trace) > 2
-        assert trace_to_csv(sampled) == trace_to_csv(exact)
+        # every column but the potential, which a sampled run does not track
+        assert [replace(rec, potential=None) for rec in exact.trace] == list(sampled.trace)
+        assert all(rec.potential is None for rec in sampled.trace)
         assert sampled.output_profile == exact.output_profile
         assert (sampled.sampled_shares, sampled.sample_cap_hits) == (0, 0)
         assert "epsilon guarantee void" not in run_report(inst, sampled)

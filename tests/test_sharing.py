@@ -522,6 +522,57 @@ class TestShapleySampled:
         assert cells <= table_cells_bound(q) <= min(multisets, len(weights) * q.load)
 
 
+def samples_needed_counting_first(q: ShareQuery, epsilon: float, delta: float) -> int:
+    """``samples_needed`` as it was before it settled small tables ahead of
+    the count: the Hoeffding count first, then both table bounds."""
+    n = len(q.users)
+    m = hoeffding_sample_count(q, epsilon, delta)
+    cell_ns = sharing.TABLE_NS_PER_CELL_USER * (n - 1) + sharing.TABLE_NS_PER_CELL
+    sampling_ns = sharing.SAMPLING_NS + m * (sharing.SAMPLE_NS + sharing.SAMPLE_NS_PER_USER * n)
+    if (cell_ns << (n - 1)) <= sampling_ns or table_cells_bound(q) * cell_ns <= sampling_ns:
+        return 0
+    return m
+
+
+class TestSamplesNeededOrder:
+    """Settling a small table before the Hoeffding count changes no answer
+    and no refusal."""
+
+    @staticmethod
+    def draw_query(data):
+        # the small tables are the ones settled before the count
+        n = data.draw(st.one_of(st.integers(min_value=1, max_value=8),
+                                st.integers(min_value=1, max_value=30)))
+        weights = data.draw(st.lists(st.integers(min_value=1, max_value=10 ** 6),
+                                     min_size=n, max_size=n))
+        alpha = data.draw(st.sampled_from([1.05, 1.5, 2.0, 3.0]))
+        # a startup cost far above the power part asks for few permutations
+        sigma = data.draw(st.sampled_from([0.0, 1.0, 250.0, 1e12]))
+        xi = data.draw(st.sampled_from([0.01, 1.0, 40.0]))
+        return query(sigma, [xi], [alpha], weights, data.draw(st.integers(1, n)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(data=st.data(), epsilon=st.sampled_from([1e-3, 0.01, 0.05, 0.15, 0.5, 0.99]),
+           delta=st.sampled_from([sys.float_info.min, 1e-12, 1e-6, 0.01, 0.5]))
+    def test_equals_counting_first(self, data, epsilon, delta):
+        q = self.draw_query(data)
+        assert samples_needed(q, epsilon, delta) == samples_needed_counting_first(
+            q, epsilon, delta)
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data(), bad=st.sampled_from([
+        ("epsilon", 0.0), ("epsilon", 1.0), ("epsilon", -0.2), ("epsilon", float("nan")),
+        ("delta", 0.0), ("delta", 1.0), ("delta", sys.float_info.min / 2), ("delta", 2.0)]))
+    def test_refuses_what_counting_first_refused(self, data, bad):
+        q = self.draw_query(data)
+        args = {"epsilon": 0.1, "delta": 0.05, bad[0]: bad[1]}
+        with pytest.raises(ConfigError) as before:
+            samples_needed_counting_first(q, **args)
+        with pytest.raises(ConfigError) as now:
+            samples_needed(q, **args)
+        assert str(now.value) == str(before.value)
+
+
 class TestExpansion:
     def test_proportional_constants_alpha2(self):
         c = rep_expansion_constants("proportional", ExponentProfile((2.0,)))

@@ -275,16 +275,19 @@ MAX_PROFILES = 10_000_000
 
 def _simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[str]]:
     """Every simple path from ``source`` to another vertex ``target``, as its
-    edge set, in depth-first order over the adjacency lists.  The search
-    keeps its own stack, so a path may be as long as the graph."""
+    edge set, in depth-first order over the arcs of
+    :attr:`HostGraph.indexed_adjacency`.  The search keeps its own stack, so
+    a path may be as long as the graph."""
+    index, arcs = graph.indexed_adjacency
+    start, goal = index[source], index[target]
     out: list[frozenset[str]] = []
-    visited = {source}
-    # the current path: its edges, and each vertex with its untried neighbours
+    visited = {start}
+    # the current path: its edges, and each vertex with its untried arcs
     edges: list[str] = []
-    frames = [(source, iter(graph.adjacency[source]))]
+    frames = [(start, iter(arcs[start]))]
     while frames:
         for v, eid in frames[-1][1]:
-            if v == target:
+            if v == goal:
                 out.append(frozenset(edges + [eid]))
                 if len(out) > MAX_PATHS:
                     raise EnumerationLimitError(
@@ -292,7 +295,7 @@ def _simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[
             elif v not in visited:
                 visited.add(v)
                 edges.append(eid)
-                frames.append((v, iter(graph.adjacency[v])))
+                frames.append((v, iter(arcs[v])))
                 break
         else:
             visited.remove(frames.pop()[0])

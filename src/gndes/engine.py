@@ -58,8 +58,8 @@ one.
 
 The run returns the cheapest profile seen (output mode "best") or the final
 one ("last"), the full per-step trace, and the theoretical constants.  Its
-report is one list of facts (:func:`run_facts`), whose text and JSON
-projections are :func:`run_report` and :func:`result_to_json_dict`.
+report is one list of facts (:func:`run_facts`), whose text projection is
+:func:`run_report`; ``io.facts_doc`` projects it to JSON.
 """
 
 from __future__ import annotations
@@ -72,7 +72,7 @@ from . import analysis, sharing
 from .bounds import TheoreticalBounds, theoretical_bounds
 from .errors import ConfigError
 from .instance import Instance, StrategyProfile, float_or_exact, left_sum, rep_cost, total_cost
-from .io import csv_text, facts_doc, facts_text
+from .io import csv_text, facts_text
 from .oracles import OracleAnswer, Sweep, reply_oracle
 from .rng import keyed_rng
 from .sharing import MECHANISMS, cost_share, samples_needed, whp_delta
@@ -530,9 +530,3 @@ def run_facts(instance: Instance, result: RunResult,
 def run_report(instance: Instance, result: RunResult, opt_cost: Optional[float] = None) -> str:
     """The run's text report, the text projection of :func:`run_facts`."""
     return facts_text(*RUN_REPORT, run_facts(instance, result, opt_cost))
-
-
-def result_to_json_dict(instance: Instance, result: RunResult,
-                        opt_cost: Optional[float] = None) -> dict:
-    """The run's JSON document, the JSON projection of :func:`run_facts`."""
-    return facts_doc(run_facts(instance, result, opt_cost))

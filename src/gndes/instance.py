@@ -181,12 +181,13 @@ class HostGraph:
     Parallel edges and self-loops are permitted.  Self-loops never help
     connectivity and are excluded from traversal.
 
-    Its views are cached on first use: :attr:`edge_by_id`,
-    :attr:`adjacency` by vertex name, and over vertex indices
-    :attr:`indexed_adjacency`, :attr:`indexed_predecessors` and
-    :attr:`indexed_incidence`.  :meth:`walk` is the one traversal of a
-    subgraph: it follows the cached arcs whose edge id it is given, so it
-    drops self-loops as they do.
+    Its views are cached on first use: :attr:`edge_by_id`, and over vertex
+    indices :attr:`indexed_adjacency`, whose one loop over the edges decides
+    the graph's rules (arcs follow an edge's direction, self-loops are
+    dropped, parallel edges kept), and :attr:`indexed_predecessors` and
+    :attr:`indexed_incidence`, both derived from its arcs.  :meth:`walk` is
+    the one traversal of a subgraph: it follows the cached arcs whose edge
+    id it is given, so it drops self-loops as they do.
     """
 
     directed: bool
@@ -210,32 +211,28 @@ class HostGraph:
         return {e.id: e for e in self.edges}
 
     @cached_property
-    def adjacency(self) -> dict[str, tuple[tuple[str, str], ...]]:
-        """vertex -> sorted (neighbor, edge id) pairs, direction-aware, loops dropped."""
-        adj: dict[str, list[tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in self.edges:
-            if e.tail == e.head:
-                continue
-            adj[e.tail].append((e.head, e.id))
-            if not self.directed:
-                adj[e.head].append((e.tail, e.id))
-        return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
-
-    @cached_property
     def indexed_adjacency(self) -> tuple[dict[str, int], tuple[tuple[tuple[int, str], ...], ...]]:
-        """:attr:`adjacency` over vertex indices: vertex -> its index in
-        :attr:`vertices` (sorted, so index order is name order), and per index
-        the (neighbor index, edge id) pairs in adjacency order."""
+        """The graph's arcs over vertex indices, the one place its rules are
+        decided: vertex -> its index in :attr:`vertices` (sorted, so index
+        order is name order), and per index the (neighbor index, edge id)
+        pairs of its arcs, sorted.  Each edge gives its tail->head arc, and
+        the reverse arc too when undirected; a self-loop gives none, and
+        parallel edges are kept."""
         index = {v: i for i, v in enumerate(self.vertices)}
-        adjacency = self.adjacency
-        return index, tuple(tuple((index[w], eid) for w, eid in adjacency[v])
-                            for v in self.vertices)
+        arcs: list[list[tuple[int, str]]] = [[] for _ in self.vertices]
+        for e in self.edges:
+            u, v = index[e.tail], index[e.head]
+            if u != v:
+                arcs[u].append((v, e.id))
+                if not self.directed:
+                    arcs[v].append((u, e.id))
+        return index, tuple(tuple(sorted(at)) for at in arcs)
 
     @cached_property
     def indexed_predecessors(self) -> tuple[tuple[tuple[int, str], ...], ...]:
         """Per vertex index the (neighbor index, edge id) pairs of the arcs
-        into it, which a search toward the vertex walks backward; loops are
-        dropped.  An undirected graph's are its :attr:`indexed_adjacency`."""
+        into it, which a search toward the vertex walks backward.  An
+        undirected graph's are its :attr:`indexed_adjacency`."""
         neighbors = self.indexed_adjacency[1]
         if not self.directed:
             return neighbors
@@ -250,15 +247,12 @@ class HostGraph:
         """The edges over indices: per index into :attr:`edges` (sorted, so
         index order is id order) its (tail, head) vertex indices as in
         :attr:`indexed_adjacency`, and per vertex index the indices of the
-        edges at either end of it, in edge order, self-loops left out."""
-        index = self.indexed_adjacency[0]
+        edges of its out- and in-arcs, in edge order (so no self-loop)."""
+        index, out = self.indexed_adjacency
         ends = tuple((index[e.tail], index[e.head]) for e in self.edges)
-        incident: list[list[int]] = [[] for _ in self.vertices]
-        for i, (u, v) in enumerate(ends):
-            if u != v:
-                incident[u].append(i)
-                incident[v].append(i)
-        return ends, tuple(map(tuple, incident))
+        number = {e.id: k for k, e in enumerate(self.edges)}
+        return ends, tuple(tuple(sorted({number[eid] for _, eid in arcs + into}))
+                           for arcs, into in zip(out, self.indexed_predecessors))
 
     def walk(self, root: int, edge_ids: Collection[str],
              backward: bool = False) -> dict[int, tuple[int, str]]:

@@ -132,7 +132,7 @@ Path = tuple[tuple[str, ...], tuple[str, ...], float]
 
 
 def _check_endpoint(graph: HostGraph, vertex: str) -> None:
-    if vertex not in graph.adjacency:
+    if vertex not in graph.indexed_adjacency[0]:
         raise InstanceError("unknown endpoint vertex")
 
 

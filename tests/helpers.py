@@ -233,11 +233,27 @@ def absorbing_tolls(rng, graph: HostGraph) -> dict[str, float]:
 # tests in test_oracles.py hold the library's oracles to
 # ---------------------------------------------------------------------------
 
+def name_adjacency(graph: HostGraph) -> dict[str, tuple[tuple[str, str], ...]]:
+    """vertex -> sorted (neighbor, edge id) pairs, built from the edge list
+    alone by the graph rules: an edge's arc follows its direction, and the
+    reverse arc is there too when undirected; self-loops are dropped and
+    parallel edges kept.  The references read it, not the library's views,
+    so a fault in those views cannot hide in a reference too."""
+    adj: dict[str, list[tuple[str, str]]] = {v: [] for v in graph.vertices}
+    for e in graph.edges:
+        if e.tail != e.head:
+            adj[e.tail].append((e.head, e.id))
+            if not graph.directed:
+                adj[e.head].append((e.tail, e.id))
+    return {v: tuple(sorted(nbrs)) for v, nbrs in adj.items()}
+
+
 def reference_shortest_path(graph: HostGraph, source: str, target: str, tolls):
     """One Dijkstra per query, stopping at the target."""
     if source == target:
         raise InstanceError("source equals target")
-    if source not in graph.adjacency or target not in graph.adjacency:
+    adjacency = name_adjacency(graph)
+    if source not in adjacency or target not in adjacency:
         raise InstanceError("unknown endpoint vertex")
     heap = [(0.0, (source,), ())]
     settled = set()
@@ -249,7 +265,7 @@ def reference_shortest_path(graph: HostGraph, source: str, target: str, tolls):
         settled.add(u)
         if u == target:
             return path, edges, dist
-        for v, eid in graph.adjacency[u]:
+        for v, eid in adjacency[u]:
             if v in settled:
                 continue
             heapq.heappush(heap, (dist + float(tolls[eid]), path + (v,), edges + (eid,)))
@@ -259,9 +275,10 @@ def reference_shortest_path(graph: HostGraph, source: str, target: str, tolls):
 def reference_shortest_paths(graph: HostGraph, source: str, targets, tolls):
     """One Dijkstra for several targets whose heap entries carry whole
     (dist, vertex path, edge path) keys, so the pop order is total."""
-    if source not in graph.adjacency:
+    adjacency = name_adjacency(graph)
+    if source not in adjacency:
         raise InstanceError("unknown endpoint vertex")
-    pending = {t for t in targets if t in graph.adjacency}
+    pending = {t for t in targets if t in adjacency}
     found = {}
     heap = [(0.0, (source,), ())]
     settled = set()
@@ -276,7 +293,7 @@ def reference_shortest_paths(graph: HostGraph, source: str, targets, tolls):
             pending.discard(u)
             if not pending:
                 break
-        for v, eid in graph.adjacency[u]:
+        for v, eid in adjacency[u]:
             if v in settled:
                 continue
             try:
@@ -443,6 +460,7 @@ def reference_player_cost(instance: Instance, mechanism: str, profile, position:
 # -- stack: one recursive call per vertex of the path
 
 def reference_simple_paths(graph: HostGraph, source: str, target: str) -> list[frozenset[str]]:
+    adjacency = name_adjacency(graph)
     out: list[frozenset[str]] = []
 
     def dfs(u: str, visited: set[str], edges: tuple[str, ...]):
@@ -452,7 +470,7 @@ def reference_simple_paths(graph: HostGraph, source: str, target: str) -> list[f
                 raise EnumerationLimitError(
                     f"more than {analysis.MAX_PATHS} simple paths from {source!r} to {target!r}")
             return
-        for v, eid in graph.adjacency[u]:
+        for v, eid in adjacency[u]:
             if v in visited:
                 continue
             visited.add(v)

@@ -48,6 +48,7 @@ from gndes.sharing import (
 )
 
 from helpers import (
+    name_adjacency,
     random_connected_graph,
     random_explicit_instance,
     random_routing_instance,
@@ -251,13 +252,14 @@ def test_criterion_09_oracles():
 
     # routing against exhaustive path enumeration
     def all_paths(graph, source, target):
+        adjacency = name_adjacency(graph)
         out = []
 
         def dfs(u, visited, edges):
             if u == target:
                 out.append(frozenset(edges))
                 return
-            for v, eid in graph.adjacency[u]:
+            for v, eid in adjacency[u]:
                 if v not in visited:
                     dfs(v, visited | {v}, edges + (eid,))
 

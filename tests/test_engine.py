@@ -25,12 +25,13 @@ from gndes import (
 from gndes.analysis import brute_force_opt
 from gndes.bounds import harmonic, theoretical_bounds
 from gndes.engine import (
-    result_to_json_dict,
+    run_facts,
     run_report,
     step_budget,
     trace_to_csv,
 )
 from gndes.errors import ConfigError
+from gndes.io import facts_doc
 from gndes.rng import keyed_rng
 from gndes.sharing import samples_needed, shapley_sampled, whp_delta
 
@@ -399,7 +400,7 @@ class TestSampledRuns:
         assert sampled.output_profile == exact.output_profile
         assert (sampled.sampled_shares, sampled.sample_cap_hits) == (0, 0)
         assert "epsilon guarantee void" not in run_report(inst, sampled)
-        doc = result_to_json_dict(inst, sampled)
+        doc = facts_doc(run_facts(inst, sampled))
         assert (doc["sampled_shares"], doc["sample_cap_hits"]) == (0, 0)
 
     def test_capped_run_reports_the_void_guarantee(self, monkeypatch):
@@ -417,7 +418,7 @@ class TestSampledRuns:
         assert result.sampled_shares == result.sample_cap_hits == 2 * 12
         assert (f"  epsilon guarantee void on {result.sample_cap_hits} of "
                 f"{result.sampled_shares} sampled shares\n") in run_report(inst, result)
-        doc = result_to_json_dict(inst, result)
+        doc = facts_doc(run_facts(inst, result))
         assert doc["sampled_shares"] == result.sampled_shares
         assert doc["sample_cap_hits"] == result.sample_cap_hits
         assert run_abrd(inst, config) == result
@@ -436,7 +437,7 @@ class TestSampledRuns:
 
         small = parallel_edges_instance()
         exact = run_abrd(small, AbrdConfig())
-        assert "sampled_shares" not in result_to_json_dict(small, exact)
+        assert "sampled_shares" not in facts_doc(run_facts(small, exact))
         assert "epsilon guarantee void" not in run_report(small, exact)
 
     @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact"])

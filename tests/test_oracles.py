@@ -45,6 +45,7 @@ from helpers import (
     absorbing_tolls,
     directed_grid_graph,
     grid_graph,
+    name_adjacency,
     random_connected_graph,
     random_explicit_instance,
     random_toll_multigraph,
@@ -68,13 +69,14 @@ def triangle():
 
 def all_simple_path_sets(graph, source, target):
     """Exhaustive enumeration, the independent oracle for routing tests."""
+    adjacency = name_adjacency(graph)
     out = []
 
     def dfs(u, visited, edges):
         if u == target:
             out.append(frozenset(edges))
             return
-        for v, eid in graph.adjacency[u]:
+        for v, eid in adjacency[u]:
             if v not in visited:
                 dfs(v, visited | {v}, edges + (eid,))
 
@@ -750,18 +752,24 @@ class TestSearchInputs:
                          (Edge("l", "a", "a"), Edge("p2", "a", "b"), Edge("p1", "a", "b"),
                           Edge("q", "b", "x"), Edge("r", "x", "a"), Edge("m", "x", "x")))
 
-    @pytest.mark.parametrize("build", ["grid", "directed grid", "multigraph",
-                                       "directed multigraph"])
-    def test_index_is_built_once_and_agrees_with_adjacency(self, build):
-        g = {"grid": lambda: grid_graph(4), "directed grid": lambda: directed_grid_graph(3),
-             "multigraph": lambda: self.multigraph(False),
-             "directed multigraph": lambda: self.multigraph(True)}[build]()
+    @staticmethod
+    def check_views(g):
+        """The three index views against the edge list and name_adjacency,
+        which reads only the edge list."""
+        adjacency = name_adjacency(g)
         index, neighbors = g.indexed_adjacency
         assert g.indexed_adjacency is g.indexed_adjacency
-        assert list(index) == list(g.vertices) and list(index.values()) == list(range(len(g.vertices)))
+        assert list(index) == sorted(g.vertices) == list(g.vertices)
+        assert list(index.values()) == list(range(len(g.vertices)))
         assert len(neighbors) == len(g.vertices)
         for v, i in index.items():
-            assert [(g.vertices[w], eid) for w, eid in neighbors[i]] == list(g.adjacency[v])
+            assert [(g.vertices[w], eid) for w, eid in neighbors[i]] == list(adjacency[v])
+        # the arcs into each vertex, in (tail, edge id) order
+        into = g.indexed_predecessors
+        assert g.indexed_predecessors is into and len(into) == len(g.vertices)
+        for v, i in index.items():
+            assert [(g.vertices[u], eid) for u, eid in into[i]] == sorted(
+                (u, eid) for u, arcs in adjacency.items() for w, eid in arcs if w == v)
         # the incidence over edge indices, for the Steiner forest's borders
         ends, incident = g.indexed_incidence
         assert g.indexed_incidence is g.indexed_incidence
@@ -772,8 +780,32 @@ class TestSearchInputs:
             assert list(incident[i]) == [k for k, e in enumerate(g.edges)
                                          if v in (e.tail, e.head) and e.tail != e.head]
         loops = {k for k, e in enumerate(g.edges) if e.tail == e.head}
-        assert loops == ({0, 1} if "multigraph" in build else set())
         assert not loops & {k for at in incident for k in at}
+        return loops
+
+    @pytest.mark.parametrize("build", ["grid", "directed grid", "multigraph",
+                                       "directed multigraph", "random multigraphs",
+                                       "random directed multigraphs"])
+    def test_index_is_built_once_and_agrees_with_adjacency(self, build):
+        if build.startswith("random"):
+            directed = "directed" in build
+            loops = parallel = 0
+            for seed in (3, 29, 641):
+                rng = rng_for(seed)
+                for _ in range(40):
+                    g, _ = random_toll_multigraph(rng, directed)
+                    loops += len(self.check_views(g))
+                    pairs = [(e.tail, e.head) if directed else frozenset((e.tail, e.head))
+                             for e in g.edges if e.tail != e.head]
+                    parallel += len(pairs) - len(set(pairs))
+            # the views were held to self-loops and parallel edges
+            assert loops and parallel
+            return
+        g = {"grid": lambda: grid_graph(4), "directed grid": lambda: directed_grid_graph(3),
+             "multigraph": lambda: self.multigraph(False),
+             "directed multigraph": lambda: self.multigraph(True)}[build]()
+        loops = self.check_views(g)
+        assert loops == ({0, 1} if "multigraph" in build else set())
 
 
 class TestDirectedHeuristics:

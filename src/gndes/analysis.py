@@ -3,16 +3,18 @@ enumeration, smoothness checks and the worst-case instance family.
 
 Everything here reads an instance and a mechanism with exact shares and
 changes neither; the one mutable object is :class:`ProfileState`, a
-profile that its owner updates one reply at a time.  The state also holds
-the one deviation rule: a player's share on a resource is priced against
-everybody else's replies, with her joined to its users when her reply does
-not hold it (:meth:`ProfileState.share_query`).  The dynamics' tolls and
-the walks here (:meth:`ProfileState.player_cost`) both use it, so a walk
-builds one state per profile or pair, not one per deviation.  Every verdict
-compares floats by ``instance.exceeds``, against the magnitudes compared and
-never an absolute slack, so no verdict depends on the unit of cost.
-Enumerations refuse (never silently truncate) when the fixed limits would
-be exceeded, so derived expected values stay trustworthy.
+profile that its owner updates one reply at a time, with the toll rows of
+the passes over it.  The state also holds the one deviation rule: a
+player's share on a resource is priced against everybody else's replies,
+with her joined to its users when her reply does not hold it
+(:meth:`ProfileState.share_query`).  The learners' tolls and the walks
+here (:meth:`ProfileState.player_cost`) both use it, so a run of either
+learner keeps one state and a walk builds one per profile or pair, not
+one per deviation.  Every verdict compares floats by ``instance.exceeds``,
+against the magnitudes compared and never an absolute slack, so no verdict
+depends on the unit of cost.  Enumerations refuse (never silently
+truncate) when the fixed limits would be exceeded, so derived expected
+values stay trustworthy.
 """
 
 from __future__ import annotations
@@ -66,9 +68,10 @@ class ProfileState:
     :meth:`move` takes the mover's pair off the resources her old reply
     leaves and puts it on those her new reply enters, in id order, and
     touches no other resource.  The potential and the cost are kept as one
-    cached term per resource: a move drops the potential terms of the
-    resources it changes and reprices their costs, and :meth:`potential`
-    recomputes only the missing terms.
+    cached term per resource: a move drops both terms of the resources it
+    changes, and :meth:`potential` and :meth:`cost` recompute only the
+    missing ones, so a state whose owner never asks for them (a round of
+    FPL, a walk's state) never prices them.
 
     ``tables`` is the state's :class:`sharing.CountingTables`: the
     potential reads its counting tables and h values there (a run prices
@@ -76,6 +79,18 @@ class ProfileState:
     exact shares of every pass over the state (``engine.PassView``) and of
     :meth:`player_cost`.  Each :meth:`move` ages the store, so it holds
     only what was used since the move before.
+
+    ``rows`` keeps the passes' toll rows across moves: position -> a toll
+    per resource, in instance resource order.  ``stale`` maps a position
+    with a row to the resources whose entries the next pass computes again
+    (a position without a row has every resource stale).  :meth:`move` adds
+    the resources whose users it changed, the old reply xor the new one, to
+    every kept row's stale set; a pass adds those whose share it sampled,
+    since a sampled share is drawn from its pass's own stream.  A row is
+    valid only under the (mechanism, epsilon, delta) it was priced under,
+    ``row_settings``; a pass under other settings drops every row first.
+    A row handed out is never changed: a pass patches a copy and keeps
+    that, so players of one class can hold one row object.
     """
 
     def __init__(self, instance: Instance, profile: StrategyProfile):
@@ -89,18 +104,25 @@ class ProfileState:
         self.users: dict[str, tuple[tuple[int, int], ...]] = {
             e: tuple(users) for e, users in grouped.items()}
         self.tables = CountingTables()
+        self.rows: dict[int, dict[str, float]] = {}
+        self.stale: dict[int, set[str]] = {}
+        self.row_settings: Optional[tuple[str, float, float]] = None
         self._terms: dict[str, float] = {}
-        self._costs = {e: self._price(e) for e in self.users}
+        self._costs: dict[str, float] = {}
 
     def move(self, position: int, reply: frozenset[str]):
         """Replace the reply at ``position``, one of ``range(n_requests)``; it
-        may name only the instance's resources."""
+        may name only the instance's resources.  A refused move changes
+        nothing."""
         _check_position(self.instance, position)
         self.instance.check_reply_resources(reply)
         old = self.profile[position]
         self.profile = self.profile[:position] + (reply,) + self.profile[position + 1:]
         req = self.instance.requests[position]
-        for e in old ^ reply:
+        changed = old ^ reply
+        for stale in self.stale.values():
+            stale |= changed
+        for e in changed:
             users = self.users.get(e, ())
             at = bisect_left(users, (req.id,))
             if e in reply:
@@ -110,20 +132,23 @@ class ProfileState:
             else:
                 del self.users[e]
             self._terms.pop(e, None)
-            self._costs[e] = self._price(e)
+            self._costs.pop(e, None)
         self.tables.age()
 
-    def _price(self, resource_id: str) -> float:
-        load = 0
-        for _, w in self.users.get(resource_id, ()):
-            load += w
-        return rep_cost(self.instance.resource_by_id[resource_id], self.instance.exponents, load)
+    def _cost_of(self, res: ResourceParams) -> float:
+        cost = self._costs.get(res.id)
+        if cost is None:
+            load = 0
+            for _, w in self.users.get(res.id, ()):
+                load += w
+            cost = self._costs[res.id] = rep_cost(res, self.instance.exponents, load)
+        return cost
 
     def cost(self) -> float:
         """The profile's total cost, bit for bit as ``instance.total_cost``
-        prices it: the kept per-resource costs folded in instance order."""
-        costs = self._costs
-        return left_sum(costs.get(res.id, 0.0) for res in self.instance.resources)
+        prices it: the per-resource costs, each priced once after the last
+        move that changed its users, folded in instance order."""
+        return left_sum(map(self._cost_of, self.instance.resources))
 
     def potential(self) -> float:
         """:func:`potential`, summed over the resources in instance order."""

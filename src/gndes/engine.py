@@ -36,15 +36,16 @@ valid until the state's next move) and the shares already computed against
 them, shared by every player's ABR.  Each move regroups and reprices only
 the resources it changed, and the state keeps the run's cost
 (``ProfileState.cost``); the starting profile is priced with
-``total_cost``.  Toll rows are kept per run and patched per move
-(``TollRows``): a pass computes a player's tolls again only on the
-resources whose users changed since her row was built and on those where
-her toll was sampled, since a sampled toll holds for one pass.  Players of
-one request class (same kind and weights, any id) holding equal replies
-face equal rows, so a pass runs one ABR per class and reply and hands its
-answer and row to the others; the exception is a row with a sampled entry,
-drawn from its own player's stream, so each player of such a group runs an
-ABR of its own.  The starting profile likewise runs the oracle once per
+``total_cost``.  Toll rows are kept on the state and patched per move
+(``ProfileState.rows``): a move marks the resources whose users it
+changed stale in every kept row, and a pass computes a player's tolls
+again only on her row's stale resources and on those where her toll was
+sampled, since a sampled toll holds for one pass.  Players of one request
+class (same kind and weights, any id) holding equal replies face equal
+rows, so a pass runs one ABR per class and reply and hands its answer and
+row to the others; the exception is a row with a sampled entry, drawn
+from its own player's stream, so each player of such a group runs an ABR
+of its own.  The starting profile likewise runs the oracle once per
 class.
 
 A pass runs in two loops (:func:`delta_vector`).  The first decides who
@@ -165,90 +166,52 @@ def initial_profile(instance: Instance) -> StrategyProfile:
     return tuple(replies[cls] for cls in instance.request_classes)
 
 
-class TollRows:
-    """Every player's toll row, kept across the passes of one run.
-
-    ``tolls`` maps a position to its row: a toll per resource, in instance
-    resource order.  ``stale`` maps it to the resources whose entries the
-    next pass computes again: those whose users changed since the row was
-    last brought up to date, and those whose share was sampled, because a
-    sampled share is drawn from its pass's own stream.  A position without a
-    row has every resource stale.
-
-    :meth:`advance` brings the store to a pass's profile by diffing it with
-    the profile the store last saw: a changed reply changes the users of
-    exactly the resources in its old reply xor its new one.  So the store
-    needs no hook in ``analysis.ProfileState.move``.  A row handed out is
-    never changed: a pass patches a copy and keeps that, so players of one
-    class can hold one row object (:meth:`share`).
-    """
-
-    def __init__(self):
-        self.profile: StrategyProfile = ()
-        self.tolls: dict[int, dict[str, float]] = {}
-        self.stale: dict[int, set[str]] = {}
-
-    def advance(self, profile: StrategyProfile):
-        changed = set()
-        for old, new in zip(self.profile, profile):
-            if old is not new:
-                changed |= old ^ new
-        if changed:
-            for stale in self.stale.values():
-                stale |= changed
-        self.profile = profile
-
-    def share(self, position: int, source: int):
-        """Give ``position`` the row of ``source``, a player of the same
-        request class with an equal reply whose row is up to date and holds
-        nothing sampled: the two rows are equal entry by entry."""
-        self.tolls[position] = self.tolls[source]
-        self.stale[position] = set()
-
-
 class PassView:
     """One delta pass: every player's tolls against one frozen profile.
 
     ``state`` is the run's ``analysis.ProfileState``, read, not copied: a
     toll prices the query of ``ProfileState.share_query``, the one place a
     player's share against the others is formed, so the view is valid until
-    the state's next move.  ``shares`` memoizes exact shares by (resource,
-    whether the player is on it, the player's weight there).  An exact share
-    depends on the other users only through their weight multiset, bit for
-    bit.  Every player off a resource sees all of its users as the others,
-    and every player of one weight on it sees the same multiset without one
-    user of that weight, so each group shares one entry.  Under
-    ``shapley-sampled`` the view decides each share's sample count, the one
-    place that does: ``sharing.samples_needed`` reads only the multiset, so
-    the shares it leaves exact are memoized the same way.  A share that does
-    sample draws that count from a stream per player and ``step``
+    the state's next move or the next view over it under other settings.
+    ``shares`` memoizes exact shares by (resource, whether the player is on
+    it, the player's weight there).  An exact share depends on the other
+    users only through their weight multiset, bit for bit.  Every player off
+    a resource sees all of its users as the others, and every player of one
+    weight on it sees the same multiset without one user of that weight, so
+    each group shares one entry.  Under ``shapley-sampled`` the view decides
+    each share's sample count, the one place that does:
+    ``sharing.samples_needed`` reads only the multiset, so the shares it
+    leaves exact are memoized the same way.  A share that does sample draws
+    that count from a stream per player and ``step``
     (``sharing.shapley_sampled``), within epsilon of the exact share except
     with probability ``delta``.  Sampled shares are not memoized; they are
     counted in ``sampled_shares``, and those whose sample count was capped
     also in ``sample_cap_hits``.
 
-    Rows are kept per run and patched per move: ``rows`` is the run's
-    :class:`TollRows`, so a player's entries are computed again only on the
-    resources whose users changed since her row was built and on those where
-    her share was sampled; ``built`` holds the positions whose rows this
-    pass brought up to date.  ``sweep`` is the ``oracles.Sweep`` over the
-    rows of the pass's leaders, which :func:`delta_vector` builds once its
-    rows are, and through which their ABRs are answered (None until then).
+    Rows are kept on the state and patched per move
+    (``analysis.ProfileState.rows``), so a player's entries are computed
+    again only on the resources a move changed since her row was built and
+    on those where her share was sampled; ``built`` holds the positions
+    whose rows this pass brought up to date.  A row holds only under the
+    mechanism, epsilon and ``delta`` it was priced under, so a view whose
+    settings differ from the state's ``row_settings`` drops the state's
+    rows first.  The seed needs no such check: a sampled entry is stale
+    after its pass.  ``sweep`` is the ``oracles.Sweep`` over the rows of
+    the pass's leaders, which :func:`delta_vector` builds once its rows
+    are, and through which their ABRs are answered (None until then).
     Exact shares read their counting tables and h values from the state's
     ``tables`` store, which outlives the pass and, under ``shapley-exact``,
     the only mechanism whose run tracks the potential, is shared with the
-    state's potential.  A toll is the share
-    itself, so a run on an instance with every cost multiplied by a power
-    of two makes the same moves, its costs, deltas and potentials
-    multiplied by that power.
+    state's potential.  A toll is the share itself, so a run on an
+    instance with every cost multiplied by a power of two makes the same
+    moves, its costs, deltas and potentials multiplied by that power.
 
     A round of FPL (``fpl.run_l_apx``) is a toll pass of the proportional
-    game: one view per round over that round's state, with one store for
-    the run.
+    game: one view per round over the run's one state.
     """
 
     def __init__(self, state: analysis.ProfileState, config: AbrdConfig, step: int,
-                 delta: float, rows: TollRows):
+                 delta: float):
         self.instance = state.instance
         self.config = config
         self.profile = state.profile
@@ -260,8 +223,9 @@ class PassView:
         self.shares: dict[tuple[str, bool, int], float] = {}
         self.sampled_shares = 0
         self.sample_cap_hits = 0
-        self.rows = rows
-        self.rows.advance(self.profile)
+        settings = (config.mechanism, config.epsilon, delta)
+        if state.row_settings != settings:
+            state.rows, state.stale, state.row_settings = {}, {}, settings
         self.built: set[int] = set()
         self.sweep: Optional[Sweep] = None
 
@@ -275,14 +239,14 @@ class PassView:
         is, nonnegative and in the instance's cost unit; the oracles take a
         zero toll as it is.  A row built in this pass is handed out again as
         it is, so its sampled entries are drawn and counted once."""
-        instance, config, rows = self.instance, self.config, self.rows
+        instance, config, state = self.instance, self.config, self.state
         if position in self.built:
-            return rows.tolls[position]
-        row = rows.tolls.get(position)
+            return state.rows[position]
+        row = state.rows.get(position)
         if row is None:
             row, changed = {}, [res.id for res in instance.resources]
         else:
-            changed = rows.stale[position]
+            changed = state.stale[position]
             if not changed:
                 return row
             row = dict(row)
@@ -297,7 +261,7 @@ class PassView:
             key = (e, on, w)
             share = memo.get(key)
             if share is None:
-                query = self.state.share_query(position, e)
+                query = state.share_query(position, e)
                 needed = samples_needed(query, config.epsilon, self.delta) if self.sampled else 0
                 if needed:
                     stale.add(e)
@@ -311,9 +275,9 @@ class PassView:
                     # a sampled share that needs no samples is the exact
                     # Shapley share, so it is memoized like any exact share
                     share = memo[key] = cost_share(self.exact_mechanism, query,
-                                                   tables=self.state.tables)
+                                                   tables=state.tables)
             row[e] = share
-        rows.tolls[position], rows.stale[position] = row, stale
+        state.rows[position], state.stale[position] = row, stale
         self.built.add(position)
         return row
 
@@ -347,7 +311,8 @@ def delta_vector(view: PassView) -> DeltaPass:
     Players of one request class (``Instance.request_classes``) that hold
     equal replies face equal toll rows and so get equal ABRs: the first of
     them, the leader, runs ``approximate_best_response`` and the others
-    take its answer, its current cost and its row (:meth:`TollRows.share`).
+    take its answer, its current cost and its row, which is up to date
+    with nothing stale.
     A sampled entry is drawn from its player's own stream, so an ABR is
     reused only when its row came out with nothing sampled; then no other
     row of the group samples either (``sharing.samples_needed`` reads only
@@ -359,7 +324,7 @@ def delta_vector(view: PassView) -> DeltaPass:
     ``oracles.Sweep`` over those rows (``view.sweep``), whose guides prune
     the routing searches and leave every answer bit for bit as it was."""
     eps1 = (1.0 + view.config.epsilon) / (1.0 - view.config.epsilon)
-    rows = view.rows
+    state = view.state
     first: dict[tuple[int, frozenset[str]], int] = {}   # (class, reply) -> who answered
     answered_by = []
     for pos, cls in enumerate(view.instance.request_classes):
@@ -367,14 +332,14 @@ def delta_vector(view: PassView) -> DeltaPass:
         leader = first.get(key)
         if leader is None:
             view.tolls(pos)
-            if not rows.stale[pos]:
+            if not state.stale[pos]:
                 first[key] = pos
             answered_by.append(pos)
         else:
-            rows.share(pos, leader)
+            state.rows[pos], state.stale[pos] = state.rows[leader], set()
             answered_by.append(leader)
     leaders = [pos for pos, leader in enumerate(answered_by) if pos == leader]
-    view.sweep = Sweep(view.instance, {pos: rows.tolls[pos] for pos in leaders})
+    view.sweep = Sweep(view.instance, {pos: state.rows[pos] for pos in leaders})
     answers = {pos: approximate_best_response(view, pos) for pos in leaders}
     abrs = [answers[leader] for leader in answered_by]
     deltas = tuple(current - eps1 * answer.toll_total for answer, current in abrs)
@@ -421,10 +386,9 @@ def run_abrd(instance: Instance, config: AbrdConfig) -> RunResult:
                         cost=cost, potential=potential, converged=False)]
     best_profile, best_cost, t_star = state.profile, cost, 0   # the first least cost
     sampled_shares = sample_cap_hits = 0
-    rows = TollRows()
 
     for t in range(1, budget + 1):
-        view = PassView(state, config, t, delta, rows)
+        view = PassView(state, config, t, delta)
         dpass = delta_vector(view)
         sampled_shares += view.sampled_shares
         sample_cap_hits += view.sample_cap_hits

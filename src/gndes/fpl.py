@@ -8,10 +8,11 @@ Costs are pre-scaled so every per-edge share lies in [0, 1], which the
 regret bound needs.
 
 A round of FPL is a toll pass of the proportional game: one
-``engine.PassView`` over the round's ``analysis.ProfileState``, with one
-``engine.TollRows`` store for the run, so a player's tolls are her
-proportional shares with her joined to each edge's users, recomputed only
-on the edges whose users changed since the round before.
+``engine.PassView`` over the run's one ``analysis.ProfileState``, which
+starts at the all-empty profile and each round moves the players whose
+reply changed.  So a player's tolls are her proportional shares with her
+joined to each edge's users, recomputed only on the edges whose users
+changed since the round before.
 
 Regret is measured against the best fixed path in hindsight.  A fixed
 path's hindsight total is the sum of the player's cumulative per-edge tolls
@@ -28,7 +29,7 @@ from typing import Optional
 import numpy as np
 
 from .analysis import ProfileState
-from .engine import AbrdConfig, PassView, TollRows
+from .engine import AbrdConfig, PassView
 from .errors import ConfigError, InfeasibleError
 from .instance import (
     HostGraph,
@@ -150,19 +151,19 @@ def run_l_apx(instance: Instance, config: FplConfig = FplConfig(),
     cumulative = [{res.id: 0.0 for res in scaled.resources} for _ in range(n)]
     realized = [0.0] * n
     trace: list[RegretTraceRow] = []
-    rows = TollRows()
+    state = ProfileState(scaled, (frozenset(),) * n)
 
     for t in range(1, rounds + 1):
-        replies = []
         for pos, req in enumerate(scaled.requests):
             rng = keyed_rng(config.seed, "fpl", t, req.id)
-            replies.append(fpl_step(graph, req.kind.source, req.kind.target,
-                                    cumulative[pos], eta, rng))
-        profile = tuple(replies)
+            reply = fpl_step(graph, req.kind.source, req.kind.target, cumulative[pos], eta, rng)
+            if reply != state.profile[pos]:
+                state.move(pos, reply)
+        profile = state.profile
         if t == chosen:
             out_profile = profile
         # delta is read only under shapley-sampled
-        view = PassView(ProfileState(scaled, profile), PROPORTIONAL, t, 0.1, rows)
+        view = PassView(state, PROPORTIONAL, t, 0.1)
         for pos, req in enumerate(scaled.requests):
             row = view.tolls(pos)
             toll = left_sum(row[e] for e in sorted(profile[pos]))

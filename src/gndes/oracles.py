@@ -499,7 +499,8 @@ def steiner_forest_oracle(graph: HostGraph, pairs: Sequence[tuple[str, str]],
     index = graph.indexed_adjacency[0]
     ends, incident = graph.indexed_incidence
     edges = graph.edges
-    edge_toll = [_toll(tolls, e.id) if u != v else 0.0 for e, (u, v) in zip(edges, ends)]
+    # a self-loop is at no vertex's border (indexed_incidence), so its toll is never read
+    edge_toll = [_toll(tolls, e.id) for e in edges]
     remaining = list(edge_toll)
     label = list(range(len(incident)))  # component label of each vertex
     members = {v: [v] for v in label}  # label -> its vertices

@@ -22,7 +22,6 @@ from gndes import (
     ResourceParams,
     Routing,
     SetConnectivity,
-    TollRows,
 )
 from gndes import analysis
 from gndes.errors import EnumerationLimitError, InstanceError
@@ -38,7 +37,7 @@ def rng_for(seed: int) -> np.random.Generator:
 def pass_view(instance: Instance, config, profile, step: int, planned_budget: int) -> PassView:
     """The delta pass at ``step`` of a run whose step budget is ``planned_budget``."""
     delta = whp_delta(planned_budget, instance.n_requests, len(instance.resources))
-    return PassView(ProfileState(instance, profile), config, step, delta, TollRows())
+    return PassView(ProfileState(instance, profile), config, step, delta)
 
 
 def random_exponents(rng, max_q: int = 2, alpha_max: float = 4.0) -> ExponentProfile:

@@ -14,6 +14,7 @@ from gndes import (
     Request,
     ResourceParams,
     Routing,
+    analysis,
     fpl,
     rep_cost,
     sharing,
@@ -286,6 +287,17 @@ class TestRunLApx:
         assert 0 < len(priced) <= edges + 2 * edges * 5 < edges + 6 * edges * 5
         assert result.regrets == expected.regrets and result.trace == expected.trace
 
+    def test_a_run_moves_one_state(self, monkeypatch):
+        # one state, at the all-empty profile, serves every round's toll pass
+        inst = grid_instance(rng_for(76), 3, 4)
+        built = []
+        init = analysis.ProfileState.__init__
+        monkeypatch.setattr(analysis.ProfileState, "__init__",
+                            lambda state, instance, profile: built.append(profile)
+                            or init(state, instance, profile))
+        run_l_apx(inst, FplConfig(seed=3, rounds=12))
+        assert built == [(frozenset(),) * inst.n_requests]
+
 
 def small_routing_instance(rng, directed):
     """Three to six vertices, one to five players, every weight in 1..3;
@@ -333,7 +345,7 @@ class CheckedView(fpl.PassView):
 class ReferenceView:
     """A round priced by the reference rows alone."""
 
-    def __init__(self, state, config, step, delta, rows):
+    def __init__(self, state, config, step, delta):
         self.rows = reference_proportional_toll_rows(state.instance, state.profile)
 
     def tolls(self, position):

@@ -7,6 +7,7 @@ from gndes import (
     Edge,
     ExplicitReplies,
     ExponentProfile,
+    Feasibility,
     HostGraph,
     Instance,
     InstanceError,
@@ -150,6 +151,19 @@ class TestValidateReply:
         )
         verdict = validate_reply(inst, inst.requests[0], frozenset({"sa"}))
         assert not verdict and "terminal" in verdict.reason
+
+    def test_set_connectivity_without_terminals_refuses_an_empty_reply(self):
+        # an instance would not hold this request; handed one directly, the
+        # check still gives a verdict
+        g = path_graph()
+        inst = Instance(
+            ExponentProfile((2.0,)),
+            tuple(ResourceParams(e.id, 1.0, (1.0,)) for e in g.edges),
+            (Request(id=1, kind=Routing("s", "t")),),
+            g,
+        )
+        verdict = validate_reply(inst, Request(id=2, kind=SetConnectivity(())), frozenset())
+        assert verdict == Feasibility(False, "empty reply cannot span the terminals")
 
     def test_set_connectivity_requires_connected_subgraph(self):
         g = HostGraph(

@@ -65,6 +65,13 @@ class TestOracles:
         with refused(ConfigError, "multi-routing oracle requires an undirected graph"):
             steiner_forest_oracle(path_graph(True), [("a", "c")], self.TOLLS)
 
+    def test_steiner_forest_oracle_without_a_self_loops_toll(self):
+        # a self-loop is never at a border, yet its toll is taken like any other
+        g = HostGraph(False, ("a", "b", "c"),
+                      (Edge("ab", "a", "b"), Edge("bb", "b", "b"), Edge("bc", "b", "c")))
+        with refused(InstanceError, "no toll given for resource 'bb'"):
+            steiner_forest_oracle(g, [("a", "c")], self.TOLLS)
+
     def test_steiner_forest_oracle_without_pairs(self):
         with refused(InstanceError, "need at least one terminal pair"):
             steiner_forest_oracle(path_graph(False), [], self.TOLLS)

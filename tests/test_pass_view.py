@@ -1,11 +1,12 @@
 """Differential tests for a run's profile state and the delta pass over it.
 
 A ``ProfileState`` groups the users of every resource once and regroups
-only the resources a move changes; a ``PassView`` reads those users from
-the state and memoizes shares across the players of the pass; a
-``TollRows`` store keeps every player's toll row across the passes of a
-run.  These tests check a moved state against a fresh state of the same
-profile, kept rows against rows built afresh, and compare ``delta_vector``
+only the resources a move changes; it also keeps every player's toll row
+across the passes of a run, and a move marks the resources it changed
+stale in each kept row.  A ``PassView`` reads the users from the state and
+memoizes shares across the players of the pass.  These tests check a
+moved state against a fresh state of the same profile, kept rows against
+the rows of a fresh state of the same profile, and compare ``delta_vector``
 on one view, with exact float equality, against per-player ABRs that share
 nothing: ``approximate_best_response`` on a fresh view for every player,
 and an independent regrouping of the others' users for every player.
@@ -32,7 +33,6 @@ from gndes import (
     ResourceParams,
     Routing,
     SetConnectivity,
-    TollRows,
     approximate_best_response,
     delta_vector,
     engine,
@@ -229,8 +229,8 @@ def test_moved_state_matches_a_fresh_state(seed, make, n_moves, mechanism):
         phi = state.potential()
         assert phi == potential(instance, state.profile)
         assert phi == pytest.approx(potential_by_prefix(instance, state.profile), rel=REL_TOL)
-        moved_view = PassView(state, config, 1, 0.1, TollRows())
-        fresh_view = PassView(fresh, config, 1, 0.1, TollRows())
+        moved_view = PassView(state, config, 1, 0.1)
+        fresh_view = PassView(fresh, config, 1, 0.1)
         for pos in range(instance.n_requests):
             assert moved_view.tolls(pos) == fresh_view.tolls(pos)
 
@@ -256,13 +256,16 @@ def test_kept_cost_is_a_fresh_total_cost(seed, make, n_moves):
 def moves_of_a_run(instance, config, rng, n_moves):
     """Yield one state as a run moves it: first unused, then after each
     move.  Between moves the state prices its potential and serves a delta
-    pass, as in ``run_abrd``; the mover takes its proposal when that
-    differs from its reply, else a random reply."""
+    pass, as in ``run_abrd``, but one that prices every toll afresh (so a
+    pass after a move that changed nothing still reads the tables of every
+    resource in use); the mover takes its proposal when that differs from
+    its reply, else a random reply."""
     state = ProfileState(instance, random_profile(rng, instance))
     yield state
     for t in range(1, n_moves + 1):
         state.potential()
-        dpass = delta_vector(PassView(state, config, t, 0.1, TollRows()))
+        state.rows.clear()
+        dpass = delta_vector(PassView(state, config, t, 0.1))
         position = int(rng.integers(instance.n_requests))
         reply = dpass.proposals[position].reply
         if reply == state.profile[position]:
@@ -333,18 +336,36 @@ def test_a_move_reprices_only_the_resources_it_changed(monkeypatch):
     assert state.profile == (frozenset({"m2"}), frozenset({"m2"}), frozenset({"m3"}))
 
 
-@pytest.mark.parametrize("position", [-1, 3, 7])
-def test_a_move_outside_the_requests_raises_and_changes_nothing(position):
+def assert_a_refused_move_changes_nothing(position, reply, refusal):
+    """Three machine players, one per machine, with every row kept: the
+    move is refused and leaves the profile, the users and every kept row's
+    stale set as they were."""
     exp = ExponentProfile((2.0,))
     ids = ("m1", "m2", "m3")
     instance = Instance(exp, tuple(ResourceParams(m, 1.0, (0.5,)) for m in ids),
                         tuple(Request(id=i, kind=MachineChoice(ids)) for i in (1, 2, 3)))
     start = tuple(frozenset({m}) for m in ids)
     state = ProfileState(instance, start)
+    view = PassView(state, AbrdConfig(), 1, 0.1)
+    for pos in range(3):
+        view.tolls(pos)
     users = dict(state.users)
-    with pytest.raises(InstanceError, match=rf"^position {position} is outside range\(3\)$"):
-        state.move(position, frozenset({"m2"}))
+    assert state.stale == {0: set(), 1: set(), 2: set()}
+    with pytest.raises(InstanceError, match=f"^{refusal}$"):
+        state.move(position, reply)
     assert state.profile == start and state.users == users
+    assert state.stale == {0: set(), 1: set(), 2: set()}
+
+
+@pytest.mark.parametrize("position", [-1, 3, 7])
+def test_a_move_outside_the_requests_raises_and_changes_nothing(position):
+    assert_a_refused_move_changes_nothing(position, frozenset({"m2"}),
+                                          rf"position {position} is outside range\(3\)")
+
+
+def test_a_move_to_an_unknown_resource_raises_and_changes_nothing():
+    assert_a_refused_move_changes_nothing(0, frozenset({"m2", "zz"}),
+                                          "reply uses unknown resource 'zz'")
 
 
 def row_hex(row):
@@ -368,7 +389,6 @@ def test_kept_rows_equal_fresh_rows(seed, make, mechanism, moves_between_passes)
     instance = make(rng)
     config = AbrdConfig(mechanism=mechanism, epsilon=0.2, seed=seed % 1000)
     state = ProfileState(instance, random_profile(rng, instance))
-    rows = TollRows()
     with pytest.MonkeyPatch.context() as patch:
         # free sampling set-up makes small queries sample too, so sampled
         # and exact entries mix in one row; the cap keeps draws cheap
@@ -381,12 +401,47 @@ def test_kept_rows_equal_fresh_rows(seed, make, mechanism, moves_between_passes)
                          state.profile[position],
                          frozenset(sorted(state.profile[position]))][int(rng.integers(3))]
                 state.move(position, reply)
-            kept = PassView(state, config, step, 0.1, rows)
-            fresh = PassView(state, config, step, 0.1, TollRows())
+            kept = PassView(state, config, step, 0.1)
+            fresh = PassView(ProfileState(instance, state.profile), config, step, 0.1)
             for pos in range(instance.n_requests):
                 assert row_hex(kept.tolls(pos)) == row_hex(fresh.tolls(pos))
             assert ((kept.sampled_shares, kept.sample_cap_hits)
                     == (fresh.sampled_shares, fresh.sample_cap_hits))
+
+
+@pytest.mark.parametrize("first, second", [
+    (("shapley-exact", 0.2, 0.1), ("proportional", 0.2, 0.1)),
+    # at the small epsilon and the tiny delta every share is exact, at the
+    # other value of each some are sampled
+    (("shapley-sampled", 0.01, 0.1), ("shapley-sampled", 0.5, 0.1)),
+    (("shapley-sampled", 0.2, 1e-300), ("shapley-sampled", 0.2, 0.5)),
+], ids=["mechanism", "epsilon", "delta"])
+def test_a_view_under_other_settings_never_reuses_the_rows(first, second, monkeypatch):
+    """Passes over one state alternate between two settings of (mechanism,
+    epsilon, delta), with no move between them: each pass hands out the
+    rows and sample counts of a fresh state's pass under its settings."""
+    monkeypatch.setattr(sharing, "SAMPLING_NS", 0)
+    weights = [100_000 + 7 * 2 ** i for i in range(1, 9)]
+    instance = Instance(ExponentProfile((1.5,)),
+                        (ResourceParams("m1", 1.0, (1.0,)), ResourceParams("m2", 2.0, (1.0,))),
+                        tuple(Request(i, MachineChoice(("m1", "m2")), default_weight=w)
+                              for i, w in enumerate(weights, start=1)))
+    state = ProfileState(instance, tuple(frozenset({"m1" if pos % 3 else "m2"})
+                                         for pos in range(len(weights))))
+
+    def priced(on, settings, step):
+        mechanism, epsilon, delta = settings
+        view = PassView(on, AbrdConfig(mechanism=mechanism, epsilon=epsilon, seed=6), step, delta)
+        return ([row_hex(view.tolls(pos)) for pos in range(len(weights))],
+                view.sampled_shares)
+
+    fresh = {settings: priced(ProfileState(instance, state.profile), settings, 1)
+             for settings in (first, second)}
+    # a row kept from the other settings would show
+    assert fresh[first] != fresh[second]
+    for step, settings in enumerate((first, second, first, second), start=1):
+        assert (priced(state, settings, step)
+                == priced(ProfileState(instance, state.profile), settings, step))
 
 
 @pytest.mark.parametrize("mechanism", MECHANISMS)
@@ -400,10 +455,9 @@ def test_a_row_handed_out_is_never_changed(mechanism):
             for _ in range(6):
                 instance = make(rng)
                 state = ProfileState(instance, random_profile(rng, instance))
-                rows = TollRows()
                 handed = []
                 for step in (1, 2, 3):
-                    view = PassView(state, config, step, 0.1, rows)
+                    view = PassView(state, config, step, 0.1)
                     for pos in range(instance.n_requests):
                         row = view.tolls(pos)
                         handed.append((row, row_hex(row)))
@@ -419,28 +473,27 @@ def test_a_pass_prices_only_the_resources_whose_users_changed(monkeypatch):
                         tuple(Request(id=i, kind=MachineChoice(ids)) for i in (1, 2, 3)))
     state = ProfileState(instance, tuple(frozenset({m}) for m in ids))
     config = AbrdConfig()
-    rows = TollRows()
     priced = []
     share = engine.cost_share
     monkeypatch.setattr(engine, "cost_share",
                         lambda mechanism, query, **kw: priced.append(query.resource.id)
                         or share(mechanism, query, **kw))
-    view = PassView(state, config, 1, 0.1, rows)
+    view = PassView(state, config, 1, 0.1)
     first = [view.tolls(pos) for pos in range(3)]
     # on each machine, one share for its user and one for every player off it
     assert sorted(priced) == ["m1", "m1", "m2", "m2", "m3", "m3"]
 
     priced.clear()
-    view = PassView(state, config, 2, 0.1, rows)
+    view = PassView(state, config, 2, 0.1)
     assert all(view.tolls(pos) is row for pos, row in enumerate(first))
     assert priced == []
 
     state.move(0, frozenset({"m2"}))
-    view = PassView(state, config, 3, 0.1, rows)
+    view = PassView(state, config, 3, 0.1)
     moved = [view.tolls(pos) for pos in range(3)]
     # m1 lost its only user and m2 gained one; m3 kept its users
     assert set(priced) == {"m1", "m2"}
-    assert all(row == PassView(state, config, 3, 0.1, TollRows()).tolls(pos)
+    assert all(row == PassView(ProfileState(instance, state.profile), config, 3, 0.1).tolls(pos)
                for pos, row in enumerate(moved))
 
 
@@ -455,7 +508,6 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
                               for i, w in zip(range(1, 7), (1, 2, 3, 5, 8, 13))))
     state = ProfileState(instance, tuple(frozenset({ids[pos % 3]}) for pos in range(6)))
     config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.2, seed=3)
-    rows = TollRows()
     priced, drawn = [], []
     share, sampled = engine.cost_share, sharing.shapley_sampled
 
@@ -467,7 +519,7 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
                         lambda mechanism, query, **kw: priced.append(query.resource.id)
                         or share(mechanism, query, **kw))
     monkeypatch.setattr(sharing, "shapley_sampled", draw)
-    view = PassView(state, config, 1, 0.1, rows)
+    view = PassView(state, config, 1, 0.1)
     for pos in range(6):
         view.tolls(pos)
     entries = sorted((target, e) for target, e, _ in drawn)
@@ -476,14 +528,14 @@ def test_a_pass_after_no_move_draws_every_sampled_entry_again(monkeypatch):
 
     priced.clear()
     drawn.clear()
-    view = PassView(state, config, 2, 0.1, rows)
+    view = PassView(state, config, 2, 0.1)
     kept = [view.tolls(pos) for pos in range(6)]
     assert priced == []
     assert sorted((target, e) for target, e, _ in drawn) == entries
     assert view.sampled_shares == len(entries)
     for target, e, stream in drawn:
         assert stream == keyed_rng(config.seed, "share", 2, target, e).bit_generator.state
-    fresh = PassView(state, config, 2, 0.1, TollRows())
+    fresh = PassView(ProfileState(instance, state.profile), config, 2, 0.1)
     assert [row_hex(row) for row in kept] == [row_hex(fresh.tolls(pos)) for pos in range(6)]
 
 
@@ -530,7 +582,6 @@ def test_a_pass_shared_by_class_equals_a_pass_over_every_player(seed, make, mech
     eps1 = (1.0 + config.epsilon) / (1.0 - config.epsilon)
     start = random_profile(rng, instance)
     state = ProfileState(instance, tuple(start[base_of.index(base)] for base in base_of))
-    rows = TollRows()
     with pytest.MonkeyPatch.context() as patch:
         # free sampling set-up makes small queries sample too, and a low
         # cap makes some of their counts capped, so sampled, capped and
@@ -544,9 +595,9 @@ def test_a_pass_shared_by_class_equals_a_pass_over_every_player(seed, make, mech
                 reply = [random_profile(rng, instance)[position],
                          state.profile[mates[int(rng.integers(len(mates)))]]][int(rng.integers(2))]
                 state.move(position, reply)
-            view = PassView(state, config, step, 0.1, rows)
+            view = PassView(state, config, step, 0.1)
             shared = delta_vector(view)
-            alone = PassView(state, config, step, 0.1, TollRows())
+            alone = PassView(ProfileState(instance, state.profile), config, step, 0.1)
             abrs = [approximate_best_response(alone, pos) for pos in range(n)]
             reference = [current - eps1 * answer.toll_total for answer, current in abrs]
             assert [d.hex() for d in shared.deltas] == [d.hex() for d in reference]
@@ -555,5 +606,5 @@ def test_a_pass_shared_by_class_equals_a_pass_over_every_player(seed, make, mech
                     == [(a.reply, a.toll_total.hex()) for a, _ in abrs])
             assert ((view.sampled_shares, view.sample_cap_hits)
                     == (alone.sampled_shares, alone.sample_cap_hits))
-            assert ([row_hex(rows.tolls[pos]) for pos in range(n)]
-                    == [row_hex(alone.rows.tolls[pos]) for pos in range(n)])
+            assert ([row_hex(state.rows[pos]) for pos in range(n)]
+                    == [row_hex(alone.state.rows[pos]) for pos in range(n)])

@@ -25,7 +25,6 @@ from gndes import (
     Request,
     ResourceParams,
     Routing,
-    TollRows,
     approximate_best_response,
     delta_vector,
     engine,
@@ -92,7 +91,7 @@ def players_on_two_edges(k, heavy=0):
     return ProfileState(inst, tuple(frozenset({"e1"}) for _ in requests))
 
 
-def counted_pass(monkeypatch, state, config, step, rows, ids):
+def counted_pass(monkeypatch, state, config, step, ids):
     """One delta pass; returns it, its view and the oracle calls it made
     for the requests in ``ids``."""
     calls = []
@@ -104,33 +103,32 @@ def counted_pass(monkeypatch, state, config, step, rows, ids):
         return oracle(sweep, position)
 
     monkeypatch.setattr(engine, "reply_oracle", counted)
-    view = PassView(state, config, step, 0.01, rows)
+    view = PassView(state, config, step, 0.01)
     return delta_vector(view), view, len(calls)
 
 
 def assert_pass_over_every_player(state, config, step, dpass, view):
-    alone = PassView(state, config, step, 0.01, TollRows())
+    alone = PassView(ProfileState(state.instance, state.profile), config, step, 0.01)
     abrs = [approximate_best_response(alone, pos) for pos in range(len(state.profile))]
     assert dpass.proposals == tuple(answer for answer, _ in abrs)
     assert (view.sampled_shares, view.sample_cap_hits) == (alone.sampled_shares,
                                                            alone.sample_cap_hits)
-    assert all(view.rows.tolls[pos] == alone.rows.tolls[pos] for pos in range(len(abrs)))
+    assert all(state.rows[pos] == alone.state.rows[pos] for pos in range(len(abrs)))
 
 
 @pytest.mark.parametrize("mechanism", ["proportional", "shapley-exact", "shapley-sampled"])
 def test_identical_players_on_one_reply_share_one_oracle_call(mechanism, monkeypatch):
     state = players_on_two_edges(4)
     config = AbrdConfig(mechanism=mechanism, epsilon=0.15, seed=2)
-    rows = TollRows()
     ids = {1, 2, 3, 4}
-    dpass, view, calls = counted_pass(monkeypatch, state, config, 1, rows, ids)
+    dpass, view, calls = counted_pass(monkeypatch, state, config, 1, ids)
     assert calls == 1
     assert len(set(dpass.deltas)) == 1 and view.sampled_shares == 0
     assert_pass_over_every_player(state, config, 1, dpass, view)
 
     # one member moves away from the class's reply: one call per reply
     state.move(1, frozenset({"e2"}))
-    dpass, view, calls = counted_pass(monkeypatch, state, config, 2, rows, ids)
+    dpass, view, calls = counted_pass(monkeypatch, state, config, 2, ids)
     assert calls == 2
     assert_pass_over_every_player(state, config, 2, dpass, view)
 
@@ -140,7 +138,7 @@ def test_identical_players_whose_rows_sample_each_answer(monkeypatch):
     # and a sampled entry is drawn from its own player's stream
     state = players_on_two_edges(4, heavy=6)
     config = AbrdConfig(mechanism="shapley-sampled", epsilon=0.15, seed=2)
-    dpass, view, calls = counted_pass(monkeypatch, state, config, 1, TollRows(), {1, 2, 3, 4})
+    dpass, view, calls = counted_pass(monkeypatch, state, config, 1, {1, 2, 3, 4})
     assert calls == 4
-    assert all(view.rows.stale[pos] == {"e1"} for pos in range(4))
+    assert all(state.stale[pos] == {"e1"} for pos in range(4))
     assert_pass_over_every_player(state, config, 1, dpass, view)

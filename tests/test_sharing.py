@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from gndes import (AbrdConfig, ExplicitReplies, ExponentProfile, Instance, PassView,
-                   ProfileState, Request, ResourceParams, TollRows, rep_cost, sharing)
+                   ProfileState, Request, ResourceParams, rep_cost, sharing)
 from gndes.analysis import budget_balance_check
 from gndes.errors import ConfigError, InstanceError
 from gndes.instance import left_sum
@@ -463,7 +463,7 @@ class TestShapleySampled:
             inst = Instance(q.exponents, (q.resource,),
                             tuple(Request(i, only, default_weight=w) for i, w in q.users))
             state = ProfileState(inst, (frozenset({"r"}),) * len(q.users))
-            view = PassView(state, config, 1, 1e-6, TollRows())
+            view = PassView(state, config, 1, 1e-6)
             assert view.tolls(q.target - 1)["r"] == shapley_exact(q)
             assert view.sampled_shares == 0
 
